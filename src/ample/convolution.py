@@ -169,7 +169,9 @@ def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
     """Minimal Z inside F+ meeting every member of F+, as position masks.
 
     Branches on the lowest uncovered member, so every minimal cover is
-    reached; non-minimal byproducts are filtered afterwards.
+    reached; non-minimal byproducts are filtered afterwards, smallest first,
+    against the covers already kept (a non-minimal cover contains a
+    minimal one, which has fewer members).
     """
     if fplus == 0:
         return (0,)
@@ -184,13 +186,11 @@ def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
             rec(zmask | 1 << z, uncovered & ~isect[z])
 
     rec(0, fplus)
-    return tuple(
-        sorted(
-            z
-            for z in found
-            if not any(o != z and o & z == o for o in found)
-        )
-    )
+    kept: list[int] = []
+    for z in sorted(found, key=int.bit_count):
+        if not any(o & z == o for o in kept):
+            kept.append(z)
+    return tuple(sorted(kept))
 
 
 def _all_covers_upto(isect: Sequence[int], fplus: int, max_size: int) -> list[int]:

@@ -10,10 +10,16 @@ from .groupoids import FiniteGroupoid, validate_groupoid
 
 
 def pair_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
-    """Arrows (i -> j) between n units; a{i}{j} has source u{i} and range u{j}."""
+    """Arrows (i -> j) between n units; a{i}{j} has source u{i} and range u{j}.
+
+    Past ten units the indices can have two digits, which run together
+    (from twelve units on, 1 -> 11 and 11 -> 1 would both be a111), so the
+    arrows are named a{i}_{j} there instead.
+    """
     units = [f"{prefix}u{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    names = units + [f"{prefix}a{i}{j}" for i, j in pairs]
+    sep = "_" if n > 10 else ""
+    names = units + [f"{prefix}a{i}{sep}{j}" for i, j in pairs]
     idx = {(i, i): i for i in range(n)}
     for k, (i, j) in enumerate(pairs):
         idx[(i, j)] = n + k

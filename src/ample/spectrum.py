@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bitsets import iter_bits
 from .errors import BoundExceeded, TightUltraMismatch
 from .semigroups import Semilattice
 
@@ -96,9 +97,16 @@ def enumerate_filters(
     return tuple(sorted(out))
 
 
-def ultrafilters(E: Semilattice, **kwargs) -> tuple[int, ...]:
-    """Filters not properly contained in any other filter."""
-    filters = enumerate_filters(E, **kwargs)
+def ultrafilters(
+    E: Semilattice, filters: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """Filters not properly contained in any other filter.
+
+    ``filters`` is the already-enumerated filter tuple of E, when the
+    caller has one; otherwise the filters are enumerated here.
+    """
+    if filters is None:
+        filters = enumerate_filters(E)
     return tuple(
         f
         for f in filters
@@ -109,19 +117,23 @@ def ultrafilters(E: Semilattice, **kwargs) -> tuple[int, ...]:
 def find_tightness_violation(
     E: Semilattice, bits: int, audit: bool = False, bound: int = EXHAUSTIVE_BOUND
 ) -> tuple[int | None, int, int] | None:
-    """First (x, Y) pair at which the cover-sup condition fails, or None.
+    """First witness that the filter is not tight, or None when it is tight.
 
-    For a character the condition can only fail on instances whose
-    right-hand side is 1, and it fails there exactly when Z0, the part of
-    E^{x,Y} the character kills, is itself a cover of E^{x,Y}.  So the scan
-    walks x over members of the filter (or nothing) and Y over antichains
-    of nonzero idempotents the character kills, and tests that complement
-    cover; no cover enumeration is needed.  Witnesses come back as
-    (x position or None, Y position mask, Z0 position mask).
+    Exel (*Inverse semigroups and combinatorial C*-algebras*, Bull. Braz.
+    Math. Soc. 39 (2008), arXiv:math/0703182, sections 11-12) shows that a
+    filter xi is tight iff no x in xi has down(x) - xi as a cover of
+    down(x).  So the scan walks the members x of xi in ascending position
+    order and returns (x, 0, down(x) - xi) at the first x whose killed part
+    covers it.  Instances with X empty need no pass of their own: if the
+    killed part Z of E^Y covers E^Y for a killed Y, then for any x in xi
+    each nonzero w <= x meets some y in Y or lies in E^Y and meets some z
+    in Z, and w^y or w^z is a killed member of down(x) that w meets.
 
-    Audit mode drops every reduction and scans all (x, Y) literally,
-    including right-hand side 0 instances; it refuses carriers past
-    ``bound``.
+    Audit mode drops that theorem and scans every (x, Y) instance of the
+    cover-sup condition literally, with x ranging over nothing or any
+    position and Y over all position masks, and returns
+    (x position or None, Y position mask, killed part of E^{x,Y}); it
+    refuses carriers past ``bound``.
     """
     assert is_filter(E, bits), "tightness is defined for characters only"
     m = len(E)
@@ -165,38 +177,9 @@ def find_tightness_violation(
                     return (x, y_mask, exy & ~bits)
         return None
 
-    # Y only needs to range over antichains of killed nonzero idempotents:
-    # comparable or value-1 members never change a rhs-1 instance.
-    candidates = [
-        q
-        for q in range(m)
-        if q != E.zero_pos and not bits >> q & 1
-    ]
-
-    def scan(x_base: int, start: int, y_mask: int, exy: int, blocked: int):
-        if complement_covers(exy):
-            return (y_mask, exy & ~bits)
-        for j in range(start, len(candidates)):
-            q = candidates[j]
-            if blocked >> q & 1:
-                continue
-            hit = scan(
-                x_base,
-                j + 1,
-                y_mask | 1 << q,
-                exy & orth[q],
-                blocked | down[q] | E.up_masks[q],
-            )
-            if hit is not None:
-                return hit
-        return None
-
-    for x in [None, *(p for p in range(m) if bits >> p & 1)]:
-        base = full if x is None else down[x]
-        hit = scan(base, 0, 0, base, 0)
-        if hit is not None:
-            y_mask, z0 = hit
-            return (x, y_mask, z0)
+    for x in iter_bits(bits):
+        if complement_covers(down[x]):
+            return (x, 0, down[x] & ~bits)
     return None
 
 
@@ -207,9 +190,13 @@ def is_tight_character(E: Semilattice, bits: int, audit: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class TightSpectrum:
-    """The tight characters of a finite semilattice, canonically ordered."""
+    """The tight characters of a finite semilattice, canonically ordered.
+
+    ``filters`` holds all filters of the semilattice, the points among them.
+    """
 
     semilattice: Semilattice
+    filters: tuple[int, ...]
     points: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -240,9 +227,9 @@ def tight_spectrum(E: Semilattice) -> TightSpectrum:
     """
     filters = enumerate_filters(E)
     tight = tuple(b for b in filters if is_tight_character(E, b))
-    ultra = ultrafilters(E)
+    ultra = ultrafilters(E, filters)
     if set(tight) != set(ultra):
         raise TightUltraMismatch(
             f"tight characters {tight!r} differ from ultrafilters {ultra!r}"
         )
-    return TightSpectrum(E, tight)
+    return TightSpectrum(E, filters, tight)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +22,8 @@ from ample import (
     units_groupoid,
     validate_inverse_semigroup,
 )
+from ample.bitsets import iter_bits, mask_of
+from ample.convolution import _minimal_covers
 from ample.errors import CheckFailed, EmptySpectrum, GroupoidMismatch
 
 from test_semigroups import chain_semilattice, powerset_semilattice
@@ -224,3 +228,26 @@ def test_convolve_and_star_aliases():
     g = rho(G, 1 << G.index["a10"])
     assert convolve(f, g) == f * g
     assert star(f) == f.star() == g
+
+
+def test_minimal_covers_match_subset_scan():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        isect = [1 << p for p in range(n)]  # nonzero idempotents meet themselves
+        for p, q in combinations(range(n), 2):
+            if rng.random() < 0.4:
+                isect[p] |= 1 << q
+                isect[q] |= 1 << p
+        fplus = rng.randrange(1 << n)
+        members = list(iter_bits(fplus))
+        covers = [
+            mask_of(zs)
+            for k in range(len(members) + 1)
+            for zs in combinations(members, k)
+            if all(isect[f] & mask_of(zs) for f in members)
+        ]
+        minimal = sorted(
+            z for z in covers if not any(o != z and o & z == o for o in covers)
+        )
+        assert _minimal_covers(isect, fplus) == tuple(minimal), (isect, fplus)

@@ -44,6 +44,19 @@ def test_validate_pair_groupoid():
     assert G.inverse[a01] == a10
 
 
+def test_pair_groupoid_names_stay_distinct_past_ten_units():
+    assert pair_groupoid(3).arrows == (
+        "u0", "u1", "u2", "a01", "a02", "a10", "a12", "a20", "a21"
+    )
+    G = pair_groupoid(11)
+    assert len(G.arrows) == 121 and len(G.units) == 11
+    G = pair_groupoid(12)
+    assert len(G.arrows) == 144 and len(G.units) == 12
+    a1_11, a11_1 = G.index["a1_11"], G.index["a11_1"]
+    assert G.d[a1_11] == G.index["u1"] and G.r[a1_11] == G.index["u11"]
+    assert G.inverse[a1_11] == a11_1
+
+
 def test_validate_units_only():
     G = units_groupoid(3)
     assert len(G.compose) == 3

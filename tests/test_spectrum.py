@@ -13,10 +13,17 @@ from ample import (
     tight_spectrum,
     ultrafilters,
 )
+from ample.bitsets import iter_bits
 from ample.errors import BoundExceeded
-from ample.spectrum import filter_minimum, find_tightness_violation, principal_filter
+from ample.spectrum import (
+    EXHAUSTIVE_BOUND,
+    filter_minimum,
+    find_tightness_violation,
+    principal_filter,
+)
 
 from oracles import filters_by_definition
+from semilattice_zoo import all_semilattices_upto
 from test_semigroups import chain_semilattice, powerset_semilattice
 
 
@@ -121,13 +128,27 @@ def test_ultrafilters_are_tight():
             assert is_tight_character(E, bits)
 
 
-def test_audit_mode_agrees_with_reduced_scan():
-    for S in (chain_semilattice(2), powerset_semilattice((1, 2))[0]):
-        E = idempotent_semilattice(S)
+def test_audit_mode_agrees_with_reduced_scan(corpus_runs):
+    semilattices = [
+        idempotent_semilattice(S)
+        for items in all_semilattices_upto(6).values()
+        for S in items
+    ]
+    for run_info in corpus_runs:
+        E = idempotent_semilattice(run_info.bisection_semigroup.semigroup)
+        if len(E) <= EXHAUSTIVE_BOUND:
+            semilattices.append(E)
+    for E in semilattices:
         for bits in enumerate_filters(E):
-            assert is_tight_character(E, bits) == is_tight_character(
-                E, bits, audit=True
-            )
+            witness = find_tightness_violation(E, bits)
+            assert is_tight_character(E, bits, audit=True) == (witness is None)
+            if witness is not None:
+                # the witness is a member x whose killed part covers down(x)
+                x, y_mask, z0 = witness
+                assert bits >> x & 1 and y_mask == 0
+                assert z0 == E.down_masks[x] & ~bits
+                below_x = E.restricted_ideal((E.carrier[x],), ())
+                assert E.is_cover([E.carrier[p] for p in iter_bits(z0)], below_x)
 
 
 def test_audit_tightness_refuses_large_carriers():
@@ -173,6 +194,17 @@ def test_every_nonzero_idempotent_has_a_point():
         for e in E.carrier:
             if e != S.zero:
                 assert spec.basic_sets[e]
+
+
+def test_tight_spectrum_of_wide_powersets():
+    # 128 and 256 idempotents: past what an antichain scan can reach
+    for n in (7, 8):
+        S, _ = powerset_semilattice(tuple(range(1, n + 1)))
+        E = idempotent_semilattice(S)
+        assert len(E) == 1 << n
+        spec = tight_spectrum(E)
+        assert len(spec.points) == n
+        assert len(spec.filters) == (1 << n) - 1
 
 
 def test_points_are_canonically_ordered():
