@@ -11,9 +11,7 @@ from .convolution import (
     AlgebraElement,
     TightRepresentationReport,
     check_tight_representation,
-    convolve,
     rho,
-    star,
     sup,
     sup_all,
     unit_cover,
@@ -58,9 +56,7 @@ from .formats import (
 from .germs import (
     GermGroupoidModel,
     build_germ_model,
-    germ_groupoid,
     same_germ,
-    slice_of,
     theta_apply,
 )
 from .groupoids import (
@@ -90,7 +86,6 @@ from .reconstruction import (
     StoneReport,
     basis_semilattice,
     brute_force_iso,
-    canonical_iso,
     canonical_iso_of_run,
     check_isomorphism,
     enumerate_point_bases,
@@ -110,11 +105,9 @@ from .semigroups import (
 )
 from .spectrum import (
     TightSpectrum,
-    char_value,
     enumerate_filters,
     filter_minimum,
     find_tightness_violation,
-    is_character,
     is_filter,
     is_tight_character,
     principal_filter,

@@ -15,15 +15,7 @@ from pathlib import Path
 
 from .convolution import check_tight_representation, rho
 from .corpus import corpus as corpus_family
-from .errors import (
-    AmpleError,
-    BoundExceeded,
-    NotBijective,
-    NotFunctorial,
-    NotWellDefined,
-    ParseError,
-    ValidationError,
-)
+from .errors import AmpleError, NotBijective, NotFunctorial, NotWellDefined
 from .formats import (
     parse_document,
     parse_groupoid,
@@ -132,7 +124,7 @@ def cmd_ample(args) -> int:
     masks = enumerate_bisections(G, max_candidates=args.max_bisections)
     bs = bisection_semigroup(G, masks)
     idem = bs.semigroup.idempotents
-    T, _audit = abstract_table(G, masks, seed=args.seed)
+    T, _audit = abstract_table(bs, seed=args.seed)
     doc = write_semigroup(T)
     lines = [
         f"arrows: {len(G.arrows)}",
@@ -198,7 +190,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_check_iso(args) -> int:
     G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
     masks = _collection(G, args.collection, args.max_bisections)
-    run = run_reconstruction(G, masks, seed=args.seed)
+    run = run_reconstruction(bisection_semigroup(G, masks), seed=args.seed)
     H = run.model.groupoid
     lines = [
         f"collection: {args.collection} ({len(masks)} elements)",
@@ -260,8 +252,9 @@ def cmd_stone_check(args) -> int:
     lines = []
     ok = True
     total = 0
-    for n in range(args.max_points + 1):
-        spaces = enumerate_point_bases(n)
+    # every size is enumerated first, so a size past the guard fails at once
+    sweep = [enumerate_point_bases(n) for n in range(args.max_points + 1)]
+    for n, spaces in enumerate(sweep):
         passed = 0
         for space in spaces:
             report = stone_check(space)
@@ -384,16 +377,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AmpleError as exc:
+    except (AmpleError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

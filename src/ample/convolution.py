@@ -19,6 +19,9 @@ from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, idempotent_semilattice
 
+# Largest cover --audit-covers adds to the minimal ones.
+AUDIT_COVER_SIZE = 4
+
 
 class AlgebraElement:
     """A finitely supported rational function on arrows under convolution."""
@@ -56,9 +59,6 @@ class AlgebraElement:
     def _check_same(self, other: "AlgebraElement") -> None:
         if self.groupoid is not other.groupoid:
             raise GroupoidMismatch("operands live over different groupoids")
-
-    def coefficient(self, arrow: int) -> Fraction:
-        return self.coeffs.get(arrow, Fraction(0))
 
     def support_mask(self) -> int:
         mask = 0
@@ -138,14 +138,6 @@ class AlgebraElement:
             f"{v}*[{self.groupoid.arrows[a]}]" for a, v in sorted(self.coeffs.items())
         )
         return f"AlgebraElement({terms})"
-
-
-def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f * g
-
-
-def star(f: AlgebraElement) -> AlgebraElement:
-    return f.star()
 
 
 def rho(G: FiniteGroupoid, mask: int) -> AlgebraElement:
@@ -252,31 +244,26 @@ class TightRepresentationReport:
 def check_tight_representation(
     pi: Mapping[int, AlgebraElement] | Sequence[AlgebraElement],
     S: FiniteInverseSemigroup,
-    unit: AlgebraElement | None = None,
     audit_covers: bool = False,
-    audit_max_cover: int = 4,
 ) -> TightRepresentationReport:
     """Verify that pi is a tight representation of S.
 
-    pi maps every element index to an algebra value supporting +, -, *, ==
-    and .star().  Multiplicativity, star-compatibility and pi(0) = 0 are
-    checked first; images of idempotents must be commuting idempotents
-    (violations raise CheckFailed since the cover-sup identity is not even
-    well posed without them).
+    pi maps every element index to an element of the convolution algebra
+    of one groupoid, whose unit serves as the adjoined unit.
+    Multiplicativity, star-compatibility and pi(0) = 0 are checked first;
+    images of idempotents must be commuting idempotents (violations raise
+    CheckFailed since the cover-sup identity is not even well posed
+    without them).
 
     The identity itself is checked with X reduced to one idempotent or
     nothing, Y over antichains of nonzero idempotents, and Z over minimal
     covers of E^{X,Y}: multiplicativity collapses the general X and Y to
     these, and monotonicity of the projection join does the same for
     non-minimal covers.  ``audit_covers`` additionally checks every cover
-    of at most ``audit_max_cover`` members.
+    of at most AUDIT_COVER_SIZE members.
     """
     values = {s: pi[s] for s in range(len(S))}
-    if unit is None:
-        sample = values[S.zero]
-        if not isinstance(sample, AlgebraElement):
-            raise ValueError("unit element required for non-AlgebraElement images")
-        unit = AlgebraElement.unit(sample.groupoid)
+    unit = AlgebraElement.unit(values[S.zero].groupoid)
     zero_val = unit - unit
 
     mult_ok = True
@@ -347,7 +334,7 @@ def check_tight_representation(
             cover_cache[fplus] = covers
         if audit_covers:
             covers = tuple(
-                sorted(set(covers) | set(_all_covers_upto(isect, fplus, audit_max_cover)))
+                sorted(set(covers) | set(_all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)))
             )
         x_name = None if x is None else S.elements[E.carrier[x]]
         for zmask in covers:

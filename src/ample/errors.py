@@ -52,18 +52,15 @@ class OutsideDomain(AmpleError):
 
 
 class BadComposabilityDomain(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """Composition is declared on the wrong pairs or breaks source/range."""
 
 
 class BadUnits(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """Units, or the unit laws, are malformed."""
 
 
 class BadInverse(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """The inverse map breaks the groupoid laws."""
 
 
 class NotClosed(AmpleError):
@@ -80,18 +77,15 @@ class CheckFailed(AmpleError):
 
 
 class NotWellDefined(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """The germ-to-arrow map is not well defined."""
 
 
 class NotBijective(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """A map between groupoids is not a bijection on arrows."""
 
 
 class NotFunctorial(AmpleError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """A map between groupoids does not respect their structure."""
 
 
 class EmptySpectrum(AmpleError):

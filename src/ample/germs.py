@@ -6,13 +6,12 @@ semilattice every point of the spectrum is a principal filter, so the
 germ class of s at a point is determined by s * m, where m is the point's
 least member; that product is the class key used below.  The composition
 and inversion formulas are not taken on trust: the assembled groupoid is
-pushed through the exhaustive axiom checker before being returned.
+pushed through the full groupoid-axiom checker before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import OutsideDomain
 from .groupoids import FiniteGroupoid, validate_groupoid
@@ -46,6 +45,12 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
     return out
 
 
+def theta_point(spec: TightSpectrum, s: int, point: int) -> int:
+    """Index of the image point of the action of s."""
+    bits = theta_apply(spec.semilattice, s, spec.points[point])
+    return spec.point_index[bits]
+
+
 def same_germ(E: Semilattice, s1: int, s2: int, bits: int) -> bool:
     """Some idempotent e with character value 1 has s1 e = s2 e."""
     S = E.semigroup
@@ -68,7 +73,8 @@ class GermGroupoidModel:
     ``point_minimum`` holds the least member of each spectrum point (as an
     ambient element), ``arrow_members`` every semigroup element in each
     germ class, and ``arrow_rep`` the least of them; arrow order is units
-    first, then by (base point, representative).
+    first, then by (base point, representative).  ``germ_index`` sends
+    (point, class key) to the arrow.
     """
 
     semigroup: FiniteInverseSemigroup
@@ -81,15 +87,9 @@ class GermGroupoidModel:
     arrow_key: tuple[int, ...]
     arrow_members: tuple[tuple[int, ...], ...]
     unit_arrow: tuple[int, ...]
+    germ_index: dict[tuple[int, int], int]
 
     __hash__ = None
-
-    @cached_property
-    def _germ_index(self) -> dict[tuple[int, int], int]:
-        return {
-            (self.arrow_point[a], self.arrow_key[a]): a
-            for a in range(len(self.groupoid.arrows))
-        }
 
     def germ(self, s: int, point: int) -> int:
         """Arrow index of the germ of s at the given spectrum point."""
@@ -101,12 +101,7 @@ class GermGroupoidModel:
                 f"point {point} is outside the domain of {S.elements[s]}"
             )
         key = S.table[s][self.point_minimum[point]]
-        return self._germ_index[(point, key)]
-
-    def theta_point(self, s: int, point: int) -> int:
-        """Index of the image point of the action of s."""
-        bits = theta_apply(self.semilattice, s, self.spectrum.points[point])
-        return self.spectrum.point_index[bits]
+        return self.germ_index[(point, key)]
 
     def slice_of(self, s: int) -> int:
         """X_s: the germs of s at every point alive at s*s, as an arrow mask."""
@@ -159,12 +154,8 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
         (arrow_point[a], arrow_key[a]): a for a in range(len(ordered))
     }
 
-    def theta_pt(s: int, pi: int) -> int:
-        bits = theta_apply(E, s, points[pi])
-        return spec.point_index[bits]
-
     target_point = tuple(
-        theta_pt(arrow_rep[a], arrow_point[a]) for a in range(len(ordered))
+        theta_point(spec, arrow_rep[a], arrow_point[a]) for a in range(len(ordered))
     )
     d_map = tuple(unit_arrow[arrow_point[a]] for a in range(len(ordered)))
     r_map = tuple(unit_arrow[target_point[a]] for a in range(len(ordered)))
@@ -198,14 +189,6 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
         arrow_key=arrow_key,
         arrow_members=arrow_members,
         unit_arrow=unit_arrow,
+        germ_index=germ_index,
     )
 
-
-def germ_groupoid(S: FiniteInverseSemigroup) -> FiniteGroupoid:
-    """The groupoid of germs of S acting on its tight spectrum."""
-    return build_germ_model(S).groupoid
-
-
-def slice_of(model: GermGroupoidModel, s: int) -> int:
-    """Module-level alias for :meth:`GermGroupoidModel.slice_of`."""
-    return model.slice_of(s)

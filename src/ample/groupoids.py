@@ -66,9 +66,6 @@ class FiniteGroupoid:
     def is_unit(self, a: int) -> bool:
         return a in self.unit_set
 
-    def composable(self, a: int, b: int) -> bool:
-        return self.d[a] == self.r[b]
-
     @cached_property
     def d_fibers(self) -> dict[int, tuple[int, ...]]:
         """Arrows grouped by source unit."""
@@ -86,7 +83,7 @@ def validate_groupoid(
     compose: Mapping[tuple[int, int], int],
     inverse: Sequence[int],
 ) -> FiniteGroupoid:
-    """Verify every groupoid axiom exhaustively and return the structure."""
+    """Verify every groupoid axiom on every arrow and return the structure."""
     names = tuple(str(x) for x in arrows)
     n = len(names)
     if len(set(names)) != n:
@@ -277,14 +274,11 @@ class BisectionSemigroup:
         return {mask: i for i, mask in enumerate(self.bits)}
 
 
-def bisection_semigroup(
-    G: FiniteGroupoid, collection: Iterable[int], validate: bool = True
-) -> BisectionSemigroup:
+def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> BisectionSemigroup:
     """Multiplication table of a product/inverse-closed family of bisections.
 
-    Raises NotClosed with a witness pair when the family is not closed.
-    ``validate`` re-runs the inverse-semigroup axiom checker on the induced
-    table; set it to False only for tables already certified this session.
+    Raises NotClosed with a witness pair when the family is not closed; the
+    induced table then goes through the inverse-semigroup axiom checker.
     """
     masks = tuple(sorted(set(collection)))
     if 0 not in masks:
@@ -309,11 +303,8 @@ def bisection_semigroup(
             raise NotClosed(f"inverse of {bisection_name(G, s)} missing")
         star.append(pos[inv])
     names = tuple(bisection_name(G, m) for m in masks)
-    if validate:
-        sg = validate_inverse_semigroup(names, rows)
-        assert sg.zero == pos[0] and sg.star == tuple(star)
-    else:
-        sg = FiniteInverseSemigroup(names, tuple(rows), pos[0], tuple(star))
+    sg = validate_inverse_semigroup(names, rows)
+    assert sg.zero == pos[0] and sg.star == tuple(star)
     return BisectionSemigroup(G, sg, masks)
 
 
@@ -331,17 +322,14 @@ class TableAudit:
 
 
 def abstract_table(
-    G: FiniteGroupoid,
-    collection: Iterable[int],
-    seed: int = 0,
-    validate: bool = True,
+    bs: BisectionSemigroup, seed: int = 0
 ) -> tuple[FiniteInverseSemigroup, TableAudit]:
     """Erase all geometry: opaque names, seed-shuffled order, bare table.
 
-    The returned semigroup is the only thing reconstruction may consume;
-    the audit holds the hidden bijection back to concrete bisections.
+    A relabeling of the already validated table of ``bs``.  The returned
+    semigroup is the only thing reconstruction may consume; the audit
+    holds the hidden bijection back to concrete bisections.
     """
-    bs = bisection_semigroup(G, collection, validate=validate)
     n = len(bs.semigroup)
     order = list(range(n))  # order[new] = old
     random.Random(seed).shuffle(order)
@@ -358,7 +346,7 @@ def abstract_table(
     star = tuple(new_of_old[bs.semigroup.star[order[a]]] for a in range(n))
     zero = new_of_old[bs.semigroup.zero]
     T = FiniteInverseSemigroup(names, table, zero, star)
-    audit = TableAudit(G, tuple(bs.bits[order[a]] for a in range(n)))
+    audit = TableAudit(bs.groupoid, tuple(bs.bits[order[a]] for a in range(n)))
     return T, audit
 
 

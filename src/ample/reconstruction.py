@@ -4,7 +4,7 @@ A finite Hausdorff space is discrete, so a compact-open basis closed under
 intersection that generates the topology must contain every singleton;
 PointBasisSpace bakes that in.  The reconstruction itself consumes nothing
 but an abstract multiplication table; the hidden audit produced alongside
-the table is touched only by canonical_iso, after the fact.
+the table is touched only by canonical_iso_of_run, after the fact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .groupoids import (
     FiniteGroupoid,
     TableAudit,
     abstract_table,
-    bisection_semigroup,
     lambda_action,
     source_mask,
 )
@@ -38,7 +37,9 @@ from .semigroups import (
     idempotent_semilattice,
     validate_inverse_semigroup,
 )
-from .spectrum import tight_spectrum, ultrafilters
+from .spectrum import TightSpectrum, tight_spectrum
+
+MAX_BASIS_FAMILIES = 1 << 20
 
 
 # -- point/basis spaces --------------------------------------------------------
@@ -103,18 +104,17 @@ def basis_semilattice(
     return E, sets
 
 
-def phi_point(
-    space: PointBasisSpace,
-    x: int,
-    prebuilt: tuple[Semilattice, tuple[frozenset[int], ...]] | None = None,
-) -> int:
-    """The character of the basis members through x; certified ultra."""
-    E, sets = prebuilt if prebuilt is not None else basis_semilattice(space)
+def phi_point(space: PointBasisSpace, spec: TightSpectrum, x: int) -> int:
+    """The character of the basis members through x; certified ultra.
+
+    ``spec`` is the tight spectrum of :func:`basis_semilattice` of the
+    space, whose points are certified to be its ultrafilters.
+    """
     bits = 0
-    for p, s in enumerate(sets):
+    for p, s in enumerate(space.basis):
         if x in s:
             bits |= 1 << p
-    assert bits in set(ultrafilters(E)), "a point character must be an ultrafilter"
+    assert bits in spec.point_index, "a point character must be an ultrafilter"
     return bits
 
 
@@ -134,16 +134,6 @@ class StoneReport:
     def passed(self) -> bool:
         return self.injective and self.surjective and self.basic_sets_match
 
-    def lines(self) -> list[str]:
-        return [
-            f"points: {self.point_count}",
-            f"basis: {self.basis_count}",
-            f"spectrum: {self.spectrum_size}",
-            f"injective: {'pass' if self.injective else 'fail'}",
-            f"surjective: {'pass' if self.surjective else 'fail'}",
-            f"basic-sets: {'pass' if self.basic_sets_match else 'fail'}",
-        ]
-
     def require(self) -> None:
         if not self.passed:
             raise CheckFailed(self.witness or "stone check failed")
@@ -157,9 +147,7 @@ def stone_check(space: PointBasisSpace) -> StoneReport:
     """
     E, sets = basis_semilattice(space)
     spec = tight_spectrum(E)
-    chars = {
-        x: phi_point(space, x, prebuilt=(E, sets)) for x in range(len(space.points))
-    }
+    chars = {x: phi_point(space, spec, x) for x in range(len(space.points))}
     injective = len(set(chars.values())) == len(space.points)
     surjective = set(chars.values()) == set(spec.points)
     witness = None
@@ -191,8 +179,16 @@ def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:
 
     Pairs of candidate members only constrain the family when their
     intersection has two or more points, so closure is checked over the
-    chosen larger sets alone.
+    chosen larger sets alone.  Every subset of two or more points is in or
+    out, so the scan visits 2^(2^n - n - 1) families; past
+    MAX_BASIS_FAMILIES it raises BoundExceeded before scanning.
     """
+    larger = (1 << n_points) - n_points - 1
+    if larger >= MAX_BASIS_FAMILIES.bit_length():
+        raise BoundExceeded(
+            f"basis enumeration on {n_points} points would scan 2^{larger}"
+            f" > {MAX_BASIS_FAMILIES} candidate families"
+        )
     required = [frozenset()] + [frozenset([i]) for i in range(n_points)]
     bigger = [
         frozenset(c)
@@ -235,28 +231,10 @@ class EquivarianceReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def lines(self) -> list[str]:
-        out = [
-            f"elements: {self.elements_checked}",
-            f"pairs: {self.pairs_checked}",
-            f"equivariance: {'pass' if self.passed else 'fail'}",
-        ]
-        out.extend(f"  fails at S={s} x={x}" for s, x in self.failures)
-        return out
 
-    def require(self) -> None:
-        if not self.passed:
-            s, x = self.failures[0]
-            raise CheckFailed(f"equivariance fails at S={s}, x={x}")
-
-
-def equivariance_check(
-    G: FiniteGroupoid,
-    collection: Iterable[int],
-    prebuilt: BisectionSemigroup | None = None,
-) -> EquivarianceReport:
+def equivariance_check(bs: BisectionSemigroup) -> EquivarianceReport:
     """Check theta_S(Phi(x)) = Phi(lambda_S(x)) for all S and x in d(S)."""
-    bs = prebuilt if prebuilt is not None else bisection_semigroup(G, collection)
+    G = bs.groupoid
     sg = bs.semigroup
     E = idempotent_semilattice(sg)
     spec = tight_spectrum(E)
@@ -306,9 +284,6 @@ class GroupoidIsomorphism:
 
     __hash__ = None
 
-    def apply(self, a: int) -> int:
-        return self.arrow_map[a]
-
 
 def check_isomorphism(iso: GroupoidIsomorphism) -> None:
     """Raise NotBijective / NotFunctorial with a witness if anything fails."""
@@ -345,15 +320,10 @@ class ReconstructionRun:
     __hash__ = None
 
 
-def run_reconstruction(
-    G: FiniteGroupoid,
-    collection: Iterable[int],
-    seed: int = 0,
-    validate: bool = True,
-) -> ReconstructionRun:
-    T, audit = abstract_table(G, collection, seed=seed, validate=validate)
-    model = build_germ_model(T)
-    return ReconstructionRun(G, T, audit, model)
+def run_reconstruction(bs: BisectionSemigroup, seed: int = 0) -> ReconstructionRun:
+    """Abstract the table of ``bs`` under ``seed`` and rebuild its germ groupoid."""
+    T, audit = abstract_table(bs, seed=seed)
+    return ReconstructionRun(bs.groupoid, T, audit, build_germ_model(T))
 
 
 def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
@@ -400,13 +370,6 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
     iso = GroupoidIsomorphism(model.groupoid, G, tuple(mapping))
     check_isomorphism(iso)
     return iso
-
-
-def canonical_iso(
-    G: FiniteGroupoid, collection: Iterable[int], seed: int = 0
-) -> GroupoidIsomorphism:
-    """Abstract, reconstruct, and map back in one step."""
-    return canonical_iso_of_run(run_reconstruction(G, collection, seed=seed))
 
 
 def _unit_signature(G: FiniteGroupoid, u: int) -> tuple[int, int, int]:

@@ -44,9 +44,6 @@ class FiniteInverseSemigroup:
     def idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in range(len(self.elements)) if self.table[e][e] == e)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def mul_all(self, items: Iterable[int]) -> int:
         """Product over a nonempty sequence, left to right."""
         it = iter(items)
@@ -185,9 +182,6 @@ class Semilattice:
     @cached_property
     def nonzero_mask(self) -> int:
         return self.full_mask & ~(1 << self.zero_pos)
-
-    def name(self, e: int) -> str:
-        return self.semigroup.elements[e]
 
     def _require_idempotent(self, e: int) -> None:
         if e not in self.position:

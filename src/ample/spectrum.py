@@ -13,17 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import iter_bits
-from .errors import BoundExceeded, TightUltraMismatch
+from .errors import TightUltraMismatch
 from .semigroups import Semilattice
-
-EXHAUSTIVE_BOUND = 20
-
-
-def char_value(E: Semilattice, bits: int, e: int) -> int:
-    """Value of the character at ambient idempotent e."""
-    E._require_idempotent(e)
-    return bits >> E.position[e] & 1
-
 
 def principal_filter(E: Semilattice, p: int) -> int:
     """Everything above the carrier element at position p, as a bitmask."""
@@ -42,51 +33,24 @@ def filter_minimum(E: Semilattice, bits: int) -> int:
 
 
 def is_filter(E: Semilattice, bits: int) -> bool:
-    """Nonempty, zero-free, closed under meets, and upward hereditary."""
+    """Nonempty, zero-free, and equal to the principal filter on its minimum.
+
+    In a finite semilattice a filter holds the meet of its members and
+    everything above it, and nothing else, so the filter laws reduce to
+    this one comparison.
+    """
     if bits == 0 or bits >> E.zero_pos & 1:
         return False
-    members = [p for p in range(len(E)) if bits >> p & 1]
-    for p in members:
-        if E.up_masks[p] & ~bits:
-            return False
-        for q in members:
-            if not bits >> E.meet_pos(p, q) & 1:
-                return False
-    return True
+    return bits == E.up_masks[filter_minimum(E, bits)]
 
 
-def is_character(E: Semilattice, bits: int) -> bool:
-    """Multiplicative on all of E, vanishing at zero, not identically zero."""
-    if bits == 0 or bits >> E.zero_pos & 1:
-        return False
-    m = len(E)
-    for p in range(m):
-        vp = bits >> p & 1
-        for q in range(m):
-            if bits >> E.meet_pos(p, q) & 1 != (vp & (bits >> q & 1)):
-                return False
-    return True
-
-
-def enumerate_filters(
-    E: Semilattice, exhaustive: bool = False, bound: int = EXHAUSTIVE_BOUND
-) -> tuple[int, ...]:
+def enumerate_filters(E: Semilattice) -> tuple[int, ...]:
     """All filters of E as ascending bitmasks.
 
-    The default generates the principal filters up from each nonzero
-    idempotent and re-checks the filter laws on each one; in a finite
-    semilattice every filter is principal on its minimum, so nothing is
-    missed.  Exhaustive mode scans every subset instead and refuses
-    carriers larger than ``bound``.
+    Generates the principal filter up from each nonzero idempotent and
+    re-checks the filter laws on each one; in a finite semilattice every
+    filter is principal on its minimum, so nothing is missed.
     """
-    if exhaustive:
-        if len(E) > bound:
-            raise BoundExceeded(
-                f"exhaustive filter scan over {len(E)} idempotents exceeds bound {bound}"
-            )
-        return tuple(
-            bits for bits in range(1, 1 << len(E)) if is_filter(E, bits)
-        )
     out = set()
     for p in range(len(E)):
         if p == E.zero_pos:
@@ -115,8 +79,8 @@ def ultrafilters(
 
 
 def find_tightness_violation(
-    E: Semilattice, bits: int, audit: bool = False, bound: int = EXHAUSTIVE_BOUND
-) -> tuple[int | None, int, int] | None:
+    E: Semilattice, bits: int
+) -> tuple[int, int, int] | None:
     """First witness that the filter is not tight, or None when it is tight.
 
     Exel (*Inverse semigroups and combinatorial C*-algebras*, Bull. Braz.
@@ -128,64 +92,27 @@ def find_tightness_violation(
     killed part Z of E^Y covers E^Y for a killed Y, then for any x in xi
     each nonzero w <= x meets some y in Y or lies in E^Y and meets some z
     in Z, and w^y or w^z is a killed member of down(x) that w meets.
-
-    Audit mode drops that theorem and scans every (x, Y) instance of the
-    cover-sup condition literally, with x ranging over nothing or any
-    position and Y over all position masks, and returns
-    (x position or None, Y position mask, killed part of E^{x,Y}); it
-    refuses carriers past ``bound``.
     """
     assert is_filter(E, bits), "tightness is defined for characters only"
-    m = len(E)
     down = E.down_masks
     isect = E.intersect_masks
-    orth = E.orth_masks
     nonzero = E.nonzero_mask
-    full = E.full_mask
-
-    def complement_covers(exy: int) -> bool:
-        z0 = exy & ~bits
-        live = exy & nonzero
+    for x in iter_bits(bits):
+        killed = down[x] & ~bits
+        live = down[x] & nonzero
         while live:
             low = live & -live
-            if not isect[low.bit_length() - 1] & z0:
-                return False
+            if not isect[low.bit_length() - 1] & killed:
+                break
             live ^= low
-        return True
-
-    if audit:
-        if m > bound:
-            raise BoundExceeded(
-                f"audit tightness scan over {m} idempotents exceeds bound {bound}"
-            )
-        for x in [None, *range(m)]:
-            base = full if x is None else down[x]
-            x_val = 1 if x is None else bits >> x & 1
-            for y_mask in range(1 << m):
-                exy = base
-                rest = y_mask
-                while rest:
-                    low = rest & -rest
-                    exy &= orth[low.bit_length() - 1]
-                    rest ^= low
-                if x_val and not y_mask & bits:
-                    if complement_covers(exy):
-                        return (x, y_mask, exy & ~bits)
-                elif exy & bits:
-                    # rhs is 0, so the character must vanish on E^{x,Y};
-                    # impossible for a genuine character, checked literally here.
-                    return (x, y_mask, exy & ~bits)
-        return None
-
-    for x in iter_bits(bits):
-        if complement_covers(down[x]):
-            return (x, 0, down[x] & ~bits)
+        else:
+            return (x, 0, killed)
     return None
 
 
-def is_tight_character(E: Semilattice, bits: int, audit: bool = False) -> bool:
+def is_tight_character(E: Semilattice, bits: int) -> bool:
     """Whether the cover-sup condition holds at every (X, Y) instance."""
-    return find_tightness_violation(E, bits, audit=audit) is None
+    return find_tightness_violation(E, bits) is None
 
 
 @dataclass(frozen=True)

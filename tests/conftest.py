@@ -42,11 +42,7 @@ class CorpusRun:
     @property
     def run(self):
         if self._run is None:
-            # the table is a relabeling of the already validated semigroup
-            self.bisection_semigroup
-            self._run = run_reconstruction(
-                self.groupoid, self.masks, seed=0, validate=False
-            )
+            self._run = run_reconstruction(self.bisection_semigroup, seed=0)
         return self._run
 
 

@@ -7,8 +7,12 @@ staying off the code paths it is used to check.
 from itertools import permutations
 
 from ample import same_germ
+from ample.bitsets import iter_bits
 from ample.semigroups import idempotent_semilattice
 from ample.spectrum import tight_spectrum
+
+# Largest carrier the 2^m subset scans below are run on.
+EXHAUSTIVE_BOUND = 20
 
 
 def filters_by_definition(E):
@@ -32,6 +36,46 @@ def filters_by_definition(E):
         if ok:
             out.append(bits)
     return out
+
+
+def is_character(E, bits):
+    """Multiplicative on all of E, vanishing at zero, not identically zero."""
+    if bits == 0 or bits >> E.zero_pos & 1:
+        return False
+    m = len(E)
+    for p in range(m):
+        vp = bits >> p & 1
+        for q in range(m):
+            if bits >> E.meet_pos(p, q) & 1 != (vp & (bits >> q & 1)):
+                return False
+    return True
+
+
+def tightness_violation_by_definition(E, bits):
+    """Scan every (X, Y) instance of the cover-sup condition literally.
+
+    X is nothing or one position, Y any position mask.  Returns
+    (x position or None, Y mask, killed part of E^{X,Y}) at the first
+    violation, or None when the character is tight.
+    """
+    orth_all = [E.full_mask]  # orth_all[Y]: positions orthogonal to all of Y
+    for y_mask in range(1, 1 << len(E)):
+        low = y_mask & -y_mask
+        orth_all.append(orth_all[y_mask ^ low] & E.orth_masks[low.bit_length() - 1])
+    isect = E.intersect_masks
+    for x in [None, *range(len(E))]:
+        base = E.full_mask if x is None else E.down_masks[x]
+        x_val = 1 if x is None else bits >> x & 1
+        for y_mask, orth in enumerate(orth_all):
+            exy = base & orth
+            killed = exy & ~bits
+            if x_val and not y_mask & bits:
+                if all(isect[w] & killed for w in iter_bits(exy & E.nonzero_mask)):
+                    return (x, y_mask, killed)
+            elif exy & bits:
+                # rhs is 0, so the character must vanish on E^{X,Y}
+                return (x, y_mask, killed)
+    return None
 
 
 def bisections_by_definition(G):

@@ -88,11 +88,7 @@ def test_conjugation_lemma(corpus_groupoids):
 def test_equivariance(corpus_runs):
     with criterion("equivariance of the two actions"):
         for run_info in corpus_runs:
-            report = equivariance_check(
-                run_info.groupoid,
-                run_info.masks,
-                prebuilt=run_info.bisection_semigroup,
-            )
+            report = equivariance_check(run_info.bisection_semigroup)
             assert report.passed, (run_info.label, report.failures)
 
 
@@ -177,9 +173,7 @@ def test_representation_independence(corpus_runs):
         for run_info in corpus_runs:
             groupoids = [run_info.run.model.groupoid]
             for seed in range(1, 10):
-                rebuilt = run_reconstruction(
-                    run_info.groupoid, run_info.masks, seed=seed, validate=False
-                )
+                rebuilt = run_reconstruction(run_info.bisection_semigroup, seed=seed)
                 groupoids.append(rebuilt.model.groupoid)
             for i in range(len(groupoids)):
                 for j in range(i + 1, len(groupoids)):

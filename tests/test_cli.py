@@ -1,7 +1,18 @@
 import json
+import sys
 from pathlib import Path
 
-from ample import parse_groupoid, parse_semigroup
+import pytest
+
+from ample import (
+    enumerate_filters,
+    pair_groupoid,
+    parse_groupoid,
+    parse_semigroup,
+    stone_check,
+    validate_inverse_semigroup,
+    write_groupoid,
+)
 from ample.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -11,6 +22,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, function):
+    """Record each call of ``function`` made through any ample module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ample" or name.startswith("ample."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def test_validate_groupoid(capsys):
@@ -42,6 +69,18 @@ def test_validate_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.gpd")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "input.sgp"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"semigroup { elements { \xff } }\n")
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_spectrum_chain(capsys):
@@ -115,6 +154,31 @@ def test_stone_check(capsys):
     assert code == 0
     assert "points=3 bases=16 pass=16" in out
     assert "status: pass" in out
+
+
+def test_stone_check_enumerates_filters_once_per_basis(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, enumerate_filters)
+    code, out, _ = run_cli(capsys, "stone-check", "--max-points", "4")
+    assert code == 0
+    assert "total-bases: 1110" in out.splitlines()
+    assert len(calls) == 1110
+
+
+def test_stone_check_past_the_guard_exits_2_before_any_check(capsys, monkeypatch):
+    checks = count_calls(monkeypatch, stone_check)
+    code, out, err = run_cli(capsys, "stone-check", "--max-points", "5")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert checks == []
+
+
+def test_ample_validates_its_table_once(capsys, monkeypatch, tmp_path):
+    gpd = tmp_path / "pair3.gpd"
+    gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")
+    calls = count_calls(monkeypatch, validate_inverse_semigroup)
+    code, _, _ = run_cli(capsys, "ample", str(gpd), "-o", str(tmp_path / "t.sgp"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_corpus_listing_and_files(capsys, tmp_path):

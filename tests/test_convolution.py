@@ -8,7 +8,6 @@ from ample import (
     AlgebraElement,
     bisection_semigroup,
     check_tight_representation,
-    convolve,
     enumerate_bisections,
     pair_groupoid,
     rho,
@@ -178,7 +177,7 @@ def test_non_idempotent_image_rejected():
 
 def test_rho_prime_is_tight_on_germ_model():
     G = pair_groupoid(2)
-    run = run_reconstruction(G, enumerate_bisections(G), seed=0)
+    run = run_reconstruction(bisection_semigroup(G, enumerate_bisections(G)), seed=0)
     model = run.model
     H = model.groupoid
     pi = [rho(H, model.slice_of(s)) for s in range(len(run.table))]
@@ -218,16 +217,6 @@ def test_unit_cover_is_minimal_cardinality():
     S = chain_semilattice(3)
     cover = unit_cover(S)
     assert len(cover) == 1
-
-
-def test_convolve_and_star_aliases():
-    from ample import star
-
-    G = pair_groupoid(2)
-    f = rho(G, 1 << G.index["a01"])
-    g = rho(G, 1 << G.index["a10"])
-    assert convolve(f, g) == f * g
-    assert star(f) == f.star() == g
 
 
 def test_minimal_covers_match_subset_scan():

@@ -4,10 +4,10 @@ from ample import (
     bisection_semigroup,
     build_germ_model,
     enumerate_bisections,
-    germ_groupoid,
     group_groupoid,
     idempotent_semilattice,
     pair_groupoid,
+    reconstruct,
     same_germ,
     singleton_semigroup,
     theta_apply,
@@ -16,7 +16,7 @@ from ample import (
     validate_groupoid,
 )
 from ample.errors import OutsideDomain
-from ample.germs import _domain_idempotent
+from ample.germs import _domain_idempotent, theta_point
 
 from oracles import germ_count_by_pairwise_quotient
 from test_semigroups import _group_with_zero, powerset_semilattice
@@ -157,14 +157,14 @@ def test_germ_classes_match_pairwise_quotient():
 
 def test_germ_groupoid_of_semilattice_is_units_only():
     S, _ = powerset_semilattice((1, 2))
-    H = germ_groupoid(S)
+    H = reconstruct(S)
     assert len(H.arrows) == len(H.units) == 2
 
 
 def test_germ_groupoid_of_pair2_singleton():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, singleton_semigroup(G))
-    H = germ_groupoid(bs.semigroup)
+    H = reconstruct(bs.semigroup)
     assert len(H.units) == 2
     assert len(H.arrows) == 4
 
@@ -172,7 +172,7 @@ def test_germ_groupoid_of_pair2_singleton():
 def test_germ_groupoid_of_group_with_zero():
     for k in (2, 3):
         S, _ = _group_with_zero(k)
-        H = germ_groupoid(S)
+        H = reconstruct(S)
         assert len(H.units) == 1
         assert len(H.arrows) == k
 
@@ -180,7 +180,7 @@ def test_germ_groupoid_of_group_with_zero():
 def test_germ_groupoid_collapses_full_collection():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, enumerate_bisections(G))
-    H = germ_groupoid(bs.semigroup)
+    H = reconstruct(bs.semigroup)
     assert len(H.units) == 2
     assert len(H.arrows) == 4
 
@@ -188,7 +188,7 @@ def test_germ_groupoid_collapses_full_collection():
 def test_germ_groupoid_passes_validation():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, enumerate_bisections(G))
-    H = germ_groupoid(bs.semigroup)
+    H = reconstruct(bs.semigroup)
     again = validate_groupoid(H.arrows, H.units, H.d, H.r, H.compose, H.inverse)
     assert again == H
 
@@ -213,7 +213,7 @@ def test_theta_point_matches_groupoid_range():
     H = model.groupoid
     for a in range(len(H.arrows)):
         s, pt = model.arrow_rep[a], model.arrow_point[a]
-        assert H.r[a] == model.unit_arrow[model.theta_point(s, pt)]
+        assert H.r[a] == model.unit_arrow[theta_point(model.spectrum, s, pt)]
         assert H.d[a] == model.unit_arrow[pt]
 
 
@@ -271,5 +271,5 @@ def test_empty_spectrum_gives_empty_groupoid():
     from ample import validate_inverse_semigroup
 
     Z = validate_inverse_semigroup(["0"], [[0]])
-    H = germ_groupoid(Z)
+    H = reconstruct(Z)
     assert len(H.arrows) == 0

@@ -202,7 +202,7 @@ def test_bisection_semilattice_order():
 def test_abstract_table_erases_geometry():
     G = pair_groupoid(2)
     sing = singleton_semigroup(G)
-    T, audit = abstract_table(G, sing, seed=0)
+    T, audit = abstract_table(bisection_semigroup(G, sing), seed=0)
     assert len(T) == 5
     assert all(name.startswith("x") for name in T.elements)
     assert len(T.idempotents) == 3  # empty set plus the two unit singletons
@@ -218,14 +218,14 @@ def test_abstract_table_erases_geometry():
 
 def test_abstract_table_full_collection():
     G = pair_groupoid(2)
-    T, _ = abstract_table(G, enumerate_bisections(G), seed=1)
+    T, _ = abstract_table(bisection_semigroup(G, enumerate_bisections(G)), seed=1)
     assert len(T) == 7
     assert len(T.idempotents) == 4
 
 
 def test_abstract_table_zero_semigroup():
     G = pair_groupoid(2)
-    T, _ = abstract_table(G, [0], seed=0)
+    T, _ = abstract_table(bisection_semigroup(G, [0]), seed=0)
     assert len(T) == 1
     assert T.zero == 0
 
@@ -233,8 +233,8 @@ def test_abstract_table_zero_semigroup():
 def test_abstract_tables_under_different_seeds_are_isomorphic():
     G = pair_groupoid(2)
     sing = singleton_semigroup(G)
-    T0, _ = abstract_table(G, sing, seed=0)
-    T1, _ = abstract_table(G, sing, seed=6)
+    T0, _ = abstract_table(bisection_semigroup(G, sing), seed=0)
+    T1, _ = abstract_table(bisection_semigroup(G, sing), seed=6)
     assert T0.elements == T1.elements
     assert tables_isomorphic(T0.table, T1.table)
 

@@ -2,8 +2,8 @@ import pytest
 
 from ample import (
     abstract_table,
+    bisection_semigroup,
     brute_force_iso,
-    canonical_iso,
     canonical_iso_of_run,
     check_isomorphism,
     enumerate_bisections,
@@ -17,6 +17,7 @@ from ample import (
     run_reconstruction,
     singleton_semigroup,
     stone_check,
+    tight_spectrum,
     units_groupoid,
     validate_inverse_semigroup,
 )
@@ -47,7 +48,7 @@ def test_point_basis_space_validation():
 def test_phi_point_powerset():
     space = point_basis_space(["1", "2"], [(), (0,), (1,), (0, 1)])
     E, sets = basis_semilattice(space)
-    bits = phi_point(space, 0, prebuilt=(E, sets))
+    bits = phi_point(space, tight_spectrum(E), 0)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
     assert members == {frozenset([0]), frozenset([0, 1])}
 
@@ -55,7 +56,7 @@ def test_phi_point_powerset():
 def test_phi_point_single_point():
     space = point_basis_space(["x"], [(), (0,)])
     E, sets = basis_semilattice(space)
-    bits = phi_point(space, 0, prebuilt=(E, sets))
+    bits = phi_point(space, tight_spectrum(E), 0)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
     assert members == {frozenset([0])}  # everything except the empty set
 
@@ -65,7 +66,7 @@ def test_phi_point_three_points():
         ["1", "2", "3"], [(), (0,), (1,), (2,), (0, 1), (0, 1, 2)]
     )
     E, sets = basis_semilattice(space)
-    bits = phi_point(space, 2, prebuilt=(E, sets))
+    bits = phi_point(space, tight_spectrum(E), 2)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
     assert members == {frozenset([2]), frozenset([0, 1, 2])}
 
@@ -97,9 +98,9 @@ def test_stone_sweep_small():
 
 def test_equivariance_idempotents_and_arrows():
     G = pair_groupoid(2)
-    report = equivariance_check(G, singleton_semigroup(G))
+    report = equivariance_check(bisection_semigroup(G, singleton_semigroup(G)))
     assert report.passed
-    report2 = equivariance_check(G, enumerate_bisections(G))
+    report2 = equivariance_check(bisection_semigroup(G, enumerate_bisections(G)))
     assert report2.passed
     assert report2.pairs_checked > report.pairs_checked
 
@@ -107,7 +108,7 @@ def test_equivariance_idempotents_and_arrows():
 def test_reconstruct_pair2_both_collections():
     G = pair_groupoid(2)
     for masks in (singleton_semigroup(G), enumerate_bisections(G)):
-        T, _ = abstract_table(G, masks, seed=0)
+        T, _ = abstract_table(bisection_semigroup(G, masks), seed=0)
         H = reconstruct(T)
         assert len(H.units) == 2
         assert len(H.arrows) == 4
@@ -121,14 +122,15 @@ def test_reconstruct_zero_semigroup():
 
 def test_canonical_iso_pair2():
     G = pair_groupoid(2)
-    iso = canonical_iso(G, singleton_semigroup(G), seed=0)
+    bs = bisection_semigroup(G, singleton_semigroup(G))
+    iso = canonical_iso_of_run(run_reconstruction(bs))
     assert iso.target is G
     check_isomorphism(iso)
 
 
 def test_canonical_iso_group_z3_preserves_table():
     G = group_groupoid(3)
-    run = run_reconstruction(G, singleton_semigroup(G), seed=2)
+    run = run_reconstruction(bisection_semigroup(G, singleton_semigroup(G)), seed=2)
     iso = canonical_iso_of_run(run)
     H = run.model.groupoid
     f = iso.arrow_map
@@ -138,7 +140,8 @@ def test_canonical_iso_group_z3_preserves_table():
 
 def test_canonical_iso_units_only():
     G = units_groupoid(3)
-    iso = canonical_iso(G, singleton_semigroup(G), seed=0)
+    bs = bisection_semigroup(G, singleton_semigroup(G))
+    iso = canonical_iso_of_run(run_reconstruction(bs))
     assert sorted(iso.arrow_map) == list(range(3))
 
 
@@ -160,7 +163,7 @@ def test_brute_force_iso_distinguishes():
 
 def test_brute_force_confirms_canonical():
     G = pair_groupoid(2)
-    run = run_reconstruction(G, singleton_semigroup(G), seed=0)
+    run = run_reconstruction(bisection_semigroup(G, singleton_semigroup(G)), seed=0)
     canonical_iso_of_run(run)
     assert brute_force_iso(run.model.groupoid, G) is not None
 
@@ -177,10 +180,8 @@ def test_check_isomorphism_rejects_wrong_map():
 
 def test_reconstruction_seed_independence_pair2():
     G = pair_groupoid(2)
-    sing = singleton_semigroup(G)
-    groupoids = [
-        run_reconstruction(G, sing, seed=seed).model.groupoid for seed in range(4)
-    ]
+    bs = bisection_semigroup(G, singleton_semigroup(G))
+    groupoids = [run_reconstruction(bs, seed=seed).model.groupoid for seed in range(4)]
     for H in groupoids[1:]:
         assert brute_force_iso(groupoids[0], H) is not None
 
@@ -198,7 +199,7 @@ def test_canonical_iso_carries_germ_slices_to_bisections():
 
     G = pair_groupoid(2)
     for masks in (singleton_semigroup(G), enumerate_bisections(G)):
-        run = run_reconstruction(G, masks, seed=0)
+        run = run_reconstruction(bisection_semigroup(G, masks), seed=0)
         iso = canonical_iso_of_run(run)
         model = run.model
         for s in range(len(run.table)):
