@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .convolution import check_tight_representation, rho
 from .corpus import corpus as corpus_family
-from .errors import AmpleError, NotBijective, NotFunctorial, NotWellDefined
+from .errors import AmpleError, CheckFailed, NotBijective, NotFunctorial, NotWellDefined
 from .formats import (
     parse_document,
     parse_groupoid,
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (AmpleError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

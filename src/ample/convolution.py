@@ -411,9 +411,11 @@ def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
                 break
         if chosen is not None:
             break
-    assert chosen is not None, "the basic sets of all idempotents cover the spectrum"
+    if chosen is None:
+        raise CheckFailed("the basic sets of all idempotents cover the spectrum")
     ambient = [E.carrier[p] for p in chosen]
     H = model.groupoid
     joined = sup_all(H, (rho(H, model.slice_of(e)) for e in ambient))
-    assert joined == AlgebraElement.unit(H), "unit-cover join must be the unit"
+    if joined != AlgebraElement.unit(H):
+        raise CheckFailed("unit-cover join must be the unit")
     return ambient

@@ -73,7 +73,11 @@ class NotClosed(AmpleError):
 
 
 class CheckFailed(AmpleError):
-    """A verification report failed and was asked to raise."""
+    """A check failed: a report asked to raise, or a certified invariant broke.
+
+    These are raised explicitly, never by ``assert``, so they also run
+    under ``python -O``.  The CLI maps them to exit code 1.
+    """
 
 
 class NotWellDefined(AmpleError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutsideDomain
+from .errors import CheckFailed, OutsideDomain
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
 from .spectrum import TightSpectrum, filter_minimum, tight_spectrum
@@ -41,7 +41,8 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
         conj = S.table[S.table[st][e]][s]
         if bits >> E.position[conj] & 1:
             out |= 1 << p
-    assert out >> E.position[S.table[s][st]] & 1, "image must live at ss*"
+    if not out >> E.position[S.table[s][st]] & 1:
+        raise CheckFailed("image must live at ss*")
     return out
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .bitsets import iter_bits
 from .errors import (
@@ -20,11 +23,12 @@ from .errors import (
     BadInverse,
     BadUnits,
     BoundExceeded,
+    CheckFailed,
     NotAssociative,
     NotClosed,
     OutsideDomain,
 )
-from .semigroups import FiniteInverseSemigroup, validate_inverse_semigroup
+from .semigroups import FiniteInverseSemigroup, row_blocks, validate_inverse_semigroup
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,8 @@ def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
             c = compose.get((a, b))
             if c is not None:
                 out |= 1 << c
-    assert is_bisection(G, out), "product of bisections must be a bisection"
+    if not is_bisection(G, out):
+        raise CheckFailed("product of bisections must be a bisection")
     return out
 
 
@@ -274,11 +279,59 @@ class BisectionSemigroup:
         return {mask: i for i, mask in enumerate(self.bits)}
 
 
+class _SectionIndex:
+    """Exact lookup of sections among the sorted keys of a family's sections.
+
+    A section's digits are arrow + 1, or 0 where it has no arrow.  Units
+    are read in runs short enough that a run's digits, as one mixed-radix
+    number, stay below 2^31.  A run's key is the rank of the previous
+    run's key followed by the run's digits, so keys stay below 2^63 for
+    any number of units, and the rank of the last key names the section.
+    """
+
+    def __init__(self, sections: np.ndarray, arrows: int) -> None:
+        self.radix = arrows + 1
+        units = sections.shape[1]
+        width = 1
+        while width < units and self.radix ** (width + 1) < 1 << 31:
+            width += 1
+        self.runs = [range(k, min(k + width, units)) for k in range(0, units, width)]
+        self.keys = []
+        rank = np.zeros(len(sections), dtype=np.int64)
+        for run in self.runs:
+            code = self._code(rank, sections, run)
+            self.keys.append(np.sort(code))
+            rank = np.searchsorted(self.keys[-1], code)
+        self.element = np.empty(len(sections), dtype=np.int32)
+        self.element[rank] = np.arange(len(sections))
+
+    def _code(self, rank: np.ndarray, sections: np.ndarray, run: range) -> np.ndarray:
+        for k in run:
+            rank = rank * self.radix + sections[:, k] + 1
+        return rank
+
+    def find(self, sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Element index of each row of ``sections``, and whether it is one."""
+        rank = np.zeros(len(sections), dtype=np.int64)
+        found = np.ones(len(sections), dtype=bool)
+        for run, keys in zip(self.runs, self.keys):
+            code = self._code(rank, sections, run)
+            rank = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+            found &= keys[rank] == code
+        return self.element[rank], found
+
+
 def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> BisectionSemigroup:
     """Multiplication table of a product/inverse-closed family of bisections.
 
-    Raises NotClosed with a witness pair when the family is not closed; the
-    induced table then goes through the inverse-semigroup axiom checker.
+    Each bisection is stored as its section: the array sending each unit
+    to the arrow of the bisection with that source, or -1.  The product
+    s.t has at unit u the composite of b = t(u) with s(r(b)), so a row of
+    the table is one gather through a dense composition array, and its
+    entries are found by searching the family's sorted section keys.
+    Raises NotClosed with the first witness pair in row-major order when
+    the family is not closed; the table then goes through the
+    inverse-semigroup checker.
     """
     masks = tuple(sorted(set(collection)))
     if 0 not in masks:
@@ -286,25 +339,45 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     for m in masks:
         if not is_bisection(G, m):
             raise NotClosed(f"{bisection_name(G, m)} is not a bisection")
-    pos = {m: i for i, m in enumerate(masks)}
-    rows = []
-    for s in masks:
-        row = []
-        for t in masks:
-            p = slice_product(G, s, t)
-            if p not in pos:
-                raise NotClosed(bisection_name(G, s), bisection_name(G, t))
-            row.append(pos[p])
-        rows.append(tuple(row))
-    star = []
-    for s in masks:
-        inv = slice_inverse(G, s)
-        if inv not in pos:
-            raise NotClosed(f"inverse of {bisection_name(G, s)} missing")
-        star.append(pos[inv])
     names = tuple(bisection_name(G, m) for m in masks)
-    sg = validate_inverse_semigroup(names, rows)
-    assert sg.zero == pos[0] and sg.star == tuple(star)
+    n, arrows, units = len(masks), len(G.arrows), len(G.units)
+    unit_pos = {u: k for k, u in enumerate(G.units)}
+    # Index -1 (no arrow) lands on a padding entry: column `units` of a
+    # section array, row and column `arrows` of `compose`, and the last
+    # entry of `range_pos`, which is the sentinel position `units`.
+    padded = np.full((n, units + 1), -1, dtype=np.int32)
+    for i, m in enumerate(masks):
+        for a in iter_bits(m):
+            padded[i, unit_pos[G.d[a]]] = a
+    sections = padded[:, :units]
+    index = _SectionIndex(sections, arrows)
+    compose = np.full((arrows + 1, arrows + 1), -1, dtype=np.int32)
+    for (a, b), c in G.compose.items():
+        compose[a, b] = c
+    range_pos = np.array([*(unit_pos[G.r[a]] for a in range(arrows)), units], dtype=np.int32)
+    right = range_pos[sections]  # right[t, k]: unit position of r(t(unit k))
+
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in row_blocks(n, n * units):
+        product = compose[padded[rows][:, right], sections]  # [s, t, k] = (s.t)(unit k)
+        ranges = np.sort(range_pos[product], axis=-1)
+        if ((ranges[..., 1:] == ranges[..., :-1]) & (ranges[..., 1:] < units)).any():
+            raise CheckFailed("product of bisections must be a bisection")
+        found_at, found = index.find(product.reshape(len(product) * n, units))
+        if not found.all():
+            s, t = divmod(int(found.argmin()), n)
+            raise NotClosed(names[rows.start + s], names[t])
+        table[rows] = found_at.reshape(-1, n)
+
+    inverse = np.full((n, units + 1), -1, dtype=np.int32)
+    inverse[np.arange(n)[:, None], right] = np.array([*G.inverse, -1])[sections]
+    star, found = index.find(inverse[:, :units])
+    if not found.all():
+        raise NotClosed(f"inverse of {names[int(found.argmin())]} missing")
+    sg = validate_inverse_semigroup(names, table)
+    # masks ascend, so the empty bisection is element 0
+    if sg.zero != 0 or sg.star != tuple(star.tolist()):
+        raise CheckFailed("zero and involution must be the empty bisection and arrow inverses")
     return BisectionSemigroup(G, sg, masks)
 
 
@@ -339,14 +412,15 @@ def abstract_table(
     width = len(str(n - 1))
     names = tuple(f"x{str(i).zfill(width)}" for i in range(n))
     old_table = bs.semigroup.table
-    table = tuple(
-        tuple(new_of_old[old_table[order[a]][order[b]]] for b in range(n))
-        for a in range(n)
-    )
-    star = tuple(new_of_old[bs.semigroup.star[order[a]]] for a in range(n))
+    relabel = new_of_old.__getitem__
+    # itemgetter permutes a whole row at C speed; given one index it returns
+    # the bare entry rather than a 1-tuple
+    permute = itemgetter(*order) if n > 1 else (lambda row: row)
+    table = tuple(tuple(map(relabel, permute(old_table[old]))) for old in order)
+    star = tuple(new_of_old[bs.semigroup.star[old]] for old in order)
     zero = new_of_old[bs.semigroup.zero]
     T = FiniteInverseSemigroup(names, table, zero, star)
-    audit = TableAudit(bs.groupoid, tuple(bs.bits[order[a]] for a in range(n)))
+    audit = TableAudit(bs.groupoid, tuple(bs.bits[old] for old in order))
     return T, audit
 
 
@@ -365,7 +439,8 @@ def lambda_action(G: FiniteGroupoid, mask: int, x: int) -> int:
 
 def check_conjugation_lemma(G: FiniteGroupoid, s_mask: int, u_mask: int) -> bool:
     """d(gamma) in S*US iff r(gamma) in U, for every gamma in S."""
-    assert u_mask & ~G.units_mask == 0, "U must consist of units"
+    if u_mask & ~G.units_mask:
+        raise CheckFailed("U must consist of units")
     conj = slice_product(G, slice_product(G, slice_inverse(G, s_mask), u_mask), s_mask)
     for a in iter_bits(s_mask):
         if bool(conj >> G.d[a] & 1) != bool(u_mask >> G.r[a] & 1):

@@ -100,7 +100,8 @@ def basis_semilattice(
     rows = [[index[a & b] for b in sets] for a in sets]
     sg = validate_inverse_semigroup(names, rows)
     E = idempotent_semilattice(sg)
-    assert E.carrier == tuple(range(len(sets)))
+    if E.carrier != tuple(range(len(sets))):
+        raise CheckFailed("every basis set must be an idempotent")
     return E, sets
 
 
@@ -114,7 +115,8 @@ def phi_point(space: PointBasisSpace, spec: TightSpectrum, x: int) -> int:
     for p, s in enumerate(space.basis):
         if x in s:
             bits |= 1 << p
-    assert bits in spec.point_index, "a point character must be an ultrafilter"
+    if bits not in spec.point_index:
+        raise CheckFailed("a point character must be an ultrafilter")
     return bits
 
 
@@ -240,14 +242,16 @@ def equivariance_check(bs: BisectionSemigroup) -> EquivarianceReport:
     spec = tight_spectrum(E)
     # Characters of units against the idempotent bisections (unit subsets).
     for e in E.carrier:
-        assert bs.bits[e] & ~G.units_mask == 0, "idempotent bisections are unit sets"
+        if bs.bits[e] & ~G.units_mask:
+            raise CheckFailed("idempotent bisections are unit sets")
     phi = {}
     for u in G.units:
         bits = 0
         for p, e in enumerate(E.carrier):
             if bs.bits[e] >> u & 1:
                 bits |= 1 << p
-        assert bits in spec.point_index, "unit characters must be tight"
+        if bits not in spec.point_index:
+            raise CheckFailed("unit characters must be tight")
         phi[u] = bits
     failures = []
     pairs = 0
@@ -343,7 +347,8 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
         inter = G.units_mask
         for p in iter_bits(bits):
             unit_set = audit.bisections[E.carrier[p]]
-            assert unit_set & ~G.units_mask == 0
+            if unit_set & ~G.units_mask:
+                raise CheckFailed("idempotent bisections are unit sets")
             inter &= unit_set
         if inter == 0 or inter & (inter - 1):
             raise NotWellDefined(

@@ -10,14 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotAssociative, NotIdempotent, NoUniqueInverse, NoZero
+from .errors import (
+    CheckFailed,
+    NotAssociative,
+    NotIdempotent,
+    NoUniqueInverse,
+    NoZero,
+)
 
-# A pure-python triple loop is fine for small tables; numpy pays off past this.
-_NUMPY_ASSOC_CUTOFF = 64
+# Entries per temporary array: the table checks work on blocks of rows.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,38 +65,125 @@ class FiniteInverseSemigroup:
         return self.table[e][e] == e
 
 
-def _associativity_witness(
-    table: Sequence[Sequence[int]], n: int
-) -> tuple[int, int, int] | None:
-    if n >= _NUMPY_ASSOC_CUTOFF:
-        t = np.asarray(table, dtype=np.intp)
-        for c in range(n):
-            lhs = t[t, c]  # lhs[a, b] = t[t[a, b], c]
-            rhs = t[:, t[:, c]]  # rhs[a, b] = t[a, t[b, c]]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                a, b = map(int, bad[0])
-                return (a, b, c)
-        return None
-    for a in range(n):
-        row_a = table[a]
-        for b in range(n):
-            row_ab = table[row_a[b]]
-            row_b = table[b]
-            for c in range(n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    return (a, b, c)
+def row_blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each about _BLOCK // width rows."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _table_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """An n x n int array as tuple rows whose entries are n shared int objects."""
+    ints = list(range(len(t)))
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in t)
+
+
+def _square_table(table, n: int) -> np.ndarray:
+    """The table as an n x n int32 array.
+
+    A wrong shape, or an entry outside range(n), is a ValueError; the
+    message names the first bad entry in row-major order.
+    """
+    rows = table if isinstance(table, np.ndarray) else [tuple(row) for row in table]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"table must be {n}x{n}")
+    t = np.asarray(rows)  # entries past int64 give an object array, checked the same way
+    bad = np.flatnonzero((t < 0) | (t >= n))
+    if bad.size:
+        raise ValueError(f"table entry {t.flat[bad[0]]} out of range")
+    return t.astype(np.int32, copy=False)
+
+
+def _generators(t: np.ndarray) -> list[int]:
+    """A greedy generating set of the magma t, candidates in ascending order.
+
+    Each element not yet generated joins the set, and the closure grows by
+    multiplying each fresh element with every member on both sides.  Only
+    the table's own products are used, never associativity, so the set
+    generates t even when t is not a semigroup.
+    """
+    member = np.zeros(len(t), dtype=bool)
+    gens = []
+    for g in range(len(t)):
+        if member[g]:
+            continue
+        gens.append(g)
+        member[g] = True
+        fresh = np.array([g])
+        while fresh.size:
+            before = member.copy()
+            inside = np.flatnonzero(member)
+            for rows in row_blocks(len(fresh), len(t)):
+                member[t[fresh[rows]][:, inside]] = True
+                member[t[:, fresh[rows]][inside]] = True
+            fresh = np.flatnonzero(member & ~before)
+    return gens
+
+
+def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
+
+    Light's test (Clifford-Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2): the b with (xb)y = x(by) for all x, y are closed under
+    the product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) =
+    x((bc)y).  So checking a generating set A suffices, O(n^2 |A|) work.
+    The argument never uses associativity, so A may come from the closure
+    of the untrusted table itself.
+    """
+    gens = _generators(t)
+    for rows in row_blocks(len(t), len(t)):
+        block = t[rows]
+        for a in gens:
+            # (xa)y against x(ay)
+            bad = np.take(t, block[:, a], axis=0) != np.take(block, t[a], axis=1)
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), len(t))
+                return (rows.start + x, a, y)
     return None
 
 
+def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
+    """For each s the one u with sus = s and usu = u; NoUniqueInverse otherwise."""
+    n = len(t)
+    every = np.arange(n)
+    star = np.empty(n, dtype=np.int32)
+    for rows in row_blocks(n, n):
+        s = every[rows, None]
+        candidates = (t[t[rows], s] == s) & (t[t[:, rows].T, every] == every)
+        wrong = np.flatnonzero(candidates.sum(axis=1) != 1)
+        if wrong.size:
+            i = wrong[0]
+            raise NoUniqueInverse(
+                names[rows.start + i], (names[u] for u in np.flatnonzero(candidates[i]))
+            )
+        star[rows] = candidates.argmax(axis=1)
+    return tuple(star.tolist())
+
+
+def _absorbing(t: np.ndarray) -> int | None:
+    """The first z whose row and column are constant at z, or None."""
+    n = len(t)
+    every = np.arange(n)
+    row_ok = np.empty(n, dtype=bool)
+    column_ok = np.ones(n, dtype=bool)
+    for rows in row_blocks(n, n):
+        block = t[rows]
+        row_ok[rows] = (block == every[rows, None]).all(axis=1)
+        column_ok &= (block == every).all(axis=0)
+    zeros = np.flatnonzero(row_ok & column_ok)
+    return int(zeros[0]) if zeros.size else None
+
+
 def validate_inverse_semigroup(
-    elements: Iterable[str], table: Iterable[Iterable[int]]
+    elements: Iterable[str], table: Iterable[Iterable[int]] | np.ndarray
 ) -> FiniteInverseSemigroup:
     """Check a raw multiplication table and derive the involution and zero.
 
     Raises NotAssociative, NoUniqueInverse or NoZero, each with a witness.
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names) raise ValueError because they are caller errors, not algebra.
+    Every check is an array test on the table as one int32 array; the
+    returned table is tuple rows again.
     """
     names = tuple(str(x) for x in elements)
     n = len(names)
@@ -98,39 +191,17 @@ def validate_inverse_semigroup(
         raise ValueError("duplicate element names")
     if n == 0:
         raise NoZero("empty element set has no absorbing element")
-    rows = tuple(tuple(int(v) for v in row) for row in table)
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"table must be {n}x{n}")
-    for row in rows:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range")
+    t = _square_table(table, n)
 
-    witness = _associativity_witness(rows, n)
+    witness = associativity_witness(t)
     if witness is not None:
-        a, b, c = witness
-        raise NotAssociative(names[a], names[b], names[c])
-
-    star = []
-    for s in range(n):
-        row_s = rows[s]
-        candidates = [
-            t
-            for t in range(n)
-            if rows[row_s[t]][s] == s and rows[rows[t][s]][t] == t
-        ]
-        if len(candidates) != 1:
-            raise NoUniqueInverse(names[s], (names[t] for t in candidates))
-        star.append(candidates[0])
-
-    zero = next(
-        (z for z in range(n) if all(rows[z][x] == z == rows[x][z] for x in range(n))),
-        None,
-    )
+        x, a, y = witness
+        raise NotAssociative(names[x], names[a], names[y])
+    star = _unique_inverses(t, names)
+    zero = _absorbing(t)
     if zero is None:
         raise NoZero("no absorbing element in table")
-
-    return FiniteInverseSemigroup(names, rows, zero, tuple(star))
+    return FiniteInverseSemigroup(names, _table_rows(t), zero, star)
 
 
 def adjoin_zero(
@@ -317,12 +388,12 @@ def idempotent_semilattice(S: FiniteInverseSemigroup) -> Semilattice:
     """Collect the idempotents of S and certify they form a semilattice."""
     carrier = S.idempotents
     members = set(carrier)
-    assert S.zero in members, "a validated semigroup always has an idempotent zero"
+    if S.zero not in members:
+        raise CheckFailed("a validated semigroup always has an idempotent zero")
     for e in carrier:
         row = S.table[e]
         for f in carrier:
             ef = row[f]
-            assert ef in members and ef == S.table[f][e], (
-                "idempotents must form a commutative subsemigroup"
-            )
+            if ef not in members or ef != S.table[f][e]:
+                raise CheckFailed("idempotents must form a commutative subsemigroup")
     return Semilattice(S, carrier)

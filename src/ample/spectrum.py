@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import iter_bits
-from .errors import TightUltraMismatch
+from .errors import CheckFailed, TightUltraMismatch
 from .semigroups import Semilattice
 
 def principal_filter(E: Semilattice, p: int) -> int:
@@ -56,7 +56,8 @@ def enumerate_filters(E: Semilattice) -> tuple[int, ...]:
         if p == E.zero_pos:
             continue
         bits = principal_filter(E, p)
-        assert is_filter(E, bits)
+        if not is_filter(E, bits):
+            raise CheckFailed("a principal filter must be a filter")
         out.add(bits)
     return tuple(sorted(out))
 
@@ -93,7 +94,8 @@ def find_tightness_violation(
     each nonzero w <= x meets some y in Y or lies in E^Y and meets some z
     in Z, and w^y or w^z is a killed member of down(x) that w meets.
     """
-    assert is_filter(E, bits), "tightness is defined for characters only"
+    if not is_filter(E, bits):
+        raise CheckFailed("tightness is defined for characters only")
     down = E.down_masks
     isect = E.intersect_masks
     nonzero = E.nonzero_mask

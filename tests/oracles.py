@@ -6,7 +6,7 @@ staying off the code paths it is used to check.
 
 from itertools import permutations
 
-from ample import same_germ
+from ample import same_germ, slice_product
 from ample.bitsets import iter_bits
 from ample.semigroups import idempotent_semilattice
 from ample.spectrum import tight_spectrum
@@ -88,6 +88,26 @@ def bisections_by_definition(G):
         if len(set(ds)) == len(ds) and len(set(rs)) == len(rs):
             out.append(mask)
     return out
+
+
+def product_table_by_definition(G, masks):
+    """slice_product on every pair of the ascending masks, as masks."""
+    ordered = sorted(set(masks))
+    return [[slice_product(G, s, t) for t in ordered] for s in ordered]
+
+
+def associativity_witness_by_definition(table):
+    """The first (a, b, c) in row-major order with (ab)c != a(bc), or None."""
+    n = len(table)
+    for a in range(n):
+        row_a = table[a]
+        for b in range(n):
+            row_ab = table[row_a[b]]
+            row_b = table[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    return (a, b, c)
+    return None
 
 
 def idempotents_of_table(rows):

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,28 @@ def test_adjoin_zero_flag(capsys, tmp_path):
     assert code == 0
     H = parse_groupoid(out)
     assert len(H.units) == 1 and len(H.arrows) == 2
+
+
+def test_checks_still_run_under_python_O():
+    # A broken invariant must still fail the run with asserts compiled out.
+    script = textwrap.dedent(
+        f"""
+        import sys
+        if not sys.flags.optimize:
+            sys.exit(3)
+        import ample.spectrum
+        from ample.cli import main
+        ample.spectrum.is_filter = lambda E, bits: False
+        sys.exit(main(["spectrum", {str(DATA / "chain.sgp")!r}]))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

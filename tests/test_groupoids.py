@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ample import (
@@ -31,7 +33,11 @@ from ample.errors import (
     OutsideDomain,
 )
 
-from oracles import bisections_by_definition, tables_isomorphic
+from oracles import (
+    bisections_by_definition,
+    product_table_by_definition,
+    tables_isomorphic,
+)
 
 
 def test_validate_pair_groupoid():
@@ -171,6 +177,64 @@ def test_bisection_semigroup_not_closed():
     G = pair_groupoid(2)
     with pytest.raises(NotClosed):
         bisection_semigroup(G, [0, 1 << G.index["a01"]])  # inverse missing
+
+
+def test_bisection_table_matches_slice_products(corpus_runs):
+    for run in corpus_runs:
+        bs = run.bisection_semigroup
+        got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
+        assert got == product_table_by_definition(run.groupoid, run.masks), run.label
+
+
+def test_bisection_table_with_keys_over_several_unit_runs():
+    # 64 arrows give radix-65 digits, so a section of 8 units is read in two runs
+    G = pair_groupoid(8)
+    masks = singleton_semigroup(G)
+    bs = bisection_semigroup(G, masks)
+    got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
+    assert got == product_table_by_definition(G, masks)
+    extra = (1 << G.index["a01"]) | (1 << G.index["a76"])
+    with pytest.raises(NotClosed) as exc:
+        bisection_semigroup(G, [*masks, extra])
+    assert exc.value.witness == first_gap_by_definition(G, [*masks, extra])
+
+
+def first_gap_by_definition(G, masks):
+    """The NotClosed witness of the row-major product scan, then of inverses."""
+    ordered = sorted(set(masks))
+    have = set(ordered)
+    for s, row in zip(ordered, product_table_by_definition(G, ordered)):
+        for t, st in zip(ordered, row):
+            if st not in have:
+                return (bisection_name(G, s), bisection_name(G, t))
+    for s in ordered:
+        if slice_inverse(G, s) not in have:
+            return (f"inverse of {bisection_name(G, s)} missing", None)
+    return None
+
+
+def test_not_closed_witness_is_first_in_row_major_order(corpus_groupoids):
+    rng = random.Random(11)
+    raised = 0
+    for name, G in corpus_groupoids.items():
+        full = enumerate_bisections(G)
+        for base in (singleton_semigroup(G), full):
+            if len(base) > 100:
+                continue
+            for _ in range(3):
+                masks = set(base)
+                masks.discard(rng.choice([m for m in base if m]))
+                masks.add(rng.choice(full))
+                masks.add(0)
+                expected = first_gap_by_definition(G, masks)
+                if expected is None:
+                    bisection_semigroup(G, masks)
+                    continue
+                with pytest.raises(NotClosed) as exc:
+                    bisection_semigroup(G, masks)
+                assert exc.value.witness == expected, name
+                raised += 1
+    assert raised >= 40
 
 
 def test_bisection_semigroup_validates():

@@ -1,5 +1,8 @@
+import random
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ample import (
@@ -11,8 +14,11 @@ from ample import (
     validate_inverse_semigroup,
 )
 from ample.errors import NotAssociative, NotIdempotent, NoUniqueInverse, NoZero
+from ample.semigroups import associativity_witness
 
-from oracles import idempotents_of_table
+from oracles import associativity_witness_by_definition, idempotents_of_table
+
+DATA = Path(__file__).parent / "data"
 
 
 def powerset_semilattice(points):
@@ -63,7 +69,6 @@ def test_not_associative_witness():
 
 
 def test_associativity_check_large_table():
-    # big enough to take the vectorized path
     n = 70
     names = [f"e{i}" for i in range(n)]
     rows = [[min(i, j) for j in range(n)] for i in range(n)]
@@ -72,6 +77,58 @@ def test_associativity_check_large_table():
     with pytest.raises(NotAssociative) as exc:
         validate_inverse_semigroup(names, rows)
     assert len(exc.value.witness) == 3
+
+
+def rows_of_document(path):
+    """The table of a semigroup document as index rows, read without validation."""
+    words = " ".join(line.split("#")[0] for line in path.read_text().splitlines()).split()
+    names = words[words.index("elements") + 2 : words.index("zero") - 1]
+    entries = words[words.index("table") + 2 : -2]
+    n = len(names)
+    return [[names.index(v) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
+
+
+def assert_light_agrees(rows):
+    """Light's test and the cubic scan give one verdict; a witness really fails."""
+    witness = associativity_witness(np.array(rows, dtype=np.int32))
+    assert (witness is None) == (associativity_witness_by_definition(rows) is None)
+    if witness is not None:
+        x, a, y = witness
+        assert rows[rows[x][a]][y] != rows[x][rows[a][y]]
+    return witness
+
+
+def test_light_agrees_with_cubic_scan_on_fixtures():
+    assert assert_light_agrees(rows_of_document(DATA / "bad_assoc.sgp")) == (0, 0, 0)
+    assert assert_light_agrees(rows_of_document(DATA / "chain.sgp")) is None
+    n = 70
+    rows = [[min(i, j) for j in range(n)] for i in range(n)]
+    assert assert_light_agrees(rows) is None
+    rows[40][50] = 60
+    assert assert_light_agrees(rows) is not None
+
+
+def test_light_agrees_with_cubic_scan_on_corrupted_tables(corpus_runs):
+    tables = [r.bisection_semigroup.semigroup.table for r in corpus_runs if len(r.masks) <= 50]
+    rng = random.Random(7)
+    rejected = 0
+    for _ in range(240):
+        rows = [list(row) for row in rng.choice(tables)]
+        n = len(rows)
+        a, b = rng.randrange(n), rng.randrange(n)
+        rows[a][b] = rng.choice([v for v in range(n) if v != rows[a][b]])
+        if assert_light_agrees(rows) is not None:
+            rejected += 1
+    assert 0 < rejected < 240
+
+
+def test_malformed_tables_name_the_first_bad_entry():
+    with pytest.raises(ValueError, match="table must be 2x2"):
+        validate_inverse_semigroup(["a", "b"], [[0, 1], [0]])
+    with pytest.raises(ValueError, match="table entry 5 out of range"):
+        validate_inverse_semigroup(["a", "b"], [[0, 5], [-1, 0]])
+    with pytest.raises(ValueError, match=f"table entry {2**70} out of range"):
+        validate_inverse_semigroup(["a", "b"], [[0, 0], [2**70, -1]])
 
 
 def test_no_zero():
