@@ -14,13 +14,15 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .bitsets import iter_bits
-from .errors import CheckFailed, EmptySpectrum, GroupoidMismatch
+from .errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, idempotent_semilattice
 
 # Largest cover --audit-covers adds to the minimal ones.
 AUDIT_COVER_SIZE = 4
+# Most idempotent subsets unit_cover tries before it gives up.
+MAX_COVER_COMBINATIONS = 1 << 20
 
 
 class AlgebraElement:
@@ -383,7 +385,9 @@ def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
 
     Returns ambient element indices, and certifies the matching algebra
     identity: the projection join of the germ slices of the chosen
-    idempotents is the unit of the germ groupoid algebra.
+    idempotents is the unit of the germ groupoid algebra.  Subsets are
+    tried by size; past MAX_COVER_COMBINATIONS of them it raises
+    BoundExceeded.
     """
     model = source if isinstance(source, GermGroupoidModel) else build_germ_model(source)
     E = model.semilattice
@@ -401,8 +405,14 @@ def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
         coverage.append(mask)
     candidates = [p for p in range(len(E)) if coverage[p]]
     chosen: tuple[int, ...] | None = None
+    tried = 0
     for k in range(1, len(candidates) + 1):
         for combo in combinations(candidates, k):
+            tried += 1
+            if tried > MAX_COVER_COMBINATIONS:
+                raise BoundExceeded(
+                    f"unit cover search passed {MAX_COVER_COMBINATIONS} idempotent subsets"
+                )
             got = 0
             for p in combo:
                 got |= coverage[p]

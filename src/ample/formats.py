@@ -17,11 +17,27 @@ section lists only non-unit arrows, and compositions or inverses that
 involve a unit are implied and may be omitted.  Parse errors carry line
 and column; documents that parse but break an axiom raise ValidationError
 wrapping the algebraic witness.
+
+Scanning.  A table document is millions of identifiers, so the scanner
+does no per-token work on identifier lists.  It keeps only an offset;
+line and column are counted from the text when an error is raised.
+Structural tokens are read one at a time with one regex.  An identifier
+list (elements, table, units) is read as one run: a character-class
+match over identifiers and whitespace that hops over each '#' comment
+and goes on, after which the names are one str.split.  A regex
+alternation over whitespace, comment and identifier would do the same
+in one match, but Python's re keeps a backtracking frame per
+repetition, which costs more memory than the names.  Table entries are
+looked up in bulk, and the first unknown one in row-major order is
+located by rescanning the run, on the error path only.  The token after
+a run is read by the ordinary scanner, so a bad character there is
+reported exactly where a token-at-a-time scan would meet it.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import AmpleError, ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
@@ -40,39 +56,36 @@ _TOKEN_RE = re.compile(
 """,
     re.VERBOSE,
 )
+# Identifiers and whitespace up to the next comment or other token.
+_RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_IDENT_RE = re.compile(r"[A-Za-z0-9_.+@]+")
 
 
 class _Scanner:
+    """Tokens as (kind, text, offset), with one token of lookahead."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self._peeked = None
 
-    def _advance(self, s: str) -> None:
-        newlines = s.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = len(s) - s.rfind("\n")
-        else:
-            self.col += len(s)
-        self.pos += len(s)
+    def error(self, message: str, pos: int) -> ParseError:
+        """A ParseError located at offset pos (line and column from 1)."""
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def _next_raw(self):
-        while self.pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, self.pos)
+        text = self.text
+        while self.pos < len(text):
+            m = _TOKEN_RE.match(text, self.pos)
             if m is None:
-                raise ParseError(
-                    f"unexpected character {self.text[self.pos]!r}", self.line, self.col
-                )
+                raise self.error(f"unexpected character {text[self.pos]!r}", self.pos)
+            start, self.pos = self.pos, m.end()
             kind = m.lastgroup
-            line, col = self.line, self.col
-            self._advance(m.group())
-            if kind in ("ws", "comment"):
-                continue
-            return (kind, m.group(), line, col)
-        return ("eof", "", self.line, self.col)
+            if kind not in ("ws", "comment"):
+                return (kind, m.group(), start)
+        return ("eof", "", self.pos)
 
     def peek(self):
         if self._peeked is None:
@@ -87,24 +100,54 @@ class _Scanner:
     def expect(self, kind: str, what: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
+            raise self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
     def expect_keyword(self, word: str):
         tok = self.expect("ident", f"'{word}'")
         if tok[1] != word:
-            raise ParseError(f"expected '{word}', found {tok[1]!r}", tok[2], tok[3])
+            raise self.error(f"expected '{word}', found {tok[1]!r}", tok[2])
         return tok
 
 
-def _ident_list(sc: _Scanner) -> list[tuple[str, int, int]]:
+def _ident_list(sc: _Scanner):
+    """'{' IDENT* '}' read as one run.
+
+    Returns the names and locate(k), the offset of the k-th name.
+    """
     sc.expect("lbrace", "'{'")
-    out = []
-    while sc.peek()[0] == "ident":
-        tok = sc.next()
-        out.append((tok[1], tok[2], tok[3]))
+    text = sc.text
+    start = sc.pos
+    end = _RUN_RE.match(text, start).end()
+    while text.startswith("#", end):
+        end = _RUN_RE.match(text, _COMMENT_RE.match(text, end).end()).end()
+    sc.pos = end
     sc.expect("rbrace", "'}'")
-    return out
+    run = text[start:end]
+    names = (_COMMENT_RE.sub(" ", run) if "#" in run else run).split()
+
+    def locate(k: int) -> int:
+        # Whole lines are counted by split; a comment ends its line.
+        pos = start
+        while True:
+            eol = text.find("\n", pos, end)
+            line = text[pos : end if eol < 0 else eol].partition("#")[0]
+            words = len(line.split())
+            if k < words:
+                return pos + next(islice(_IDENT_RE.finditer(line), k, None)).start()
+            k -= words
+            pos = eol + 1
+
+    return names, locate
+
+
+def _first_duplicate(names: list[str]) -> int | None:
+    seen = set()
+    for k, name in enumerate(names):
+        if name in seen:
+            return k
+        seen.add(name)
+    return None
 
 
 def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInverseSemigroup:
@@ -114,48 +157,38 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("elements")
-    elements = _ident_list(sc)
-    names = []
-    seen = {}
-    for name, line, col in elements:
-        if name in seen:
-            raise ParseError(f"duplicate element {name!r}", line, col)
-        seen[name] = len(names)
-        names.append(name)
+    names, locate = _ident_list(sc)
+    seen = {name: i for i, name in enumerate(names)}
+    if len(seen) != len(names):
+        k = _first_duplicate(names)
+        raise sc.error(f"duplicate element {names[k]!r}", locate(k))
     if not names:
-        tok = sc.peek()
-        raise ParseError("element list is empty", tok[2], tok[3])
+        raise sc.error("element list is empty", sc.peek()[2])
 
     sc.expect_keyword("zero")
     ztok = sc.expect("ident", "zero element name")
     if ztok[1] not in seen:
-        raise ParseError(f"unknown zero element {ztok[1]!r}", ztok[2], ztok[3])
+        raise sc.error(f"unknown zero element {ztok[1]!r}", ztok[2])
 
     sc.expect_keyword("table")
-    entries = _ident_list(sc)
+    entries, locate = _ident_list(sc)
     n = len(names)
     if len(entries) != n * n:
-        tok = sc.peek()
-        raise ParseError(
-            f"table has {len(entries)} entries, expected {n * n}", tok[2], tok[3]
-        )
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            name, line, col = entries[i * n + j]
-            if name not in seen:
-                raise ParseError(f"unknown element {name!r} in table", line, col)
-            row.append(seen[name])
-        rows.append(row)
+        raise sc.error(f"table has {len(entries)} entries, expected {n * n}", sc.peek()[2])
+    flat = list(map(seen.get, entries))
+    if None in flat:
+        k = flat.index(None)
+        raise sc.error(f"unknown element {entries[k]!r} in table", locate(k))
+    del entries  # the names go before the rows are built, and flat before validation
+    table = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+    del flat
 
     sc.expect("rbrace", "'}'")
     tail = sc.next()
     if tail[0] != "eof":
-        raise ParseError("unexpected trailing input", tail[2], tail[3])
+        raise sc.error("unexpected trailing input", tail[2])
 
     element_names: tuple[str, ...] = tuple(names)
-    table = tuple(tuple(row) for row in rows)
     if adjoin_missing_zero:
         element_names, table = adjoin_zero(element_names, table)
     try:
@@ -177,14 +210,11 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("units")
-    unit_toks = _ident_list(sc)
-    names = []
-    seen = {}
-    for name, line, col in unit_toks:
-        if name in seen:
-            raise ParseError(f"duplicate unit {name!r}", line, col)
-        seen[name] = len(names)
-        names.append(name)
+    names, locate = _ident_list(sc)
+    seen = {name: i for i, name in enumerate(names)}
+    if len(seen) != len(names):
+        k = _first_duplicate(names)
+        raise sc.error(f"duplicate unit {names[k]!r}", locate(k))
     n_units = len(names)
 
     sc.expect_keyword("arrows")
@@ -193,7 +223,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     while sc.peek()[0] == "ident":
         atok = sc.next()
         if atok[1] in seen:
-            raise ParseError(f"duplicate arrow id {atok[1]!r}", atok[2], atok[3])
+            raise sc.error(f"duplicate arrow id {atok[1]!r}", atok[2])
         seen[atok[1]] = len(names)
         names.append(atok[1])
         sc.expect("colon", "':'")
@@ -208,7 +238,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     for k, (atok, dtok, rtok) in enumerate(raw_arrows):
         for tok, target in ((dtok, d), (rtok, r)):
             if tok[1] not in seen or seen[tok[1]] >= n_units:
-                raise ParseError(f"unknown unit {tok[1]!r}", tok[2], tok[3])
+                raise sc.error(f"unknown unit {tok[1]!r}", tok[2])
             target[n_units + k] = seen[tok[1]]
 
     sc.expect_keyword("compose")
@@ -221,12 +251,10 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         vtok = sc.expect("ident", "product arrow")
         for tok in (ltok, rtok, vtok):
             if tok[1] not in seen:
-                raise ParseError(f"unknown arrow {tok[1]!r}", tok[2], tok[3])
+                raise sc.error(f"unknown arrow {tok[1]!r}", tok[2])
         key = (seen[ltok[1]], seen[rtok[1]])
         if key in compose:
-            raise ParseError(
-                f"duplicate composition {ltok[1]} {rtok[1]}", ltok[2], ltok[3]
-            )
+            raise sc.error(f"duplicate composition {ltok[1]} {rtok[1]}", ltok[2])
         compose[key] = seen[vtok[1]]
     sc.expect("rbrace", "'}'")
 
@@ -239,25 +267,23 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         vtok = sc.expect("ident", "inverse arrow")
         for tok in (ltok, vtok):
             if tok[1] not in seen:
-                raise ParseError(f"unknown arrow {tok[1]!r}", tok[2], tok[3])
+                raise sc.error(f"unknown arrow {tok[1]!r}", tok[2])
         a = seen[ltok[1]]
         v = seen[vtok[1]]
         if a in inverse and inverse[a] != v:
-            raise ParseError(f"conflicting inverse for {ltok[1]!r}", ltok[2], ltok[3])
+            raise sc.error(f"conflicting inverse for {ltok[1]!r}", ltok[2])
         inverse[a] = v
     close = sc.expect("rbrace", "'}'")
 
     sc.expect("rbrace", "'}'")
     tail = sc.next()
     if tail[0] != "eof":
-        raise ParseError("unexpected trailing input", tail[2], tail[3])
+        raise sc.error("unexpected trailing input", tail[2])
 
     n = len(names)
     for a in range(n):
         if a not in inverse:
-            raise ParseError(
-                f"missing inverse for arrow {names[a]!r}", close[2], close[3]
-            )
+            raise sc.error(f"missing inverse for arrow {names[a]!r}", close[2])
 
     # Unit-involving compositions are implied by the unit laws; fill any the
     # document left out, but never overwrite what it said.
@@ -281,7 +307,7 @@ def parse_document(text: str):
         return "semigroup", parse_semigroup(text)
     if tok[0] == "ident" and tok[1] == "groupoid":
         return "groupoid", parse_groupoid(text)
-    raise ParseError("expected 'semigroup' or 'groupoid'", tok[2], tok[3])
+    raise sc.error("expected 'semigroup' or 'groupoid'", tok[2])
 
 
 def write_semigroup(S: FiniteInverseSemigroup) -> str:

@@ -4,11 +4,14 @@ Each function here recomputes a quantity straight from its definition,
 staying off the code paths it is used to check.
 """
 
+import re
 from itertools import permutations
 
 from ample import same_germ, slice_product
 from ample.bitsets import iter_bits
-from ample.semigroups import idempotent_semilattice
+from ample.errors import AmpleError, ParseError, ValidationError
+from ample.groupoids import validate_groupoid
+from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
 from ample.spectrum import tight_spectrum
 
 # Largest carrier the 2^m subset scans below are run on.
@@ -150,3 +153,253 @@ def tables_isomorphic(rows_a, rows_b):
         ):
             return True
     return False
+
+
+# -- token-at-a-time document parser ---------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<lbrace>\{)
+  | (?P<rbrace>\})
+  | (?P<colon>:)
+  | (?P<equals>=)
+  | (?P<ident>[A-Za-z0-9_.+@]+)
+""",
+    re.VERBOSE,
+)
+
+
+class _TokenScanner:
+    """One token per call, tracking line and column as it goes."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        self._peeked = None
+
+    def _advance(self, s: str) -> None:
+        newlines = s.count("\n")
+        if newlines:
+            self.line += newlines
+            self.col = len(s) - s.rfind("\n")
+        else:
+            self.col += len(s)
+        self.pos += len(s)
+
+    def _next_raw(self):
+        while self.pos < len(self.text):
+            m = _TOKEN_RE.match(self.text, self.pos)
+            if m is None:
+                raise ParseError(
+                    f"unexpected character {self.text[self.pos]!r}", self.line, self.col
+                )
+            kind = m.lastgroup
+            line, col = self.line, self.col
+            self._advance(m.group())
+            if kind in ("ws", "comment"):
+                continue
+            return (kind, m.group(), line, col)
+        return ("eof", "", self.line, self.col)
+
+    def peek(self):
+        if self._peeked is None:
+            self._peeked = self._next_raw()
+        return self._peeked
+
+    def next(self):
+        tok = self.peek()
+        self._peeked = None
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
+        return tok
+
+    def expect_keyword(self, word: str):
+        tok = self.expect("ident", f"'{word}'")
+        if tok[1] != word:
+            raise ParseError(f"expected '{word}', found {tok[1]!r}", tok[2], tok[3])
+        return tok
+
+
+def _ident_list(sc: _TokenScanner):
+    sc.expect("lbrace", "'{'")
+    out = []
+    while sc.peek()[0] == "ident":
+        tok = sc.next()
+        out.append((tok[1], tok[2], tok[3]))
+    sc.expect("rbrace", "'}'")
+    return out
+
+
+def parse_semigroup_by_tokens(text, adjoin_missing_zero=False):
+    """ample.formats.parse_semigroup, reading one token per scanner call."""
+    sc = _TokenScanner(text)
+    sc.expect_keyword("semigroup")
+    sc.expect("lbrace", "'{'")
+
+    sc.expect_keyword("elements")
+    elements = _ident_list(sc)
+    names = []
+    seen = {}
+    for name, line, col in elements:
+        if name in seen:
+            raise ParseError(f"duplicate element {name!r}", line, col)
+        seen[name] = len(names)
+        names.append(name)
+    if not names:
+        tok = sc.peek()
+        raise ParseError("element list is empty", tok[2], tok[3])
+
+    sc.expect_keyword("zero")
+    ztok = sc.expect("ident", "zero element name")
+    if ztok[1] not in seen:
+        raise ParseError(f"unknown zero element {ztok[1]!r}", ztok[2], ztok[3])
+
+    sc.expect_keyword("table")
+    entries = _ident_list(sc)
+    n = len(names)
+    if len(entries) != n * n:
+        tok = sc.peek()
+        raise ParseError(
+            f"table has {len(entries)} entries, expected {n * n}", tok[2], tok[3]
+        )
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            name, line, col = entries[i * n + j]
+            if name not in seen:
+                raise ParseError(f"unknown element {name!r} in table", line, col)
+            row.append(seen[name])
+        rows.append(row)
+
+    sc.expect("rbrace", "'}'")
+    tail = sc.next()
+    if tail[0] != "eof":
+        raise ParseError("unexpected trailing input", tail[2], tail[3])
+
+    element_names = tuple(names)
+    table = tuple(tuple(row) for row in rows)
+    if adjoin_missing_zero:
+        element_names, table = adjoin_zero(element_names, table)
+    try:
+        sg = validate_inverse_semigroup(element_names, table)
+    except AmpleError as exc:
+        raise ValidationError(f"semigroup document is invalid: {exc}", reason=exc) from exc
+    if sg.elements[sg.zero] != ztok[1] and not adjoin_missing_zero:
+        raise ValidationError(
+            f"declared zero {ztok[1]!r} is not the absorbing element "
+            f"({sg.elements[sg.zero]!r} is)"
+        )
+    return sg
+
+
+def parse_groupoid_by_tokens(text):
+    """ample.formats.parse_groupoid, reading one token per scanner call."""
+    sc = _TokenScanner(text)
+    sc.expect_keyword("groupoid")
+    sc.expect("lbrace", "'{'")
+
+    sc.expect_keyword("units")
+    unit_toks = _ident_list(sc)
+    names = []
+    seen = {}
+    for name, line, col in unit_toks:
+        if name in seen:
+            raise ParseError(f"duplicate unit {name!r}", line, col)
+        seen[name] = len(names)
+        names.append(name)
+    n_units = len(names)
+
+    sc.expect_keyword("arrows")
+    sc.expect("lbrace", "'{'")
+    raw_arrows = []
+    while sc.peek()[0] == "ident":
+        atok = sc.next()
+        if atok[1] in seen:
+            raise ParseError(f"duplicate arrow id {atok[1]!r}", atok[2], atok[3])
+        seen[atok[1]] = len(names)
+        names.append(atok[1])
+        sc.expect("colon", "':'")
+        dtok = sc.expect("ident", "source unit")
+        sc.expect("arrow", "'->'")
+        rtok = sc.expect("ident", "range unit")
+        raw_arrows.append((atok, dtok, rtok))
+    sc.expect("rbrace", "'}'")
+
+    d = list(range(n_units)) + [0] * len(raw_arrows)
+    r = list(range(n_units)) + [0] * len(raw_arrows)
+    for k, (atok, dtok, rtok) in enumerate(raw_arrows):
+        for tok, target in ((dtok, d), (rtok, r)):
+            if tok[1] not in seen or seen[tok[1]] >= n_units:
+                raise ParseError(f"unknown unit {tok[1]!r}", tok[2], tok[3])
+            target[n_units + k] = seen[tok[1]]
+
+    sc.expect_keyword("compose")
+    sc.expect("lbrace", "'{'")
+    compose = {}
+    while sc.peek()[0] == "ident":
+        ltok = sc.next()
+        rtok = sc.expect("ident", "right factor")
+        sc.expect("equals", "'='")
+        vtok = sc.expect("ident", "product arrow")
+        for tok in (ltok, rtok, vtok):
+            if tok[1] not in seen:
+                raise ParseError(f"unknown arrow {tok[1]!r}", tok[2], tok[3])
+        key = (seen[ltok[1]], seen[rtok[1]])
+        if key in compose:
+            raise ParseError(
+                f"duplicate composition {ltok[1]} {rtok[1]}", ltok[2], ltok[3]
+            )
+        compose[key] = seen[vtok[1]]
+    sc.expect("rbrace", "'}'")
+
+    sc.expect_keyword("inverse")
+    sc.expect("lbrace", "'{'")
+    inverse = {u: u for u in range(n_units)}
+    while sc.peek()[0] == "ident":
+        ltok = sc.next()
+        sc.expect("equals", "'='")
+        vtok = sc.expect("ident", "inverse arrow")
+        for tok in (ltok, vtok):
+            if tok[1] not in seen:
+                raise ParseError(f"unknown arrow {tok[1]!r}", tok[2], tok[3])
+        a = seen[ltok[1]]
+        v = seen[vtok[1]]
+        if a in inverse and inverse[a] != v:
+            raise ParseError(f"conflicting inverse for {ltok[1]!r}", ltok[2], ltok[3])
+        inverse[a] = v
+    close = sc.expect("rbrace", "'}'")
+
+    sc.expect("rbrace", "'}'")
+    tail = sc.next()
+    if tail[0] != "eof":
+        raise ParseError("unexpected trailing input", tail[2], tail[3])
+
+    n = len(names)
+    for a in range(n):
+        if a not in inverse:
+            raise ParseError(
+                f"missing inverse for arrow {names[a]!r}", close[2], close[3]
+            )
+
+    # Unit-involving compositions are implied by the unit laws; fill any the
+    # document left out, but never overwrite what it said.
+    for a in range(n):
+        compose.setdefault((a, d[a]), a)
+        compose.setdefault((r[a], a), a)
+
+    try:
+        return validate_groupoid(
+            names, range(n_units), d, r, compose, [inverse[a] for a in range(n)]
+        )
+    except AmpleError as exc:
+        raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ample import (
     enumerate_filters,
@@ -17,6 +22,8 @@ from ample import (
     write_groupoid,
 )
 from ample.cli import main
+
+from test_formats import mutate
 
 DATA = Path(__file__).parent / "data"
 
@@ -292,3 +299,46 @@ def test_checks_still_run_under_python_O():
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+FUZZ_SEEDS = [path.read_text() for path in sorted(DATA.iterdir())] + [
+    write_groupoid(pair_groupoid(3))
+]
+FUZZ_TOKENS = [
+    "semigroup", "groupoid", "elements", "zero", "table", "units", "arrows",
+    "compose", "inverse", "{", "}", ":", "->", "=", "# note\n", "0", "e", "a",
+    "u0", "u1", "a01", "?", "-", "\n",
+]
+FUZZ_COMMANDS = [
+    ["validate"], ["validate", "--adjoin-zero"], ["spectrum"], ["reconstruct"],
+    ["ample"], ["check-iso"],
+]
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A fixture under 1-3 seeded edits, or a random token stream."""
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        text = draw(st.sampled_from(FUZZ_SEEDS))
+        for _ in range(draw(st.integers(1, 3))):
+            text = mutate(text, rng)
+        return text
+    tokens = draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40))
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_documents(), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_documents_never_raise_past_main(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.txt"
+        doc.write_text(text, encoding="utf-8")
+        argv = [command[0], str(doc), *command[1:]]
+        if command[0] in ("ample", "reconstruct"):
+            argv += ["-o", str(Path(tmp) / "out.txt")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -21,9 +21,10 @@ from ample import (
     units_groupoid,
     validate_inverse_semigroup,
 )
+from ample import convolution
 from ample.bitsets import iter_bits, mask_of
 from ample.convolution import _minimal_covers
-from ample.errors import CheckFailed, EmptySpectrum, GroupoidMismatch
+from ample.errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
 
 from test_semigroups import chain_semilattice, powerset_semilattice
 
@@ -210,6 +211,16 @@ def test_unit_cover_empty_spectrum():
     Z = validate_inverse_semigroup(["0"], [[0]])
     with pytest.raises(EmptySpectrum):
         unit_cover(Z)
+
+
+def test_unit_cover_search_is_bounded(monkeypatch):
+    # subsets of {1,2} without the top: {a}, {b}, then {a, b} covers
+    S = validate_inverse_semigroup(["0", "a", "b"], [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    monkeypatch.setattr(convolution, "MAX_COVER_COMBINATIONS", 3)
+    assert sorted(S.elements[e] for e in unit_cover(S)) == ["a", "b"]
+    monkeypatch.setattr(convolution, "MAX_COVER_COMBINATIONS", 2)
+    with pytest.raises(BoundExceeded):
+        unit_cover(S)
 
 
 def test_unit_cover_is_minimal_cardinality():

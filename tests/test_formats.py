@@ -1,9 +1,16 @@
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ample import (
+    abstract_table,
+    bisection_semigroup,
     corpus,
+    disjoint_union,
+    enumerate_bisections,
+    pair_groupoid,
     parse_document,
     parse_groupoid,
     parse_semigroup,
@@ -12,7 +19,39 @@ from ample import (
 )
 from ample.errors import NotAssociative, NoUniqueInverse, ParseError, ValidationError
 
+from oracles import parse_groupoid_by_tokens, parse_semigroup_by_tokens
+
 DATA = Path(__file__).parent / "data"
+
+# Identifier, whitespace, structural, comment and illegal characters.
+MUTATION_CHARS = "a0x1_.+@ \t\r\n{}:=->#?;\x0cé"
+
+
+def mutate(text, rng):
+    """One seeded edit of 1-3 characters: an insertion, a deletion or a copy."""
+    k = rng.randint(1, 3)
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + "".join(rng.choice(MUTATION_CHARS) for _ in range(k)) + text[i:]
+    if op == 1:
+        return text[:i] + text[i + k :]
+    j = rng.randrange(len(text))
+    return text[:i] + text[j : j + k] + text[i:]
+
+
+def ample_table_document(G):
+    table, _audit = abstract_table(bisection_semigroup(G, enumerate_bisections(G)))
+    return write_semigroup(table)
+
+
+def outcome(parse, text, *args):
+    """The parsed value, or the error's type, message and position."""
+    try:
+        return parse(text, *args)
+    except (ParseError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
 
 
 def test_parse_pair2_fixture():
@@ -162,3 +201,85 @@ def test_comments_and_error_positions():
 def test_unexpected_character():
     with pytest.raises(ParseError):
         parse_semigroup("semigroup ? { }")
+
+
+def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
+    rng = random.Random(5)
+    small = [write_groupoid(G) for G in corpus().values()]
+    small += [path.read_text() for path in sorted(DATA.iterdir())]
+    small.append(ample_table_document(pair_groupoid(3)))
+    large = [
+        ample_table_document(pair_groupoid(4)),
+        ample_table_document(disjoint_union(pair_groupoid(2), pair_groupoid(3))),
+    ]
+    kinds = Counter()
+    for docs, edits in ((small, 250), (large, 12)):
+        for doc in docs:
+            for k in range(edits):
+                text = doc if k == 0 else mutate(doc, rng)
+                adjoin = k % 2 == 1
+                got = outcome(parse_semigroup, text, adjoin)
+                assert got == outcome(parse_semigroup_by_tokens, text, adjoin), text
+                kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
+                got = outcome(parse_groupoid, text)
+                assert got == outcome(parse_groupoid_by_tokens, text), text
+                kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
+    assert kinds["ok"] and kinds["ParseError"] and kinds["ValidationError"], kinds
+
+
+def error_position(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        (  # unknown entry in the last row of a multi-line table
+            "semigroup {\n  elements { 0 e }\n  zero 0\n  table {\n    0 0\n    0 q\n  }\n}\n",
+            "unknown element 'q' in table", 6, 7,
+        ),
+        (  # a comment inside the table, then an unknown entry
+            "semigroup {\n  elements { 0 e }\n  zero 0\n  table {  # q q\n"
+            "    0 0 # row 0: q\n    0# e\n      q\n  }\n}\n",
+            "unknown element 'q' in table", 7, 7,
+        ),
+        (  # CRLF line endings; a wrong count is reported at the token after '}'
+            "semigroup {\r\n  elements { 0 e }\r\n  zero 0\r\n  table {\r\n"
+            "    0 0\r\n    0 e q\r\n  }\r\n}\r\n",
+            "table has 5 entries, expected 4", 8, 1,
+        ),
+        (
+            "semigroup {\r\n  elements { 0 e }\r\n  zero 0\r\n  table {\r\n"
+            "    0 0\r\n    q e\r\n  }\r\n}\r\n",
+            "unknown element 'q' in table", 6, 5,
+        ),
+        (  # a duplicate element after a comment
+            "semigroup {\n  elements { 0 e # f\n   f e }\n  zero 0\n  table { }\n}\n",
+            "duplicate element 'e'", 3, 6,
+        ),
+        (  # an unexpected character inside a table run
+            "semigroup { elements { 0 e } zero 0\n  table { 0 0\n    0 e? } }\n",
+            "unexpected character '?'", 3, 8,
+        ),
+        (  # past a table of the wrong size, the bad character is met first
+            "semigroup { elements { 0 e } zero 0 table { 0 0 0 } ? }",
+            "unexpected character '?'", 1, 53,
+        ),
+        (  # an empty element list is reported at the token after it
+            "semigroup {\n  elements { # none\n  }\n  zero 0 }",
+            "element list is empty", 4, 3,
+        ),
+        (
+            "groupoid {\n  units { u v\n    u }\n}",
+            "duplicate unit 'u'", 3, 5,
+        ),
+    ],
+)
+def test_error_positions_are_pinned(text, message, line, column):
+    parse = parse_groupoid if text.startswith("groupoid") else parse_semigroup
+    oracle = parse_groupoid_by_tokens if parse is parse_groupoid else parse_semigroup_by_tokens
+    expected = (f"{message} (at {line}:{column})", line, column)
+    assert error_position(parse, text) == expected
+    assert error_position(oracle, text) == expected
