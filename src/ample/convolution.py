@@ -1,9 +1,10 @@
 """Exact-rational convolution algebra of a finite groupoid.
 
-Coefficients are fractions.Fraction throughout: every identity checked
-here is exact, and a tolerance would only mask bugs.  The algebra of a
-finite groupoid is already unital (the indicator of the unit space), so
-the adjoined unit of the tightness identity is modeled by that indicator.
+Coefficients are fractions.Fraction, and the representation laws run on
+the same coefficients scaled to integers: every identity checked here is
+exact, and a tolerance would only mask bugs.  The algebra of a finite
+groupoid is already unital (the indicator of the unit space), so the
+adjoined unit of the tightness identity is modeled by that indicator.
 """
 
 from __future__ import annotations
@@ -11,18 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .bitsets import iter_bits
 from .errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
-from .semigroups import FiniteInverseSemigroup, idempotent_semilattice
+from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
+from .spectrum import find_tightness_violation, is_filter
 
 # Largest cover --audit-covers adds to the minimal ones.
 AUDIT_COVER_SIZE = 4
 # Most idempotent subsets unit_cover tries before it gives up.
 MAX_COVER_COMBINATIONS = 1 << 20
+# Most cover-sup instances a failing verdict or --audit-covers lists.
+MAX_REP_INSTANCES = 1 << 24
+# Entries per temporary array of the representation-law checks; a block
+# of products holds about five such arrays at once.
+_BLOCK = 1 << 14
 
 
 class AlgebraElement:
@@ -201,6 +211,195 @@ def _all_covers_upto(isect: Sequence[int], fplus: int, max_size: int) -> list[in
     return out
 
 
+@dataclass(frozen=True)
+class _CoefficientMatrix:
+    """pi as integer rows: pi(s) = rows[s] / scale, exactly.
+
+    ``support`` and ``weights`` list the nonzero entries of each row,
+    padded with the arrow count and 0; ``compose`` is the groupoid's
+    composition as an (arrows+1)^2 array whose last row and column, and
+    every non-composable pair, hold the padding index.  The dtype is
+    int64 when no product or scaled row can overflow it, object (Python
+    ints) otherwise.
+    """
+
+    rows: np.ndarray
+    scale: int
+    support: np.ndarray
+    weights: np.ndarray
+    compose: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Entries of the largest temporary one product needs."""
+        return max(self.support.shape[1] ** 2, self.rows.shape[1] + 1)
+
+    def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """scale^2 pi(left[i]) pi(right[i]) for every i, one row each."""
+        arrows = self.rows.shape[1]
+        count = len(left)
+        target = self.compose[self.support[left][:, :, None], self.support[right][:, None, :]]
+        target += np.arange(0, count * (arrows + 1), arrows + 1)[:, None, None]
+        terms = self.weights[left][:, :, None] * self.weights[right][:, None, :]
+        out = np.zeros(count * (arrows + 1), dtype=self.rows.dtype)
+        np.add.at(out, target.ravel(), terms.ravel())
+        return out.reshape(count, arrows + 1)[:, :arrows]
+
+
+def _coefficient_matrix(
+    values: Sequence[AlgebraElement], G: FiniteGroupoid
+) -> _CoefficientMatrix:
+    """Scale pi by the LCM of its denominators into integer rows."""
+    arrows = len(G.arrows)
+    scale = 1
+    for v in values:
+        for c in v.coeffs.values():
+            scale = lcm(scale, c.denominator)
+    elements, ranks, columns, ints = [], [], [], []
+    for s, v in enumerate(values):
+        for rank, (a, c) in enumerate(v.coeffs.items()):
+            elements.append(s)
+            ranks.append(rank)
+            columns.append(a)
+            ints.append(c.numerator * (scale // c.denominator))
+    k = max([len(v.coeffs) for v in values] + [1])
+    big = max(map(abs, ints), default=0)
+    # a product slot sums at most k * k terms of at most big * big each
+    dtype = np.int64 if max(k * k * big * big, scale * big) < 1 << 63 else object
+    rows = np.zeros((len(values), arrows), dtype=dtype)
+    support = np.full((len(values), k), arrows, dtype=np.intp)
+    weights = np.zeros((len(values), k), dtype=dtype)
+    entries = np.array(ints, dtype=dtype)
+    rows[elements, columns] = entries
+    support[elements, ranks] = columns
+    weights[elements, ranks] = entries
+    compose = np.full((arrows + 1, arrows + 1), arrows, dtype=np.intp)
+    pairs = np.array(list(G.compose), dtype=np.intp).reshape(-1, 2)
+    compose[pairs[:, 0], pairs[:, 1]] = list(G.compose.values())
+    return _CoefficientMatrix(rows, scale, support, weights, compose)
+
+
+def _first_mismatch(count: int, width: int, differs) -> int | None:
+    """Least i < count at which differs(indices) is True, in blocks of indices."""
+    step = max(1, _BLOCK // width)
+    for start in range(0, count, step):
+        bad = np.flatnonzero(differs(np.arange(start, min(start + step, count))))
+        if bad.size:
+            return start + int(bad[0])
+    return None
+
+
+def _atom_characters(
+    values: Sequence[AlgebraElement], E: Semilattice, unit: AlgebraElement
+) -> list[int]:
+    """Position masks of the atoms of the Boolean algebra the pi(e) generate.
+
+    The unit is refined by one pi(e) at a time, each atom a splitting into
+    a pi(e) and a - a pi(e); nonzero orthogonal idempotents are linearly
+    independent, so there are at most as many atoms as arrows.  Atom k's mask holds the
+    positions e with atom_k <= pi(e), and pi(e) = sum of those atoms is
+    certified for every e.
+    """
+    S = E.semigroup
+    atoms = [(unit, 0)] if unit else []
+    for p, e in enumerate(E.carrier):
+        split = []
+        for atom, mask in atoms:
+            inside = atom * values[e]
+            if inside:
+                split.append((inside, mask | 1 << p))
+            if inside != atom:
+                split.append((atom - inside, mask))
+        atoms = split
+    for p, e in enumerate(E.carrier):
+        total = AlgebraElement.zero(unit.groupoid)
+        for atom, mask in atoms:
+            if mask >> p & 1:
+                total = total + atom
+        if total != values[e]:
+            raise CheckFailed(f"pi({S.elements[e]}) is not the sum of the atoms below it")
+    return [mask for _, mask in atoms]
+
+
+def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
+    """Instances and covers of the cover-sup enumeration, counted without listing them.
+
+    An instance is X (nothing or one position) with an antichain Y of
+    nonzero positions, and contributes the covers of the nonzero part of
+    E^{X,Y}.  The count recurses over the candidates of Y still
+    available, memoized on (available candidates, E^{X,Y}).
+    """
+    m = len(E)
+    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
+    orth = E.orth_masks
+    nonzero = E.nonzero_mask
+    memo: dict[int, tuple[int, int]] = {}
+
+    def count(avail: int, exy: int) -> tuple[int, int]:
+        key = avail << m | exy
+        got = memo.get(key)
+        if got is None:
+            instances, covers = 1, len(covers_of(exy & nonzero))
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                q = low.bit_length() - 1
+                i, c = count(rest & ~comparable[q], exy & orth[q])
+                instances += i
+                covers += c
+            got = memo[key] = (instances, covers)
+        return got
+
+    totals = [count(nonzero, base) for base in (E.full_mask, *E.down_masks)]
+    return sum(i for i, _ in totals), sum(c for _, c in totals)
+
+
+def _cover_sup_violations(
+    E: Semilattice, atom_masks: Sequence[int], covers_of
+) -> list[tuple[int | None, int, int]]:
+    """Every (x, Y, Z) at which the cover-sup identity fails, in enumeration order.
+
+    The literal enumeration, with each projection written as the set of
+    atoms below it: pi(x) prod (1 - pi(y)) is A_x & ~(A_y1 | ...) and the
+    join over Z is A_z1 | ..., so the identity is a comparison of ints.
+    """
+    m = len(E)
+    below = [0] * m
+    for k, mask in enumerate(atom_masks):
+        for p in iter_bits(mask):
+            below[p] |= 1 << k
+    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
+    orth = E.orth_masks
+    nonzero = E.nonzero_mask
+    joins: dict[int, int] = {0: 0}
+
+    def join(zmask: int) -> int:
+        got = joins.get(zmask)
+        if got is None:
+            low = zmask & -zmask
+            got = joins[zmask] = below[low.bit_length() - 1] | join(zmask ^ low)
+        return got
+
+    out: list[tuple[int | None, int, int]] = []
+
+    def visit(x: int | None, avail: int, y_mask: int, exy: int, rhs: int) -> None:
+        for zmask in covers_of(exy & nonzero):
+            if join(zmask) != rhs:
+                out.append((x, y_mask, zmask))
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
+            visit(x, rest & ~comparable[q], y_mask | low, exy & orth[q], rhs & ~below[q])
+
+    visit(None, nonzero, 0, E.full_mask, (1 << len(atom_masks)) - 1)
+    for x in range(m):
+        visit(x, nonzero, 0, E.down_masks[x], below[x])
+    return out
+
+
 @dataclass
 class TightRepresentationReport:
     """Representation laws plus the cover-sup identity, with witnesses."""
@@ -252,119 +451,121 @@ def check_tight_representation(
 
     pi maps every element index to an element of the convolution algebra
     of one groupoid, whose unit serves as the adjoined unit.
-    Multiplicativity, star-compatibility and pi(0) = 0 are checked first;
-    images of idempotents must be commuting idempotents (violations raise
-    CheckFailed since the cover-sup identity is not even well posed
-    without them).
 
-    The identity itself is checked with X reduced to one idempotent or
-    nothing, Y over antichains of nonzero idempotents, and Z over minimal
-    covers of E^{X,Y}: multiplicativity collapses the general X and Y to
-    these, and monotonicity of the projection join does the same for
-    non-minimal covers.  ``audit_covers`` additionally checks every cover
-    of at most AUDIT_COVER_SIZE members.
+    The representation laws come first, on pi scaled by the LCM of its
+    denominators into integer rows: multiplicativity over every pair,
+    star-compatibility and pi(0) = 0, each reporting its first row-major
+    witness.  Images of idempotents must be commuting idempotents
+    (violations raise CheckFailed since the cover-sup identity is not even
+    well posed without them).
+
+    The identity has X reduced to one idempotent or nothing, Y running
+    over antichains of nonzero idempotents, and Z over minimal covers of
+    E^{X,Y}: multiplicativity collapses the general X and Y to these, and
+    monotonicity of the projection join does the same for non-minimal
+    covers.  ``audit_covers`` adds every cover of at most
+    AUDIT_COVER_SIZE members.  The verdict does not enumerate these
+    instances.  The pi(e) split the unit into the atoms of the Boolean
+    algebra they generate, and pi is tight iff every atom character
+    e -> [atom <= pi(e)] is tight (Exel, *Inverse semigroups and
+    combinatorial C*-algebras*, arXiv:math/0703182, sections 11-12;
+    Donsig and Milan, *Joins and covers in inverse semigroups and tight
+    C*-algebras*, Bull. Aust. Math. Soc. 2014): a nonempty filter that
+    ``find_tightness_violation`` accepts.  The instance and cover counters
+    are counted, not enumerated.  Only a failing verdict or
+    ``audit_covers`` lists the instances, to report every violated one;
+    past MAX_REP_INSTANCES of them it raises BoundExceeded.
     """
-    values = {s: pi[s] for s in range(len(S))}
-    unit = AlgebraElement.unit(values[S.zero].groupoid)
-    zero_val = unit - unit
+    values = [pi[s] for s in range(len(S))]
+    G = values[S.zero].groupoid
+    if any(v.groupoid is not G for v in values):
+        raise GroupoidMismatch("operands live over different groupoids")
+    pm = _coefficient_matrix(values, G)
+    n = len(S)
+    name = S.elements
 
-    mult_ok = True
-    star_ok = True
+    def product_differs(idx: np.ndarray) -> np.ndarray:
+        a, b = np.divmod(idx, n)
+        rows = np.array(S.table[a[0] : a[-1] + 1], dtype=np.intp)
+        expected = pm.scale * pm.rows[rows[a - a[0], b]]
+        return (pm.products(a, b) != expected).any(axis=1)
+
     witness = None
-    for a in range(len(S)):
-        for b in range(len(S)):
-            if values[S.table[a][b]] != values[a] * values[b]:
-                mult_ok = False
-                witness = f"pi({S.elements[a]} {S.elements[b]}) != pi({S.elements[a]}) pi({S.elements[b]})"
-                break
-        if not mult_ok:
-            break
-    for a in range(len(S)):
-        if values[S.star[a]] != values[a].star():
-            star_ok = False
-            witness = witness or f"pi({S.elements[a]}*) != pi({S.elements[a]})*"
-            break
-    zero_ok = values[S.zero] == zero_val
+    bad = _first_mismatch(n * n, pm.width, product_differs)
+    mult_ok = bad is None
+    if not mult_ok:
+        a, b = divmod(bad, n)
+        witness = f"pi({name[a]} {name[b]}) != pi({name[a]}) pi({name[b]})"
+    star = np.array(S.star, dtype=np.intp)
+    inverse = np.array(G.inverse, dtype=np.intp)
+    bad = _first_mismatch(
+        n,
+        len(G.arrows),
+        lambda idx: (pm.rows[star[idx]] != pm.rows[idx][:, inverse]).any(axis=1),
+    )
+    star_ok = bad is None
+    if not star_ok:
+        witness = witness or f"pi({name[bad]}*) != pi({name[bad]})*"
+    zero_ok = not np.count_nonzero(pm.rows[S.zero])
     if not zero_ok:
         witness = witness or "pi(0) != 0"
 
     E = idempotent_semilattice(S)
-    for e in E.carrier:
-        ve = values[e]
-        if ve * ve != ve:
-            raise CheckFailed(f"pi({S.elements[e]}) is not idempotent")
-    for e in E.carrier:
-        for f in E.carrier:
-            if values[e] * values[f] != values[f] * values[e]:
-                raise CheckFailed(
-                    f"pi({S.elements[e]}) and pi({S.elements[f]}) do not commute"
-                )
-
     m = len(E)
-    val = [values[e] for e in E.carrier]
-    one_minus = [unit - v for v in val]
-    down = E.down_masks
-    orth = E.orth_masks
+    carrier = np.array(E.carrier, dtype=np.intp)
+    bad = _first_mismatch(
+        m,
+        pm.width,
+        lambda idx: (
+            pm.products(carrier[idx], carrier[idx]) != pm.scale * pm.rows[carrier[idx]]
+        ).any(axis=1),
+    )
+    if bad is not None:
+        raise CheckFailed(f"pi({name[carrier[bad]]}) is not idempotent")
+
+    def commutator_differs(idx: np.ndarray) -> np.ndarray:
+        e, f = carrier[idx // m], carrier[idx % m]
+        return (pm.products(e, f) != pm.products(f, e)).any(axis=1)
+
+    bad = _first_mismatch(m * m, pm.width, commutator_differs)
+    if bad is not None:
+        e, f = carrier[bad // m], carrier[bad % m]
+        raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
+
+    atom_masks = _atom_characters(values, E, AlgebraElement.unit(G))
+    tight = all(
+        is_filter(E, mask) and find_tightness_violation(E, mask) is None
+        for mask in atom_masks
+    )
+
     isect = E.intersect_masks
-    nonzero = E.nonzero_mask
-    full = E.full_mask
-
-    witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
-    counters = {"instances": 0, "covers": 0}
     cover_cache: dict[int, tuple[int, ...]] = {}
-    sup_cache: dict[int, AlgebraElement] = {0: zero_val}
 
-    def sup_of(zmask: int) -> AlgebraElement:
-        cached = sup_cache.get(zmask)
-        if cached is None:
-            low = zmask & -zmask
-            p = low.bit_length() - 1
-            rest = sup_of(zmask ^ low)
-            cached = sup(val[p], rest)
-            sup_cache[zmask] = cached
-        return cached
-
-    def names_of(mask: int) -> tuple[str, ...]:
-        return tuple(S.elements[E.carrier[p]] for p in iter_bits(mask))
-
-    def check_instance(x: int | None, y_mask: int, exy: int, rhs: AlgebraElement):
-        counters["instances"] += 1
-        fplus = exy & nonzero
+    def covers_of(fplus: int) -> tuple[int, ...]:
         covers = cover_cache.get(fplus)
         if covers is None:
             covers = _minimal_covers(isect, fplus)
+            if audit_covers:
+                audit = _all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)
+                covers = tuple(sorted(set(covers) | set(audit)))
             cover_cache[fplus] = covers
-        if audit_covers:
-            covers = tuple(
-                sorted(set(covers) | set(_all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)))
-            )
-        x_name = None if x is None else S.elements[E.carrier[x]]
-        for zmask in covers:
-            counters["covers"] += 1
-            if sup_of(zmask) != rhs:
-                witnesses.append((x_name, names_of(y_mask), names_of(zmask)))
+        return covers
 
-    candidates = [q for q in range(m) if q != E.zero_pos]
-
-    def scan(start: int, y_mask: int, exy: int, blocked: int, rhs: AlgebraElement, x):
-        check_instance(x, y_mask, exy, rhs)
-        for j in range(start, len(candidates)):
-            q = candidates[j]
-            if blocked >> q & 1:
-                continue
-            scan(
-                j + 1,
-                y_mask | 1 << q,
-                exy & orth[q],
-                blocked | down[q] | E.up_masks[q],
-                rhs * one_minus[q],
-                x,
+    instances, covers = _count_instances(E, covers_of)
+    witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
+    if audit_covers or not tight:
+        if instances > MAX_REP_INSTANCES:
+            raise BoundExceeded(
+                f"the cover-sup enumeration has {instances} instances,"
+                f" past {MAX_REP_INSTANCES}"
             )
 
-    for x in [None, *range(m)]:
-        base = full if x is None else down[x]
-        rhs0 = unit if x is None else val[x]
-        scan(0, 0, base, 0, rhs0, x)
+        def names_of(mask: int) -> tuple[str, ...]:
+            return tuple(name[E.carrier[p]] for p in iter_bits(mask))
+
+        for x, y_mask, zmask in _cover_sup_violations(E, atom_masks, covers_of):
+            x_name = None if x is None else name[E.carrier[x]]
+            witnesses.append((x_name, names_of(y_mask), names_of(zmask)))
 
     if witnesses and witness is None:
         x, ys, zs = witnesses[0]
@@ -374,8 +575,8 @@ def check_tight_representation(
         star_compatible=star_ok,
         zero_preserved=zero_ok,
         tightness_witnesses=witnesses,
-        instances_checked=counters["instances"],
-        covers_checked=counters["covers"],
+        instances_checked=instances,
+        covers_checked=covers,
         failure_witness=witness,
     )
 

@@ -7,9 +7,15 @@ staying off the code paths it is used to check.
 import re
 from itertools import permutations
 
-from ample import same_germ, slice_product
+from ample import AlgebraElement, same_germ, slice_product, sup
 from ample.bitsets import iter_bits
-from ample.errors import AmpleError, ParseError, ValidationError
+from ample.convolution import (
+    AUDIT_COVER_SIZE,
+    TightRepresentationReport,
+    _all_covers_upto,
+    _minimal_covers,
+)
+from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
 from ample.groupoids import validate_groupoid
 from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
 from ample.spectrum import tight_spectrum
@@ -153,6 +159,124 @@ def tables_isomorphic(rows_a, rows_b):
         ):
             return True
     return False
+
+
+def representation_laws_by_definition(pi, S):
+    """Multiplicativity, star and zero from one Fraction convolution per pair.
+
+    Returns (multiplicativity, star, zero, first witness) and raises
+    CheckFailed, with check_tight_representation's messages, when the
+    images of idempotents are not commuting idempotents.
+    """
+    values = {s: pi[s] for s in range(len(S))}
+    unit = AlgebraElement.unit(values[S.zero].groupoid)
+    mult_ok = True
+    star_ok = True
+    witness = None
+    for a in range(len(S)):
+        for b in range(len(S)):
+            if values[S.table[a][b]] != values[a] * values[b]:
+                mult_ok = False
+                witness = f"pi({S.elements[a]} {S.elements[b]}) != pi({S.elements[a]}) pi({S.elements[b]})"
+                break
+        if not mult_ok:
+            break
+    for a in range(len(S)):
+        if values[S.star[a]] != values[a].star():
+            star_ok = False
+            witness = witness or f"pi({S.elements[a]}*) != pi({S.elements[a]})*"
+            break
+    zero_ok = values[S.zero] == unit - unit
+    if not zero_ok:
+        witness = witness or "pi(0) != 0"
+    E = idempotent_semilattice(S)
+    for e in E.carrier:
+        if values[e] * values[e] != values[e]:
+            raise CheckFailed(f"pi({S.elements[e]}) is not idempotent")
+    for e in E.carrier:
+        for f in E.carrier:
+            if values[e] * values[f] != values[f] * values[e]:
+                raise CheckFailed(
+                    f"pi({S.elements[e]}) and pi({S.elements[f]}) do not commute"
+                )
+    return mult_ok, star_ok, zero_ok, witness
+
+
+def tight_representation_by_definition(pi, S, audit_covers=False):
+    """The whole TightRepresentationReport from a literal scan of every instance.
+
+    X is nothing or one idempotent, Y every antichain of nonzero
+    idempotents, Z every minimal cover of E^{X,Y} (plus the covers of at
+    most AUDIT_COVER_SIZE members under ``audit_covers``); both sides of
+    the identity are built as Fraction convolutions, the join over Z by
+    p + q - pq.
+    """
+    mult_ok, star_ok, zero_ok, witness = representation_laws_by_definition(pi, S)
+    unit = AlgebraElement.unit(pi[S.zero].groupoid)
+    E = idempotent_semilattice(S)
+    val = [pi[e] for e in E.carrier]
+    one_minus = [unit - v for v in val]
+    down, up, orth, isect = E.down_masks, E.up_masks, E.orth_masks, E.intersect_masks
+    witnesses = []
+    counters = {"instances": 0, "covers": 0}
+    sup_cache = {0: unit - unit}
+    cover_cache = {}
+
+    def sup_of(zmask):
+        if zmask not in sup_cache:
+            low = zmask & -zmask
+            sup_cache[zmask] = sup(val[low.bit_length() - 1], sup_of(zmask ^ low))
+        return sup_cache[zmask]
+
+    def names_of(mask):
+        return tuple(S.elements[E.carrier[p]] for p in iter_bits(mask))
+
+    def check_instance(x, y_mask, exy, rhs):
+        counters["instances"] += 1
+        fplus = exy & E.nonzero_mask
+        if fplus not in cover_cache:
+            covers = _minimal_covers(isect, fplus)
+            if audit_covers:
+                audit = _all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)
+                covers = tuple(sorted(set(covers) | set(audit)))
+            cover_cache[fplus] = covers
+        covers = cover_cache[fplus]
+        x_name = None if x is None else S.elements[E.carrier[x]]
+        for zmask in covers:
+            counters["covers"] += 1
+            if sup_of(zmask) != rhs:
+                witnesses.append((x_name, names_of(y_mask), names_of(zmask)))
+
+    candidates = [q for q in range(len(E)) if q != E.zero_pos]
+
+    def scan(start, y_mask, exy, blocked, rhs, x):
+        check_instance(x, y_mask, exy, rhs)
+        for j in range(start, len(candidates)):
+            q = candidates[j]
+            if not blocked >> q & 1:
+                scan(
+                    j + 1,
+                    y_mask | 1 << q,
+                    exy & orth[q],
+                    blocked | down[q] | up[q],
+                    rhs * one_minus[q],
+                    x,
+                )
+
+    for x in [None, *range(len(E))]:
+        scan(0, 0, E.full_mask if x is None else down[x], 0, unit if x is None else val[x], x)
+    if witnesses and witness is None:
+        x, ys, _ = witnesses[0]
+        witness = f"cover-sup identity fails at X={{{x or ''}}} Y={{{','.join(ys)}}}"
+    return TightRepresentationReport(
+        multiplicativity=mult_ok,
+        star_compatible=star_ok,
+        zero_preserved=zero_ok,
+        tightness_witnesses=witnesses,
+        instances_checked=counters["instances"],
+        covers_checked=counters["covers"],
+        failure_witness=witness,
+    )
 
 
 # -- token-at-a-time document parser ---------------------------------------------

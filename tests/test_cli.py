@@ -21,6 +21,7 @@ from ample import (
     validate_inverse_semigroup,
     write_groupoid,
 )
+from ample import convolution
 from ample.cli import main
 
 from test_formats import mutate
@@ -182,6 +183,33 @@ def test_stone_check_past_the_guard_exits_2_before_any_check(capsys, monkeypatch
     assert checks == []
 
 
+def test_rep_check_listing_past_its_bound_exits_2(capsys, monkeypatch, tmp_path):
+    # --audit-covers lists every instance; pair2 ample has 25 of them
+    summary = tmp_path / "s.json"
+    argv = ["rep-check", str(DATA / "pair2.gpd"), "--collection", "ample", "--audit-covers"]
+    monkeypatch.setattr(convolution, "MAX_REP_INSTANCES", 25)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "instances=25 " in out
+    monkeypatch.setattr(convolution, "MAX_REP_INSTANCES", 24)
+    code, out, err = run_cli(capsys, *argv, "--summary", str(summary))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not summary.exists()
+
+
+def test_check_iso_node_budget_exits_2(capsys, tmp_path):
+    gpd = tmp_path / "pair3.gpd"
+    gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")
+    summary = tmp_path / "s.json"
+    argv = ["check-iso", str(gpd), "--collection", "ample", "--summary", str(summary)]
+    code, out, err = run_cli(capsys, *argv, "--max-nodes", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not summary.exists()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "brute-force-iso: ok" in out
+
+
 def test_ample_validates_its_table_once(capsys, monkeypatch, tmp_path):
     gpd = tmp_path / "pair3.gpd"
     gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")
@@ -276,19 +304,9 @@ def test_adjoin_zero_flag(capsys, tmp_path):
     assert len(H.units) == 1 and len(H.arrows) == 2
 
 
-def test_checks_still_run_under_python_O():
-    # A broken invariant must still fail the run with asserts compiled out.
-    script = textwrap.dedent(
-        f"""
-        import sys
-        if not sys.flags.optimize:
-            sys.exit(3)
-        import ample.spectrum
-        from ample.cli import main
-        ample.spectrum.is_filter = lambda E, bits: False
-        sys.exit(main(["spectrum", {str(DATA / "chain.sgp")!r}]))
-        """
-    )
+def _run_optimized(body):
+    """Exit code and stderr of ``body`` run under python -O (exit 3 if -O is off)."""
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(3)\n" + textwrap.dedent(body)
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -297,8 +315,35 @@ def test_checks_still_run_under_python_O():
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def test_checks_still_run_under_python_O():
+    # A broken invariant must still fail the run with asserts compiled out.
+    code, err = _run_optimized(
+        f"""
+        import ample.spectrum
+        from ample.cli import main
+        ample.spectrum.is_filter = lambda E, bits: False
+        sys.exit(main(["spectrum", {str(DATA / "chain.sgp")!r}]))
+        """
+    )
+    assert code == 1, err
+    assert "Traceback" not in err
+
+
+def test_rep_check_laws_still_run_under_python_O():
+    # doubled indicators are not idempotent
+    code, err = _run_optimized(
+        f"""
+        import ample.cli
+        from ample import AlgebraElement
+        ample.cli.rho = lambda G, m: AlgebraElement.indicator(G, m) + AlgebraElement.indicator(G, m)
+        sys.exit(ample.cli.main(["rep-check", {str(DATA / "pair2.gpd")!r}]))
+        """
+    )
+    assert code == 1, err
+    assert err == "error: pi(u0) is not idempotent\n"
 
 
 FUZZ_SEEDS = [path.read_text() for path in sorted(DATA.iterdir())] + [

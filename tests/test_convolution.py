@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,11 @@ from ample import (
     AlgebraElement,
     bisection_semigroup,
     check_tight_representation,
+    corpus,
+    group_groupoid,
     enumerate_bisections,
     pair_groupoid,
+    parse_groupoid,
     rho,
     run_reconstruction,
     singleton_semigroup,
@@ -26,7 +30,10 @@ from ample.bitsets import iter_bits, mask_of
 from ample.convolution import _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
 
+from oracles import representation_laws_by_definition, tight_representation_by_definition
 from test_semigroups import chain_semilattice, powerset_semilattice
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_unit_subset_indicators_multiply_as_intersection():
@@ -251,3 +258,137 @@ def test_minimal_covers_match_subset_scan():
             z for z in covers if not any(o != z and o & z == o for o in covers)
         )
         assert _minimal_covers(isect, fplus) == tuple(minimal), (isect, fplus)
+
+
+# -- the fast check against the literal scan --------------------------------------
+
+
+def _outcome(check, pi, S, audit_covers=False):
+    """The report, or the CheckFailed message when the check raises."""
+    try:
+        return check(pi, S, audit_covers=audit_covers)
+    except CheckFailed as exc:
+        return ("CheckFailed", str(exc))
+
+
+def _assert_matches_oracle(pi, S, label):
+    for audit in (False, True):
+        fast = _outcome(check_tight_representation, pi, S, audit)
+        slow = _outcome(tight_representation_by_definition, pi, S, audit)
+        assert fast == slow, (label, audit)
+
+
+def _ample(G):
+    return bisection_semigroup(G, enumerate_bisections(G))
+
+
+def test_tight_representation_matches_scan_on_corpus(corpus_runs):
+    runs = [(r.label, r.groupoid, r.bisection_semigroup) for r in corpus_runs]
+    G = parse_groupoid((DATA / "pair2.gpd").read_text(encoding="utf-8"))
+    runs += [("fixture/ample", G, _ample(G))]
+    runs += [("fixture/singleton", G, bisection_semigroup(G, singleton_semigroup(G)))]
+    for label, G, bs in runs:
+        _assert_matches_oracle([rho(G, m) for m in bs.bits], bs.semigroup, label)
+
+
+def _is_automorphism(G, perm):
+    return all(perm[G.inverse[a]] == G.inverse[perm[a]] for a in range(len(perm))) and {
+        (perm[a], perm[b]): perm[c] for (a, b), c in G.compose.items()
+    } == G.compose
+
+
+def test_non_tight_maps_match_scan():
+    rng = random.Random(6)
+    failing = raised = 0
+    for G in (units_groupoid(2), units_groupoid(3), units_groupoid(4), pair_groupoid(2), pair_groupoid(3)):
+        bs = _ample(G)
+        for _ in range(3):
+            keep = mask_of(u for u in G.units if rng.random() < 0.5)
+            pi = [rho(G, m & keep) for m in bs.bits]
+            _assert_matches_oracle(pi, bs.semigroup, (G.arrows, keep))
+            failing += not check_tight_representation(pi, bs.semigroup).passed
+    # every relabeling of a units-only groupoid is an automorphism
+    for G in (pair_groupoid(2), pair_groupoid(3), corpus()["pair2+units1"]):
+        bs = _ample(G)
+        perm = list(range(len(G.arrows)))
+        for _ in range(3):
+            while _is_automorphism(G, perm):
+                rng.shuffle(perm)
+            pi = [rho(G, mask_of(perm[a] for a in iter_bits(m))) for m in bs.bits]
+            _assert_matches_oracle(pi, bs.semigroup, (G.arrows, perm))
+            outcome = _outcome(check_tight_representation, pi, bs.semigroup)
+            raised += isinstance(outcome, tuple)
+            failing += not isinstance(outcome, tuple) and not outcome.passed
+            rng.shuffle(perm)
+    assert failing and raised
+
+
+def test_representation_laws_match_convolution_on_perturbations():
+    rng = random.Random(7)
+    for G in (pair_groupoid(2), pair_groupoid(3), units_groupoid(3), group_groupoid(3)):
+        bs = _ample(G)
+        S = bs.semigroup
+        plain = [rho(G, m) for m in bs.bits]
+        others = [s for s in range(len(S)) if s not in S.idempotents]
+        targets = others or list(range(len(S)))
+        for _ in range(4):
+            s, t = rng.sample(targets, 2) if len(targets) > 1 else (targets[0], S.zero)
+            arrow = rng.randrange(len(G.arrows))
+            for value in (Fraction(2), Fraction(1, 3), Fraction(1 << 40)):
+                pi = list(plain)
+                pi[s] = AlgebraElement(G, {**pi[s].coeffs, arrow: value})
+                pm = convolution._coefficient_matrix(pi, G)
+                assert pm.scale == value.denominator
+                assert (pm.rows.dtype == object) == (value == 1 << 40)
+                _assert_laws_match(pi, S, (G.arrows, s, arrow, value))
+            pi = list(plain)
+            pi[s], pi[t] = pi[t], pi[s]
+            _assert_laws_match(pi, S, (G.arrows, s, t))
+
+
+def _assert_laws_match(pi, S, label):
+    fast = _outcome(check_tight_representation, pi, S)
+    try:
+        slow = representation_laws_by_definition(pi, S)
+    except CheckFailed as exc:
+        assert fast == ("CheckFailed", str(exc)), label
+        return
+    assert not isinstance(fast, tuple), label
+    got = (fast.multiplicativity, fast.star_compatible, fast.zero_preserved)
+    assert got == slow[:3], label
+    if not all(slow[:3]):
+        assert fast.failure_witness == slow[3], label
+
+
+def test_idempotent_and_commutation_messages():
+    S = _ample(units_groupoid(2)).semigroup
+    G = pair_groupoid(2)
+    u0, a01 = G.index["u0"], G.index["a01"]
+    zero = AlgebraElement.zero(G)
+    e0 = rho(G, 1 << u0)
+    skew = rho(G, 1 << u0 | 1 << a01)  # idempotent, and does not commute with e0
+    assert skew * skew == skew and skew * e0 != e0 * skew
+    pi = {S.index["0"]: zero, S.index["u0"]: e0, S.index["u1"]: skew}
+    pi[S.index["u0+u1"]] = AlgebraElement.unit(G)
+    for check in (check_tight_representation, representation_laws_by_definition):
+        with pytest.raises(CheckFailed, match=r"^pi\(u0\) and pi\(u1\) do not commute$"):
+            check(pi, S)
+    pi[S.index["u1"]] = e0 + e0
+    for check in (check_tight_representation, representation_laws_by_definition):
+        with pytest.raises(CheckFailed, match=r"^pi\(u1\) is not idempotent$"):
+            check(pi, S)
+
+
+def test_listing_violations_is_bounded(monkeypatch):
+    G = units_groupoid(2)
+    bs = _ample(G)
+    pi = [rho(G, m & 1 << G.index["u0"]) for m in bs.bits]
+    report = check_tight_representation(pi, bs.semigroup)
+    assert report.instances_checked == 25 and report.tightness_witnesses
+    monkeypatch.setattr(convolution, "MAX_REP_INSTANCES", 25)
+    assert check_tight_representation(pi, bs.semigroup) == report
+    monkeypatch.setattr(convolution, "MAX_REP_INSTANCES", 24)
+    with pytest.raises(BoundExceeded):
+        check_tight_representation(pi, bs.semigroup)
+    # a passing verdict lists nothing, so the bound does not apply
+    assert check_tight_representation([rho(G, m) for m in bs.bits], bs.semigroup).passed
