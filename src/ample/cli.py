@@ -203,7 +203,7 @@ def cmd_check_iso(args) -> int:
     except (NotWellDefined, NotBijective, NotFunctorial) as exc:
         lines.append(f"canonical-iso: FAIL ({exc})")
         ok = False
-    found = brute_force_iso(H, G, max_nodes=args.max_nodes)
+    found = brute_force_iso(H, G)
     if found is None:
         lines.append("brute-force-iso: FAIL (no isomorphism found)")
         ok = False
@@ -349,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collection", choices=("singleton", "ample"), default="singleton")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-bisections", type=int, default=1 << 20)
-    p.add_argument(
-        "--max-nodes",
-        type=int,
-        default=1_000_000,
-        help="assignments the brute-force isomorphism search may try",
-    )
     add_summary(p)
     p.set_defaults(func=cmd_check_iso)
 

@@ -30,6 +30,9 @@ AUDIT_COVER_SIZE = 4
 MAX_COVER_COMBINATIONS = 1 << 20
 # Most cover-sup instances a failing verdict or --audit-covers lists.
 MAX_REP_INSTANCES = 1 << 24
+# Most (available candidates, E^{X,Y}) states the instance count memoizes;
+# pair20 singleton memoizes 1,048,976 of them at about 345 MB peak RSS.
+MAX_REP_STATES = 1 << 22
 # Entries per temporary array of the representation-law checks; a block
 # of products holds about five such arrays at once.
 _BLOCK = 1 << 14
@@ -327,7 +330,8 @@ def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
     An instance is X (nothing or one position) with an antichain Y of
     nonzero positions, and contributes the covers of the nonzero part of
     E^{X,Y}.  The count recurses over the candidates of Y still
-    available, memoized on (available candidates, E^{X,Y}).
+    available, memoized on (available candidates, E^{X,Y}); past
+    MAX_REP_STATES memoized states it raises BoundExceeded.
     """
     m = len(E)
     comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
@@ -348,6 +352,10 @@ def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
                 i, c = count(rest & ~comparable[q], exy & orth[q])
                 instances += i
                 covers += c
+            if len(memo) >= MAX_REP_STATES:
+                raise BoundExceeded(
+                    f"the cover-sup count passed {MAX_REP_STATES} memoized states"
+                )
             got = memo[key] = (instances, covers)
         return got
 

@@ -40,6 +40,8 @@ from .semigroups import (
 from .spectrum import TightSpectrum, tight_spectrum
 
 MAX_BASIS_FAMILIES = 1 << 20
+# Most assignments brute_force_iso tries before it gives up.
+MAX_ISO_NODES = 1_000_000
 
 
 # -- point/basis spaces --------------------------------------------------------
@@ -384,14 +386,12 @@ def _unit_signature(G: FiniteGroupoid, u: int) -> tuple[int, int, int]:
     return (out, inc, loops)
 
 
-def brute_force_iso(
-    G1: FiniteGroupoid, G2: FiniteGroupoid, max_nodes: int = 1_000_000
-) -> GroupoidIsomorphism | None:
+def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphism | None:
     """Independent backtracking search for an isomorphism; None if none exists.
 
     Units are matched first by degree signature, then arrows fiber by
     fiber with incremental inverse/composition consistency; the search
-    aborts with BoundExceeded after ``max_nodes`` assignments.
+    aborts with BoundExceeded after MAX_ISO_NODES assignments.
     """
     n = len(G1.arrows)
     if n != len(G2.arrows) or len(G1.units) != len(G2.units):
@@ -448,7 +448,7 @@ def brute_force_iso(
         a = order[i]
         for b in candidates(a):
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > MAX_ISO_NODES:
                 raise BoundExceeded("isomorphism search exceeded its node budget")
             if not consistent(a, b):
                 continue

@@ -21,7 +21,7 @@ from ample import (
     validate_inverse_semigroup,
     write_groupoid,
 )
-from ample import convolution
+from ample import convolution, reconstruction
 from ample.cli import main
 
 from test_formats import mutate
@@ -197,17 +197,32 @@ def test_rep_check_listing_past_its_bound_exits_2(capsys, monkeypatch, tmp_path)
     assert not summary.exists()
 
 
-def test_check_iso_node_budget_exits_2(capsys, tmp_path):
-    gpd = tmp_path / "pair3.gpd"
-    gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")
+def test_rep_check_count_past_its_bound_exits_2(capsys, monkeypatch, tmp_path):
+    # a passing run counts; pair2 ample memoizes 8 states
     summary = tmp_path / "s.json"
-    argv = ["check-iso", str(gpd), "--collection", "ample", "--summary", str(summary)]
-    code, out, err = run_cli(capsys, *argv, "--max-nodes", "1")
+    argv = ["rep-check", str(DATA / "pair2.gpd"), "--collection", "ample"]
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 8)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "instances=25 " in out
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 7)
+    code, out, err = run_cli(capsys, *argv, "--summary", str(summary))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
     assert not summary.exists()
+
+
+def test_check_iso_node_budget_exits_2(capsys, monkeypatch, tmp_path):
+    gpd = tmp_path / "pair3.gpd"
+    gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")
+    summary = tmp_path / "s.json"
+    argv = ["check-iso", str(gpd), "--collection", "ample"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and "brute-force-iso: ok" in out
+    monkeypatch.setattr(reconstruction, "MAX_ISO_NODES", 1)
+    code, out, err = run_cli(capsys, *argv, "--summary", str(summary))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not summary.exists()
 
 
 def test_ample_validates_its_table_once(capsys, monkeypatch, tmp_path):

@@ -392,3 +392,17 @@ def test_listing_violations_is_bounded(monkeypatch):
         check_tight_representation(pi, bs.semigroup)
     # a passing verdict lists nothing, so the bound does not apply
     assert check_tight_representation([rho(G, m) for m in bs.bits], bs.semigroup).passed
+
+
+def test_counting_states_is_bounded(monkeypatch):
+    # the count memoizes 8 states on units2 ample, and guards passing verdicts too
+    G = units_groupoid(2)
+    bs = _ample(G)
+    pi = [rho(G, m) for m in bs.bits]
+    report = check_tight_representation(pi, bs.semigroup)
+    assert report.passed and report.instances_checked == 25
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 8)
+    assert check_tight_representation(pi, bs.semigroup) == report
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 7)
+    with pytest.raises(BoundExceeded):
+        check_tight_representation(pi, bs.semigroup)
