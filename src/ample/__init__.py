@@ -39,7 +39,6 @@ from .errors import (
     NotBijective,
     NotClosed,
     NotFunctorial,
-    NotIdempotent,
     NotWellDefined,
     OutsideDomain,
     ParseError,
@@ -68,7 +67,6 @@ from .groupoids import (
     bisection_semigroup,
     check_conjugation_lemma,
     enumerate_bisections,
-    is_basis,
     is_bisection,
     lambda_action,
     range_mask,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -13,8 +15,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+def bit_array(mask: int, count: int) -> np.ndarray:
+    """Bits 0 .. count-1 of mask as a bool array."""
+    packed = np.frombuffer(mask.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=count, bitorder="little").view(bool)
+
+
+def row_masks(bits: np.ndarray) -> tuple[int, ...]:
+    """Each row of a 2-d bool array as a mask, column q as bit q."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)

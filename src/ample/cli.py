@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .convolution import check_tight_representation, rho
@@ -297,7 +298,9 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args makes a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="ample",
         description=(

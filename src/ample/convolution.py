@@ -331,7 +331,10 @@ def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
     nonzero positions, and contributes the covers of the nonzero part of
     E^{X,Y}.  The count recurses over the candidates of Y still
     available, memoized on (available candidates, E^{X,Y}); past
-    MAX_REP_STATES memoized states it raises BoundExceeded.
+    MAX_REP_STATES memoized states it raises BoundExceeded, and so it
+    does when the recursion passes Python's stack limit, which takes
+    antichains (or covers) of about a thousand members and so a count
+    far past any feasible one.
     """
     m = len(E)
     comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
@@ -359,7 +362,10 @@ def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
             got = memo[key] = (instances, covers)
         return got
 
-    totals = [count(nonzero, base) for base in (E.full_mask, *E.down_masks)]
+    try:
+        totals = [count(nonzero, base) for base in (E.full_mask, *E.down_masks)]
+    except RecursionError:
+        raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
     return sum(i for i, _ in totals), sum(c for _, c in totals)
 
 
@@ -494,8 +500,7 @@ def check_tight_representation(
 
     def product_differs(idx: np.ndarray) -> np.ndarray:
         a, b = np.divmod(idx, n)
-        rows = np.array(S.table[a[0] : a[-1] + 1], dtype=np.intp)
-        expected = pm.scale * pm.rows[rows[a - a[0], b]]
+        expected = pm.scale * pm.rows[S.table[a, b]]
         return (pm.products(a, b) != expected).any(axis=1)
 
     witness = None

@@ -30,12 +30,6 @@ class NoZero(AmpleError):
     """No absorbing element present (one is required; see --adjoin-zero)."""
 
 
-class NotIdempotent(AmpleError):
-    def __init__(self, element):
-        self.element = element
-        super().__init__(f"{element} is not an idempotent")
-
-
 class BoundExceeded(AmpleError):
     """An enumeration would overrun its configured guard."""
 

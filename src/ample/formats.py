@@ -28,16 +28,19 @@ and goes on, after which the names are one str.split.  A regex
 alternation over whitespace, comment and identifier would do the same
 in one match, but Python's re keeps a backtracking frame per
 repetition, which costs more memory than the names.  Table entries are
-looked up in bulk, and the first unknown one in row-major order is
-located by rescanning the run, on the error path only.  The token after
-a run is read by the ordinary scanner, so a bad character there is
-reported exactly where a token-at-a-time scan would meet it.
+looked up in bulk into one int32 array, and the first unknown one in
+row-major order is located by rescanning the run, on the error path
+only.  The token after a run is read by the ordinary scanner, so a bad
+character there is reported exactly where a token-at-a-time scan would
+meet it.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import islice, repeat
+
+import numpy as np
 
 from .errors import AmpleError, ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
@@ -175,13 +178,14 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     n = len(names)
     if len(entries) != n * n:
         raise sc.error(f"table has {len(entries)} entries, expected {n * n}", sc.peek()[2])
-    flat = list(map(seen.get, entries))
-    if None in flat:
-        k = flat.index(None)
+    # one int32 array, which validation takes over without a copy
+    table = np.fromiter(map(seen.get, entries, repeat(-1)), dtype=np.int32, count=n * n)
+    unknown = np.flatnonzero(table < 0)
+    if unknown.size:
+        k = int(unknown[0])
         raise sc.error(f"unknown element {entries[k]!r} in table", locate(k))
-    del entries  # the names go before the rows are built, and flat before validation
-    table = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
-    del flat
+    del entries
+    table = table.reshape(n, n)
 
     sc.expect("rbrace", "'}'")
     tail = sc.next()
@@ -315,8 +319,9 @@ def write_semigroup(S: FiniteInverseSemigroup) -> str:
     lines.append("  elements { " + " ".join(S.elements) + " }")
     lines.append(f"  zero {S.elements[S.zero]}")
     lines.append("  table {")
+    names = np.array(S.elements, dtype=object)
     for row in S.table:
-        lines.append("    " + " ".join(S.elements[v] for v in row))
+        lines.append("    " + " ".join(names[row].tolist()))
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,11 @@ pushed through the full groupoid-axiom checker before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
+import numpy as np
+
+from .bitsets import bit_array, row_masks
 from .errors import CheckFailed, OutsideDomain
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
@@ -20,7 +24,7 @@ from .spectrum import TightSpectrum, filter_minimum, tight_spectrum
 
 
 def _domain_idempotent(S: FiniteInverseSemigroup, s: int) -> int:
-    return S.table[S.star[s]][s]
+    return int(S.table[S.star[s], s])
 
 
 def theta_apply(E: Semilattice, s: int, bits: int) -> int:
@@ -30,18 +34,16 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
     character alive at ss*.
     """
     S = E.semigroup
+    t = S.table
     st = S.star[s]
-    ss = S.table[st][s]
+    ss = _domain_idempotent(S, s)
     if not bits >> E.position[ss] & 1:
         raise OutsideDomain(
             f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
         )
-    out = 0
-    for p, e in enumerate(E.carrier):
-        conj = S.table[S.table[st][e]][s]
-        if bits >> E.position[conj] & 1:
-            out |= 1 << p
-    if not out >> E.position[S.table[s][st]] & 1:
+    conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
+    out = row_masks(bit_array(bits, len(E))[conj][None, :])[0]
+    if not out >> E.position[int(t[s, st])] & 1:
         raise CheckFailed("image must live at ss*")
     return out
 
@@ -61,10 +63,9 @@ def same_germ(E: Semilattice, s1: int, s2: int, bits: int) -> bool:
             raise OutsideDomain(
                 f"character vanishes at the domain of {S.elements[s]}"
             )
-    for p, e in enumerate(E.carrier):
-        if bits >> p & 1 and S.table[s1][e] == S.table[s2][e]:
-            return True
-    return False
+    carrier = list(E.carrier)
+    agree = S.table[s1, carrier] == S.table[s2, carrier]
+    return bool((agree & bit_array(bits, len(E))).any())
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class GermGroupoidModel:
             raise OutsideDomain(
                 f"point {point} is outside the domain of {S.elements[s]}"
             )
-        key = S.table[s][self.point_minimum[point]]
+        key = int(S.table[s, self.point_minimum[point]])
         return self.germ_index[(point, key)]
 
     def slice_of(self, s: int) -> int:
@@ -123,17 +124,17 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     minima = [E.carrier[filter_minimum(E, bits)] for bits in points]
 
     # Germ classes per point, keyed by s * m with m the point's minimum.
-    table = S.table
+    t = S.table
+    star = np.array(S.star)
+    domain = E.positions[t[star, np.arange(len(S))]]  # position of s*s
     classes: list[tuple[int, int, int, tuple[int, ...]]] = []
     for pi, bits in enumerate(points):
-        m = minima[pi]
-        groups: dict[int, list[int]] = {}
-        for s in range(len(S)):
-            ss = _domain_idempotent(S, s)
-            if bits >> E.position[ss] & 1:
-                groups.setdefault(table[s][m], []).append(s)
-        for key in sorted(groups):
-            members = tuple(groups[key])
+        alive = np.flatnonzero(bit_array(bits, len(E))[domain])
+        keys = t[alive, minima[pi]]
+        order = np.argsort(keys, kind="stable")
+        pairs = zip(keys[order].tolist(), alive[order].tolist())
+        for key, group in groupby(pairs, key=lambda pair: pair[0]):
+            members = tuple(s for _, s in group)
             classes.append((pi, members[0], key, members))
 
     unit_classes = [c for c in classes if c[2] == minima[c[0]]]
@@ -161,20 +162,20 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     d_map = tuple(unit_arrow[arrow_point[a]] for a in range(len(ordered)))
     r_map = tuple(unit_arrow[target_point[a]] for a in range(len(ordered)))
 
+    # intp even when there are no points, so the gathers below stay integer
+    reps = np.array(arrow_rep, dtype=np.intp)
+    minimum_of = np.array(minima, dtype=np.intp)
+    base_minimum = minimum_of[np.array(arrow_point, dtype=np.intp)]
+    r_array = np.array(r_map, dtype=np.intp)
     compose = {}
     for a in range(len(ordered)):
-        for b in range(len(ordered)):
-            if d_map[a] != r_map[b]:
-                continue
-            pb = arrow_point[b]
-            prod = table[table[arrow_rep[a]][arrow_rep[b]]][minima[pb]]
-            compose[(a, b)] = germ_index[(pb, prod)]
+        right = np.flatnonzero(r_array == d_map[a])  # the b with d(a) = r(b)
+        keys = t[t[arrow_rep[a], reps[right]], base_minimum[right]]
+        for b, key in zip(right.tolist(), keys.tolist()):
+            compose[(a, b)] = germ_index[(arrow_point[b], key)]
 
-    inverse = []
-    for a in range(len(ordered)):
-        pt = target_point[a]
-        key = table[S.star[arrow_rep[a]]][minima[pt]]
-        inverse.append(germ_index[(pt, key)])
+    keys = t[star[reps], minimum_of[np.array(target_point, dtype=np.intp)]]
+    inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]
 
     groupoid = validate_groupoid(
         names, unit_arrow, d_map, r_map, compose, inverse

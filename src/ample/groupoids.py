@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -250,12 +249,6 @@ def singleton_semigroup(G: FiniteGroupoid) -> tuple[int, ...]:
     return tuple(sorted([0, *(1 << a for a in range(len(G.arrows)))]))
 
 
-def is_basis(G: FiniteGroupoid, collection: Iterable[int]) -> bool:
-    """Every arrow subset is a union of members iff all singletons are present."""
-    have = set(collection)
-    return all(1 << a in have for a in range(len(G.arrows)))
-
-
 def bisection_name(G: FiniteGroupoid, mask: int) -> str:
     if mask == 0:
         return "0"
@@ -403,23 +396,17 @@ def abstract_table(
     semigroup is the only thing reconstruction may consume; the audit
     holds the hidden bijection back to concrete bisections.
     """
-    n = len(bs.semigroup)
+    S = bs.semigroup
+    n = len(S)
     order = list(range(n))  # order[new] = old
     random.Random(seed).shuffle(order)
-    new_of_old = [0] * n
-    for new, old in enumerate(order):
-        new_of_old[old] = new
+    new_of_old = np.empty(n, dtype=np.int32)
+    new_of_old[order] = np.arange(n)
     width = len(str(n - 1))
     names = tuple(f"x{str(i).zfill(width)}" for i in range(n))
-    old_table = bs.semigroup.table
-    relabel = new_of_old.__getitem__
-    # itemgetter permutes a whole row at C speed; given one index it returns
-    # the bare entry rather than a 1-tuple
-    permute = itemgetter(*order) if n > 1 else (lambda row: row)
-    table = tuple(tuple(map(relabel, permute(old_table[old]))) for old in order)
-    star = tuple(new_of_old[bs.semigroup.star[old]] for old in order)
-    zero = new_of_old[bs.semigroup.zero]
-    T = FiniteInverseSemigroup(names, table, zero, star)
+    table = new_of_old[S.table[np.ix_(order, order)]]
+    star = tuple(new_of_old[np.array(S.star)[order]].tolist())
+    T = FiniteInverseSemigroup(names, table, int(new_of_old[S.zero]), star)
     audit = TableAudit(bs.groupoid, tuple(bs.bits[old] for old in order))
     return T, audit
 

@@ -404,7 +404,6 @@ def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphi
     order = list(G1.units) + [a for a in range(n) if not G1.is_unit(a)]
     mapping: dict[int, int] = {}
     used = [False] * n
-    nodes = 0
 
     def candidates(a: int) -> list[int]:
         if G1.is_unit(a):
@@ -441,26 +440,32 @@ def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphi
                 return False
         return True
 
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
-        a = order[i]
-        for b in candidates(a):
-            nodes += 1
-            if nodes > MAX_ISO_NODES:
-                raise BoundExceeded("isomorphism search exceeded its node budget")
-            if not consistent(a, b):
+    def search() -> bool:
+        # levels[i] holds the untried candidates for order[i]: an explicit
+        # stack, so a long order cannot overflow Python's recursion limit
+        nodes = 0
+        levels = [iter(candidates(order[0]))] if order else []
+        while levels:
+            a = order[len(levels) - 1]
+            for b in levels[-1]:
+                nodes += 1
+                if nodes > MAX_ISO_NODES:
+                    raise BoundExceeded("isomorphism search exceeded its node budget")
+                if consistent(a, b):
+                    break
+            else:
+                levels.pop()
+                if levels:
+                    used[mapping.pop(order[len(levels) - 1])] = False
                 continue
             mapping[a] = b
             used[b] = True
-            if search(i + 1):
+            if len(levels) == len(order):
                 return True
-            del mapping[a]
-            used[b] = False
-        return False
+            levels.append(iter(candidates(order[len(levels)])))
+        return not order
 
-    if not search(0):
+    if not search():
         return None
     arrow_map = tuple(mapping[a] for a in range(n))
     iso = GroupoidIsomorphism(G1, G2, arrow_map)

@@ -1,9 +1,11 @@
 """Finite inverse semigroups presented by multiplication tables.
 
 Element names are opaque strings mapped to dense indices at validation
-time; everything downstream computes on indices, so a product is a single
-table lookup.  The involution is always derived from the defining
-identities, never taken on trust from the input.
+time; everything downstream computes on indices.  The table is one
+read-only (n, n) int32 array from parsing to output, so a product is one
+array lookup and a row, column or sub-table is one gather.  The
+involution is always derived from the defining identities, never taken
+on trust from the input.
 """
 
 from __future__ import annotations
@@ -14,30 +16,39 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CheckFailed,
-    NotAssociative,
-    NotIdempotent,
-    NoUniqueInverse,
-    NoZero,
-)
+from .bitsets import row_masks
+from .errors import CheckFailed, NotAssociative, NoUniqueInverse, NoZero
 
 # Entries per temporary array: the table checks work on blocks of rows.
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteInverseSemigroup:
     """Validated inverse semigroup with zero.
 
     Build through :func:`validate_inverse_semigroup`; direct construction is
-    reserved for code that relabels an already validated structure.
+    reserved for code that relabels an already validated structure.  The
+    table is made read-only on construction.
     """
 
     elements: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     zero: int
     star: tuple[int, ...]
+
+    __hash__ = None
+
+    def __post_init__(self) -> None:
+        self.table.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteInverseSemigroup):
+            return NotImplemented
+        return (
+            (self.elements, self.zero, self.star) == (other.elements, other.zero, other.star)
+            and np.array_equal(self.table, other.table)
+        )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -48,21 +59,11 @@ class FiniteInverseSemigroup:
 
     @cached_property
     def idempotents(self) -> tuple[int, ...]:
-        return tuple(e for e in range(len(self.elements)) if self.table[e][e] == e)
-
-    def mul_all(self, items: Iterable[int]) -> int:
-        """Product over a nonempty sequence, left to right."""
-        it = iter(items)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise ValueError("empty product is undefined") from None
-        for x in it:
-            acc = self.table[acc][x]
-        return acc
+        diagonal = self.table.diagonal()
+        return tuple(np.flatnonzero(diagonal == np.arange(len(diagonal))).tolist())
 
     def is_idempotent(self, e: int) -> bool:
-        return self.table[e][e] == e
+        return bool(self.table[e, e] == e)
 
 
 def row_blocks(count: int, width: int) -> Iterator[slice]:
@@ -72,22 +73,21 @@ def row_blocks(count: int, width: int) -> Iterator[slice]:
         yield slice(start, min(start + step, count))
 
 
-def _table_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """An n x n int array as tuple rows whose entries are n shared int objects."""
-    ints = list(range(len(t)))
-    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in t)
-
-
 def _square_table(table, n: int) -> np.ndarray:
-    """The table as an n x n int32 array.
+    """The table as an n x n int32 array; an int32 array is returned as is.
 
     A wrong shape, or an entry outside range(n), is a ValueError; the
     message names the first bad entry in row-major order.
     """
-    rows = table if isinstance(table, np.ndarray) else [tuple(row) for row in table]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"table must be {n}x{n}")
-    t = np.asarray(rows)  # entries past int64 give an object array, checked the same way
+    if isinstance(table, np.ndarray):
+        t = table
+        if t.shape != (n, n):
+            raise ValueError(f"table must be {n}x{n}")
+    else:
+        rows = [tuple(row) for row in table]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"table must be {n}x{n}")
+        t = np.asarray(rows)  # entries past int64 give an object array, checked the same way
     bad = np.flatnonzero((t < 0) | (t >= n))
     if bad.size:
         raise ValueError(f"table entry {t.flat[bad[0]]} out of range")
@@ -182,8 +182,10 @@ def validate_inverse_semigroup(
     Raises NotAssociative, NoUniqueInverse or NoZero, each with a witness.
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names) raise ValueError because they are caller errors, not algebra.
-    Every check is an array test on the table as one int32 array; the
-    returned table is tuple rows again.
+    Every check is an array test on the table as one int32 array, and
+    that array is the returned table, made read-only.  An int32 array
+    argument is taken over without a copy, so a caller that still writes
+    to its table passes a copy.
     """
     names = tuple(str(x) for x in elements)
     n = len(names)
@@ -201,26 +203,26 @@ def validate_inverse_semigroup(
     zero = _absorbing(t)
     if zero is None:
         raise NoZero("no absorbing element in table")
-    return FiniteInverseSemigroup(names, _table_rows(t), zero, star)
+    return FiniteInverseSemigroup(names, t, zero, star)
 
 
 def adjoin_zero(
-    elements: Sequence[str], table: Sequence[Sequence[int]]
-) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    elements: Sequence[str], table: Iterable[Iterable[int]] | np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Add a fresh absorbing element unless the table already has one.
 
-    Returns the (possibly unchanged) element list and table.
+    Returns the (possibly unchanged) element list and the table as an
+    int32 array.
     """
     names = tuple(str(x) for x in elements)
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    t = np.asarray(table, dtype=np.int32)
+    if _absorbing(t) is not None:
+        return names, t
     n = len(names)
-    for z in range(n):
-        if all(rows[z][x] == z == rows[x][z] for x in range(n)):
-            return names, rows
     fresh = next(c for c in ("0", "zero", "_0") if c not in names)
-    new_rows = [row + (n,) for row in rows]
-    new_rows.append(tuple([n] * (n + 1)))
-    return names + (fresh,), tuple(new_rows)
+    out = np.full((n + 1, n + 1), n, dtype=np.int32)
+    out[:n, :n] = t
+    return names + (fresh,), out
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,8 @@ class Semilattice:
 
     ``carrier`` holds ambient element indices in ascending order; the
     bitmask positions used throughout the spectrum code are offsets into
-    ``carrier``.
+    ``carrier``.  Build through :func:`idempotent_semilattice`, which
+    certifies that ``meets`` is closed and symmetric.
     """
 
     semigroup: FiniteInverseSemigroup
@@ -243,6 +246,19 @@ class Semilattice:
         return {e: p for p, e in enumerate(self.carrier)}
 
     @cached_property
+    def positions(self) -> np.ndarray:
+        """positions[e] = position of ambient element e, or -1 when e is not idempotent."""
+        out = np.full(len(self.semigroup), -1, dtype=np.int32)
+        out[list(self.carrier)] = np.arange(len(self.carrier))
+        return out
+
+    @cached_property
+    def meets(self) -> np.ndarray:
+        """meets[p, q] = position of e_p e_q (-1 off the carrier)."""
+        carrier = list(self.carrier)
+        return self.positions[self.semigroup.table[np.ix_(carrier, carrier)]]
+
+    @cached_property
     def zero_pos(self) -> int:
         return self.position[self.semigroup.zero]
 
@@ -254,146 +270,36 @@ class Semilattice:
     def nonzero_mask(self) -> int:
         return self.full_mask & ~(1 << self.zero_pos)
 
-    def _require_idempotent(self, e: int) -> None:
-        if e not in self.position:
-            label = (
-                self.semigroup.elements[e]
-                if 0 <= e < len(self.semigroup.elements)
-                else e
-            )
-            raise NotIdempotent(label)
-
-    # -- ambient-index relations ------------------------------------------
-
-    def meet(self, e: int, f: int) -> int:
-        self._require_idempotent(e)
-        self._require_idempotent(f)
-        return self.semigroup.table[e][f]
-
-    def leq(self, e: int, f: int) -> bool:
-        """Natural order: e <= f iff ef = e."""
-        return self.meet(e, f) == e
-
-    def orthogonal(self, e: int, f: int) -> bool:
-        """ef = 0."""
-        return self.meet(e, f) == self.semigroup.zero
-
-    def intersects(self, e: int, f: int) -> bool:
-        """ef != 0."""
-        return not self.orthogonal(e, f)
-
-    # -- position-level machinery ------------------------------------------
-
-    def meet_pos(self, p: int, q: int) -> int:
-        table = self.semigroup.table
-        return self.position[table[self.carrier[p]][self.carrier[q]]]
+    # Row p of each comparison below is the mask of positions q; meets is
+    # symmetric, so meets[p, q] is also e_q e_p.
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """down_masks[p] = positions q with e_q <= e_p."""
-        out = []
-        for p in range(len(self.carrier)):
-            mask = 0
-            for q in range(len(self.carrier)):
-                if self.meet_pos(q, p) == q:
-                    mask |= 1 << q
-            out.append(mask)
-        return tuple(out)
+        return row_masks(self.meets == np.arange(len(self.carrier)))
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[p] = positions q with e_p <= e_q."""
-        out = [0] * len(self.carrier)
-        for q, down in enumerate(self.down_masks):
-            for p in range(len(self.carrier)):
-                if down >> p & 1:
-                    out[p] |= 1 << q
-        return tuple(out)
+        return row_masks(self.meets == np.arange(len(self.carrier))[:, None])
 
     @cached_property
     def orth_masks(self) -> tuple[int, ...]:
         """orth_masks[p] = positions q with e_q e_p = 0."""
-        out = []
-        zero = self.zero_pos
-        for p in range(len(self.carrier)):
-            mask = 0
-            for q in range(len(self.carrier)):
-                if self.meet_pos(q, p) == zero:
-                    mask |= 1 << q
-            out.append(mask)
-        return tuple(out)
+        return row_masks(self.meets == self.zero_pos)
 
     @cached_property
     def intersect_masks(self) -> tuple[int, ...]:
         """intersect_masks[p] = positions q with e_q e_p != 0."""
         return tuple(self.full_mask & ~m for m in self.orth_masks)
 
-    def restricted_ideal_mask(
-        self, below: Iterable[int] = (), orthogonal_to: Iterable[int] = ()
-    ) -> int:
-        """E^{X,Y} over positions: everything under all of X and orthogonal to all of Y."""
-        mask = self.full_mask
-        for p in below:
-            mask &= self.down_masks[p]
-        for q in orthogonal_to:
-            mask &= self.orth_masks[q]
-        return mask
-
-    def restricted_ideal(
-        self, below: Iterable[int] = (), orthogonal_to: Iterable[int] = ()
-    ) -> tuple[int, ...]:
-        """Ambient indices of E^{X,Y}; an empty X imposes no upper bound."""
-        xs = []
-        for e in below:
-            self._require_idempotent(e)
-            xs.append(self.position[e])
-        ys = []
-        for f in orthogonal_to:
-            self._require_idempotent(f)
-            ys.append(self.position[f])
-        mask = self.restricted_ideal_mask(xs, ys)
-        return tuple(
-            self.carrier[p] for p in range(len(self.carrier)) if mask >> p & 1
-        )
-
-    def is_cover(self, cover: Iterable[int], family: Iterable[int]) -> bool:
-        """Z covers F: Z is inside F and every nonzero f in F meets some z.
-
-        Members of F equal to zero impose no demand; zero meets nothing, and
-        every use of covers goes through characters that vanish at zero.
-        """
-        zs = []
-        for z in cover:
-            self._require_idempotent(z)
-            zs.append(self.position[z])
-        fs = []
-        for f in family:
-            self._require_idempotent(f)
-            fs.append(self.position[f])
-        fset = set(fs)
-        if any(z not in fset for z in zs):
-            return False
-        zmask = 0
-        for z in zs:
-            zmask |= 1 << z
-        for f in fs:
-            if f == self.zero_pos:
-                continue
-            if not self.intersect_masks[f] & zmask:
-                return False
-        return True
-
 
 def idempotent_semilattice(S: FiniteInverseSemigroup) -> Semilattice:
     """Collect the idempotents of S and certify they form a semilattice."""
-    carrier = S.idempotents
-    members = set(carrier)
-    if S.zero not in members:
+    E = Semilattice(S, S.idempotents)
+    if S.zero not in E.position:
         raise CheckFailed("a validated semigroup always has an idempotent zero")
-    for e in carrier:
-        row = S.table[e]
-        for f in carrier:
-            ef = row[f]
-            if ef not in members or ef != S.table[f][e]:
-                raise CheckFailed("idempotents must form a commutative subsemigroup")
-    return Semilattice(S, carrier)
+    meets = E.meets
+    if (meets < 0).any() or (meets != meets.T).any():
+        raise CheckFailed("idempotents must form a commutative subsemigroup")
+    return E

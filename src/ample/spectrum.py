@@ -23,13 +23,14 @@ def principal_filter(E: Semilattice, p: int) -> int:
 
 def filter_minimum(E: Semilattice, bits: int) -> int:
     """Position of the least member (the meet of all members)."""
-    acc = None
-    for p in range(len(E)):
-        if bits >> p & 1:
-            acc = p if acc is None else E.meet_pos(acc, p)
+    members = iter_bits(bits)
+    acc = next(members, None)
     if acc is None:
         raise ValueError("empty mask has no minimum")
-    return acc
+    meets = E.meets
+    for p in members:
+        acc = meets[acc, p]
+    return int(acc)
 
 
 def is_filter(E: Semilattice, bits: int) -> bool:

@@ -47,6 +47,11 @@ def filters_by_definition(E):
     return out
 
 
+def meet_pos_by_table(E, p, q):
+    """Position of e_p e_q, read from the semigroup's table."""
+    return E.position[int(E.semigroup.table[E.carrier[p], E.carrier[q]])]
+
+
 def is_character(E, bits):
     """Multiplicative on all of E, vanishing at zero, not identically zero."""
     if bits == 0 or bits >> E.zero_pos & 1:
@@ -55,9 +60,64 @@ def is_character(E, bits):
     for p in range(m):
         vp = bits >> p & 1
         for q in range(m):
-            if bits >> E.meet_pos(p, q) & 1 != (vp & (bits >> q & 1)):
+            if bits >> meet_pos_by_table(E, p, q) & 1 != (vp & (bits >> q & 1)):
                 return False
     return True
+
+
+def order_masks_by_definition(E):
+    """(down_masks, up_masks, orth_masks) from one table lookup per pair."""
+    m = len(E)
+    down, orth = [], []
+    for p in range(m):
+        down.append(sum(1 << q for q in range(m) if meet_pos_by_table(E, q, p) == q))
+        orth.append(sum(1 << q for q in range(m) if meet_pos_by_table(E, q, p) == E.zero_pos))
+    up = [sum(1 << q for q in range(m) if down[q] >> p & 1) for p in range(m)]
+    return tuple(down), tuple(up), tuple(orth)
+
+
+def mask_of(indices):
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def product_of(S, items):
+    """Product of a nonempty sequence of elements, left to right."""
+    items = list(items)
+    acc = items[0]
+    for x in items[1:]:
+        acc = int(S.table[acc, x])
+    return acc
+
+
+def restricted_ideal(E, below=(), orthogonal_to=()):
+    """Ambient idempotents e under all of X and orthogonal to all of Y, ascending.
+
+    An empty X imposes no upper bound.
+    """
+    t = E.semigroup.table
+    zero = E.semigroup.zero
+    return tuple(
+        e
+        for e in E.carrier
+        if all(t[e, x] == e for x in below) and all(t[e, y] == zero for y in orthogonal_to)
+    )
+
+
+def is_cover(E, cover, family):
+    """Z covers F: Z is inside F and every nonzero f in F meets some z.
+
+    Members of F equal to zero impose no demand; zero meets nothing.
+    """
+    S = E.semigroup
+    family = set(family)
+    if not set(cover) <= family:
+        return False
+    return all(
+        any(S.table[f, z] != S.zero for z in cover) for f in family if f != S.zero
+    )
 
 
 def tightness_violation_by_definition(E, bits):

@@ -22,7 +22,7 @@ from ample import (
     write_groupoid,
 )
 from ample import convolution, reconstruction
-from ample.cli import main
+from ample.cli import build_parser, main
 
 from test_formats import mutate
 
@@ -319,18 +319,53 @@ def test_adjoin_zero_flag(capsys, tmp_path):
     assert len(H.units) == 1 and len(H.arrows) == 2
 
 
+def _with_src_path():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _run_optimized(body):
     """Exit code and stderr of ``body`` run under python -O (exit 3 if -O is off)."""
     script = "import sys\nif not sys.flags.optimize:\n    sys.exit(3)\n" + textwrap.dedent(body)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_with_src_path(),
         capture_output=True,
         text=True,
     )
     return proc.returncode, proc.stderr
+
+
+def test_a_sequence_of_calls_matches_each_call_alone(capsys, tmp_path):
+    # main() reuses one parser, so no flag or default may carry over between calls
+    pair2, chain = str(DATA / "pair2.gpd"), str(DATA / "chain.sgp")
+    sequence = [
+        ["rep-check", pair2, "--collection", "ample", "--audit-covers"],
+        ["spectrum", chain, "--adjoin-zero"],
+        ["rep-check", pair2],
+        ["spectrum", chain],
+        ["check-iso", pair2, "--seed", "3"],
+        ["ample", pair2],
+        ["validate", chain],
+    ]
+    together, alone = [], []
+    for i, argv in enumerate(sequence):
+        summary = tmp_path / f"together{i}.json"
+        code, out, _ = run_cli(capsys, *argv, "--summary", str(summary))
+        together.append((code, out, summary.read_text()))
+    for i, argv in enumerate(sequence):
+        summary = tmp_path / f"alone{i}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ample.cli", *argv, "--summary", str(summary)],
+            env=_with_src_path(),
+            capture_output=True,
+            text=True,
+        )
+        alone.append((proc.returncode, proc.stdout, summary.read_text()))
+    assert together == alone
+    assert build_parser() is build_parser()
 
 
 def test_checks_still_run_under_python_O():
@@ -338,7 +373,7 @@ def test_checks_still_run_under_python_O():
     code, err = _run_optimized(
         f"""
         import ample.spectrum
-        from ample.cli import main
+        from ample.cli import build_parser, main
         ample.spectrum.is_filter = lambda E, bits: False
         sys.exit(main(["spectrum", {str(DATA / "chain.sgp")!r}]))
         """

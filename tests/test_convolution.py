@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ample import (
@@ -26,11 +27,16 @@ from ample import (
     validate_inverse_semigroup,
 )
 from ample import convolution
-from ample.bitsets import iter_bits, mask_of
+from ample.bitsets import iter_bits
 from ample.convolution import _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
+from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
 
-from oracles import representation_laws_by_definition, tight_representation_by_definition
+from oracles import (
+    mask_of,
+    representation_laws_by_definition,
+    tight_representation_by_definition,
+)
 from test_semigroups import chain_semilattice, powerset_semilattice
 
 DATA = Path(__file__).parent / "data"
@@ -406,3 +412,16 @@ def test_counting_states_is_bounded(monkeypatch):
     monkeypatch.setattr(convolution, "MAX_REP_STATES", 7)
     with pytest.raises(BoundExceeded):
         check_tight_representation(pi, bs.semigroup)
+
+
+def test_count_past_the_stack_limit_is_bound_exceeded():
+    # a flat semilattice of 1100 atoms: antichains and covers of 1100 members
+    # recurse past Python's stack limit, and the count reports BoundExceeded
+    n = 1101
+    table = np.zeros((n, n), dtype=np.int32)
+    table[np.arange(n), np.arange(n)] = np.arange(n)
+    # built directly, as relabelling code does, to skip the cubic validation
+    S = FiniteInverseSemigroup(tuple(f"e{i}" for i in range(n)), table, 0, tuple(range(n)))
+    E = idempotent_semilattice(S)
+    with pytest.raises(BoundExceeded):
+        convolution._count_instances(E, lambda fplus: _minimal_covers(E.intersect_masks, fplus))

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import idempotent_semilattice
+from ample.bitsets import iter_bits
 from ample.spectrum import enumerate_filters, filter_minimum, principal_filter
 
+from oracles import is_cover, product_of, restricted_ideal
 from semilattice_zoo import all_semilattices_upto
 
 _ZOO = [S for items in all_semilattices_upto(5).values() for S in items]
@@ -25,24 +27,32 @@ def semilattice_and_subsets(draw):
 @given(semilattice_and_subsets())
 def test_restricted_ideal_reduces_to_the_meet(data):
     S, E, X, Y = data
-    meet = S.mul_all(X)
-    assert E.restricted_ideal(X, Y) == E.restricted_ideal((meet,), Y)
+    meet = product_of(S, X)
+    family = restricted_ideal(E, X, Y)
+    assert family == restricted_ideal(E, (meet,), Y)
+    # the position masks give the same E^{X,Y}
+    mask = E.full_mask
+    for e in X:
+        mask &= E.down_masks[E.position[e]]
+    for f in Y:
+        mask &= E.orth_masks[E.position[f]]
+    assert family == tuple(E.carrier[p] for p in iter_bits(mask))
 
 
 @settings(max_examples=200, deadline=None)
 @given(semilattice_and_subsets(), st.data())
 def test_cover_monotonicity(data, extra):
     S, E, X, Y = data
-    family = E.restricted_ideal(X, Y)
+    family = restricted_ideal(E, X, Y)
     if not family:
         return
     Z = extra.draw(st.lists(st.sampled_from(list(family)), max_size=4))
-    if not E.is_cover(Z, family):
+    if not is_cover(E, Z, family):
         return
     bigger = set(Z) | set(
         extra.draw(st.lists(st.sampled_from(list(family)), max_size=3))
     )
-    assert E.is_cover(tuple(bigger), family)
+    assert is_cover(E, tuple(bigger), family)
 
 
 @settings(max_examples=100, deadline=None)

@@ -207,3 +207,10 @@ def test_canonical_iso_carries_germ_slices_to_bisections():
             for a in iter_bits(model.slice_of(s)):
                 image |= 1 << iso.arrow_map[a]
             assert image == run.audit.bisections[s]
+
+
+def test_brute_force_iso_past_the_recursion_limit():
+    # one search level per arrow: 1200 levels, past Python's default limit of 1000
+    G = units_groupoid(1200)
+    iso = brute_force_iso(G, units_groupoid(1200))
+    assert iso is not None and iso.arrow_map == tuple(range(1200))

@@ -6,17 +6,30 @@ import numpy as np
 import pytest
 
 from ample import (
+    abstract_table,
     adjoin_zero,
     bisection_semigroup,
+    build_germ_model,
     enumerate_bisections,
     idempotent_semilattice,
     pair_groupoid,
+    parse_semigroup,
+    point_basis_space,
     validate_inverse_semigroup,
+    write_semigroup,
 )
-from ample.errors import NotAssociative, NotIdempotent, NoUniqueInverse, NoZero
+from ample.bitsets import iter_bits
+from ample.errors import NotAssociative, NoUniqueInverse, NoZero
+from ample.reconstruction import basis_semilattice
 from ample.semigroups import associativity_witness
 
-from oracles import associativity_witness_by_definition, idempotents_of_table
+from oracles import (
+    associativity_witness_by_definition,
+    idempotents_of_table,
+    order_masks_by_definition,
+    product_of,
+)
+from semilattice_zoo import all_semilattices_upto
 
 DATA = Path(__file__).parent / "data"
 
@@ -146,7 +159,7 @@ def test_adjoin_zero():
     assert S.elements[S.zero] == "0"
     # no-op when an absorbing element already exists
     names2, rows2 = adjoin_zero(names, rows)
-    assert names2 == names and rows2 == rows
+    assert names2 == names and np.array_equal(rows2, rows)
 
 
 def test_star_is_involutive_antihomomorphism():
@@ -195,55 +208,73 @@ def test_bisection_semigroup_idempotents_by_oracle():
     assert names == {"0", "u0", "u1", "u0+u1"}
 
 
+def _leq(E, p, q):
+    """e_p <= e_q, read off the position masks."""
+    return bool(E.down_masks[q] >> p & 1)
+
+
+def _restricted_ideal_mask(E, below=(), orthogonal_to=()):
+    """E^{X,Y} over positions, from the down and orth masks."""
+    mask = E.full_mask
+    for p in below:
+        mask &= E.down_masks[p]
+    for q in orthogonal_to:
+        mask &= E.orth_masks[q]
+    return mask
+
+
+def _is_cover_mask(E, zmask, fmask):
+    """Z inside F, and every nonzero member of F meets some member of Z."""
+    return not zmask & ~fmask and all(
+        E.intersect_masks[f] & zmask for f in iter_bits(fmask & E.nonzero_mask)
+    )
+
+
 def test_order_and_orthogonality_on_powerset():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    idx = {s: i for i, s in enumerate(subsets)}
-    assert E.leq(idx[frozenset([1])], idx[frozenset([1, 2])])
-    assert not E.leq(idx[frozenset([1, 2])], idx[frozenset([1])])
-    assert E.orthogonal(idx[frozenset([1])], idx[frozenset([2])])
-    assert E.intersects(idx[frozenset([1])], idx[frozenset([1, 2])])
-    for e in E.carrier:
-        assert E.leq(e, e)
-
-
-def test_order_rejects_non_idempotents():
-    S, _ = _group_with_zero(3)
-    E = idempotent_semilattice(S)
-    with pytest.raises(NotIdempotent):
-        E.leq(E.carrier[0], 2)  # g1 is not idempotent
+    pos = {s: E.position[i] for i, s in enumerate(subsets)}
+    s1, s2, s12 = pos[frozenset([1])], pos[frozenset([2])], pos[frozenset([1, 2])]
+    assert _leq(E, s1, s12) and E.up_masks[s1] >> s12 & 1
+    assert not _leq(E, s12, s1) and not E.up_masks[s12] >> s1 & 1
+    assert E.orth_masks[s1] >> s2 & 1
+    assert E.intersect_masks[s1] >> s12 & 1
+    for p in range(len(E)):
+        assert _leq(E, p, p)
 
 
 def test_natural_order_is_partial_order():
     for S in (powerset_semilattice((1, 2, 3))[0], chain_semilattice(3)):
         E = idempotent_semilattice(S)
-        for e in E.carrier:
-            assert E.leq(e, e)
-            for f in E.carrier:
-                if E.leq(e, f) and E.leq(f, e):
-                    assert e == f
-                for g in E.carrier:
-                    if E.leq(e, f) and E.leq(f, g):
-                        assert E.leq(e, g)
+        m = len(E)
+        for p in range(m):
+            assert _leq(E, p, p)
+            for q in range(m):
+                assert _leq(E, p, q) == bool(E.up_masks[p] >> q & 1)
+                if _leq(E, p, q) and _leq(E, q, p):
+                    assert p == q
+                for r in range(m):
+                    if _leq(E, p, q) and _leq(E, q, r):
+                        assert _leq(E, p, r)
 
 
 def test_restricted_ideal_examples():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    idx = {s: i for i, s in enumerate(subsets)}
+    pos = {s: E.position[i] for i, s in enumerate(subsets)}
     # Y = {0}: zero is orthogonal to everything, so nothing is excluded
-    assert E.restricted_ideal((), (S.zero,)) == tuple(E.carrier)
+    assert _restricted_ideal_mask(E, (), (E.zero_pos,)) == E.full_mask
     # X = {{1,2}}, Y = {{1}}
-    got = E.restricted_ideal((idx[frozenset([1, 2])],), (idx[frozenset([1])],))
-    assert got == (idx[frozenset()], idx[frozenset([2])])
+    got = _restricted_ideal_mask(E, (pos[frozenset([1, 2])],), (pos[frozenset([1])],))
+    assert got == 1 << pos[frozenset()] | 1 << pos[frozenset([2])]
 
 
 def test_restricted_ideal_top_of_bisection_semilattice():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, enumerate_bisections(G))
     E = idempotent_semilattice(bs.semigroup)
-    top = bs.semigroup.index["u0+u1"]
-    assert E.restricted_ideal((top,), ()) == tuple(E.carrier)
+    top = E.position[bs.semigroup.index["u0+u1"]]
+    assert _restricted_ideal_mask(E, (top,), ()) == E.full_mask
 
 
 def test_restricted_ideal_meet_reduction():
@@ -252,31 +283,76 @@ def test_restricted_ideal_meet_reduction():
     carrier = E.carrier
     for size in (1, 2, 3):
         for X in combinations(carrier, size):
-            meet = S.mul_all(X)
-            for Y in combinations(carrier, 2):
-                assert E.restricted_ideal(X, Y) == E.restricted_ideal((meet,), Y)
+            meet = E.position[product_of(S, X)]
+            xs = [E.position[e] for e in X]
+            for Y in combinations(range(len(E)), 2):
+                assert _restricted_ideal_mask(E, xs, Y) == _restricted_ideal_mask(E, (meet,), Y)
 
 
 def test_is_cover_examples():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    idx = {s: i for i, s in enumerate(subsets)}
-    all_e = tuple(E.carrier)
-    assert E.is_cover(all_e, all_e)  # F covers itself when it has a nonzero member
-    assert E.is_cover((idx[frozenset([1])], idx[frozenset([2])]), all_e)
-    assert not E.is_cover((S.zero,), all_e)  # zero intersects nothing
-    assert not E.is_cover((idx[frozenset([1])],), all_e)  # misses {2}
+    pos = {s: E.position[i] for i, s in enumerate(subsets)}
+    s1, s2 = 1 << pos[frozenset([1])], 1 << pos[frozenset([2])]
+    full = E.full_mask
+    assert _is_cover_mask(E, full, full)  # F covers itself when it has a nonzero member
+    assert _is_cover_mask(E, s1 | s2, full)
+    assert not _is_cover_mask(E, 1 << E.zero_pos, full)  # zero intersects nothing
+    assert not _is_cover_mask(E, s1, full)  # misses {2}
 
 
 def test_is_cover_monotone():
     S, _ = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    family = tuple(E.carrier)
-    for size in range(1, len(family) + 1):
-        for Z in combinations(family, size):
-            if not E.is_cover(Z, family):
-                continue
-            for bigger_size in range(size, len(family) + 1):
-                for Z2 in combinations(family, bigger_size):
-                    if set(Z) <= set(Z2):
-                        assert E.is_cover(Z2, family)
+    family = E.full_mask
+    for z in range(1, family + 1):
+        if not _is_cover_mask(E, z, family):
+            continue
+        for z2 in range(z, family + 1):
+            if z & z2 == z:
+                assert _is_cover_mask(E, z2, family)
+
+
+def test_order_masks_match_definition(corpus_runs):
+    semilattices = [
+        idempotent_semilattice(S) for items in all_semilattices_upto(6).values() for S in items
+    ]
+    semilattices += [idempotent_semilattice(r.bisection_semigroup.semigroup) for r in corpus_runs]
+    for E in semilattices:
+        assert (E.down_masks, E.up_masks, E.orth_masks) == order_masks_by_definition(E)
+
+
+def test_every_constructor_yields_a_read_only_int32_table():
+    G = pair_groupoid(2)
+    bs = bisection_semigroup(G, enumerate_bisections(G))
+    T, _ = abstract_table(bs, seed=3)
+    space = point_basis_space(["x", "y"], [(), (0,), (1,), (0, 1)])
+    rows = [[min(i, j) for j in range(4)] for i in range(4)]
+    group_names, group_rows = adjoin_zero(["e", "g"], [[0, 1], [1, 0]])
+    assert group_rows.dtype == np.int32 and group_rows.shape == (3, 3)
+    built = [
+        parse_semigroup((DATA / "chain.sgp").read_text()),
+        parse_semigroup(write_semigroup(T), adjoin_missing_zero=True),
+        validate_inverse_semigroup(list("abcd"), rows),
+        validate_inverse_semigroup(list("abcd"), np.array(rows)),  # int64, converted
+        validate_inverse_semigroup(list("abcd"), np.array(rows, dtype=np.int32)),
+        validate_inverse_semigroup(group_names, group_rows),
+        validate_inverse_semigroup(*adjoin_zero(list("abcd"), rows)),
+        bs.semigroup,
+        T,
+        basis_semilattice(space)[0].semigroup,
+    ]
+    for S in built:
+        n = len(S)
+        assert S.table.dtype == np.int32 and S.table.shape == (n, n)
+        with pytest.raises(ValueError):
+            S.table[0, 0] = 0
+        assert all(type(v) is int for v in (*S.star, *S.idempotents, S.zero))
+        with pytest.raises(TypeError):
+            hash(S)
+    model = build_germ_model(T)
+    for field in ("point_minimum", "arrow_point", "arrow_rep", "arrow_key", "unit_arrow"):
+        assert all(type(v) is int for v in getattr(model, field)), field
+    assert all(type(s) is int for members in model.arrow_members for s in members)
+    assert all(type(v) is int for key in model.germ_index for v in key)
+    assert all(type(v) is int for v in model.germ_index.values())

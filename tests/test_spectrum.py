@@ -21,6 +21,8 @@ from oracles import (
     EXHAUSTIVE_BOUND,
     filters_by_definition,
     is_character,
+    is_cover,
+    restricted_ideal,
     tightness_violation_by_definition,
 )
 from semilattice_zoo import all_semilattices_upto
@@ -106,8 +108,8 @@ def test_tightness_on_chain():
     # the X={e2}, Y={} instance is a violation by definition: {e1} covers
     # E^{X,Y} while the character gives max 0 against rhs 1
     e1, e2 = S.index["e1"], S.index["e2"]
-    family = E.restricted_ideal((e2,), ())
-    assert E.is_cover((e1,), family)
+    family = restricted_ideal(E, (e2,), ())
+    assert is_cover(E, (e1,), family)
     assert bad >> E.position[e2] & 1 and not bad >> E.position[e1] & 1
 
 
@@ -147,8 +149,8 @@ def test_audit_mode_agrees_with_reduced_scan(corpus_runs):
                 x, y_mask, z0 = witness
                 assert bits >> x & 1 and y_mask == 0
                 assert z0 == E.down_masks[x] & ~bits
-                below_x = E.restricted_ideal((E.carrier[x],), ())
-                assert E.is_cover([E.carrier[p] for p in iter_bits(z0)], below_x)
+                below_x = restricted_ideal(E, (E.carrier[x],), ())
+                assert is_cover(E, [E.carrier[p] for p in iter_bits(z0)], below_x)
 
 
 def test_tight_spectrum_of_powerset():
