@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .bitsets import bit_array, row_masks
+from .bitsets import bit_array
 from .errors import CheckFailed, OutsideDomain
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
@@ -42,7 +42,7 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
             f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
         )
     conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
-    out = row_masks(bit_array(bits, len(E))[conj][None, :])[0]
+    out = sum(1 << p for p, c in enumerate(conj.tolist()) if bits >> c & 1)
     if not out >> E.position[int(t[s, st])] & 1:
         raise CheckFailed("image must live at ss*")
     return out
@@ -163,18 +163,18 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     r_map = tuple(unit_arrow[target_point[a]] for a in range(len(ordered)))
 
     # intp even when there are no points, so the gathers below stay integer
-    reps = np.array(arrow_rep, dtype=np.intp)
-    minimum_of = np.array(minima, dtype=np.intp)
-    base_minimum = minimum_of[np.array(arrow_point, dtype=np.intp)]
-    r_array = np.array(r_map, dtype=np.intp)
-    compose = {}
-    for a in range(len(ordered)):
-        right = np.flatnonzero(r_array == d_map[a])  # the b with d(a) = r(b)
-        keys = t[t[arrow_rep[a], reps[right]], base_minimum[right]]
-        for b, key in zip(right.tolist(), keys.tolist()):
-            compose[(a, b)] = germ_index[(arrow_point[b], key)]
+    reps, point, target, d, r, minimum_of = (
+        np.array(v, dtype=np.intp)
+        for v in (arrow_rep, arrow_point, target_point, d_map, r_map, minima)
+    )
+    left, right = np.nonzero(d[:, None] == r)  # every composable (a, b), row-major
+    keys = t[t[reps[left], reps[right]], minimum_of[point[right]]]
+    compose = {
+        (a, b): germ_index[(arrow_point[b], key)]
+        for a, b, key in zip(left.tolist(), right.tolist(), keys.tolist())
+    }
 
-    keys = t[star[reps], minimum_of[np.array(target_point, dtype=np.intp)]]
+    keys = t[star[reps], minimum_of[target]]
     inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]
 
     groupoid = validate_groupoid(

@@ -254,9 +254,9 @@ class Semilattice:
 
     @cached_property
     def meets(self) -> np.ndarray:
-        """meets[p, q] = position of e_p e_q (-1 off the carrier)."""
-        carrier = list(self.carrier)
-        return self.positions[self.semigroup.table[np.ix_(carrier, carrier)]]
+        """meets[p, q] = position of e_p e_q, or -1 when that is not idempotent."""
+        c = np.array(self.carrier, dtype=np.intp)
+        return self.positions[self.semigroup.table[c[:, None], c]]
 
     @cached_property
     def zero_pos(self) -> int:

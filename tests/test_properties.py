@@ -9,6 +9,7 @@ from ample.spectrum import enumerate_filters, filter_minimum, principal_filter
 
 from oracles import is_cover, product_of, restricted_ideal
 from semilattice_zoo import all_semilattices_upto
+from test_semigroups import _restricted_ideal_mask
 
 _ZOO = [S for items in all_semilattices_upto(5).values() for S in items]
 
@@ -31,11 +32,7 @@ def test_restricted_ideal_reduces_to_the_meet(data):
     family = restricted_ideal(E, X, Y)
     assert family == restricted_ideal(E, (meet,), Y)
     # the position masks give the same E^{X,Y}
-    mask = E.full_mask
-    for e in X:
-        mask &= E.down_masks[E.position[e]]
-    for f in Y:
-        mask &= E.orth_masks[E.position[f]]
+    mask = _restricted_ideal_mask(E, [E.position[e] for e in X], [E.position[f] for f in Y])
     assert family == tuple(E.carrier[p] for p in iter_bits(mask))
 
 
