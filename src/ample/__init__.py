@@ -55,7 +55,6 @@ from .formats import (
 from .germs import (
     GermGroupoidModel,
     build_germ_model,
-    same_germ,
     theta_apply,
 )
 from .groupoids import (
@@ -69,7 +68,6 @@ from .groupoids import (
     enumerate_bisections,
     is_bisection,
     lambda_action,
-    range_mask,
     singleton_semigroup,
     slice_inverse,
     slice_product,

@@ -113,19 +113,11 @@ class AlgebraElement:
         self._check_same(other)
         compose = self.groupoid.compose
         out: dict[int, Fraction] = {}
-        if len(self.coeffs) * len(other.coeffs) <= len(compose):
-            for a, fa in self.coeffs.items():
-                for b, gb in other.coeffs.items():
-                    c = compose.get((a, b))
-                    if c is not None:
-                        out[c] = out.get(c, 0) + fa * gb
-        else:
-            for (a, b), c in compose.items():
-                fa = self.coeffs.get(a)
-                if fa:
-                    gb = other.coeffs.get(b)
-                    if gb:
-                        out[c] = out.get(c, 0) + fa * gb
+        for a, fa in self.coeffs.items():
+            for b, gb in other.coeffs.items():
+                c = compose.item(a, b)
+                if c >= 0:
+                    out[c] = out.get(c, 0) + fa * gb
         res = AlgebraElement(self.groupoid)
         res.coeffs = {a: v for a, v in out.items() if v}
         return res
@@ -277,8 +269,7 @@ def _coefficient_matrix(
     support[elements, ranks] = columns
     weights[elements, ranks] = entries
     compose = np.full((arrows + 1, arrows + 1), arrows, dtype=np.intp)
-    pairs = np.array(list(G.compose), dtype=np.intp).reshape(-1, 2)
-    compose[pairs[:, 0], pairs[:, 1]] = list(G.compose.values())
+    compose[:arrows, :arrows] = np.where(G.compose < 0, arrows, G.compose)
     return _CoefficientMatrix(rows, scale, support, weights, compose)
 
 

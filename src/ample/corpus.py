@@ -6,6 +6,8 @@ group bundle) cases, plus disjoint unions mixing them.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groupoids import FiniteGroupoid, validate_groupoid
 
 
@@ -26,11 +28,11 @@ def pair_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
     all_pairs = sorted(idx, key=idx.get)
     d = [idx[(i, i)] for (i, j) in all_pairs]
     r = [idx[(j, j)] for (i, j) in all_pairs]
-    compose = {}
-    for (si, sj) in all_pairs:
-        for (ti, tj) in all_pairs:
-            if si == tj:  # d(sigma) = r(tau)
-                compose[(idx[(si, sj)], idx[(ti, tj)])] = idx[(ti, sj)]
+    d_a, r_a = np.array([d, r], dtype=np.intp)
+    code = np.empty((n, n), dtype=np.int32)  # code[i, j]: the arrow u{i} -> u{j}
+    code[d_a, r_a] = range(len(names))
+    # sigma.tau is the arrow d(tau) -> r(sigma) when d(sigma) = r(tau)
+    compose = np.where(d_a[:, None] == r_a, code[d_a, r_a[:, None]], -1)
     inverse = [idx[(j, i)] for (i, j) in all_pairs]
     return validate_groupoid(names, range(n), d, r, compose, inverse)
 
@@ -40,7 +42,7 @@ def group_groupoid(k: int, prefix: str = "") -> FiniteGroupoid:
     names = [f"{prefix}e"] + [f"{prefix}c{i}" for i in range(1, k)]
     d = [0] * k
     r = [0] * k
-    compose = {(a, b): (a + b) % k for a in range(k) for b in range(k)}
+    compose = np.add.outer(range(k), range(k)) % k
     inverse = [(-a) % k for a in range(k)]
     return validate_groupoid(names, [0], d, r, compose, inverse)
 
@@ -48,7 +50,8 @@ def group_groupoid(k: int, prefix: str = "") -> FiniteGroupoid:
 def units_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
     """n isolated units and nothing else."""
     names = [f"{prefix}u{i}" for i in range(n)]
-    compose = {(i, i): i for i in range(n)}
+    compose = np.full((n, n), -1)
+    np.fill_diagonal(compose, range(n))
     return validate_groupoid(names, range(n), range(n), range(n), compose, range(n))
 
 
@@ -57,16 +60,12 @@ def group_bundle_z2() -> FiniteGroupoid:
     names = ["u0", "u1", "f0", "f1"]
     d = [0, 1, 0, 1]
     r = [0, 1, 0, 1]
-    compose = {
-        (0, 0): 0,
-        (1, 1): 1,
-        (0, 2): 2,
-        (2, 0): 2,
-        (1, 3): 3,
-        (3, 1): 3,
-        (2, 2): 0,
-        (3, 3): 1,
-    }
+    compose = [
+        [0, -1, 2, -1],
+        [-1, 1, -1, 3],
+        [2, -1, 0, -1],
+        [-1, 3, -1, 1],
+    ]
     inverse = [0, 1, 2, 3]
     return validate_groupoid(names, [0, 1], d, r, compose, inverse)
 
@@ -103,11 +102,11 @@ def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
         d[bmap(x)] = bmap(b.d[x])
         r[bmap(x)] = bmap(b.r[x])
         inverse[bmap(x)] = bmap(b.inverse[x])
-    compose = {}
-    for (x, y), z in a.compose.items():
-        compose[(amap(x), amap(y))] = amap(z)
-    for (x, y), z in b.compose.items():
-        compose[(bmap(x), bmap(y))] = bmap(z)
+    compose = np.full((n, n), -1, dtype=np.int32)
+    for part, place in ((a, amap), (b, bmap)):
+        # the trailing -1 keeps the non-composable entries at -1
+        at = np.array([*map(place, range(len(part.arrows))), -1])
+        compose[np.ix_(at[:-1], at[:-1])] = at[part.compose]
     units = [amap(u) for u in a.units] + [bmap(u) for u in b.units]
     return validate_groupoid(names, units, d, r, compose, inverse)
 

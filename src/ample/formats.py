@@ -247,7 +247,8 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
 
     sc.expect_keyword("compose")
     sc.expect("lbrace", "'{'")
-    compose: dict[tuple[int, int], int] = {}
+    n = len(names)
+    compose = np.full((n, n), -1, dtype=np.int32)
     while sc.peek()[0] == "ident":
         ltok = sc.next()
         rtok = sc.expect("ident", "right factor")
@@ -257,7 +258,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
             if tok[1] not in seen:
                 raise sc.error(f"unknown arrow {tok[1]!r}", tok[2])
         key = (seen[ltok[1]], seen[rtok[1]])
-        if key in compose:
+        if compose[key] >= 0:
             raise sc.error(f"duplicate composition {ltok[1]} {rtok[1]}", ltok[2])
         compose[key] = seen[vtok[1]]
     sc.expect("rbrace", "'}'")
@@ -284,7 +285,6 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     if tail[0] != "eof":
         raise sc.error("unexpected trailing input", tail[2])
 
-    n = len(names)
     for a in range(n):
         if a not in inverse:
             raise sc.error(f"missing inverse for arrow {names[a]!r}", close[2])
@@ -292,8 +292,9 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     # Unit-involving compositions are implied by the unit laws; fill any the
     # document left out, but never overwrite what it said.
     for a in range(n):
-        compose.setdefault((a, d[a]), a)
-        compose.setdefault((r[a], a), a)
+        for key in ((a, d[a]), (r[a], a)):
+            if compose[key] < 0:
+                compose[key] = a
 
     try:
         return validate_groupoid(
@@ -337,9 +338,10 @@ def write_groupoid(G: FiniteGroupoid) -> str:
         lines.append(f"    {names[a]} : {names[G.d[a]]} -> {names[G.r[a]]}")
     lines.append("  }")
     lines.append("  compose {")
-    for (a, b) in sorted(G.compose):
+    left, right = np.nonzero(G.compose >= 0)
+    for a, b, c in zip(left.tolist(), right.tolist(), G.compose[left, right].tolist()):
         if not G.is_unit(a) and not G.is_unit(b):
-            lines.append(f"    {names[a]} {names[b]} = {names[G.compose[(a, b)]]}")
+            lines.append(f"    {names[a]} {names[b]} = {names[c]}")
     lines.append("  }")
     lines.append("  inverse {")
     for a in non_units:

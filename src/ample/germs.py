@@ -54,20 +54,6 @@ def theta_point(spec: TightSpectrum, s: int, point: int) -> int:
     return spec.point_index[bits]
 
 
-def same_germ(E: Semilattice, s1: int, s2: int, bits: int) -> bool:
-    """Some idempotent e with character value 1 has s1 e = s2 e."""
-    S = E.semigroup
-    for s in (s1, s2):
-        ss = _domain_idempotent(S, s)
-        if not bits >> E.position[ss] & 1:
-            raise OutsideDomain(
-                f"character vanishes at the domain of {S.elements[s]}"
-            )
-    carrier = list(E.carrier)
-    agree = S.table[s1, carrier] == S.table[s2, carrier]
-    return bool((agree & bit_array(bits, len(E))).any())
-
-
 @dataclass(frozen=True)
 class GermGroupoidModel:
     """The germ groupoid plus the bookkeeping tying arrows back to classes.
@@ -169,10 +155,10 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     )
     left, right = np.nonzero(d[:, None] == r)  # every composable (a, b), row-major
     keys = t[t[reps[left], reps[right]], minimum_of[point[right]]]
-    compose = {
-        (a, b): germ_index[(arrow_point[b], key)]
-        for a, b, key in zip(left.tolist(), right.tolist(), keys.tolist())
-    }
+    compose = np.full((len(ordered), len(ordered)), -1, dtype=np.int32)
+    compose[left, right] = [
+        germ_index[pt_key] for pt_key in zip(point[right].tolist(), keys.tolist())
+    ]
 
     keys = t[star[reps], minimum_of[target]]
     inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,23 +30,36 @@ from .errors import (
 from .semigroups import FiniteInverseSemigroup, row_blocks, validate_inverse_semigroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     """Arrows with units, source/range maps, partial composition, inversion.
 
     ``d`` and ``r`` send each arrow index to a unit arrow index; ``compose``
-    is defined on exactly the composable pairs (d of the left factor equals
-    r of the right factor).  Build through :func:`validate_groupoid`.
+    is an (n, n) int32 array holding a*b on exactly the composable pairs
+    (d(a) = r(b)) and -1 elsewhere.  Build through :func:`validate_groupoid`;
+    the array is made read-only on construction.
     """
 
     arrows: tuple[str, ...]
     units: tuple[int, ...]
     d: tuple[int, ...]
     r: tuple[int, ...]
-    compose: dict[tuple[int, int], int]
+    compose: np.ndarray
     inverse: tuple[int, ...]
 
     __hash__ = None
+
+    def __post_init__(self) -> None:
+        self.compose.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroupoid):
+            return NotImplemented
+        return (
+            (self.arrows, self.units, self.d, self.r, self.inverse)
+            == (other.arrows, other.units, other.d, other.r, other.inverse)
+            and np.array_equal(self.compose, other.compose)
+        )
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -78,15 +91,33 @@ class FiniteGroupoid:
         return {u: tuple(v) for u, v in fibers.items()}
 
 
+def _fibers(keys: tuple[int, ...], at: tuple[int, ...]) -> np.ndarray:
+    """Row b lists the arrows a with keys[a] = at[b], ascending, then repeats the first."""
+    fibers: dict[int, list[int]] = {}
+    for a, u in enumerate(keys):
+        fibers.setdefault(u, []).append(a)
+    width = max(map(len, fibers.values()), default=0)
+    rows = np.array([f + f[:1] * (width - len(f)) for f in fibers.values()], dtype=np.intp)
+    row_of = {u: k for k, u in enumerate(fibers)}
+    return rows.reshape(len(fibers), width).take([row_of[u] for u in at], axis=0)
+
+
 def validate_groupoid(
     arrows: Iterable[str],
     units: Iterable[int],
     d: Sequence[int],
     r: Sequence[int],
-    compose: Mapping[tuple[int, int], int],
+    compose: np.ndarray,
     inverse: Sequence[int],
 ) -> FiniteGroupoid:
-    """Verify every groupoid axiom on every arrow and return the structure."""
+    """Verify every groupoid axiom on every arrow and return the structure.
+
+    ``compose`` is the (n, n) composition array with -1 off the declared
+    pairs; a wrong shape or an entry outside [-1, n) is a ValueError.  Each
+    check reports its first failure: declared pairs and their bookkeeping
+    in row-major order, unit laws and inverses by arrow, and associativity
+    in (b, a, c) order over the composable triples (a, b, c).
+    """
     names = tuple(str(x) for x in arrows)
     n = len(names)
     if len(set(names)) != n:
@@ -104,6 +135,12 @@ def validate_groupoid(
     unit_set = frozenset(units_t)
     if len(unit_set) != len(units_t):
         raise ValueError("duplicate units")
+    comp = np.asarray(compose)
+    if comp.shape != (n, n):
+        raise ValueError(f"composition must be {n}x{n}")
+    if comp.size and not -1 <= comp.min() <= comp.max() < n:
+        raise ValueError(f"composition value {comp[(comp < -1) | (comp >= n)][0]} out of range")
+    comp = comp.astype(np.int32, copy=False)
 
     for u in units_t:
         if d_t[u] != u or r_t[u] != u:
@@ -112,47 +149,50 @@ def validate_groupoid(
         if d_t[a] not in unit_set or r_t[a] not in unit_set:
             raise BadUnits(f"arrow {names[a]} has non-unit source or range")
 
-    comp = {(int(a), int(b)): int(c) for (a, b), c in compose.items()}
-    expected = {(a, b) for a in range(n) for b in range(n) if d_t[a] == r_t[b]}
-    declared = set(comp)
-    extra = declared - expected
-    if extra:
-        a, b = min(extra)
-        raise BadComposabilityDomain(
-            f"product {names[a]}*{names[b]} declared but d({names[a]}) != r({names[b]})"
-        )
-    missing = expected - declared
-    if missing:
-        a, b = min(missing)
+    d_a, r_a = np.array([d_t, r_t], dtype=np.intp)
+    composable = d_a[:, None] == r_a
+    declared = comp >= 0
+    if np.count_nonzero(declared != composable):
+        extra = declared & ~composable
+        if extra.any():
+            a, b = divmod(int(extra.argmax()), n)
+            raise BadComposabilityDomain(
+                f"product {names[a]}*{names[b]} declared but d({names[a]}) != r({names[b]})"
+            )
+        a, b = divmod(int((composable & ~declared).argmax()), n)
         raise BadComposabilityDomain(
             f"composable pair {names[a]}*{names[b]} has no declared product"
         )
-    for (a, b), c in comp.items():
-        if not 0 <= c < n:
-            raise ValueError(f"composition value {c} out of range")
-        if d_t[c] != d_t[b] or r_t[c] != r_t[a]:
-            raise BadComposabilityDomain(
-                f"product {names[a]}*{names[b]} = {names[c]} breaks source/range bookkeeping"
-            )
+    # -1 entries read the last arrow here, but only declared pairs count
+    broken = declared & ((d_a[comp] != d_a) | (r_a[comp] != r_a[:, None]))
+    if np.count_nonzero(broken):
+        a, b = divmod(int(broken.argmax()), n)
+        c = comp.item(a, b)
+        raise BadComposabilityDomain(
+            f"product {names[a]}*{names[b]} = {names[c]} breaks source/range bookkeeping"
+        )
 
     for a in range(n):
-        if comp[(a, d_t[a])] != a or comp[(r_t[a], a)] != a:
+        if comp.item(a, d_t[a]) != a or comp.item(r_t[a], a) != a:
             raise BadUnits(f"unit laws fail at arrow {names[a]}")
 
-    for b in range(n):
-        lefts = [a for a in range(n) if d_t[a] == r_t[b]]
-        rights = [c for c in range(n) if d_t[b] == r_t[c]]
-        for a in lefts:
-            ab = comp[(a, b)]
-            for c in rights:
-                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    raise NotAssociative(names[a], names[b], names[c])
+    # Each b runs over the a with d(a) = r(b) and the c with r(c) = d(b).  A
+    # short fiber repeats its first arrow, which repeats triples met earlier
+    # in the row, so the first failure is still the first in (b, a, c) order.
+    lefts, rights = _fibers(d_t, r_t), _fibers(r_t, d_t)
+    for rows in row_blocks(n, lefts.shape[1] * rights.shape[1]):
+        a, c = lefts[rows, :, None], rights[rows, None, :]
+        b = np.arange(rows.start, rows.stop)[:, None, None]
+        differs = comp[comp[a, b], c] != comp[a, comp[b, c]]
+        if np.count_nonzero(differs):
+            i, j, k = np.unravel_index(differs.argmax(), differs.shape)
+            raise NotAssociative(names[a[i, j, 0]], names[b[i, 0, 0]], names[c[i, 0, k]])
 
     for a in range(n):
         ia = inv_t[a]
         if inv_t[ia] != a or d_t[ia] != r_t[a] or r_t[ia] != d_t[a]:
             raise BadInverse(f"inverse bookkeeping fails at arrow {names[a]}")
-        if comp[(a, ia)] != r_t[a] or comp[(ia, a)] != d_t[a]:
+        if comp.item(a, ia) != r_t[a] or comp.item(ia, a) != d_t[a]:
             raise BadInverse(
                 f"{names[a]} and {names[ia]} do not compose to the expected units"
             )
@@ -187,12 +227,9 @@ def slice_inverse(G: FiniteGroupoid, mask: int) -> int:
 def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
     """Pointwise product {sigma.tau : composable}; certified to be a bisection."""
     out = 0
-    compose = G.compose
-    for a in iter_bits(s):
-        for b in iter_bits(t):
-            c = compose.get((a, b))
-            if c is not None:
-                out |= 1 << c
+    products = G.compose[np.ix_(list(iter_bits(s)), list(iter_bits(t)))]
+    for c in products[products >= 0].tolist():
+        out |= 1 << c
     if not is_bisection(G, out):
         raise CheckFailed("product of bisections must be a bisection")
     return out
@@ -203,13 +240,6 @@ def source_mask(G: FiniteGroupoid, mask: int) -> int:
     out = 0
     for a in iter_bits(mask):
         out |= 1 << G.d[a]
-    return out
-
-
-def range_mask(G: FiniteGroupoid, mask: int) -> int:
-    out = 0
-    for a in iter_bits(mask):
-        out |= 1 << G.r[a]
     return out
 
 
@@ -320,8 +350,8 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     Each bisection is stored as its section: the array sending each unit
     to the arrow of the bisection with that source, or -1.  The product
     s.t has at unit u the composite of b = t(u) with s(r(b)), so a row of
-    the table is one gather through a dense composition array, and its
-    entries are found by searching the family's sorted section keys.
+    the table is one gather through the groupoid's composition array, and
+    its entries are found by searching the family's sorted section keys.
     Raises NotClosed with the first witness pair in row-major order when
     the family is not closed; the table then goes through the
     inverse-semigroup checker.
@@ -344,9 +374,7 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
             padded[i, unit_pos[G.d[a]]] = a
     sections = padded[:, :units]
     index = _SectionIndex(sections, arrows)
-    compose = np.full((arrows + 1, arrows + 1), -1, dtype=np.int32)
-    for (a, b), c in G.compose.items():
-        compose[a, b] = c
+    compose = np.pad(G.compose, (0, 1), constant_values=-1)
     range_pos = np.array([*(unit_pos[G.r[a]] for a in range(arrows)), units], dtype=np.int32)
     right = range_pos[sections]  # right[t, k]: unit position of r(t(unit k))
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .bitsets import iter_bits
 from .errors import (
     BoundExceeded,
@@ -305,13 +307,12 @@ def check_isomorphism(iso: GroupoidIsomorphism) -> None:
             raise NotFunctorial(f"source/range not intertwined at {G.arrows[a]}")
         if f[G.inverse[a]] != H.inverse[f[a]]:
             raise NotFunctorial(f"inversion not intertwined at {G.arrows[a]}")
-    if len(G.compose) != len(H.compose):
-        raise NotFunctorial("composable-pair counts differ")
-    for (a, b), c in G.compose.items():
-        if H.compose.get((f[a], f[b])) != f[c]:
-            raise NotFunctorial(
-                f"composition not intertwined at {G.arrows[a]} * {G.arrows[b]}"
-            )
+    # f(a) f(b) against f(ab); the trailing -1 keeps non-composable pairs at -1
+    at = np.array([*f, -1])
+    differs = H.compose[np.ix_(at[:-1], at[:-1])] != at[G.compose]
+    if differs.any():
+        a, b = divmod(int(differs.argmax()), len(f))
+        raise NotFunctorial(f"composition not intertwined at {G.arrows[a]} * {G.arrows[b]}")
 
 
 @dataclass(frozen=True)
@@ -422,22 +423,18 @@ def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphi
         ia = G1.inverse[a]
         if ia in mapping and mapping[ia] != G2.inverse[b]:
             return False
-        for x, y in mapping.items():
-            c = G1.compose.get((a, x))
-            if c is not None:
-                cc = G2.compose.get((b, y))
-                if cc is None or (c in mapping and mapping[c] != cc):
-                    return False
-            c = G1.compose.get((x, a))
-            if c is not None:
-                cc = G2.compose.get((y, b))
-                if cc is None or (c in mapping and mapping[c] != cc):
-                    return False
-        c = G1.compose.get((a, a))
-        if c is not None:
-            cc = G2.compose.get((b, b))
-            if cc is None or (c in mapping and mapping[c] != cc):
-                return False
+        # a and b against every mapped pair and themselves, on both sides
+        pairs = (*mapping.items(), (a, b))
+        for one, two in (
+            (G1.compose[a].tolist(), G2.compose[b].tolist()),
+            (G1.compose[:, a].tolist(), G2.compose[:, b].tolist()),
+        ):
+            for x, y in pairs:
+                c = one[x]
+                if c >= 0:
+                    cc = two[y]
+                    if cc < 0 or (c in mapping and mapping[c] != cc):
+                        return False
         return True
 
     def search() -> bool:

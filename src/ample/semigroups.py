@@ -62,9 +62,6 @@ class FiniteInverseSemigroup:
         diagonal = self.table.diagonal()
         return tuple(np.flatnonzero(diagonal == np.arange(len(diagonal))).tolist())
 
-    def is_idempotent(self, e: int) -> bool:
-        return bool(self.table[e, e] == e)
-
 
 def row_blocks(count: int, width: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each about _BLOCK // width rows."""

@@ -7,7 +7,9 @@ staying off the code paths it is used to check.
 import re
 from itertools import permutations
 
-from ample import AlgebraElement, same_germ, slice_product, sup
+import numpy as np
+
+from ample import AlgebraElement, slice_product, sup
 from ample.bitsets import iter_bits
 from ample.convolution import (
     AUDIT_COVER_SIZE,
@@ -15,8 +17,18 @@ from ample.convolution import (
     _all_covers_upto,
     _minimal_covers,
 )
-from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
-from ample.groupoids import validate_groupoid
+from ample.errors import (
+    AmpleError,
+    BadComposabilityDomain,
+    BadInverse,
+    BadUnits,
+    CheckFailed,
+    NotAssociative,
+    OutsideDomain,
+    ParseError,
+    ValidationError,
+)
+from ample.groupoids import FiniteGroupoid, validate_groupoid
 from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
 from ample.spectrum import tight_spectrum
 
@@ -145,6 +157,121 @@ def tightness_violation_by_definition(E, bits):
                 # rhs is 0, so the character must vanish on E^{X,Y}
                 return (x, y_mask, killed)
     return None
+
+
+def is_idempotent(S, e):
+    return S.table[e][e] == e
+
+
+def range_mask(G, mask):
+    """r(S) as a bitmask of unit arrows."""
+    out = 0
+    for a in iter_bits(mask):
+        out |= 1 << G.r[a]
+    return out
+
+
+def same_germ(E, s1, s2, bits):
+    """Some idempotent e with character value 1 has s1 e = s2 e."""
+    S = E.semigroup
+    for s in (s1, s2):
+        if not bits >> E.position[S.table[S.star[s]][s]] & 1:
+            raise OutsideDomain(f"character vanishes at the domain of {S.elements[s]}")
+    return any(
+        bits >> p & 1 and S.table[s1][e] == S.table[s2][e] for p, e in enumerate(E.carrier)
+    )
+
+
+def compose_array(n, products):
+    """The (n, n) composition array of a {(a, b): ab} dict, -1 elsewhere."""
+    out = np.full((n, n), -1, dtype=np.int32)
+    for (a, b), c in products.items():
+        out[a, b] = c
+    return out
+
+
+def validate_groupoid_by_definition(arrows, units, d, r, compose, inverse):
+    """ample.groupoids.validate_groupoid, pair by pair over a dict of products.
+
+    The declared pairs of the composition array are read in row-major
+    order; each check then looks products up one pair at a time.
+    """
+    names = tuple(str(x) for x in arrows)
+    n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("duplicate arrow names")
+    units_t = tuple(int(u) for u in units)
+    d_t = tuple(int(x) for x in d)
+    r_t = tuple(int(x) for x in r)
+    inv_t = tuple(int(x) for x in inverse)
+    if len(d_t) != n or len(r_t) != n or len(inv_t) != n:
+        raise ValueError("d, r and inverse must cover every arrow")
+    for seq in (units_t, d_t, r_t, inv_t):
+        for v in seq:
+            if not 0 <= v < n:
+                raise ValueError(f"arrow index {v} out of range")
+    unit_set = frozenset(units_t)
+    if len(unit_set) != len(units_t):
+        raise ValueError("duplicate units")
+    rows = np.asarray(compose).tolist()
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"composition must be {n}x{n}")
+    for row in rows:
+        for c in row:
+            if not -1 <= c < n:
+                raise ValueError(f"composition value {c} out of range")
+
+    for u in units_t:
+        if d_t[u] != u or r_t[u] != u:
+            raise BadUnits(f"unit {names[u]} must have d = r = itself")
+    for a in range(n):
+        if d_t[a] not in unit_set or r_t[a] not in unit_set:
+            raise BadUnits(f"arrow {names[a]} has non-unit source or range")
+
+    comp = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c >= 0}
+    expected = {(a, b) for a in range(n) for b in range(n) if d_t[a] == r_t[b]}
+    declared = set(comp)
+    extra = declared - expected
+    if extra:
+        a, b = min(extra)
+        raise BadComposabilityDomain(
+            f"product {names[a]}*{names[b]} declared but d({names[a]}) != r({names[b]})"
+        )
+    missing = expected - declared
+    if missing:
+        a, b = min(missing)
+        raise BadComposabilityDomain(
+            f"composable pair {names[a]}*{names[b]} has no declared product"
+        )
+    for (a, b), c in comp.items():
+        if d_t[c] != d_t[b] or r_t[c] != r_t[a]:
+            raise BadComposabilityDomain(
+                f"product {names[a]}*{names[b]} = {names[c]} breaks source/range bookkeeping"
+            )
+
+    for a in range(n):
+        if comp[(a, d_t[a])] != a or comp[(r_t[a], a)] != a:
+            raise BadUnits(f"unit laws fail at arrow {names[a]}")
+
+    for b in range(n):
+        lefts = [a for a in range(n) if d_t[a] == r_t[b]]
+        rights = [c for c in range(n) if d_t[b] == r_t[c]]
+        for a in lefts:
+            ab = comp[(a, b)]
+            for c in rights:
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                    raise NotAssociative(names[a], names[b], names[c])
+
+    for a in range(n):
+        ia = inv_t[a]
+        if inv_t[ia] != a or d_t[ia] != r_t[a] or r_t[ia] != d_t[a]:
+            raise BadInverse(f"inverse bookkeeping fails at arrow {names[a]}")
+        if comp[(a, ia)] != r_t[a] or comp[(ia, a)] != d_t[a]:
+            raise BadInverse(
+                f"{names[a]} and {names[ia]} do not compose to the expected units"
+            )
+
+    return FiniteGroupoid(names, units_t, d_t, r_t, compose_array(n, comp), inv_t)
 
 
 def bisections_by_definition(G):
@@ -583,7 +710,7 @@ def parse_groupoid_by_tokens(text):
 
     try:
         return validate_groupoid(
-            names, range(n_units), d, r, compose, [inverse[a] for a in range(n)]
+            names, range(n_units), d, r, compose_array(n, compose), [inverse[a] for a in range(n)]
         )
     except AmpleError as exc:
         raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc

@@ -298,9 +298,12 @@ def test_tight_representation_matches_scan_on_corpus(corpus_runs):
 
 
 def _is_automorphism(G, perm):
-    return all(perm[G.inverse[a]] == G.inverse[perm[a]] for a in range(len(perm))) and {
-        (perm[a], perm[b]): perm[c] for (a, b), c in G.compose.items()
-    } == G.compose
+    moved = np.full_like(G.compose, -1)
+    for a, b in zip(*np.nonzero(G.compose >= 0)):
+        moved[perm[a], perm[b]] = perm[G.compose[a, b]]
+    return all(perm[G.inverse[a]] == G.inverse[perm[a]] for a in range(len(perm))) and (
+        np.array_equal(moved, G.compose)
+    )
 
 
 def test_non_tight_maps_match_scan():

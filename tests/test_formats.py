@@ -66,6 +66,15 @@ def test_groupoid_roundtrip_corpus():
         assert parse_groupoid(write_groupoid(G)) == G, name
 
 
+def test_write_groupoid_lists_products_in_row_major_order():
+    text = (DATA / "pair2.gpd").read_text()
+    assert write_groupoid(parse_groupoid(text)) == text
+    G = disjoint_union(pair_groupoid(3), corpus()["z3"])
+    block = write_groupoid(G).split("compose {")[1].split("}")[0]
+    pairs = [(G.index[x], G.index[y]) for x, y, *_ in map(str.split, block.strip().split("\n"))]
+    assert len(pairs) == 6 * 2 + 2 * 2 and pairs == sorted(pairs)
+
+
 def test_semigroup_roundtrip():
     S = parse_semigroup((DATA / "chain.sgp").read_text())
     assert parse_semigroup(write_semigroup(S)) == S
@@ -171,6 +180,21 @@ groupoid {
 """
     with pytest.raises(ValidationError):
         parse_groupoid(text)
+
+
+def test_declared_products_are_kept_and_duplicates_rejected():
+    z2 = (
+        "groupoid {{ units {{ e }} arrows {{ c : e -> e }}"
+        " compose {{ {} }} inverse {{ c = c }} }}"
+    )
+    G = parse_groupoid(z2.format("c c = e"))
+    assert parse_groupoid(z2.format("c c = e  c e = c  e e = e")) == G
+    # a declared unit product is checked, never overwritten by the implied one
+    with pytest.raises(ValidationError, match="unit laws fail at arrow c"):
+        parse_groupoid(z2.format("c c = e  c e = e"))
+    # the first product has value 0, the index of the unit e
+    with pytest.raises(ParseError, match="duplicate composition c c"):
+        parse_groupoid(z2.format("c c = e  c c = e"))
 
 
 def test_adjoin_zero_option():

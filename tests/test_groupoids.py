@@ -1,42 +1,61 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ample import (
+    AlgebraElement,
+    FiniteGroupoid,
     abstract_table,
     bisection_name,
     bisection_semigroup,
+    build_germ_model,
     check_conjugation_lemma,
+    corpus,
+    disjoint_union,
     enumerate_bisections,
     group_bundle_z2,
     group_groupoid,
     is_bisection,
     lambda_action,
     pair_groupoid,
-    range_mask,
+    parse_groupoid,
     singleton_semigroup,
     slice_inverse,
     slice_product,
     source_mask,
+    unit_cover,
     units_groupoid,
     validate_groupoid,
     validate_inverse_semigroup,
+    write_groupoid,
 )
 from ample.bitsets import iter_bits
 from ample.errors import (
+    AmpleError,
     BadComposabilityDomain,
     BadInverse,
     BadUnits,
     BoundExceeded,
     NotClosed,
     OutsideDomain,
+    ValidationError,
 )
 
 from oracles import (
     bisections_by_definition,
+    compose_array,
+    is_idempotent,
     product_table_by_definition,
+    range_mask,
     tables_isomorphic,
+    validate_groupoid_by_definition,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_validate_pair_groupoid():
@@ -64,7 +83,8 @@ def test_pair_groupoid_names_stay_distinct_past_ten_units():
 
 def test_validate_units_only():
     G = units_groupoid(3)
-    assert len(G.compose) == 3
+    assert G.compose.shape == (3, 3)
+    assert np.count_nonzero(G.compose >= 0) == 3  # one declared pair per unit
 
 
 def test_bad_composability_domain():
@@ -75,7 +95,7 @@ def test_bad_composability_domain():
             [0, 1],
             [0, 1, 0, 1],
             [0, 1, 1, 0],
-            {
+            compose_array(4, {
                 (0, 0): 0,
                 (1, 1): 1,
                 (2, 0): 2,
@@ -85,18 +105,18 @@ def test_bad_composability_domain():
                 (3, 2): 0,
                 (2, 3): 1,
                 (2, 2): 0,  # not composable
-            },
+            }),
             [0, 1, 3, 2],
         )
 
 
 def test_bad_units_and_inverse():
     # the one-unit groupoid itself is fine
-    assert len(validate_groupoid(["u"], [0], [0], [0], {(0, 0): 0}, [0])) == 1
+    assert len(validate_groupoid(["u"], [0], [0], [0], compose_array(1, {(0, 0): 0}), [0])) == 1
     # an arrow whose source is not itself cannot be a unit
     with pytest.raises(BadUnits):
         validate_groupoid(
-            ["u", "v"], [0, 1], [0, 0], [0, 1], {(0, 0): 0, (0, 1): 1}, [0, 1]
+            ["u", "v"], [0, 1], [0, 0], [0, 1], compose_array(2, {(0, 0): 0, (0, 1): 1}), [0, 1]
         )
     with pytest.raises(BadInverse):
         validate_groupoid(
@@ -104,7 +124,7 @@ def test_bad_units_and_inverse():
             [0, 1],
             [0, 1],
             [0, 1],
-            {(0, 0): 0, (1, 1): 1},
+            compose_array(2, {(0, 0): 0, (1, 1): 1}),
             [1, 0],  # swaps the two isolated units
         )
 
@@ -246,7 +266,7 @@ def test_bisection_semigroup_validates():
         assert bs.bits[e] & ~G.units_mask == 0
     for m in enumerate_bisections(G):
         if m & ~G.units_mask == 0:
-            assert bs.semigroup.is_idempotent(bs.element_of[m])
+            assert is_idempotent(bs.semigroup, bs.element_of[m])
 
 
 def test_bisection_semilattice_order():
@@ -365,3 +385,214 @@ def test_bisection_semigroup_vs_plain_validate():
     bs = bisection_semigroup(G, enumerate_bisections(G))
     again = validate_inverse_semigroup(bs.semigroup.elements, bs.semigroup.table)
     assert again == bs.semigroup
+
+
+def _validator_outcome(validate, args):
+    """The validated groupoid, or the error's type and message."""
+    try:
+        return validate(*args)
+    except (AmpleError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _mutations(G, rng):
+    """Validator arguments for G with one seeded fault each (or none)."""
+    n = len(G)
+    base = (G.arrows, G.units, G.d, G.r)
+    declared = list(zip(*np.nonzero(G.compose >= 0)))
+    absent = list(zip(*np.nonzero(G.compose < 0)))
+    hom = {}
+    for a in range(n):
+        hom.setdefault((G.d[a], G.r[a]), []).append(a)
+    yield base + (G.compose, G.inverse)
+
+    def with_entry(key, value):
+        compose = G.compose.copy()
+        compose[key] = value
+        return base + (compose, G.inverse)
+
+    for _ in range(4 if n > 1 else 0):
+        a, b = rng.choice(declared)
+        c = int(G.compose[a, b])
+        yield with_entry((a, b), rng.choice([x for x in range(n) if x != c]))  # changed product
+        same = [x for x in hom[(G.d[c], G.r[c])] if x != c]
+        if same:  # bookkeeping kept, so the unit laws or associativity must catch it
+            yield with_entry((a, b), rng.choice(same))
+        yield with_entry((a, b), -1)  # dropped pair
+        if absent:
+            yield with_entry(rng.choice(absent), rng.randrange(n))  # extra pair
+        x, y = rng.sample(range(n), 2)
+        inverse = list(G.inverse)
+        inverse[x], inverse[y] = inverse[y], inverse[x]
+        yield base + (G.compose, inverse)  # swapped inverse
+        a = rng.randrange(n)
+        key = rng.choice([(a, G.d[a]), (G.r[a], a)])
+        others = [x for x in hom[(G.d[a], G.r[a])] if x != a] or [x for x in range(n) if x != a]
+        yield with_entry(key, rng.choice(others))  # broken unit law
+
+
+def pair_times_cyclic(n, k):
+    """Arrows (i -> j, g) for units i, j < n and g in Z/k: every hom-set has k arrows."""
+    arrows = [(i, j, g) for g in range(k) for i in range(n) for j in range(n)]
+    index = {x: a for a, x in enumerate(arrows)}
+    compose = compose_array(len(arrows), {
+        (index[(j, m, h)], index[(i, j, g)]): index[(i, m, (g + h) % k)]
+        for i, j, g in arrows for m in range(n) for h in range(k)
+    })
+    return validate_groupoid(
+        [f"a{i}{j}g{g}" for i, j, g in arrows],
+        [index[(i, i, 0)] for i in range(n)],
+        [index[(i, i, 0)] for i, _, _ in arrows],
+        [index[(j, j, 0)] for _, j, _ in arrows],
+        compose,
+        [index[(j, i, -g % k)] for i, j, g in arrows],
+    )
+
+
+def test_validator_matches_definition_under_mutation(corpus_groupoids):
+    rng = random.Random(17)
+    groupoids = [
+        *corpus_groupoids.values(),
+        group_groupoid(6),
+        pair_groupoid(12),
+        pair_times_cyclic(3, 2),
+        pair_times_cyclic(2, 3),
+        parse_groupoid((DATA / "pair2.gpd").read_text()),
+    ]
+    seen = Counter()
+    for G in groupoids:
+        for args in _mutations(G, rng):
+            fast = _validator_outcome(validate_groupoid, args)
+            slow = _validator_outcome(validate_groupoid_by_definition, args)
+            assert fast == slow, (G.arrows[:4], fast)
+            kind = fast[0] if isinstance(fast, tuple) else "valid"
+            for phrase in ("declared but", "no declared product", "breaks", "compose to"):
+                if kind != "valid" and phrase in fast[1]:
+                    kind += f": {phrase}"
+            seen[kind] += 1
+    assert seen["valid"] >= len(groupoids), seen
+    for kind in (
+        "BadComposabilityDomain: declared but",  # an extra pair
+        "BadComposabilityDomain: no declared product",  # a missing pair
+        "BadComposabilityDomain: breaks",  # bookkeeping
+        "BadUnits",
+        "NotAssociative",
+        "BadInverse",  # inverse bookkeeping
+        "BadInverse: compose to",  # inverse products
+    ):
+        assert seen[kind] >= 1, (kind, seen)
+
+
+def test_bookkeeping_witness_is_the_first_in_row_major_order():
+    # Both products break the bookkeeping.  The document lists a10*a01
+    # first, but a01*a10 comes first in row-major order and is reported.
+    text = (DATA / "pair2.gpd").read_text()
+    text = text.replace(
+        "    a01 a10 = u1\n    a10 a01 = u0\n", "    a10 a01 = a10\n    a01 a10 = a01\n"
+    )
+    assert "a10 a01 = a10\n    a01 a10 = a01" in text
+    with pytest.raises(ValidationError, match=r"product a01\*a10 = a01 breaks"):
+        parse_groupoid(text)
+
+
+def test_every_constructor_yields_a_read_only_int32_compose():
+    G = pair_groupoid(2)
+    T, _ = abstract_table(bisection_semigroup(G, enumerate_bisections(G)), seed=3)
+    as_lists = G.compose.tolist()
+    built = [
+        parse_groupoid((DATA / "pair2.gpd").read_text()),
+        parse_groupoid(write_groupoid(group_bundle_z2())),
+        validate_groupoid(G.arrows, G.units, G.d, G.r, as_lists, G.inverse),
+        validate_groupoid(G.arrows, G.units, G.d, G.r, np.array(as_lists), G.inverse),  # int64
+        pair_groupoid(12),
+        group_groupoid(5),
+        units_groupoid(3),
+        group_bundle_z2(),
+        disjoint_union(group_groupoid(3), pair_groupoid(3)),
+        *corpus().values(),
+        build_germ_model(T).groupoid,
+    ]
+    for H in built:
+        n = len(H)
+        assert H.compose.dtype == np.int32 and H.compose.shape == (n, n)
+        with pytest.raises(ValueError):
+            H.compose[0, 0] = 0
+        with pytest.raises(TypeError):
+            hash(H)
+        # a product on exactly the composable pairs, -1 elsewhere
+        composable = np.array([[H.d[a] == H.r[b] for b in range(n)] for a in range(n)])
+        assert np.array_equal(H.compose >= 0, composable)
+        assert H.compose.min() >= -1
+    assert validate_groupoid(G.arrows, G.units, G.d, G.r, as_lists, G.inverse) == G
+
+
+def test_validate_groupoid_rejects_a_malformed_composition_array():
+    G = pair_groupoid(2)
+    args = (G.arrows, G.units, G.d, G.r)
+    with pytest.raises(ValueError, match="composition must be 4x4"):
+        validate_groupoid(*args, G.compose[:3], G.inverse)
+    for bad in (-2, 4):
+        compose = G.compose.copy()
+        compose[1, 3] = bad
+        with pytest.raises(ValueError, match=f"composition value {bad} out of range"):
+            validate_groupoid(*args, compose, G.inverse)
+
+
+def test_groupoid_equality_compares_the_composition():
+    G = group_groupoid(3)
+    H = parse_groupoid(write_groupoid(G))
+    assert H == G and H.compose is not G.compose
+    swapped = G.compose.copy()
+    swapped[1, 1], swapped[1, 2] = swapped[1, 2], swapped[1, 1]
+    assert FiniteGroupoid(G.arrows, G.units, G.d, G.r, swapped, G.inverse) != G
+    for K in (*corpus().values(), pair_groupoid(12), build_germ_model(
+        bisection_semigroup(G, enumerate_bisections(G)).semigroup
+    ).groupoid):
+        assert parse_groupoid(write_groupoid(K)) == K
+
+
+def _pair_product(G, a, b):
+    """The arrow d(b) -> r(a) of a pair groupoid when d(a) = r(b), else None."""
+    if G.d[a] != G.r[b]:
+        return None
+    (c,) = [x for x in range(len(G)) if G.d[x] == G.d[b] and G.r[x] == G.r[a]]
+    return c
+
+
+def test_products_past_bit_31_are_python_ints():
+    G = pair_groupoid(12)  # 144 arrows
+    rng = random.Random(12)
+    bisections = []
+    for _ in range(30):
+        mask, used_d, used_r = 0, set(), set()
+        for a in rng.sample(range(40, len(G)), 8):
+            if G.d[a] not in used_d and G.r[a] not in used_r:
+                mask |= 1 << a
+                used_d.add(G.d[a])
+                used_r.add(G.r[a])
+        bisections.append(mask)
+    assert min(s.bit_length() for s in bisections) > 40
+    for s in bisections[:10]:
+        for t in bisections:
+            expected = 0
+            want = {}
+            f = AlgebraElement(G, {a: Fraction(a, 7) for a in iter_bits(s)})
+            g = AlgebraElement(G, {b: Fraction(3, b) for b in iter_bits(t)})
+            for a, fa in f.coeffs.items():
+                for b, gb in g.coeffs.items():
+                    c = _pair_product(G, a, b)
+                    if c is not None:
+                        expected |= 1 << c
+                        want[c] = want.get(c, 0) + fa * gb
+            got = slice_product(G, s, t)
+            assert type(got) is int and got == expected
+            coeffs = (f * g).coeffs
+            assert all(type(c) is int for c in coeffs)
+            assert coeffs == {c: v for c, v in want.items() if v}
+    for s in bisections:
+        for u in (rng.getrandbits(12) for _ in range(10)):  # unit subsets
+            assert check_conjugation_lemma(G, s, u)
+    S = bisection_semigroup(G, singleton_semigroup(G)).semigroup
+    cover = unit_cover(S)
+    assert all(type(e) is int for e in cover)
+    assert sorted(cover) == sorted(S.index[G.arrows[u]] for u in G.units)

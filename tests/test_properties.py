@@ -7,7 +7,7 @@ from ample import idempotent_semilattice
 from ample.bitsets import iter_bits
 from ample.spectrum import enumerate_filters, filter_minimum, principal_filter
 
-from oracles import is_cover, product_of, restricted_ideal
+from oracles import is_cover, is_idempotent, product_of, restricted_ideal
 from semilattice_zoo import all_semilattices_upto
 from test_semigroups import _restricted_ideal_mask
 
@@ -64,5 +64,5 @@ def test_filters_are_principal_on_their_minimum(S):
 @given(st.sampled_from(_ZOO))
 def test_star_products_are_idempotent(S):
     for s in range(len(S)):
-        assert S.is_idempotent(S.table[S.star[s]][s])
-        assert S.is_idempotent(S.table[s][S.star[s]])
+        assert is_idempotent(S, S.table[S.star[s]][s])
+        assert is_idempotent(S, S.table[s][S.star[s]])

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from ample import (
@@ -6,6 +9,7 @@ from ample import (
     brute_force_iso,
     canonical_iso_of_run,
     check_isomorphism,
+    corpus,
     enumerate_bisections,
     enumerate_point_bases,
     equivariance_check,
@@ -19,11 +23,13 @@ from ample import (
     stone_check,
     tight_spectrum,
     units_groupoid,
+    validate_groupoid,
     validate_inverse_semigroup,
 )
 from ample.errors import NotFunctorial, ValidationError
 from ample.reconstruction import GroupoidIsomorphism, basis_semilattice
 
+from test_groupoids import pair_times_cyclic
 from test_semigroups import _group_with_zero
 
 
@@ -134,8 +140,10 @@ def test_canonical_iso_group_z3_preserves_table():
     iso = canonical_iso_of_run(run)
     H = run.model.groupoid
     f = iso.arrow_map
-    for (a, b), c in H.compose.items():
-        assert G.compose[(f[a], f[b])] == f[c]
+    left, right = np.nonzero(H.compose >= 0)
+    assert len(left) == np.count_nonzero(G.compose >= 0) == 9
+    for a, b in zip(left.tolist(), right.tolist()):
+        assert G.compose[f[a], f[b]] == f[H.compose[a, b]]
 
 
 def test_canonical_iso_units_only():
@@ -176,6 +184,40 @@ def test_check_isomorphism_rejects_wrong_map():
     G4 = group_groupoid(4)
     with pytest.raises(NotFunctorial):
         check_isomorphism(GroupoidIsomorphism(G4, G4, (0, 2, 1, 3)))
+    # in Z/5, c1 <-> c2 with c4 <-> c3 commutes with inversion but not with
+    # composition: c2 c2 = c4, while c1 c1 = c2 goes to c1
+    G5 = group_groupoid(5)
+    with pytest.raises(NotFunctorial, match=r"composition not intertwined at c1 \* c1"):
+        check_isomorphism(GroupoidIsomorphism(G5, G5, (0, 2, 1, 4, 3)))
+
+
+def relabeled(G, perm):
+    """G with arrow a renamed to index perm[a]."""
+    at = np.array([*perm, -1])
+    compose = np.empty_like(G.compose)
+    compose[np.ix_(at[:-1], at[:-1])] = at[G.compose]
+    order = np.argsort(perm)  # order[new] = old
+    return validate_groupoid(
+        [G.arrows[a] for a in order],
+        sorted(perm[u] for u in G.units),
+        [perm[G.d[a]] for a in order],
+        [perm[G.r[a]] for a in order],
+        compose,
+        [perm[G.inverse[a]] for a in order],
+    )
+
+
+def test_brute_force_iso_finds_relabelings():
+    rng = random.Random(4)
+    groupoids = [group_groupoid(5), group_groupoid(6), corpus()["pair2+z2"]]
+    groupoids += [pair_times_cyclic(3, 2), pair_times_cyclic(2, 3)]
+    for G in groupoids:
+        for _ in range(4):
+            perm = list(range(len(G)))
+            rng.shuffle(perm)
+            H = relabeled(G, perm)
+            iso = brute_force_iso(G, H)  # checked before it is returned
+            assert iso is not None and iso.target is H
 
 
 def test_reconstruction_seed_independence_pair2():
