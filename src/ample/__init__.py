@@ -26,23 +26,9 @@ from .corpus import (
 )
 from .errors import (
     AmpleError,
-    BadComposabilityDomain,
-    BadInverse,
-    BadUnits,
     BoundExceeded,
     CheckFailed,
-    EmptySpectrum,
-    GroupoidMismatch,
-    NoUniqueInverse,
-    NoZero,
-    NotAssociative,
-    NotBijective,
-    NotClosed,
-    NotFunctorial,
-    NotWellDefined,
-    OutsideDomain,
     ParseError,
-    TightUltraMismatch,
     ValidationError,
 )
 from .formats import (

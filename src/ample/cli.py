@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .convolution import check_tight_representation, rho
 from .corpus import corpus as corpus_family
-from .errors import AmpleError, CheckFailed, NotBijective, NotFunctorial, NotWellDefined
+from .errors import AmpleError, CheckFailed
 from .formats import (
     parse_document,
     parse_groupoid,
@@ -201,7 +201,7 @@ def cmd_check_iso(args) -> int:
     try:
         canonical_iso_of_run(run)
         lines.append("canonical-iso: ok")
-    except (NotWellDefined, NotBijective, NotFunctorial) as exc:
+    except CheckFailed as exc:
         lines.append(f"canonical-iso: FAIL ({exc})")
         ok = False
     found = brute_force_iso(H, G)
@@ -253,8 +253,10 @@ def cmd_stone_check(args) -> int:
     lines = []
     ok = True
     total = 0
-    # every size is enumerated first, so a size past the guard fails at once
-    sweep = [enumerate_point_bases(n) for n in range(args.max_points + 1)]
+    # every size is enumerated first, so a size past the guard fails at once;
+    # a negative count is the one size enumerated and fails the same way
+    sizes = range(min(args.max_points, 0), args.max_points + 1)
+    sweep = [enumerate_point_bases(n) for n in sizes]
     for n, spaces in enumerate(sweep):
         passed = 0
         for space in spaces:

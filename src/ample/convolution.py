@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bitsets import iter_bits
-from .errors import BoundExceeded, CheckFailed, EmptySpectrum, GroupoidMismatch
+from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
@@ -73,7 +73,7 @@ class AlgebraElement:
 
     def _check_same(self, other: "AlgebraElement") -> None:
         if self.groupoid is not other.groupoid:
-            raise GroupoidMismatch("operands live over different groupoids")
+            raise ValidationError("operands live over different groupoids")
 
     def support_mask(self) -> int:
         mask = 0
@@ -275,7 +275,7 @@ def _coefficient_matrix(
 
 def _first_mismatch(count: int, width: int, differs) -> int | None:
     """Least i < count at which differs(indices) is True, in blocks of indices."""
-    step = max(1, _BLOCK // width)
+    step = max(1, _BLOCK // max(width, 1))
     for start in range(0, count, step):
         bad = np.flatnonzero(differs(np.arange(start, min(start + step, count))))
         if bad.size:
@@ -484,7 +484,7 @@ def check_tight_representation(
     values = [pi[s] for s in range(len(S))]
     G = values[S.zero].groupoid
     if any(v.groupoid is not G for v in values):
-        raise GroupoidMismatch("operands live over different groupoids")
+        raise ValidationError("operands live over different groupoids")
     pm = _coefficient_matrix(values, G)
     n = len(S)
     name = S.elements
@@ -598,7 +598,7 @@ def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
     E = model.semilattice
     spec = model.spectrum
     if not spec.points:
-        raise EmptySpectrum("no tight characters, nothing to cover")
+        raise ValidationError("no tight characters, nothing to cover")
     n_pts = len(spec.points)
     full = (1 << n_pts) - 1
     coverage = []

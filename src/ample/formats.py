@@ -42,7 +42,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import AmpleError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, adjoin_zero, validate_inverse_semigroup
 
@@ -197,7 +197,7 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
         element_names, table = adjoin_zero(element_names, table)
     try:
         sg = validate_inverse_semigroup(element_names, table)
-    except AmpleError as exc:
+    except ValidationError as exc:
         raise ValidationError(f"semigroup document is invalid: {exc}", reason=exc) from exc
     if sg.elements[sg.zero] != ztok[1] and not adjoin_missing_zero:
         raise ValidationError(
@@ -300,7 +300,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         return validate_groupoid(
             names, range(n_units), d, r, compose, [inverse[a] for a in range(n)]
         )
-    except AmpleError as exc:
+    except ValidationError as exc:
         raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc
 
 

@@ -17,7 +17,7 @@ from itertools import groupby
 import numpy as np
 
 from .bitsets import bit_array
-from .errors import CheckFailed, OutsideDomain
+from .errors import CheckFailed, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
 from .spectrum import TightSpectrum, filter_minimum, tight_spectrum
@@ -38,7 +38,7 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
     st = S.star[s]
     ss = _domain_idempotent(S, s)
     if not bits >> E.position[ss] & 1:
-        raise OutsideDomain(
+        raise ValidationError(
             f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
         )
     conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
@@ -85,9 +85,7 @@ class GermGroupoidModel:
         bits = self.spectrum.points[point]
         ss = _domain_idempotent(S, s)
         if not bits >> self.semilattice.position[ss] & 1:
-            raise OutsideDomain(
-                f"point {point} is outside the domain of {S.elements[s]}"
-            )
+            raise ValidationError(f"point {point} is outside the domain of {S.elements[s]}")
         key = int(S.table[s, self.point_minimum[point]])
         return self.germ_index[(point, key)]
 

@@ -17,16 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitsets import iter_bits
-from .errors import (
-    BadComposabilityDomain,
-    BadInverse,
-    BadUnits,
-    BoundExceeded,
-    CheckFailed,
-    NotAssociative,
-    NotClosed,
-    OutsideDomain,
-)
+from .errors import BoundExceeded, CheckFailed, ValidationError
 from .semigroups import FiniteInverseSemigroup, row_blocks, validate_inverse_semigroup
 
 
@@ -144,10 +135,10 @@ def validate_groupoid(
 
     for u in units_t:
         if d_t[u] != u or r_t[u] != u:
-            raise BadUnits(f"unit {names[u]} must have d = r = itself")
+            raise ValidationError(f"unit {names[u]} must have d = r = itself")
     for a in range(n):
         if d_t[a] not in unit_set or r_t[a] not in unit_set:
-            raise BadUnits(f"arrow {names[a]} has non-unit source or range")
+            raise ValidationError(f"arrow {names[a]} has non-unit source or range")
 
     d_a, r_a = np.array([d_t, r_t], dtype=np.intp)
     composable = d_a[:, None] == r_a
@@ -156,25 +147,23 @@ def validate_groupoid(
         extra = declared & ~composable
         if extra.any():
             a, b = divmod(int(extra.argmax()), n)
-            raise BadComposabilityDomain(
+            raise ValidationError(
                 f"product {names[a]}*{names[b]} declared but d({names[a]}) != r({names[b]})"
             )
         a, b = divmod(int((composable & ~declared).argmax()), n)
-        raise BadComposabilityDomain(
-            f"composable pair {names[a]}*{names[b]} has no declared product"
-        )
+        raise ValidationError(f"composable pair {names[a]}*{names[b]} has no declared product")
     # -1 entries read the last arrow here, but only declared pairs count
     broken = declared & ((d_a[comp] != d_a) | (r_a[comp] != r_a[:, None]))
     if np.count_nonzero(broken):
         a, b = divmod(int(broken.argmax()), n)
         c = comp.item(a, b)
-        raise BadComposabilityDomain(
+        raise ValidationError(
             f"product {names[a]}*{names[b]} = {names[c]} breaks source/range bookkeeping"
         )
 
     for a in range(n):
         if comp.item(a, d_t[a]) != a or comp.item(r_t[a], a) != a:
-            raise BadUnits(f"unit laws fail at arrow {names[a]}")
+            raise ValidationError(f"unit laws fail at arrow {names[a]}")
 
     # Each b runs over the a with d(a) = r(b) and the c with r(c) = d(b).  A
     # short fiber repeats its first arrow, which repeats triples met earlier
@@ -186,14 +175,15 @@ def validate_groupoid(
         differs = comp[comp[a, b], c] != comp[a, comp[b, c]]
         if np.count_nonzero(differs):
             i, j, k = np.unravel_index(differs.argmax(), differs.shape)
-            raise NotAssociative(names[a[i, j, 0]], names[b[i, 0, 0]], names[c[i, 0, k]])
+            x, y, z = names[a[i, j, 0]], names[b[i, 0, 0]], names[c[i, 0, k]]
+            raise ValidationError(f"associativity fails at ({x}, {y}, {z})", witness=(x, y, z))
 
     for a in range(n):
         ia = inv_t[a]
         if inv_t[ia] != a or d_t[ia] != r_t[a] or r_t[ia] != d_t[a]:
-            raise BadInverse(f"inverse bookkeeping fails at arrow {names[a]}")
+            raise ValidationError(f"inverse bookkeeping fails at arrow {names[a]}")
         if comp.item(a, ia) != r_t[a] or comp.item(ia, a) != d_t[a]:
-            raise BadInverse(
+            raise ValidationError(
                 f"{names[a]} and {names[ia]} do not compose to the expected units"
             )
 
@@ -352,16 +342,19 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     s.t has at unit u the composite of b = t(u) with s(r(b)), so a row of
     the table is one gather through the groupoid's composition array, and
     its entries are found by searching the family's sorted section keys.
-    Raises NotClosed with the first witness pair in row-major order when
-    the family is not closed; the table then goes through the
-    inverse-semigroup checker.
+    Raises ValidationError when the family is not closed, with the first
+    witness pair in row-major order, or (message, None) when a member,
+    the empty bisection or an inverse is at fault; the table then goes
+    through the inverse-semigroup checker.
     """
     masks = tuple(sorted(set(collection)))
     if 0 not in masks:
-        raise NotClosed("the empty bisection must belong to the collection")
+        message = "the empty bisection must belong to the collection"
+        raise ValidationError(message, witness=(message, None))
     for m in masks:
         if not is_bisection(G, m):
-            raise NotClosed(f"{bisection_name(G, m)} is not a bisection")
+            message = f"{bisection_name(G, m)} is not a bisection"
+            raise ValidationError(message, witness=(message, None))
     names = tuple(bisection_name(G, m) for m in masks)
     n, arrows, units = len(masks), len(G.arrows), len(G.units)
     unit_pos = {u: k for k, u in enumerate(G.units)}
@@ -387,14 +380,18 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
         found_at, found = index.find(product.reshape(len(product) * n, units))
         if not found.all():
             s, t = divmod(int(found.argmin()), n)
-            raise NotClosed(names[rows.start + s], names[t])
+            left, right = names[rows.start + s], names[t]
+            raise ValidationError(
+                f"collection not closed at product {left} * {right}", witness=(left, right)
+            )
         table[rows] = found_at.reshape(-1, n)
 
     inverse = np.full((n, units + 1), -1, dtype=np.int32)
     inverse[np.arange(n)[:, None], right] = np.array([*G.inverse, -1])[sections]
     star, found = index.find(inverse[:, :units])
     if not found.all():
-        raise NotClosed(f"inverse of {names[int(found.argmin())]} missing")
+        message = f"inverse of {names[int(found.argmin())]} missing"
+        raise ValidationError(message, witness=(message, None))
     sg = validate_inverse_semigroup(names, table)
     # masks ascend, so the empty bisection is element 0
     if sg.zero != 0 or sg.star != tuple(star.tolist()):
@@ -447,7 +444,7 @@ def lambda_action(G: FiniteGroupoid, mask: int, x: int) -> int:
     for a in iter_bits(mask):
         if G.d[a] == x:
             return G.r[a]
-    raise OutsideDomain(
+    raise ValidationError(
         f"unit {G.arrows[x]} is not in the source set of {bisection_name(G, mask)}"
     )
 

@@ -16,14 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitsets import iter_bits
-from .errors import (
-    BoundExceeded,
-    CheckFailed,
-    NotBijective,
-    NotFunctorial,
-    NotWellDefined,
-    ValidationError,
-)
+from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model, theta_apply
 from .groupoids import (
     BisectionSemigroup,
@@ -189,6 +182,8 @@ def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:
     out, so the scan visits 2^(2^n - n - 1) families; past
     MAX_BASIS_FAMILIES it raises BoundExceeded before scanning.
     """
+    if n_points < 0:
+        raise ValidationError(f"point count {n_points} is negative")
     larger = (1 << n_points) - n_points - 1
     if larger >= MAX_BASIS_FAMILIES.bit_length():
         raise BoundExceeded(
@@ -294,25 +289,23 @@ class GroupoidIsomorphism:
 
 
 def check_isomorphism(iso: GroupoidIsomorphism) -> None:
-    """Raise NotBijective / NotFunctorial with a witness if anything fails."""
+    """Raise CheckFailed with a witness unless the map is an isomorphism."""
     G, H, f = iso.source, iso.target, iso.arrow_map
     if len(f) != len(G.arrows) or len(set(f)) != len(f) or len(f) != len(H.arrows):
-        raise NotBijective(
-            f"map covers {len(set(f))} of {len(H.arrows)} target arrows"
-        )
+        raise CheckFailed(f"map covers {len(set(f))} of {len(H.arrows)} target arrows")
     if {f[u] for u in G.units} != set(H.units):
-        raise NotFunctorial("units are not carried onto units")
+        raise CheckFailed("units are not carried onto units")
     for a in range(len(G.arrows)):
         if f[G.d[a]] != H.d[f[a]] or f[G.r[a]] != H.r[f[a]]:
-            raise NotFunctorial(f"source/range not intertwined at {G.arrows[a]}")
+            raise CheckFailed(f"source/range not intertwined at {G.arrows[a]}")
         if f[G.inverse[a]] != H.inverse[f[a]]:
-            raise NotFunctorial(f"inversion not intertwined at {G.arrows[a]}")
+            raise CheckFailed(f"inversion not intertwined at {G.arrows[a]}")
     # f(a) f(b) against f(ab); the trailing -1 keeps non-composable pairs at -1
     at = np.array([*f, -1])
     differs = H.compose[np.ix_(at[:-1], at[:-1])] != at[G.compose]
     if differs.any():
         a, b = divmod(int(differs.argmax()), len(f))
-        raise NotFunctorial(f"composition not intertwined at {G.arrows[a]} * {G.arrows[b]}")
+        raise CheckFailed(f"composition not intertwined at {G.arrows[a]} * {G.arrows[b]}")
 
 
 @dataclass(frozen=True)
@@ -336,9 +329,8 @@ def run_reconstruction(bs: BisectionSemigroup, seed: int = 0) -> ReconstructionR
 def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
     """Send the germ of S at xi_x to the unique arrow of S with source x.
 
-    Raises NotWellDefined when class members disagree, NotBijective or
-    NotFunctorial when the resulting map is not an isomorphism; all three
-    are bug traps at finite scale.
+    Raises CheckFailed when class members disagree or the resulting map
+    is not an isomorphism; these are bug traps at finite scale.
     """
     G = run.groupoid
     model = run.model
@@ -354,7 +346,7 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
                 raise CheckFailed("idempotent bisections are unit sets")
             inter &= unit_set
         if inter == 0 or inter & (inter - 1):
-            raise NotWellDefined(
+            raise CheckFailed(
                 f"base character of arrow {model.groupoid.arrows[a]} does not pin a point"
             )
         x = inter.bit_length() - 1
@@ -362,19 +354,17 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
         for s in model.arrow_members[a]:
             found = [g for g in iter_bits(audit.bisections[s]) if G.d[g] == x]
             if len(found) != 1:
-                raise NotWellDefined(
+                raise CheckFailed(
                     f"{run.table.elements[s]} has no unique arrow with source {G.arrows[x]}"
                 )
             gammas.add(found[0])
         if len(gammas) != 1:
-            raise NotWellDefined(
+            raise CheckFailed(
                 f"class members of {model.groupoid.arrows[a]} map to different arrows"
             )
         mapping.append(gammas.pop())
     if len(set(mapping)) != len(G.arrows):
-        raise NotBijective(
-            f"germ arrows cover {len(set(mapping))} of {len(G.arrows)} arrows"
-        )
+        raise CheckFailed(f"germ arrows cover {len(set(mapping))} of {len(G.arrows)} arrows")
     iso = GroupoidIsomorphism(model.groupoid, G, tuple(mapping))
     check_isomorphism(iso)
     return iso

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bitsets import row_masks
-from .errors import CheckFailed, NotAssociative, NoUniqueInverse, NoZero
+from .errors import CheckFailed, ValidationError
 
 # Entries per temporary array: the table checks work on blocks of rows.
 _BLOCK = 1 << 16
@@ -140,7 +141,7 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
 
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
-    """For each s the one u with sus = s and usu = u; NoUniqueInverse otherwise."""
+    """For each s the one u with sus = s and usu = u; ValidationError otherwise."""
     n = len(t)
     every = np.arange(n)
     star = np.empty(n, dtype=np.int32)
@@ -150,8 +151,11 @@ def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
         wrong = np.flatnonzero(candidates.sum(axis=1) != 1)
         if wrong.size:
             i = wrong[0]
-            raise NoUniqueInverse(
-                names[rows.start + i], (names[u] for u in np.flatnonzero(candidates[i]))
+            element = names[rows.start + i]
+            found = tuple(names[u] for u in np.flatnonzero(candidates[i]))
+            raise ValidationError(
+                f"element {element} has {len(found)} generalized inverse(s): {found!r}",
+                witness=(element, found),
             )
         star[rows] = candidates.argmax(axis=1)
     return tuple(star.tolist())
@@ -176,7 +180,9 @@ def validate_inverse_semigroup(
 ) -> FiniteInverseSemigroup:
     """Check a raw multiplication table and derive the involution and zero.
 
-    Raises NotAssociative, NoUniqueInverse or NoZero, each with a witness.
+    Raises ValidationError when associativity fails, with the witness
+    triple of names, when an element s lacks a unique inverse, with the
+    witness (s, its candidates), or when no zero exists.
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names) raise ValueError because they are caller errors, not algebra.
     Every check is an array test on the table as one int32 array, and
@@ -189,17 +195,17 @@ def validate_inverse_semigroup(
     if len(set(names)) != n:
         raise ValueError("duplicate element names")
     if n == 0:
-        raise NoZero("empty element set has no absorbing element")
+        raise ValidationError("empty element set has no absorbing element")
     t = _square_table(table, n)
 
     witness = associativity_witness(t)
     if witness is not None:
-        x, a, y = witness
-        raise NotAssociative(names[x], names[a], names[y])
+        x, a, y = (names[i] for i in witness)
+        raise ValidationError(f"associativity fails at ({x}, {a}, {y})", witness=(x, a, y))
     star = _unique_inverses(t, names)
     zero = _absorbing(t)
     if zero is None:
-        raise NoZero("no absorbing element in table")
+        raise ValidationError("no absorbing element in table")
     return FiniteInverseSemigroup(names, t, zero, star)
 
 
@@ -216,7 +222,9 @@ def adjoin_zero(
     if _absorbing(t) is not None:
         return names, t
     n = len(names)
-    fresh = next(c for c in ("0", "zero", "_0") if c not in names)
+    # the first free name of 0, zero, _0, __0, ___0, ...
+    candidates = chain(("0", "zero"), ("_" * k + "0" for k in count(1)))
+    fresh = next(c for c in candidates if c not in names)
     out = np.full((n + 1, n + 1), n, dtype=np.int32)
     out[:n, :n] = t
     return names + (fresh,), out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import iter_bits
-from .errors import CheckFailed, TightUltraMismatch
+from .errors import CheckFailed
 from .semigroups import Semilattice
 
 def principal_filter(E: Semilattice, p: int) -> int:
@@ -153,13 +153,11 @@ def tight_spectrum(E: Semilattice) -> TightSpectrum:
 
     A finite spectrum is discrete, so the closure of the ultra-characters
     is just the ultra-characters; a mismatch would falsify that and raises
-    TightUltraMismatch as a bug trap.
+    CheckFailed as a bug trap.
     """
     filters = enumerate_filters(E)
     tight = tuple(b for b in filters if is_tight_character(E, b))
     ultra = ultrafilters(E, filters)
     if set(tight) != set(ultra):
-        raise TightUltraMismatch(
-            f"tight characters {tight!r} differ from ultrafilters {ultra!r}"
-        )
+        raise CheckFailed(f"tight characters {tight!r} differ from ultrafilters {ultra!r}")
     return TightSpectrum(E, filters, tight)

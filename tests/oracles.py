@@ -17,17 +17,7 @@ from ample.convolution import (
     _all_covers_upto,
     _minimal_covers,
 )
-from ample.errors import (
-    AmpleError,
-    BadComposabilityDomain,
-    BadInverse,
-    BadUnits,
-    CheckFailed,
-    NotAssociative,
-    OutsideDomain,
-    ParseError,
-    ValidationError,
-)
+from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
 from ample.groupoids import FiniteGroupoid, validate_groupoid
 from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
 from ample.spectrum import tight_spectrum
@@ -176,7 +166,7 @@ def same_germ(E, s1, s2, bits):
     S = E.semigroup
     for s in (s1, s2):
         if not bits >> E.position[S.table[S.star[s]][s]] & 1:
-            raise OutsideDomain(f"character vanishes at the domain of {S.elements[s]}")
+            raise ValidationError(f"character vanishes at the domain of {S.elements[s]}")
     return any(
         bits >> p & 1 and S.table[s1][e] == S.table[s2][e] for p, e in enumerate(E.carrier)
     )
@@ -223,10 +213,10 @@ def validate_groupoid_by_definition(arrows, units, d, r, compose, inverse):
 
     for u in units_t:
         if d_t[u] != u or r_t[u] != u:
-            raise BadUnits(f"unit {names[u]} must have d = r = itself")
+            raise ValidationError(f"unit {names[u]} must have d = r = itself")
     for a in range(n):
         if d_t[a] not in unit_set or r_t[a] not in unit_set:
-            raise BadUnits(f"arrow {names[a]} has non-unit source or range")
+            raise ValidationError(f"arrow {names[a]} has non-unit source or range")
 
     comp = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row) if c >= 0}
     expected = {(a, b) for a in range(n) for b in range(n) if d_t[a] == r_t[b]}
@@ -234,24 +224,24 @@ def validate_groupoid_by_definition(arrows, units, d, r, compose, inverse):
     extra = declared - expected
     if extra:
         a, b = min(extra)
-        raise BadComposabilityDomain(
+        raise ValidationError(
             f"product {names[a]}*{names[b]} declared but d({names[a]}) != r({names[b]})"
         )
     missing = expected - declared
     if missing:
         a, b = min(missing)
-        raise BadComposabilityDomain(
+        raise ValidationError(
             f"composable pair {names[a]}*{names[b]} has no declared product"
         )
     for (a, b), c in comp.items():
         if d_t[c] != d_t[b] or r_t[c] != r_t[a]:
-            raise BadComposabilityDomain(
+            raise ValidationError(
                 f"product {names[a]}*{names[b]} = {names[c]} breaks source/range bookkeeping"
             )
 
     for a in range(n):
         if comp[(a, d_t[a])] != a or comp[(r_t[a], a)] != a:
-            raise BadUnits(f"unit laws fail at arrow {names[a]}")
+            raise ValidationError(f"unit laws fail at arrow {names[a]}")
 
     for b in range(n):
         lefts = [a for a in range(n) if d_t[a] == r_t[b]]
@@ -260,14 +250,17 @@ def validate_groupoid_by_definition(arrows, units, d, r, compose, inverse):
             ab = comp[(a, b)]
             for c in rights:
                 if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    raise NotAssociative(names[a], names[b], names[c])
+                    x, y, z = names[a], names[b], names[c]
+                    raise ValidationError(
+                        f"associativity fails at ({x}, {y}, {z})", witness=(x, y, z)
+                    )
 
     for a in range(n):
         ia = inv_t[a]
         if inv_t[ia] != a or d_t[ia] != r_t[a] or r_t[ia] != d_t[a]:
-            raise BadInverse(f"inverse bookkeeping fails at arrow {names[a]}")
+            raise ValidationError(f"inverse bookkeeping fails at arrow {names[a]}")
         if comp[(a, ia)] != r_t[a] or comp[(ia, a)] != d_t[a]:
-            raise BadInverse(
+            raise ValidationError(
                 f"{names[a]} and {names[ia]} do not compose to the expected units"
             )
 

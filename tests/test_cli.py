@@ -23,6 +23,7 @@ from ample import (
 )
 from ample import convolution, reconstruction
 from ample.cli import build_parser, main
+from ample.errors import BoundExceeded, CheckFailed, ParseError, ValidationError
 
 from test_formats import mutate
 
@@ -175,12 +176,41 @@ def test_stone_check_enumerates_filters_once_per_basis(capsys, monkeypatch):
     assert len(calls) == 1110
 
 
+def test_stone_check_with_a_negative_count_exits_2(capsys, tmp_path):
+    summary = tmp_path / "s.json"
+    argv = ["stone-check", "--max-points", "-1", "--summary", str(summary)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == "error: point count -1 is negative\n"
+    assert not summary.exists()
+
+
 def test_stone_check_past_the_guard_exits_2_before_any_check(capsys, monkeypatch):
     checks = count_calls(monkeypatch, stone_check)
     code, out, err = run_cli(capsys, "stone-check", "--max-points", "5")
     assert code == 2
     assert out == "" and err.startswith("error: ")
     assert checks == []
+
+
+@pytest.mark.parametrize(
+    "flags", [["--collection", "singleton"], ["--collection", "ample"], ["--audit-covers"]]
+)
+def test_rep_check_on_a_groupoid_without_units(capsys, tmp_path, flags):
+    # the one bisection is the empty one; the oracle counts the same instances
+    doc = tmp_path / "empty.gpd"
+    doc.write_text("groupoid { units { } arrows { } compose { } inverse { } }", encoding="utf-8")
+    code, out, err = run_cli(capsys, "rep-check", str(doc), *flags)
+    assert (code, err) == (0, "")
+    collection = "ample" if "ample" in flags else "singleton"
+    assert out.splitlines() == [
+        f"collection: {collection} (1 elements)",
+        "multiplicativity: pass",
+        "star: pass",
+        "zero: pass",
+        "tightness: pass (instances=2 covers=2)",
+        "status: pass",
+    ]
 
 
 def test_rep_check_listing_past_its_bound_exits_2(capsys, monkeypatch, tmp_path):
@@ -301,6 +331,76 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "status: fail" in out
 
 
+def test_each_rung_of_the_error_ladder_has_its_exit_code(capsys, monkeypatch):
+    import ample.cli as cli
+
+    chain = str(DATA / "chain.sgp")
+    for error, code in (
+        (ParseError("unexpected token", 1, 2), 2),
+        (ValidationError("a law is broken"), 2),
+        (CheckFailed("an invariant is broken"), 1),
+        (BoundExceeded("an enumeration is too large"), 2),
+    ):
+        def fail(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "tight_spectrum", fail)
+        assert run_cli(capsys, "spectrum", chain) == (code, "", f"error: {error}\n")
+
+
+# Patches standing in for bugs: each breaks a check that no correct input
+# fails, then runs the command that reaches it.
+BUG_TRAPS = [
+    (
+        "ample.spectrum.ultrafilters = lambda E, filters=None: ()",
+        ["spectrum", str(DATA / "chain.sgp")],
+        "error: tight characters (6,) differ from ultrafilters ()\n",
+    ),
+    (
+        "r = ample.reconstruction\n"
+        "check = r.check_isomorphism\n"
+        "r.check_isomorphism = lambda iso: check(\n"
+        "    r.GroupoidIsomorphism(iso.source, iso.target, iso.arrow_map[::-1])\n"
+        ")",
+        ["check-iso", str(DATA / "pair2.gpd")],
+        "error: units are not carried onto units\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("optimize", [0, 1])
+def test_bug_traps_exit_1(optimize):
+    for patch, argv, expected in BUG_TRAPS:
+        script = (
+            "import sys, ample.cli, ample.reconstruction, ample.spectrum\n"
+            f"if sys.flags.optimize != {optimize}:\n    sys.exit(3)\n"
+            f"{patch}\nsys.exit(ample.cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * optimize, "-c", script],
+            env=_with_src_path(),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+
+def test_canonical_iso_failure_is_reported_and_the_search_still_runs(capsys, monkeypatch):
+    import ample.cli as cli
+
+    def unit_sets_broken(run):
+        raise CheckFailed("idempotent bisections are unit sets")
+
+    monkeypatch.setattr(cli, "canonical_iso_of_run", unit_sets_broken)
+    code, out, _ = run_cli(capsys, "check-iso", str(DATA / "pair2.gpd"))
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "canonical-iso: FAIL (idempotent bisections are unit sets)",
+        "brute-force-iso: ok",
+        "status: fail",
+    ]
+
+
 def test_adjoin_zero_flag(capsys, tmp_path):
     doc = tmp_path / "group.sgp"
     doc.write_text(
@@ -317,6 +417,18 @@ def test_adjoin_zero_flag(capsys, tmp_path):
     assert code == 0
     H = parse_groupoid(out)
     assert len(H.units) == 1 and len(H.arrows) == 2
+    # Z/3 whose elements take the first three fresh names
+    doc.write_text(
+        "semigroup { elements { 0 zero _0 } zero 0 table { 0 zero _0 zero _0 0 _0 0 zero } }",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "validate", str(doc), "--adjoin-zero")
+    assert code == 0
+    assert "elements: 4" in out.splitlines() and "zero: __0" in out.splitlines()
+    code, out, _ = run_cli(capsys, "reconstruct", str(doc), "--adjoin-zero")
+    assert code == 0
+    H = parse_groupoid(out)
+    assert len(H.units) == 1 and len(H.arrows) == 3
 
 
 def _with_src_path():
@@ -402,11 +514,12 @@ FUZZ_SEEDS = [path.read_text() for path in sorted(DATA.iterdir())] + [
 FUZZ_TOKENS = [
     "semigroup", "groupoid", "elements", "zero", "table", "units", "arrows",
     "compose", "inverse", "{", "}", ":", "->", "=", "# note\n", "0", "e", "a",
-    "u0", "u1", "a01", "?", "-", "\n",
+    "u0", "u1", "a01", "?", "-", "\n", "_0",
 ]
 FUZZ_COMMANDS = [
     ["validate"], ["validate", "--adjoin-zero"], ["spectrum"], ["reconstruct"],
-    ["ample"], ["check-iso"],
+    ["ample"], ["check-iso"], ["check-iso", "--collection", "ample"], ["rep-check"],
+    ["spectrum", "--adjoin-zero"], ["reconstruct", "--adjoin-zero"],
 ]
 
 

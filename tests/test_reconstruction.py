@@ -26,7 +26,7 @@ from ample import (
     validate_groupoid,
     validate_inverse_semigroup,
 )
-from ample.errors import NotFunctorial, ValidationError
+from ample.errors import CheckFailed, ValidationError
 from ample.reconstruction import GroupoidIsomorphism, basis_semilattice
 
 from test_groupoids import pair_times_cyclic
@@ -180,14 +180,15 @@ def test_check_isomorphism_rejects_wrong_map():
     # in Z/3 the swap of c1 and c2 is inversion, a genuine automorphism
     G3 = group_groupoid(3)
     check_isomorphism(GroupoidIsomorphism(G3, G3, (0, 2, 1)))
-    # in Z/4 the same swap breaks composition: c1 c1 = c2 but c2 c2 = e
+    # in Z/4 the same swap breaks composition (c1 c1 = c2 but c2 c2 = e) and,
+    # checked first, inversion (c1 inverts to c3 but c2 to itself)
     G4 = group_groupoid(4)
-    with pytest.raises(NotFunctorial):
+    with pytest.raises(CheckFailed, match="inversion not intertwined at c1"):
         check_isomorphism(GroupoidIsomorphism(G4, G4, (0, 2, 1, 3)))
     # in Z/5, c1 <-> c2 with c4 <-> c3 commutes with inversion but not with
     # composition: c2 c2 = c4, while c1 c1 = c2 goes to c1
     G5 = group_groupoid(5)
-    with pytest.raises(NotFunctorial, match=r"composition not intertwined at c1 \* c1"):
+    with pytest.raises(CheckFailed, match=r"composition not intertwined at c1 \* c1"):
         check_isomorphism(GroupoidIsomorphism(G5, G5, (0, 2, 1, 4, 3)))
 
 
