@@ -91,8 +91,6 @@ from .spectrum import (
     filter_minimum,
     find_tightness_violation,
     is_filter,
-    is_tight_character,
-    principal_filter,
     tight_spectrum,
     ultrafilters,
 )

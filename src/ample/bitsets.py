@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -13,6 +13,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """The mask with bit i set for each i in indices; each i must be >= 0."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def bit_array(mask: int, count: int) -> np.ndarray:

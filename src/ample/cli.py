@@ -14,6 +14,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+from .bitsets import iter_bits
 from .convolution import check_tight_representation, rho
 from .corpus import corpus as corpus_family
 from .errors import AmpleError, CheckFailed
@@ -104,7 +105,7 @@ def cmd_spectrum(args) -> int:
     for i, bits in enumerate(spec.points):
         lines.append(f"point q{i} = {support(bits)}")
     for e in E.carrier:
-        ds = ",".join(f"q{i}" for i in spec.basic_sets[e])
+        ds = ",".join(f"q{i}" for i in iter_bits(spec.basic_sets[e]))
         lines.append(f"D[{S.elements[e]}] = {{{ds}}}")
     _emit(lines)
     _write_summary(

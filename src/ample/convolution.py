@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
@@ -76,10 +76,7 @@ class AlgebraElement:
             raise ValidationError("operands live over different groupoids")
 
     def support_mask(self) -> int:
-        mask = 0
-        for a in self.coeffs:
-            mask |= 1 << a
-        return mask
+        return mask_of(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -198,9 +195,7 @@ def _all_covers_upto(isect: Sequence[int], fplus: int, max_size: int) -> list[in
     out = []
     for k in range(0, min(max_size, len(members)) + 1):
         for combo in combinations(members, k):
-            zmask = 0
-            for z in combo:
-                zmask |= 1 << z
+            zmask = mask_of(combo)
             if all(isect[f] & zmask for f in members):
                 out.append(zmask)
     return out
@@ -369,11 +364,9 @@ def _cover_sup_violations(
     atoms below it: pi(x) prod (1 - pi(y)) is A_x & ~(A_y1 | ...) and the
     join over Z is A_z1 | ..., so the identity is a comparison of ints.
     """
-    m = len(E)
-    below = [0] * m
-    for k, mask in enumerate(atom_masks):
-        for p in iter_bits(mask):
-            below[p] |= 1 << k
+    below = [
+        mask_of(k for k, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(len(E))
+    ]
     comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
     orth = E.orth_masks
     nonzero = E.nonzero_mask
@@ -400,7 +393,7 @@ def _cover_sup_violations(
             visit(x, rest & ~comparable[q], y_mask | low, exy & orth[q], rhs & ~below[q])
 
     visit(None, nonzero, 0, E.full_mask, (1 << len(atom_masks)) - 1)
-    for x in range(m):
+    for x in range(len(E)):
         visit(x, nonzero, 0, E.down_masks[x], below[x])
     return out
 
@@ -599,15 +592,8 @@ def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
     spec = model.spectrum
     if not spec.points:
         raise ValidationError("no tight characters, nothing to cover")
-    n_pts = len(spec.points)
-    full = (1 << n_pts) - 1
-    coverage = []
-    for p in range(len(E)):
-        mask = 0
-        for i, bits in enumerate(spec.points):
-            if bits >> p & 1:
-                mask |= 1 << i
-        coverage.append(mask)
+    full = (1 << len(spec.points)) - 1
+    coverage = [spec.basic_sets[e] for e in E.carrier]
     candidates = [p for p in range(len(E)) if coverage[p]]
     chosen: tuple[int, ...] | None = None
     tried = 0

@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .bitsets import bit_array
+from .bitsets import bit_array, iter_bits, mask_of
 from .errors import CheckFailed, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
@@ -42,7 +42,7 @@ def theta_apply(E: Semilattice, s: int, bits: int) -> int:
             f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
         )
     conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
-    out = sum(1 << p for p, c in enumerate(conj.tolist()) if bits >> c & 1)
+    out = mask_of(p for p, c in enumerate(conj.tolist()) if bits >> c & 1)
     if not out >> E.position[int(t[s, st])] & 1:
         raise CheckFailed("image must live at ss*")
     return out
@@ -61,8 +61,9 @@ class GermGroupoidModel:
     ``point_minimum`` holds the least member of each spectrum point (as an
     ambient element), ``arrow_members`` every semigroup element in each
     germ class, and ``arrow_rep`` the least of them; arrow order is units
-    first, then by (base point, representative).  ``germ_index`` sends
-    (point, class key) to the arrow.
+    first, one per point in point order, so the unit at point p is arrow p,
+    then by (base point, representative).  ``germ_index`` sends (point,
+    class key) to the arrow.
     """
 
     semigroup: FiniteInverseSemigroup
@@ -74,7 +75,6 @@ class GermGroupoidModel:
     arrow_rep: tuple[int, ...]
     arrow_key: tuple[int, ...]
     arrow_members: tuple[tuple[int, ...], ...]
-    unit_arrow: tuple[int, ...]
     germ_index: dict[tuple[int, int], int]
 
     __hash__ = None
@@ -91,13 +91,8 @@ class GermGroupoidModel:
 
     def slice_of(self, s: int) -> int:
         """X_s: the germs of s at every point alive at s*s, as an arrow mask."""
-        S = self.semigroup
-        ss_pos = self.semilattice.position[_domain_idempotent(S, s)]
-        mask = 0
-        for point, bits in enumerate(self.spectrum.points):
-            if bits >> ss_pos & 1:
-                mask |= 1 << self.germ(s, point)
-        return mask
+        alive = self.spectrum.basic_sets[_domain_idempotent(self.semigroup, s)]
+        return mask_of(self.germ(s, point) for point in iter_bits(alive))
 
 
 def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
@@ -134,7 +129,6 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     names = tuple(
         f"{S.elements[rep]}@q{pt}" for rep, pt in zip(arrow_rep, arrow_point)
     )
-    unit_arrow = tuple(range(len(unit_classes)))  # one per point, point order
 
     germ_index = {
         (arrow_point[a], arrow_key[a]): a for a in range(len(ordered))
@@ -143,15 +137,13 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     target_point = tuple(
         theta_point(spec, arrow_rep[a], arrow_point[a]) for a in range(len(ordered))
     )
-    d_map = tuple(unit_arrow[arrow_point[a]] for a in range(len(ordered)))
-    r_map = tuple(unit_arrow[target_point[a]] for a in range(len(ordered)))
 
+    # the unit at point p is arrow p, so d and r are the base and target points;
     # intp even when there are no points, so the gathers below stay integer
-    reps, point, target, d, r, minimum_of = (
-        np.array(v, dtype=np.intp)
-        for v in (arrow_rep, arrow_point, target_point, d_map, r_map, minima)
+    reps, point, target, minimum_of = (
+        np.array(v, dtype=np.intp) for v in (arrow_rep, arrow_point, target_point, minima)
     )
-    left, right = np.nonzero(d[:, None] == r)  # every composable (a, b), row-major
+    left, right = np.nonzero(point[:, None] == target)  # every composable (a, b), row-major
     keys = t[t[reps[left], reps[right]], minimum_of[point[right]]]
     compose = np.full((len(ordered), len(ordered)), -1, dtype=np.int32)
     compose[left, right] = [
@@ -162,7 +154,7 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]
 
     groupoid = validate_groupoid(
-        names, unit_arrow, d_map, r_map, compose, inverse
+        names, range(len(points)), arrow_point, target_point, compose, inverse
     )
     return GermGroupoidModel(
         semigroup=S,
@@ -174,7 +166,6 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
         arrow_rep=arrow_rep,
         arrow_key=arrow_key,
         arrow_members=arrow_members,
-        unit_arrow=unit_arrow,
         germ_index=germ_index,
     )
 

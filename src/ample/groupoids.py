@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .semigroups import FiniteInverseSemigroup, row_blocks, validate_inverse_semigroup
 
@@ -60,18 +60,11 @@ class FiniteGroupoid:
         return {name: i for i, name in enumerate(self.arrows)}
 
     @cached_property
-    def unit_set(self) -> frozenset[int]:
-        return frozenset(self.units)
-
-    @cached_property
     def units_mask(self) -> int:
-        mask = 0
-        for u in self.units:
-            mask |= 1 << u
-        return mask
+        return mask_of(self.units)
 
     def is_unit(self, a: int) -> bool:
-        return a in self.unit_set
+        return bool(self.units_mask >> a & 1)
 
     @cached_property
     def d_fibers(self) -> dict[int, tuple[int, ...]]:
@@ -123,8 +116,8 @@ def validate_groupoid(
         for v in seq:
             if not 0 <= v < n:
                 raise ValueError(f"arrow index {v} out of range")
-    unit_set = frozenset(units_t)
-    if len(unit_set) != len(units_t):
+    unit_mask = mask_of(units_t)
+    if unit_mask.bit_count() != len(units_t):
         raise ValueError("duplicate units")
     comp = np.asarray(compose)
     if comp.shape != (n, n):
@@ -137,7 +130,7 @@ def validate_groupoid(
         if d_t[u] != u or r_t[u] != u:
             raise ValidationError(f"unit {names[u]} must have d = r = itself")
     for a in range(n):
-        if d_t[a] not in unit_set or r_t[a] not in unit_set:
+        if not (unit_mask >> d_t[a] & 1 and unit_mask >> r_t[a] & 1):
             raise ValidationError(f"arrow {names[a]} has non-unit source or range")
 
     d_a, r_a = np.array([d_t, r_t], dtype=np.intp)
@@ -208,18 +201,13 @@ def is_bisection(G: FiniteGroupoid, mask: int) -> bool:
 
 
 def slice_inverse(G: FiniteGroupoid, mask: int) -> int:
-    out = 0
-    for a in iter_bits(mask):
-        out |= 1 << G.inverse[a]
-    return out
+    return mask_of(G.inverse[a] for a in iter_bits(mask))
 
 
 def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
     """Pointwise product {sigma.tau : composable}; certified to be a bisection."""
-    out = 0
     products = G.compose[np.ix_(list(iter_bits(s)), list(iter_bits(t)))]
-    for c in products[products >= 0].tolist():
-        out |= 1 << c
+    out = mask_of(products[products >= 0].tolist())
     if not is_bisection(G, out):
         raise CheckFailed("product of bisections must be a bisection")
     return out
@@ -227,10 +215,7 @@ def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
 
 def source_mask(G: FiniteGroupoid, mask: int) -> int:
     """d(S) as a bitmask of unit arrows."""
-    out = 0
-    for a in iter_bits(mask):
-        out |= 1 << G.d[a]
-    return out
+    return mask_of(G.d[a] for a in iter_bits(mask))
 
 
 def enumerate_bisections(G: FiniteGroupoid, max_candidates: int = 1 << 20) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model, theta_apply
 from .groupoids import (
@@ -47,59 +47,63 @@ class PointBasisSpace:
     """A finite set of points with an intersection-closed basis of subsets.
 
     The basis must contain the empty set and every singleton; members are
-    stored as frozensets of point indices, canonically ordered.
+    stored as int masks over point indices, ordered by size, then by their
+    sorted members.
     """
 
     points: tuple[str, ...]
-    basis: tuple[frozenset[int], ...]
+    basis: tuple[int, ...]
+
+
+def _basis_order(mask: int) -> tuple[int, list[int]]:
+    return mask.bit_count(), list(iter_bits(mask))
 
 
 def point_basis_space(
     points: Iterable[str], sets: Iterable[Iterable[int]]
 ) -> PointBasisSpace:
     pts = tuple(str(p) for p in points)
-    family = {frozenset(int(i) for i in s) for s in sets}
-    for s in family:
+    members = [[int(i) for i in s] for s in sets]
+    for s in members:
         for i in s:
             if not 0 <= i < len(pts):
                 raise ValidationError(f"basis member mentions unknown point {i}")
-    if frozenset() not in family:
+    ordered = tuple(sorted({mask_of(s) for s in members}, key=_basis_order))
+    family = set(ordered)
+    if 0 not in family:
         raise ValidationError("basis must contain the empty set")
     for i in range(len(pts)):
-        if frozenset([i]) not in family:
+        if 1 << i not in family:
             raise ValidationError(f"basis must contain the singleton of {pts[i]}")
-    for a in family:
-        for b in family:
+    for a in ordered:
+        for b in ordered:
             if a & b not in family:
                 raise ValidationError(
-                    f"basis not closed under intersection at {sorted(a)} and {sorted(b)}"
+                    "basis not closed under intersection at"
+                    f" {list(iter_bits(a))} and {list(iter_bits(b))}"
                 )
-    ordered = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
     return PointBasisSpace(pts, ordered)
 
 
-def _set_name(s: frozenset[int]) -> str:
-    if not s:
+def _set_name(mask: int) -> str:
+    if not mask:
         return "0"
-    return "U" + ".".join(str(i) for i in sorted(s))
+    return "U" + ".".join(map(str, iter_bits(mask)))
 
 
-def basis_semilattice(
-    space: PointBasisSpace,
-) -> tuple[Semilattice, tuple[frozenset[int], ...]]:
+def basis_semilattice(space: PointBasisSpace) -> Semilattice:
     """The basis viewed as a semilattice under intersection.
 
-    Returns the semilattice and, parallel to its carrier, the basis sets.
+    Carrier position p is the basis member ``space.basis[p]``.
     """
     sets = space.basis
     index = {s: i for i, s in enumerate(sets)}
-    names = [_set_name(s) for s in sets]
-    rows = [[index[a & b] for b in sets] for a in sets]
-    sg = validate_inverse_semigroup(names, rows)
+    table = np.array([index[a & b] for a in sets for b in sets], dtype=np.int32)
+    sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), -1))
     E = idempotent_semilattice(sg)
     if E.carrier != tuple(range(len(sets))):
         raise CheckFailed("every basis set must be an idempotent")
-    return E, sets
+    return E
 
 
 def phi_point(space: PointBasisSpace, spec: TightSpectrum, x: int) -> int:
@@ -108,10 +112,7 @@ def phi_point(space: PointBasisSpace, spec: TightSpectrum, x: int) -> int:
     ``spec`` is the tight spectrum of :func:`basis_semilattice` of the
     space, whose points are certified to be its ultrafilters.
     """
-    bits = 0
-    for p, s in enumerate(space.basis):
-        if x in s:
-            bits |= 1 << p
+    bits = mask_of(p for p, s in enumerate(space.basis) if s >> x & 1)
     if bits not in spec.point_index:
         raise CheckFailed("a point character must be an ultrafilter")
     return bits
@@ -142,29 +143,29 @@ def stone_check(space: PointBasisSpace) -> StoneReport:
     """Compare x -> xi_x against the tight spectrum of the basis.
 
     Verifies injectivity, surjectivity onto the tight characters, and that
-    the image of each basis member U is exactly D_U.
+    the image of each basis member U is exactly D_U, as masks over the
+    spectrum's point indices.
     """
-    E, sets = basis_semilattice(space)
+    E = basis_semilattice(space)
     spec = tight_spectrum(E)
-    chars = {x: phi_point(space, spec, x) for x in range(len(space.points))}
-    injective = len(set(chars.values())) == len(space.points)
-    surjective = set(chars.values()) == set(spec.points)
+    point_of = [spec.point_index[phi_point(space, spec, x)] for x in range(len(space.points))]
+    hit = mask_of(point_of)
+    injective = hit.bit_count() == len(space.points)
+    surjective = hit == (1 << len(spec.points)) - 1
     witness = None
     if not injective:
         witness = "two points induce the same character"
     elif not surjective:
         witness = "a tight character comes from no point"
     basic_ok = True
-    for p, s in enumerate(sets):
-        image = {chars[x] for x in s}
-        d_u = {spec.points[i] for i in spec.basic_sets[E.carrier[p]]}
-        if image != d_u:
+    for p, s in enumerate(space.basis):
+        if mask_of(point_of[x] for x in iter_bits(s)) != spec.basic_sets[E.carrier[p]]:
             basic_ok = False
             witness = f"image of {_set_name(s)} differs from its basic set"
             break
     return StoneReport(
         point_count=len(space.points),
-        basis_count=len(sets),
+        basis_count=len(space.basis),
         spectrum_size=len(spec.points),
         injective=injective,
         surjective=surjective,
@@ -190,30 +191,17 @@ def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:
             f"basis enumeration on {n_points} points would scan 2^{larger}"
             f" > {MAX_BASIS_FAMILIES} candidate families"
         )
-    required = [frozenset()] + [frozenset([i]) for i in range(n_points)]
     bigger = [
-        frozenset(c)
-        for k in range(2, n_points + 1)
-        for c in combinations(range(n_points), k)
+        mask_of(c) for k in range(2, n_points + 1) for c in combinations(range(n_points), k)
     ]
+    every = sorted(range(1 << n_points), key=_basis_order)
     spaces = []
     names = tuple(f"p{i}" for i in range(n_points))
     for pick in range(1 << len(bigger)):
         chosen = {bigger[i] for i in iter_bits(pick)}
-        if all(
-            len(a & b) < 2 or a & b in chosen for a in chosen for b in chosen
-        ):
-            spaces.append(
-                PointBasisSpace(
-                    names,
-                    tuple(
-                        sorted(
-                            set(required) | chosen,
-                            key=lambda s: (len(s), sorted(s)),
-                        )
-                    ),
-                )
-            )
+        if all((a & b).bit_count() < 2 or a & b in chosen for a in chosen for b in chosen):
+            basis = tuple(s for s in every if s.bit_count() < 2 or s in chosen)
+            spaces.append(PointBasisSpace(names, basis))
     return spaces
 
 
@@ -245,10 +233,7 @@ def equivariance_check(bs: BisectionSemigroup) -> EquivarianceReport:
             raise CheckFailed("idempotent bisections are unit sets")
     phi = {}
     for u in G.units:
-        bits = 0
-        for p, e in enumerate(E.carrier):
-            if bs.bits[e] >> u & 1:
-                bits |= 1 << p
+        bits = mask_of(p for p, e in enumerate(E.carrier) if bs.bits[e] >> u & 1)
         if bits not in spec.point_index:
             raise CheckFailed("unit characters must be tight")
         phi[u] = bits
@@ -293,7 +278,10 @@ def check_isomorphism(iso: GroupoidIsomorphism) -> None:
     G, H, f = iso.source, iso.target, iso.arrow_map
     if len(f) != len(G.arrows) or len(set(f)) != len(f) or len(f) != len(H.arrows):
         raise CheckFailed(f"map covers {len(set(f))} of {len(H.arrows)} target arrows")
-    if {f[u] for u in G.units} != set(H.units):
+    for a, b in enumerate(f):
+        if not 0 <= b < len(H.arrows):
+            raise CheckFailed(f"{G.arrows[a]} maps to {b}, not a target arrow index")
+    if mask_of(f[u] for u in G.units) != H.units_mask:
         raise CheckFailed("units are not carried onto units")
     for a in range(len(G.arrows)):
         if f[G.d[a]] != H.d[f[a]] or f[G.r[a]] != H.r[f[a]]:

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .errors import CheckFailed
 from .semigroups import Semilattice
-
-def principal_filter(E: Semilattice, p: int) -> int:
-    """Everything above the carrier element at position p, as a bitmask."""
-    return E.up_masks[p]
 
 
 def filter_minimum(E: Semilattice, bits: int) -> int:
@@ -56,7 +52,7 @@ def enumerate_filters(E: Semilattice) -> tuple[int, ...]:
     for p in range(len(E)):
         if p == E.zero_pos:
             continue
-        bits = principal_filter(E, p)
+        bits = E.up_masks[p]
         if not is_filter(E, bits):
             raise CheckFailed("a principal filter must be a filter")
         out.add(bits)
@@ -113,11 +109,6 @@ def find_tightness_violation(
     return None
 
 
-def is_tight_character(E: Semilattice, bits: int) -> bool:
-    """Whether the cover-sup condition holds at every (X, Y) instance."""
-    return find_tightness_violation(E, bits) is None
-
-
 @dataclass(frozen=True)
 class TightSpectrum:
     """The tight characters of a finite semilattice, canonically ordered.
@@ -137,15 +128,12 @@ class TightSpectrum:
         return {bits: i for i, bits in enumerate(self.points)}
 
     @cached_property
-    def basic_sets(self) -> dict[int, tuple[int, ...]]:
-        """D_e for every ambient idempotent e: indices of points alive at e."""
-        E = self.semilattice
-        out = {}
-        for p, e in enumerate(E.carrier):
-            out[e] = tuple(
-                i for i, bits in enumerate(self.points) if bits >> p & 1
-            )
-        return out
+    def basic_sets(self) -> dict[int, int]:
+        """D_e for every ambient idempotent e: the mask of point indices alive at e."""
+        return {
+            e: mask_of(i for i, bits in enumerate(self.points) if bits >> p & 1)
+            for p, e in enumerate(self.semilattice.carrier)
+        }
 
 
 def tight_spectrum(E: Semilattice) -> TightSpectrum:
@@ -156,7 +144,7 @@ def tight_spectrum(E: Semilattice) -> TightSpectrum:
     CheckFailed as a bug trap.
     """
     filters = enumerate_filters(E)
-    tight = tuple(b for b in filters if is_tight_character(E, b))
+    tight = tuple(b for b in filters if find_tightness_violation(E, b) is None)
     ultra = ultrafilters(E, filters)
     if set(tight) != set(ultra):
         raise CheckFailed(f"tight characters {tight!r} differ from ultrafilters {ultra!r}")

@@ -5,7 +5,7 @@ staying off the code paths it is used to check.
 """
 
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -78,11 +78,23 @@ def order_masks_by_definition(E):
     return tuple(down), tuple(up), tuple(orth)
 
 
-def mask_of(indices):
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+def point_bases_by_definition(n):
+    """Every basis on n points, from the powerset of the powerset, as frozensets.
+
+    A family is kept when it holds the empty set and every singleton and
+    is closed under intersection, checked over all pairs of members.
+    Families come in ascending order as bit patterns over the subsets
+    listed by (size, sorted members), and so do the members of each.
+    """
+    subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    required = {frozenset()} | {frozenset([i]) for i in range(n)}
+    out = []
+    for pick in range(1 << len(subsets)):
+        family = [s for i, s in enumerate(subsets) if pick >> i & 1]
+        chosen = set(family)
+        if required <= chosen and all(a & b in chosen for a in family for b in family):
+            out.append(tuple(family))
+    return out
 
 
 def product_of(S, items):

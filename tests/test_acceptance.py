@@ -14,8 +14,8 @@ from ample import (
     enumerate_filters,
     enumerate_point_bases,
     equivariance_check,
+    find_tightness_violation,
     idempotent_semilattice,
-    is_tight_character,
     pair_groupoid,
     rho,
     run_reconstruction,
@@ -60,7 +60,9 @@ def test_tight_equals_ultra(corpus_runs):
             for i, S in enumerate(items):
                 semilattices.append((f"zoo{size}.{i}", idempotent_semilattice(S)))
         for label, E in semilattices:
-            tight = {b for b in enumerate_filters(E) if is_tight_character(E, b)}
+            tight = {
+                b for b in enumerate_filters(E) if find_tightness_violation(E, b) is None
+            }
             assert tight == set(ultrafilters(E)), label
 
 

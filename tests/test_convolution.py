@@ -27,13 +27,12 @@ from ample import (
     validate_inverse_semigroup,
 )
 from ample import convolution
-from ample.bitsets import iter_bits
+from ample.bitsets import iter_bits, mask_of
 from ample.convolution import _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, ValidationError
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
 
 from oracles import (
-    mask_of,
     representation_laws_by_definition,
     tight_representation_by_definition,
 )

@@ -214,10 +214,11 @@ def test_theta_point_matches_groupoid_range():
     bs = bisection_semigroup(G, enumerate_bisections(G))
     model = build_germ_model(bs.semigroup)
     H = model.groupoid
+    assert H.units == tuple(range(len(model.spectrum.points)))  # the unit at point p is arrow p
     for a in range(len(H.arrows)):
         s, pt = model.arrow_rep[a], model.arrow_point[a]
-        assert H.r[a] == model.unit_arrow[theta_point(model.spectrum, s, pt)]
-        assert H.d[a] == model.unit_arrow[pt]
+        assert H.r[a] == theta_point(model.spectrum, s, pt)
+        assert H.d[a] == pt
 
 
 def test_slice_of_zero_is_empty():
@@ -232,10 +233,10 @@ def test_slice_of_idempotent_is_unit_set():
     bs = bisection_semigroup(G, enumerate_bisections(G))
     model = build_germ_model(bs.semigroup)
     E = model.semilattice
+    assert model.groupoid.units == tuple(range(len(model.spectrum.points)))
     for e in E.carrier:
-        mask = model.slice_of(e)
-        points = model.spectrum.basic_sets[e]
-        assert mask == sum(1 << model.unit_arrow[p] for p in points)
+        # the unit at point p is arrow p, so the unit set is D_e itself
+        assert model.slice_of(e) == model.spectrum.basic_sets[e]
 
 
 def test_slice_sizes_match_basic_sets():
@@ -245,9 +246,7 @@ def test_slice_sizes_match_basic_sets():
         S = bs.semigroup
         for s in range(len(S)):
             dom = _domain_idempotent(S, s)
-            assert bin(model.slice_of(s)).count("1") == len(
-                model.spectrum.basic_sets[dom]
-            )
+            assert model.slice_of(s).bit_count() == model.spectrum.basic_sets[dom].bit_count()
 
 
 def test_slice_map_is_multiplicative_and_star_compatible():

@@ -26,9 +26,11 @@ from ample import (
     validate_groupoid,
     validate_inverse_semigroup,
 )
+from ample.bitsets import iter_bits, mask_of
 from ample.errors import CheckFailed, ValidationError
 from ample.reconstruction import GroupoidIsomorphism, basis_semilattice
 
+from oracles import point_bases_by_definition
 from test_groupoids import pair_times_cyclic
 from test_semigroups import _group_with_zero
 
@@ -49,32 +51,47 @@ def test_point_basis_space_validation():
             ["w", "x", "y", "z"],
             [(), (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3)],
         )
+    # point indices are checked before any mask is built, so -1 never reaches 1 << -1
+    for bad in (-1, 2, 70):
+        with pytest.raises(ValidationError, match=f"unknown point {bad}"):
+            point_basis_space(["x", "y"], [(), (0,), (1,), (0, 1), (0, bad)])
+
+
+def test_point_bases_match_the_definition():
+    counts = []
+    for n in range(5):
+        spaces = enumerate_point_bases(n)
+        got = [tuple(frozenset(iter_bits(s)) for s in space.basis) for space in spaces]
+        assert got == point_bases_by_definition(n)
+        assert all(space.points == tuple(f"p{i}" for i in range(n)) for space in spaces)
+        counts.append(len(spaces))
+    assert counts == [1, 1, 2, 16, 1090]  # 1110 in all, as stone-check --max-points 4 prints
 
 
 def test_phi_point_powerset():
     space = point_basis_space(["1", "2"], [(), (0,), (1,), (0, 1)])
-    E, sets = basis_semilattice(space)
-    bits = phi_point(space, tight_spectrum(E), 0)
+    sets = space.basis
+    bits = phi_point(space, tight_spectrum(basis_semilattice(space)), 0)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
-    assert members == {frozenset([0]), frozenset([0, 1])}
+    assert members == {mask_of([0]), mask_of([0, 1])}
 
 
 def test_phi_point_single_point():
     space = point_basis_space(["x"], [(), (0,)])
-    E, sets = basis_semilattice(space)
-    bits = phi_point(space, tight_spectrum(E), 0)
+    sets = space.basis
+    bits = phi_point(space, tight_spectrum(basis_semilattice(space)), 0)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
-    assert members == {frozenset([0])}  # everything except the empty set
+    assert members == {mask_of([0])}  # everything except the empty set
 
 
 def test_phi_point_three_points():
     space = point_basis_space(
         ["1", "2", "3"], [(), (0,), (1,), (2,), (0, 1), (0, 1, 2)]
     )
-    E, sets = basis_semilattice(space)
-    bits = phi_point(space, tight_spectrum(E), 2)
+    sets = space.basis
+    bits = phi_point(space, tight_spectrum(basis_semilattice(space)), 2)
     members = {sets[p] for p in range(len(sets)) if bits >> p & 1}
-    assert members == {frozenset([2]), frozenset([0, 1, 2])}
+    assert members == {mask_of([2]), mask_of([0, 1, 2])}
 
 
 def test_stone_check_powerset_two_points():
@@ -190,6 +207,14 @@ def test_check_isomorphism_rejects_wrong_map():
     G5 = group_groupoid(5)
     with pytest.raises(CheckFailed, match=r"composition not intertwined at c1 \* c1"):
         check_isomorphism(GroupoidIsomorphism(G5, G5, (0, 2, 1, 4, 3)))
+    # entries are range-checked before any indexing: 5 would raise
+    # IndexError and -1 would wrap around to the last arrow
+    G = group_groupoid(2)
+    for bad in (5, -1):
+        with pytest.raises(CheckFailed, match=f"^c1 maps to {bad}, not a target arrow index$"):
+            check_isomorphism(GroupoidIsomorphism(G, G, (0, bad)))
+    with pytest.raises(CheckFailed, match="^e maps to -1"):
+        check_isomorphism(GroupoidIsomorphism(G, G, (-1, 1)))  # a unit, before its mask
 
 
 def relabeled(G, perm):
