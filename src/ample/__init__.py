@@ -88,9 +88,7 @@ from .semigroups import (
 from .spectrum import (
     TightSpectrum,
     enumerate_filters,
-    filter_minimum,
     find_tightness_violation,
-    is_filter,
     tight_spectrum,
     ultrafilters,
 )

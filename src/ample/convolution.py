@@ -22,7 +22,7 @@ from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
-from .spectrum import find_tightness_violation, is_filter
+from .spectrum import tight_spectrum
 
 # Largest cover --audit-covers adds to the minimal ones.
 AUDIT_COVER_SIZE = 4
@@ -165,28 +165,27 @@ def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
     """Minimal Z inside F+ meeting every member of F+, as position masks.
 
     Branches on the lowest uncovered member, so every minimal cover is
-    reached; non-minimal byproducts are filtered afterwards, smallest first,
-    against the covers already kept (a non-minimal cover contains a
-    minimal one, which has fewer members).
+    reached.  A cover is minimal iff each of its members meets a member
+    of F+ that no other member meets, its private part; adding members
+    only shrinks private parts, so a branch stops as soon as one is empty.
     """
     if fplus == 0:
         return (0,)
     found: set[int] = set()
 
-    def rec(zmask: int, uncovered: int) -> None:
+    def rec(zmask: int, private: list[int], uncovered: int) -> None:
         if not uncovered:
             found.add(zmask)
             return
         f = (uncovered & -uncovered).bit_length() - 1
         for z in iter_bits(isect[f] & fplus):
-            rec(zmask | 1 << z, uncovered & ~isect[z])
+            parts = [part & ~isect[z] for part in private]
+            if all(parts):
+                parts.append(isect[z] & uncovered)
+                rec(zmask | 1 << z, parts, uncovered & ~isect[z])
 
-    rec(0, fplus)
-    kept: list[int] = []
-    for z in sorted(found, key=int.bit_count):
-        if not any(o & z == o for o in kept):
-            kept.append(z)
-    return tuple(sorted(kept))
+    rec(0, [], fplus)
+    return tuple(sorted(found))
 
 
 def _all_covers_upto(isect: Sequence[int], fplus: int, max_size: int) -> list[int]:
@@ -468,8 +467,8 @@ def check_tight_representation(
     e -> [atom <= pi(e)] is tight (Exel, *Inverse semigroups and
     combinatorial C*-algebras*, arXiv:math/0703182, sections 11-12;
     Donsig and Milan, *Joins and covers in inverse semigroups and tight
-    C*-algebras*, Bull. Aust. Math. Soc. 2014): a nonempty filter that
-    ``find_tightness_violation`` accepts.  The instance and cover counters
+    C*-algebras*, Bull. Aust. Math. Soc. 2014), that is, a point of
+    ``tight_spectrum(E)``.  The instance and cover counters
     are counted, not enumerated.  Only a failing verdict or
     ``audit_covers`` lists the instances, to report every violated one;
     past MAX_REP_INSTANCES of them it raises BoundExceeded.
@@ -530,10 +529,8 @@ def check_tight_representation(
         raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
 
     atom_masks = _atom_characters(values, E, AlgebraElement.unit(G))
-    tight = all(
-        is_filter(E, mask) and find_tightness_violation(E, mask) is None
-        for mask in atom_masks
-    )
+    points = tight_spectrum(E).point_index
+    tight = all(mask in points for mask in atom_masks)
 
     isect = E.intersect_masks
     cover_cache: dict[int, tuple[int, ...]] = {}

@@ -20,7 +20,7 @@ from .bitsets import bit_array, iter_bits, mask_of
 from .errors import CheckFailed, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
-from .spectrum import TightSpectrum, filter_minimum, tight_spectrum
+from .spectrum import TightSpectrum, tight_spectrum
 
 
 def _domain_idempotent(S: FiniteInverseSemigroup, s: int) -> int:
@@ -100,7 +100,7 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     E = idempotent_semilattice(S)
     spec = tight_spectrum(E)
     points = spec.points
-    minima = [E.carrier[filter_minimum(E, bits)] for bits in points]
+    minima = [E.carrier[E.minimum_of[bits]] for bits in points]
 
     # Germ classes per point, keyed by s * m with m the point's minimum.
     t = S.table
@@ -140,17 +140,17 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
 
     # the unit at point p is arrow p, so d and r are the base and target points;
     # intp even when there are no points, so the gathers below stay integer
-    reps, point, target, minimum_of = (
+    reps, point, target, point_min = (
         np.array(v, dtype=np.intp) for v in (arrow_rep, arrow_point, target_point, minima)
     )
     left, right = np.nonzero(point[:, None] == target)  # every composable (a, b), row-major
-    keys = t[t[reps[left], reps[right]], minimum_of[point[right]]]
+    keys = t[t[reps[left], reps[right]], point_min[point[right]]]
     compose = np.full((len(ordered), len(ordered)), -1, dtype=np.int32)
     compose[left, right] = [
         germ_index[pt_key] for pt_key in zip(point[right].tolist(), keys.tolist())
     ]
 
-    keys = t[star[reps], minimum_of[target]]
+    keys = t[star[reps], point_min[target]]
     inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]
 
     groupoid = validate_groupoid(

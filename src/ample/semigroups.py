@@ -289,6 +289,20 @@ class Semilattice:
         return row_masks(self.meets == np.arange(len(self.carrier))[:, None])
 
     @cached_property
+    def minimum_of(self) -> dict[int, int]:
+        """minimum_of[up_masks[p]] = p for every nonzero position p.
+
+        In a finite semilattice a filter holds the meet of its members and
+        everything above it, and nothing else, so the keys are exactly the
+        filters and each maps to its minimum.
+        """
+        zero = self.zero_pos
+        out = {u: p for p, u in enumerate(self.up_masks) if p != zero}
+        if len(out) != len(self.carrier) - 1:
+            raise CheckFailed("distinct idempotents must have distinct principal filters")
+        return out
+
+    @cached_property
     def orth_masks(self) -> tuple[int, ...]:
         """orth_masks[p] = positions q with e_q e_p = 0."""
         return row_masks(self.meets == self.zero_pos)

@@ -12,68 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import iter_bits, mask_of
+import numpy as np
+
+from .bitsets import mask_of
 from .errors import CheckFailed
 from .semigroups import Semilattice
 
 
-def filter_minimum(E: Semilattice, bits: int) -> int:
-    """Position of the least member (the meet of all members)."""
-    members = iter_bits(bits)
-    acc = next(members, None)
-    if acc is None:
-        raise ValueError("empty mask has no minimum")
-    meets = E.meets
-    for p in members:
-        acc = meets[acc, p]
-    return int(acc)
-
-
-def is_filter(E: Semilattice, bits: int) -> bool:
-    """Nonempty, zero-free, and equal to the principal filter on its minimum.
-
-    In a finite semilattice a filter holds the meet of its members and
-    everything above it, and nothing else, so the filter laws reduce to
-    this one comparison.
-    """
-    if bits == 0 or bits >> E.zero_pos & 1:
-        return False
-    return bits == E.up_masks[filter_minimum(E, bits)]
-
-
 def enumerate_filters(E: Semilattice) -> tuple[int, ...]:
-    """All filters of E as ascending bitmasks.
-
-    Generates the principal filter up from each nonzero idempotent and
-    re-checks the filter laws on each one; in a finite semilattice every
-    filter is principal on its minimum, so nothing is missed.
-    """
-    out = set()
-    for p in range(len(E)):
-        if p == E.zero_pos:
-            continue
-        bits = E.up_masks[p]
-        if not is_filter(E, bits):
-            raise CheckFailed("a principal filter must be a filter")
-        out.add(bits)
-    return tuple(sorted(out))
+    """All filters of E as ascending bitmasks: the keys of ``E.minimum_of``."""
+    return tuple(sorted(E.minimum_of))
 
 
-def ultrafilters(
-    E: Semilattice, filters: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
+def ultrafilters(E: Semilattice) -> tuple[int, ...]:
     """Filters not properly contained in any other filter.
 
-    ``filters`` is the already-enumerated filter tuple of E, when the
-    caller has one; otherwise the filters are enumerated here.
+    up(p) lies properly inside up(q) iff q < p, so up(p) is maximal iff
+    nothing but p and zero lies below p.  One pass over ``E.meets`` counts
+    the q with p q = q for every p.
     """
-    if filters is None:
-        filters = enumerate_filters(E)
-    return tuple(
-        f
-        for f in filters
-        if not any(g != f and g & f == f for g in filters)
-    )
+    below = np.count_nonzero(E.meets == np.arange(len(E)), axis=1)
+    return tuple(sorted(E.up_masks[p] for p in np.flatnonzero(below == 2).tolist()))
 
 
 def find_tightness_violation(
@@ -84,29 +43,28 @@ def find_tightness_violation(
     Exel (*Inverse semigroups and combinatorial C*-algebras*, Bull. Braz.
     Math. Soc. 39 (2008), arXiv:math/0703182, sections 11-12) shows that a
     filter xi is tight iff no x in xi has down(x) - xi as a cover of
-    down(x).  So the scan walks the members x of xi in ascending position
-    order and returns (x, 0, down(x) - xi) at the first x whose killed part
-    covers it.  Instances with X empty need no pass of their own: if the
-    killed part Z of E^Y covers E^Y for a killed Y, then for any x in xi
-    each nonzero w <= x meets some y in Y or lies in E^Y and meets some z
-    in Z, and w^y or w^z is a killed member of down(x) that w meets.
+    down(x); the witness is (x, 0, down(x) - xi) at the first such x in
+    ascending position order.  Instances with X empty need no pass of
+    their own: if the killed part Z of E^Y covers E^Y for a killed Y, then
+    for any x in xi each nonzero w <= x meets some y in Y or lies in E^Y
+    and meets some z in Z, and w^y or w^z is a killed member of down(x)
+    that w meets.
+
+    The filter is up(p) with p = ``E.minimum_of[bits]``, and the rule
+    reduces to whether p is an atom.  If it is, no x in xi violates: w = p
+    lies under x, and a nonzero p^k is p itself, so every k that p meets
+    lies in xi.  If a nonzero a < p exists, every x in xi violates: take a
+    nonzero w <= x.  Outside xi, w is a killed member of down(x) that w
+    meets; inside xi, w >= p > a, so w meets a, which is killed and lies
+    under x.  So the first violation is at the lowest member.
     """
-    if not is_filter(E, bits):
+    p = E.minimum_of.get(bits)
+    if p is None:
         raise CheckFailed("tightness is defined for characters only")
-    down = E.down_masks
-    isect = E.intersect_masks
-    nonzero = E.nonzero_mask
-    for x in iter_bits(bits):
-        killed = down[x] & ~bits
-        live = down[x] & nonzero
-        while live:
-            low = live & -live
-            if not isect[low.bit_length() - 1] & killed:
-                break
-            live ^= low
-        else:
-            return (x, 0, killed)
-    return None
+    if E.down_masks[p] & E.nonzero_mask == 1 << p:
+        return None
+    x = (bits & -bits).bit_length() - 1
+    return (x, 0, E.down_masks[x] & ~bits)
 
 
 @dataclass(frozen=True)
@@ -145,7 +103,7 @@ def tight_spectrum(E: Semilattice) -> TightSpectrum:
     """
     filters = enumerate_filters(E)
     tight = tuple(b for b in filters if find_tightness_violation(E, b) is None)
-    ultra = ultrafilters(E, filters)
+    ultra = ultrafilters(E)
     if set(tight) != set(ultra):
         raise CheckFailed(f"tight characters {tight!r} differ from ultrafilters {ultra!r}")
     return TightSpectrum(E, filters, tight)

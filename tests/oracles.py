@@ -10,13 +10,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from ample import AlgebraElement, slice_product, sup
-from ample.bitsets import iter_bits
-from ample.convolution import (
-    AUDIT_COVER_SIZE,
-    TightRepresentationReport,
-    _all_covers_upto,
-    _minimal_covers,
-)
+from ample.bitsets import iter_bits, mask_of
+from ample.convolution import AUDIT_COVER_SIZE, TightRepresentationReport
 from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
 from ample.groupoids import FiniteGroupoid, validate_groupoid
 from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
@@ -159,6 +154,49 @@ def tightness_violation_by_definition(E, bits):
                 # rhs is 0, so the character must vanish on E^{X,Y}
                 return (x, y_mask, killed)
     return None
+
+
+def tightness_violation_by_member_scan(E, bits):
+    """Exel's member-by-member test of the filter bits, one member at a time.
+
+    Walks the members x in ascending position order and returns
+    (x, 0, down(x) - xi) at the first x whose killed part meets every
+    nonzero w <= x, or None when no member has one.
+    """
+    down = E.down_masks
+    isect = E.intersect_masks
+    for x in iter_bits(bits):
+        killed = down[x] & ~bits
+        if all(isect[w] & killed for w in iter_bits(down[x] & E.nonzero_mask)):
+            return (x, 0, killed)
+    return None
+
+
+def ultrafilters_by_pairwise_scan(filters):
+    """Filters not properly contained in any other, by comparing every pair."""
+    return tuple(f for f in filters if not any(g != f and g & f == f for g in filters))
+
+
+def covers_upto_by_definition(isect, fplus, max_size):
+    """Every Z inside F+ of at most max_size members meeting each member of F+."""
+    members = list(iter_bits(fplus))
+    return [
+        zmask
+        for k in range(min(max_size, len(members)) + 1)
+        for zmask in map(mask_of, combinations(members, k))
+        if all(isect[f] & zmask for f in members)
+    ]
+
+
+def minimal_covers_by_definition(isect, fplus):
+    """Covers of F+ with no cover one member smaller, ascending, by subset scan.
+
+    Covers are closed upwards inside F+, so that is no smaller cover at all.
+    """
+    covers = set(covers_upto_by_definition(isect, fplus, fplus.bit_count()))
+    return tuple(
+        sorted(z for z in covers if not any(z & ~(1 << m) in covers for m in iter_bits(z)))
+    )
 
 
 def is_idempotent(S, e):
@@ -427,9 +465,9 @@ def tight_representation_by_definition(pi, S, audit_covers=False):
         counters["instances"] += 1
         fplus = exy & E.nonzero_mask
         if fplus not in cover_cache:
-            covers = _minimal_covers(isect, fplus)
+            covers = minimal_covers_by_definition(isect, fplus)
             if audit_covers:
-                audit = _all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)
+                audit = covers_upto_by_definition(isect, fplus, AUDIT_COVER_SIZE)
                 covers = tuple(sorted(set(covers) | set(audit)))
             cover_cache[fplus] = covers
         covers = cover_cache[fplus]

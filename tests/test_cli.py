@@ -486,7 +486,7 @@ def test_checks_still_run_under_python_O():
         f"""
         import ample.spectrum
         from ample.cli import build_parser, main
-        ample.spectrum.is_filter = lambda E, bits: False
+        ample.spectrum.find_tightness_violation = lambda E, bits: (0, 0, 0)
         sys.exit(main(["spectrum", {str(DATA / "chain.sgp")!r}]))
         """
     )

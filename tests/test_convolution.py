@@ -28,14 +28,17 @@ from ample import (
 )
 from ample import convolution
 from ample.bitsets import iter_bits, mask_of
-from ample.convolution import _minimal_covers
+from ample.convolution import AUDIT_COVER_SIZE, _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, ValidationError
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
 
 from oracles import (
+    covers_upto_by_definition,
+    minimal_covers_by_definition,
     representation_laws_by_definition,
     tight_representation_by_definition,
 )
+from semilattice_zoo import all_semilattices_upto
 from test_semigroups import chain_semilattice, powerset_semilattice
 
 DATA = Path(__file__).parent / "data"
@@ -252,17 +255,22 @@ def test_minimal_covers_match_subset_scan():
                 isect[p] |= 1 << q
                 isect[q] |= 1 << p
         fplus = rng.randrange(1 << n)
-        members = list(iter_bits(fplus))
-        covers = [
-            mask_of(zs)
-            for k in range(len(members) + 1)
-            for zs in combinations(members, k)
-            if all(isect[f] & mask_of(zs) for f in members)
-        ]
-        minimal = sorted(
-            z for z in covers if not any(o != z and o & z == o for o in covers)
+        assert _minimal_covers(isect, fplus) == minimal_covers_by_definition(isect, fplus), (
+            isect,
+            fplus,
         )
-        assert _minimal_covers(isect, fplus) == tuple(minimal), (isect, fplus)
+
+
+def test_covers_match_subset_scan_on_every_family_of_the_zoo():
+    for S in (S for items in all_semilattices_upto(5).values() for S in items):
+        E = idempotent_semilattice(S)
+        isect = E.intersect_masks
+        for fplus in range(1 << len(E)):
+            if fplus >> E.zero_pos & 1:
+                continue
+            assert _minimal_covers(isect, fplus) == minimal_covers_by_definition(isect, fplus)
+            audit = convolution._all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)
+            assert audit == covers_upto_by_definition(isect, fplus, AUDIT_COVER_SIZE)
 
 
 # -- the fast check against the literal scan --------------------------------------

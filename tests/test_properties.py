@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ample import idempotent_semilattice
 from ample.bitsets import iter_bits
-from ample.spectrum import enumerate_filters, filter_minimum
+from ample.spectrum import enumerate_filters
 
 from oracles import is_cover, is_idempotent, product_of, restricted_ideal
 from semilattice_zoo import all_semilattices_upto
@@ -57,7 +57,7 @@ def test_cover_monotonicity(data, extra):
 def test_filters_are_principal_on_their_minimum(S):
     E = idempotent_semilattice(S)
     for bits in enumerate_filters(E):
-        assert bits == E.up_masks[filter_minimum(E, bits)]
+        assert bits == E.up_masks[E.minimum_of[bits]]
 
 
 @settings(max_examples=100, deadline=None)

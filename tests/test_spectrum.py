@@ -1,27 +1,31 @@
+import numpy as np
+import pytest
+
 from ample import (
     bisection_semigroup,
     enumerate_bisections,
     enumerate_filters,
     idempotent_semilattice,
-    is_filter,
     pair_groupoid,
     singleton_semigroup,
     tight_spectrum,
     ultrafilters,
 )
 from ample.bitsets import iter_bits
-from ample.spectrum import (
-    filter_minimum,
-    find_tightness_violation,
-)
+from ample.errors import CheckFailed
+from ample.semigroups import FiniteInverseSemigroup
+from ample.spectrum import find_tightness_violation
 
 from oracles import (
     EXHAUSTIVE_BOUND,
     filters_by_definition,
     is_character,
     is_cover,
+    meet_pos_by_table,
     restricted_ideal,
     tightness_violation_by_definition,
+    tightness_violation_by_member_scan,
+    ultrafilters_by_pairwise_scan,
 )
 from semilattice_zoo import all_semilattices_upto
 from test_semigroups import chain_semilattice, powerset_semilattice
@@ -66,7 +70,9 @@ def test_every_filter_is_principal_on_its_minimum():
     for S in (chain_semilattice(3), powerset_semilattice((1, 2, 3))[0]):
         E = idempotent_semilattice(S)
         for bits in enumerate_filters(E):
-            assert bits == E.up_masks[filter_minimum(E, bits)]
+            p = E.minimum_of[bits]
+            assert bits == E.up_masks[p]
+            assert all(meet_pos_by_table(E, p, q) == p for q in iter_bits(bits))
 
 
 def test_filter_character_correspondence():
@@ -75,7 +81,7 @@ def test_filter_character_correspondence():
     for S in semigroups:
         E = idempotent_semilattice(S)
         for bits in range(1 << len(E)):
-            assert is_filter(E, bits) == is_character(E, bits)
+            assert (bits in E.minimum_of) == is_character(E, bits)
 
 
 def test_ultrafilters_chain_and_powerset():
@@ -150,6 +156,49 @@ def test_audit_mode_agrees_with_reduced_scan(corpus_runs):
                 assert is_cover(E, [E.carrier[p] for p in iter_bits(z0)], below_x)
 
 
+def _zoo_and_corpus_semilattices(corpus_runs):
+    semilattices = [
+        idempotent_semilattice(S) for items in all_semilattices_upto(6).values() for S in items
+    ]
+    semilattices += [
+        idempotent_semilattice(run_info.bisection_semigroup.semigroup) for run_info in corpus_runs
+    ]
+    return semilattices
+
+
+def test_atom_rule_matches_member_scan(corpus_runs):
+    checked = 0
+    for E in _zoo_and_corpus_semilattices(corpus_runs):
+        for bits in enumerate_filters(E):
+            assert find_tightness_violation(E, bits) == tightness_violation_by_member_scan(E, bits)
+            checked += 1
+    assert checked > 345  # the 345 filters of the zoo, and the corpus's
+
+
+def test_tight_points_match_pairwise_ultrafilter_scan(corpus_runs):
+    for E in _zoo_and_corpus_semilattices(corpus_runs):
+        filters = enumerate_filters(E)
+        assert tight_spectrum(E).points == ultrafilters_by_pairwise_scan(filters)
+        assert ultrafilters(E) == ultrafilters_by_pairwise_scan(filters)
+
+
+def test_tightness_of_a_non_filter_is_check_failed():
+    E = idempotent_semilattice(powerset_semilattice((1, 2))[0])
+    for bits in range(1 << len(E)):
+        if bits not in E.minimum_of:
+            with pytest.raises(CheckFailed, match="tightness is defined for characters only"):
+                find_tightness_violation(E, bits)
+
+
+def test_equal_principal_filters_are_check_failed():
+    E = idempotent_semilattice(chain_semilattice(2))
+    up = list(E.up_masks)
+    up[E.position[E.semigroup.index["e2"]]] = up[E.position[E.semigroup.index["e1"]]]
+    E.__dict__["up_masks"] = tuple(up)  # stands in for a wrong meet table
+    with pytest.raises(CheckFailed, match="distinct principal filters"):
+        E.minimum_of
+
+
 def test_tight_spectrum_of_powerset():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
@@ -197,6 +246,14 @@ def test_tight_spectrum_of_wide_powersets():
         spec = tight_spectrum(E)
         assert len(spec.points) == n
         assert len(spec.filters) == (1 << n) - 1
+    # 4,096 idempotents, built directly to skip the cubic validation
+    n = 12
+    subsets = np.arange(1 << n, dtype=np.int32)
+    table = subsets[:, None] & subsets
+    S = FiniteInverseSemigroup(tuple(f"s{i}" for i in range(1 << n)), table, 0, tuple(range(1 << n)))
+    spec = tight_spectrum(idempotent_semilattice(S))
+    assert len(spec.points) == n
+    assert len(spec.filters) == (1 << n) - 1
 
 
 def test_points_are_canonically_ordered():
