@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
-from .semigroups import FiniteInverseSemigroup, row_blocks, validate_inverse_semigroup
+from .semigroups import FiniteInverseSemigroup, integers, row_blocks, validate_inverse_semigroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +97,16 @@ def validate_groupoid(
     """Verify every groupoid axiom on every arrow and return the structure.
 
     ``compose`` is the (n, n) composition array with -1 off the declared
-    pairs; a wrong shape or an entry outside [-1, n) is a ValueError.  Each
-    check reports its first failure: declared pairs and their bookkeeping
-    in row-major order, unit laws and inverses by arrow, and associativity
-    in (b, a, c) order over the composable triples (a, b, c).
+    pairs; a wrong shape, a non-integer or an entry outside [-1, n) is a
+    ValueError.  Each check reports its first failure: declared pairs and
+    their bookkeeping in row-major order, unit laws and inverses by arrow,
+    and associativity in (b, a, c) order over the composable triples (a, b, c).
     """
     names = tuple(str(x) for x in arrows)
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("duplicate arrow names")
-    units_t = tuple(int(u) for u in units)
-    d_t = tuple(int(x) for x in d)
-    r_t = tuple(int(x) for x in r)
-    inv_t = tuple(int(x) for x in inverse)
+    units_t, d_t, r_t, inv_t = (integers(s, "arrow index") for s in (units, d, r, inverse))
     if len(d_t) != n or len(r_t) != n or len(inv_t) != n:
         raise ValueError("d, r and inverse must cover every arrow")
     for seq in (units_t, d_t, r_t, inv_t):
@@ -122,6 +119,8 @@ def validate_groupoid(
     comp = np.asarray(compose)
     if comp.shape != (n, n):
         raise ValueError(f"composition must be {n}x{n}")
+    if comp.dtype.kind not in "iu":
+        integers(comp.ravel().tolist(), "composition value")
     if comp.size and not -1 <= comp.min() <= comp.max() < n:
         raise ValueError(f"composition value {comp[(comp < -1) | (comp >= n)][0]} out of range")
     comp = comp.astype(np.int32, copy=False)

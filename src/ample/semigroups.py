@@ -10,6 +10,7 @@ on trust from the input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
@@ -71,11 +72,21 @@ def row_blocks(count: int, width: int) -> Iterator[slice]:
         yield slice(start, min(start + step, count))
 
 
+def integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values through operator.index; a ValueError names the first non-integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 def _square_table(table, n: int) -> np.ndarray:
     """The table as an n x n int32 array; an int32 array is returned as is.
 
-    A wrong shape, or an entry outside range(n), is a ValueError; the
-    message names the first bad entry in row-major order.
+    A wrong shape, or an entry that is not an integer in range(n), is a
+    ValueError; the message names the first bad entry in row-major order.
     """
     if isinstance(table, np.ndarray):
         t = table
@@ -86,26 +97,28 @@ def _square_table(table, n: int) -> np.ndarray:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"table must be {n}x{n}")
         t = np.asarray(rows)  # entries past int64 give an object array, checked the same way
+    if t.dtype.kind not in "iu":
+        integers(t.ravel().tolist(), "table entry")
     bad = np.flatnonzero((t < 0) | (t >= n))
     if bad.size:
         raise ValueError(f"table entry {t.flat[bad[0]]} out of range")
     return t.astype(np.int32, copy=False)
 
 
-def _generators(t: np.ndarray) -> list[int]:
-    """A greedy generating set of the magma t, candidates in ascending order.
+def _generators(t: np.ndarray, order: Iterable[int]) -> list[int]:
+    """A greedy generating set of the magma t, candidates taken in the given order.
 
-    Each element not yet generated joins the set, and the closure grows by
-    multiplying each fresh element with every member on both sides.  Only
-    the table's own products are used, never associativity, so the set
-    generates t even when t is not a semigroup.
+    Each candidate not yet generated joins the set, and the closure grows
+    by multiplying each fresh element with every member on both sides.
+    Only the table's own products are used, never associativity, so the
+    set generates t even when t is not a semigroup.
     """
     member = np.zeros(len(t), dtype=bool)
     gens = []
-    for g in range(len(t)):
+    for g in order:
         if member[g]:
             continue
-        gens.append(g)
+        gens.append(int(g))
         member[g] = True
         fresh = np.array([g])
         while fresh.size:
@@ -118,17 +131,8 @@ def _generators(t: np.ndarray) -> list[int]:
     return gens
 
 
-def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
-    """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
-
-    Light's test (Clifford-Preston, *The Algebraic Theory of Semigroups* I,
-    section 1.2): the b with (xb)y = x(by) for all x, y are closed under
-    the product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) =
-    x((bc)y).  So checking a generating set A suffices, O(n^2 |A|) work.
-    The argument never uses associativity, so A may come from the closure
-    of the untrusted table itself.
-    """
-    gens = _generators(t)
+def _light_witness(t: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
+    """The first (x, a, y) with (xa)y != x(ay), over blocks of x, then a in gens."""
     for rows in row_blocks(len(t), len(t)):
         block = t[rows]
         for a in gens:
@@ -138,6 +142,28 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
                 x, y = divmod(int(bad.argmax()), len(t))
                 return (rows.start + x, a, y)
     return None
+
+
+def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
+
+    Light's test (Clifford-Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2): the b with (xb)y = x(by) for all x, y are closed under
+    the product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) =
+    x((bc)y).  So checking a generating set A suffices, O(n^2 |A|) work.
+    The argument never uses associativity, so A may come from the closure
+    of the untrusted table itself, in any order.  The verdict draws A
+    top-down by row image (distinct entries per row, ties by index); a
+    failure's witness comes from the ascending order, as if unranked.
+    """
+    n = len(t)
+    image = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, n):
+        s = np.sort(t[rows], axis=1)
+        image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
+    if _light_witness(t, _generators(t, np.argsort(-image, kind="stable"))) is None:
+        return None
+    return _light_witness(t, _generators(t, range(n)))
 
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -215,10 +241,10 @@ def adjoin_zero(
     """Add a fresh absorbing element unless the table already has one.
 
     Returns the (possibly unchanged) element list and the table as an
-    int32 array.
+    int32 array; a malformed table is a ValueError, as in validation.
     """
     names = tuple(str(x) for x in elements)
-    t = np.asarray(table, dtype=np.int32)
+    t = _square_table(table, len(names))
     if _absorbing(t) is not None:
         return names, t
     n = len(names)

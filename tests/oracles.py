@@ -14,7 +14,12 @@ from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, TightRepresentationReport
 from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
 from ample.groupoids import FiniteGroupoid, validate_groupoid
-from ample.semigroups import adjoin_zero, idempotent_semilattice, validate_inverse_semigroup
+from ample.semigroups import (
+    adjoin_zero,
+    idempotent_semilattice,
+    row_blocks,
+    validate_inverse_semigroup,
+)
 from ample.spectrum import tight_spectrum
 
 # Largest carrier the 2^m subset scans below are run on.
@@ -347,6 +352,74 @@ def associativity_witness_by_definition(table):
                 if row_ab[c] != row_a[row_b[c]]:
                     return (a, b, c)
     return None
+
+
+def _generators_ascending(t: np.ndarray) -> list[int]:
+    """A greedy generating set of the magma t, candidates in ascending order.
+
+    Each element not yet generated joins the set, and the closure grows by
+    multiplying each fresh element with every member on both sides.  Only
+    the table's own products are used, never associativity, so the set
+    generates t even when t is not a semigroup.
+    """
+    member = np.zeros(len(t), dtype=bool)
+    gens = []
+    for g in range(len(t)):
+        if member[g]:
+            continue
+        gens.append(g)
+        member[g] = True
+        fresh = np.array([g])
+        while fresh.size:
+            before = member.copy()
+            inside = np.flatnonzero(member)
+            for rows in row_blocks(len(fresh), len(t)):
+                member[t[fresh[rows]][:, inside]] = True
+                member[t[:, fresh[rows]][inside]] = True
+            fresh = np.flatnonzero(member & ~before)
+    return gens
+
+
+# The former associativity_witness, whose witness a failing verdict must still return.
+def associativity_witness_ascending(t: np.ndarray) -> tuple[int, int, int] | None:
+    """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
+
+    Light's test (Clifford-Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2): the b with (xb)y = x(by) for all x, y are closed under
+    the product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) =
+    x((bc)y).  So checking a generating set A suffices, O(n^2 |A|) work.
+    The argument never uses associativity, so A may come from the closure
+    of the untrusted table itself.
+    """
+    gens = _generators_ascending(t)
+    for rows in row_blocks(len(t), len(t)):
+        block = t[rows]
+        for a in gens:
+            # (xa)y against x(ay)
+            bad = np.take(t, block[:, a], axis=0) != np.take(block, t[a], axis=1)
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), len(t))
+                return (rows.start + x, a, y)
+    return None
+
+
+def closure_by_definition(rows, gens):
+    """The set of elements reached from gens by products in rows, one pair at a time."""
+    inside = set(gens)
+    todo = list(inside)
+    while todo:
+        a = todo.pop()
+        for b in list(inside):
+            for c in (rows[a][b], rows[b][a]):
+                if c not in inside:
+                    inside.add(c)
+                    todo.append(c)
+    return inside
+
+
+def top_down_order_by_definition(rows):
+    """Indices by descending count of distinct entries in their row, ties by index."""
+    return sorted(range(len(rows)), key=lambda g: (-len(set(rows[g])), g))
 
 
 def idempotents_of_table(rows):

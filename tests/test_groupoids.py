@@ -536,6 +536,19 @@ def test_validate_groupoid_rejects_a_malformed_composition_array():
             validate_groupoid(*args, compose, G.inverse)
 
 
+def test_validate_groupoid_rejects_non_integer_indices():
+    with pytest.raises(ValueError, match=r"arrow index 0\.9 is not an integer"):
+        validate_groupoid(["u"], [0.9], [0.2], [0], np.array([[0.4]]), [0])
+    with pytest.raises(ValueError, match=r"arrow index 0\.2 is not an integer"):
+        validate_groupoid(["u"], [0], [0.2], [0], np.array([[0]]), [0])
+    with pytest.raises(ValueError, match=r"composition value 0\.4 is not an integer"):
+        validate_groupoid(["u"], [0], [0], [0], np.array([[0.4]]), [0])
+    with pytest.raises(ValueError, match="composition value '0' is not an integer"):
+        validate_groupoid(["u"], [0], [0], [0], [["0"]], [0])
+    G = validate_groupoid(["u"], np.array([0]), [np.int64(0)], [0], [[0]], [0])
+    assert G.units == (0,) and type(G.d[0]) is int
+
+
 def test_groupoid_equality_compares_the_composition():
     G = group_groupoid(3)
     H = parse_groupoid(write_groupoid(G))

@@ -1,15 +1,24 @@
 """Randomized invariant checks over the semilattice zoo."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import idempotent_semilattice
+from ample.semigroups import associativity_witness
 from ample.bitsets import iter_bits
 from ample.spectrum import enumerate_filters
 
-from oracles import is_cover, is_idempotent, product_of, restricted_ideal
+from oracles import (
+    associativity_witness_ascending,
+    associativity_witness_by_definition,
+    is_cover,
+    is_idempotent,
+    product_of,
+    restricted_ideal,
+)
 from semilattice_zoo import all_semilattices_upto
-from test_semigroups import _restricted_ideal_mask
+from test_semigroups import _restricted_ideal_mask, assert_top_down_generates
 
 _ZOO = [S for items in all_semilattices_upto(5).values() for S in items]
 
@@ -66,3 +75,21 @@ def test_star_products_are_idempotent(S):
     for s in range(len(S)):
         assert is_idempotent(S, S.table[S.star[s]][s])
         assert is_idempotent(S, S.table[s][S.star[s]])
+
+
+@st.composite
+def magmas(draw):
+    """A multiplication table on 1-7 elements with arbitrary entries."""
+    n = draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_top_down_generators_generate_random_magmas(rows):
+    assert_top_down_generates(rows)
+    t = np.array(rows, dtype=np.int32)
+    witness = associativity_witness(t)
+    assert witness == associativity_witness_ascending(t)
+    assert (witness is None) == (associativity_witness_by_definition(rows) is None)

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,15 +21,19 @@ from ample import (
 )
 from ample.bitsets import iter_bits
 from ample.errors import ValidationError
+from ample import semigroups
 from ample.reconstruction import basis_semilattice
 from ample.semigroups import associativity_witness
 
 from oracles import (
+    associativity_witness_ascending,
     associativity_witness_by_definition,
+    closure_by_definition,
     idempotents_of_table,
     is_idempotent,
     order_masks_by_definition,
     product_of,
+    top_down_order_by_definition,
 )
 from semilattice_zoo import all_semilattices_upto
 
@@ -103,9 +108,22 @@ def rows_of_document(path):
     return [[names.index(v) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
 
 
+def corrupt(rows, rng):
+    """A copy of rows with one entry changed to another element."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    a, b = rng.randrange(n), rng.randrange(n)
+    rows[a][b] = rng.choice([v for v in range(n) if v != rows[a][b]])
+    return rows
+
+
 def assert_light_agrees(rows):
-    """Light's test and the cubic scan give one verdict; a witness really fails."""
+    """Light's test and the cubic scan give one verdict; a witness really fails.
+
+    The witness is the one Light's test finds with ascending candidates.
+    """
     witness = associativity_witness(np.array(rows, dtype=np.int32))
+    assert witness == associativity_witness_ascending(np.array(rows, dtype=np.int32))
     assert (witness is None) == (associativity_witness_by_definition(rows) is None)
     if witness is not None:
         x, a, y = witness
@@ -128,13 +146,84 @@ def test_light_agrees_with_cubic_scan_on_corrupted_tables(corpus_runs):
     rng = random.Random(7)
     rejected = 0
     for _ in range(240):
-        rows = [list(row) for row in rng.choice(tables)]
-        n = len(rows)
-        a, b = rng.randrange(n), rng.randrange(n)
-        rows[a][b] = rng.choice([v for v in range(n) if v != rows[a][b]])
-        if assert_light_agrees(rows) is not None:
+        if assert_light_agrees(corrupt(rng.choice(tables), rng)) is not None:
             rejected += 1
     assert 0 < rejected < 240
+
+
+def drawn_generators(t):
+    """associativity_witness(t) and the generating sets it drew, in order."""
+    drawn = []
+    real = semigroups._generators
+
+    def spy(table, order):
+        drawn.append(real(table, order))
+        return drawn[-1]
+
+    with patch.object(semigroups, "_generators", spy):
+        witness = associativity_witness(t)
+    return witness, drawn
+
+
+def assert_top_down_generates(rows):
+    """The verdict's set is the top-down greedy one, and every drawn set generates rows.
+
+    A second, ascending set is drawn exactly when the verdict finds a failure.
+    """
+    t = np.array(rows, dtype=np.int32)
+    witness, drawn = drawn_generators(t)
+    assert drawn[0] == semigroups._generators(t, top_down_order_by_definition(rows))
+    assert len(drawn) == (1 if witness is None else 2)
+    for gens in drawn:
+        assert closure_by_definition(rows, gens) == set(range(len(rows)))
+    return drawn[0]
+
+
+def relabellings(run, seeds=(1, 2, 3)):
+    """The run's table and its abstract_table relabellings, as index rows."""
+    bs = run.bisection_semigroup
+    return [bs.semigroup.table.tolist()] + [abstract_table(bs, seed=s)[0].table.tolist() for s in seeds]
+
+
+def test_top_down_generators_generate_every_corpus_table(corpus_runs):
+    for run in corpus_runs:
+        for rows in relabellings(run):
+            assert_top_down_generates(rows)
+
+
+def test_top_down_generators_generate_corrupted_tables(corpus_runs):
+    rng = random.Random(11)
+    failing = 0
+    for run in corpus_runs:
+        for rows in relabellings(run):
+            for _ in range(3):
+                bad = corrupt(rows, rng)
+                assert_top_down_generates(bad)
+                failing += associativity_witness_by_definition(bad) is not None
+    assert failing > 0
+
+
+def test_top_down_generator_counts(corpus_runs):
+    runs = {run.label: run for run in corpus_runs}
+    # ascending order draws 16 and 19 generators on these tables
+    for label, count in (("units4/ample", 5), ("pair3/ample", 4)):
+        t = runs[label].bisection_semigroup.semigroup.table
+        assert len(assert_top_down_generates(t.tolist())) == count
+        assert len(semigroups._generators(t, range(len(t)))) > count
+
+
+def test_witness_matches_ascending_order_on_relabelled_corruptions(corpus_runs):
+    runs = {run.label: run for run in corpus_runs}
+    rng = random.Random(5)
+    failing = 0
+    for label in ("units4/ample", "pair3/ample"):
+        for rows in relabellings(runs[label], seeds=(1, 2, 3, 4, 5)):
+            for _ in range(20):
+                t = np.array(corrupt(rows, rng), dtype=np.int32)
+                witness = associativity_witness(t)
+                assert witness == associativity_witness_ascending(t)
+                failing += witness is not None
+    assert failing > 0
 
 
 def test_malformed_tables_name_the_first_bad_entry():
@@ -144,6 +233,23 @@ def test_malformed_tables_name_the_first_bad_entry():
         validate_inverse_semigroup(["a", "b"], [[0, 5], [-1, 0]])
     with pytest.raises(ValueError, match=f"table entry {2**70} out of range"):
         validate_inverse_semigroup(["a", "b"], [[0, 0], [2**70, -1]])
+
+
+def test_non_integer_tables_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"table entry 0\.5 is not an integer"):
+        validate_inverse_semigroup(["z"], [[0.5]])
+    with pytest.raises(ValueError, match=r"table entry 0\.5 is not an integer"):
+        validate_inverse_semigroup(["z"], np.array([[0.5]]))
+    with pytest.raises(ValueError, match="table entry '0' is not an integer"):
+        validate_inverse_semigroup(["z"], [["0"]])
+    with pytest.raises(ValueError, match="table entry None is not an integer"):
+        validate_inverse_semigroup(["a", "b"], [[0, 2**70], [None, 0]])
+    with pytest.raises(ValueError, match=r"table entry 0\.5 is not an integer"):
+        adjoin_zero(["a", "b"], [[0.5, 1], [1, 1.9]])
+    with pytest.raises(ValueError, match="table must be 2x2"):
+        adjoin_zero(["a", "b"], [[0, 1]])
+    # integers of any integer type are taken
+    assert validate_inverse_semigroup(["z"], np.array([[0]], dtype=np.uint8)).table.dtype == np.int32
 
 
 def test_no_zero():
