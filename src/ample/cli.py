@@ -4,6 +4,15 @@ Subcommands: validate, spectrum, ample, reconstruct, check-iso, rep-check,
 stone-check, corpus.  Exit code 0 means every check passed, 1 means some
 check failed, 2 means the input could not be used.  Reports are plain
 deterministic text; --summary additionally writes a JSON digest.
+
+Each ``cmd_*`` takes the parsed arguments and returns ``(lines, summary,
+ok, documents)``: the report lines, the --summary fields other than
+``command`` and ``ok``, whether every check passed, and ``{path: text}``
+for the documents that -o or --out-dir names.  A document bound for
+stdout is the last report line instead, without its final newline.
+Commands print and write nothing themselves; :func:`main` alone writes
+the documents, prints the lines, writes the summary and picks the exit
+code.
 """
 
 from __future__ import annotations
@@ -44,25 +53,17 @@ from .semigroups import idempotent_semilattice
 from .spectrum import tight_spectrum
 
 
-def _emit(lines):
-    for line in lines:
-        print(line)
+# (report lines, --summary fields, every check passed, {path: document text})
+Report = tuple[list[str], dict, bool, dict]
 
 
-def _write_summary(path: str | None, payload: dict) -> None:
-    if path:
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
-
-def _collection(G, which: str, max_bisections: int):
+def _collection(G, which: str):
     if which == "singleton":
         return singleton_semigroup(G)
-    return enumerate_bisections(G, max_candidates=max_bisections)
+    return enumerate_bisections(G)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     text = Path(args.file).read_text(encoding="utf-8")
     if args.adjoin_zero:
         kind, value = "semigroup", parse_semigroup(text, adjoin_missing_zero=True)
@@ -78,12 +79,10 @@ def cmd_validate(args) -> int:
     else:
         lines += [f"arrows: {len(value.arrows)}", f"units: {len(value.units)}"]
     lines.append("status: ok")
-    _emit(lines)
-    _write_summary(args.summary, {"command": "validate", "kind": kind, "ok": True})
-    return 0
+    return lines, {"kind": kind}, True, {}
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Report:
     S = parse_semigroup(
         Path(args.file).read_text(encoding="utf-8"),
         adjoin_missing_zero=args.adjoin_zero,
@@ -107,23 +106,17 @@ def cmd_spectrum(args) -> int:
     for e in E.carrier:
         ds = ",".join(f"q{i}" for i in iter_bits(spec.basic_sets[e]))
         lines.append(f"D[{S.elements[e]}] = {{{ds}}}")
-    _emit(lines)
-    _write_summary(
-        args.summary,
-        {
-            "command": "spectrum",
-            "filters": len(spec.filters),
-            "ultrafilters": len(spec.points),
-            "tight_points": len(spec.points),
-            "ok": True,
-        },
-    )
-    return 0
+    summary = {
+        "filters": len(spec.filters),
+        "ultrafilters": len(spec.points),
+        "tight_points": len(spec.points),
+    }
+    return lines, summary, True, {}
 
 
-def cmd_ample(args) -> int:
+def cmd_ample(args) -> Report:
     G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
-    masks = enumerate_bisections(G, max_candidates=args.max_bisections)
+    masks = enumerate_bisections(G)
     bs = bisection_semigroup(G, masks)
     idem = bs.semigroup.idempotents
     T, _audit = abstract_table(bs, seed=args.seed)
@@ -137,25 +130,13 @@ def cmd_ample(args) -> int:
     ]
     lines.extend(f"  {name}" for name in bs.semigroup.elements)
     lines.append(f"abstract-table-seed: {args.seed}")
-    _emit(lines)
+    summary = {"bisections": len(masks), "idempotents": len(idem), "seed": args.seed}
     if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
-    else:
-        sys.stdout.write(doc)
-    _write_summary(
-        args.summary,
-        {
-            "command": "ample",
-            "bisections": len(masks),
-            "idempotents": len(idem),
-            "seed": args.seed,
-            "ok": True,
-        },
-    )
-    return 0
+        return lines, summary, True, {args.output: doc}
+    return lines + [doc[:-1]], summary, True, {}
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> Report:
     T = parse_semigroup(
         Path(args.file).read_text(encoding="utf-8"),
         adjoin_missing_zero=args.adjoin_zero,
@@ -163,35 +144,26 @@ def cmd_reconstruct(args) -> int:
     model = build_germ_model(T)
     H = model.groupoid
     doc = write_groupoid(H)
-    if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
-        _emit(
-            [
-                f"elements: {len(T)}",
-                f"idempotents: {len(model.semilattice)}",
-                f"tight-points: {len(model.spectrum.points)}",
-                f"germ-units: {len(H.units)}",
-                f"germ-arrows: {len(H.arrows)}",
-            ]
-        )
-    else:
-        sys.stdout.write(doc)
-    _write_summary(
-        args.summary,
-        {
-            "command": "reconstruct",
-            "tight_points": len(model.spectrum.points),
-            "germ_arrows": len(H.arrows),
-            "germ_units": len(H.units),
-            "ok": True,
-        },
-    )
-    return 0
+    summary = {
+        "tight_points": len(model.spectrum.points),
+        "germ_arrows": len(H.arrows),
+        "germ_units": len(H.units),
+    }
+    if not args.output:
+        return [doc[:-1]], summary, True, {}
+    lines = [
+        f"elements: {len(T)}",
+        f"idempotents: {len(model.semilattice)}",
+        f"tight-points: {len(model.spectrum.points)}",
+        f"germ-units: {len(H.units)}",
+        f"germ-arrows: {len(H.arrows)}",
+    ]
+    return lines, summary, True, {args.output: doc}
 
 
-def cmd_check_iso(args) -> int:
+def cmd_check_iso(args) -> Report:
     G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
-    masks = _collection(G, args.collection, args.max_bisections)
+    masks = _collection(G, args.collection)
     run = run_reconstruction(bisection_semigroup(G, masks), seed=args.seed)
     H = run.model.groupoid
     lines = [
@@ -212,22 +184,12 @@ def cmd_check_iso(args) -> int:
     else:
         lines.append("brute-force-iso: ok")
     lines.append(f"status: {'pass' if ok else 'fail'}")
-    _emit(lines)
-    _write_summary(
-        args.summary,
-        {
-            "command": "check-iso",
-            "collection": args.collection,
-            "seed": args.seed,
-            "ok": ok,
-        },
-    )
-    return 0 if ok else 1
+    return lines, {"collection": args.collection, "seed": args.seed}, ok, {}
 
 
-def cmd_rep_check(args) -> int:
+def cmd_rep_check(args) -> Report:
     G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
-    masks = _collection(G, args.collection, args.max_bisections)
+    masks = _collection(G, args.collection)
     bs = bisection_semigroup(G, masks)
     pi = [rho(G, m) for m in bs.bits]
     report = check_tight_representation(
@@ -236,21 +198,15 @@ def cmd_rep_check(args) -> int:
     lines = [f"collection: {args.collection} ({len(masks)} elements)"]
     lines += report.lines()
     lines.append(f"status: {'pass' if report.passed else 'fail'}")
-    _emit(lines)
-    _write_summary(
-        args.summary,
-        {
-            "command": "rep-check",
-            "collection": args.collection,
-            "instances": report.instances_checked,
-            "covers": report.covers_checked,
-            "ok": report.passed,
-        },
-    )
-    return 0 if report.passed else 1
+    summary = {
+        "collection": args.collection,
+        "instances": report.instances_checked,
+        "covers": report.covers_checked,
+    }
+    return lines, summary, report.passed, {}
 
 
-def cmd_stone_check(args) -> int:
+def cmd_stone_check(args) -> Report:
     lines = []
     ok = True
     total = 0
@@ -271,34 +227,22 @@ def cmd_stone_check(args) -> int:
         lines.append(f"points={n} bases={len(spaces)} pass={passed}")
     lines.append(f"total-bases: {total}")
     lines.append(f"status: {'pass' if ok else 'fail'}")
-    _emit(lines)
-    _write_summary(
-        args.summary,
-        {"command": "stone-check", "max_points": args.max_points, "bases": total, "ok": ok},
-    )
-    return 0 if ok else 1
+    return lines, {"max_points": args.max_points, "bases": total}, ok, {}
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> Report:
     family = corpus_family()
-    lines = []
-    for name, G in family.items():
-        lines.append(f"{name}: arrows={len(G.arrows)} units={len(G.units)}")
-    written = 0
+    lines = [
+        f"{name}: arrows={len(G.arrows)} units={len(G.units)}" for name, G in family.items()
+    ]
+    documents = {}
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, G in family.items():
-            safe = name.replace("+", "_plus_")
-            (out / f"{safe}.gpd").write_text(write_groupoid(G), encoding="utf-8")
-            written += 1
-        lines.append(f"written: {written} files to {out}")
-    _emit(lines)
-    _write_summary(
-        args.summary,
-        {"command": "corpus", "instances": len(family), "written": written, "ok": True},
-    )
-    return 0
+            documents[out / f"{name.replace('+', '_plus_')}.gpd"] = write_groupoid(G)
+        lines.append(f"written: {len(documents)} files to {out}")
+    return lines, {"instances": len(family), "written": len(documents)}, True, documents
 
 
 @cache
@@ -335,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ample", help="bisection semigroup and its abstract table")
     p.add_argument("file")
-    p.add_argument("--max-bisections", type=int, default=1 << 20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write the abstract table here")
     add_summary(p)
@@ -354,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--collection", choices=("singleton", "ample"), default="singleton")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-bisections", type=int, default=1 << 20)
     add_summary(p)
     p.set_defaults(func=cmd_check_iso)
 
@@ -362,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--collection", choices=("singleton", "ample"), default="singleton")
     p.add_argument("--audit-covers", action="store_true")
-    p.add_argument("--max-bisections", type=int, default=1 << 20)
     add_summary(p)
     p.set_defaults(func=cmd_rep_check)
 
@@ -382,7 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, summary, ok, documents = args.func(args)
+        for path, text in documents.items():
+            Path(path).write_text(text, encoding="utf-8")
+        for line in lines:
+            print(line)
+        if args.summary:
+            payload = {"command": args.command, **summary, "ok": ok}
+            Path(args.summary).write_text(
+                json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+        return 0 if ok else 1
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

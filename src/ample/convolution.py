@@ -78,9 +78,6 @@ class AlgebraElement:
     def support_mask(self) -> int:
         return mask_of(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

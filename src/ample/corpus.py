@@ -11,17 +11,17 @@ import numpy as np
 from .groupoids import FiniteGroupoid, validate_groupoid
 
 
-def pair_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
+def pair_groupoid(n: int) -> FiniteGroupoid:
     """Arrows (i -> j) between n units; a{i}{j} has source u{i} and range u{j}.
 
     Past ten units the indices can have two digits, which run together
     (from twelve units on, 1 -> 11 and 11 -> 1 would both be a111), so the
     arrows are named a{i}_{j} there instead.
     """
-    units = [f"{prefix}u{i}" for i in range(n)]
+    units = [f"u{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     sep = "_" if n > 10 else ""
-    names = units + [f"{prefix}a{i}{sep}{j}" for i, j in pairs]
+    names = units + [f"a{i}{sep}{j}" for i, j in pairs]
     idx = {(i, i): i for i in range(n)}
     for k, (i, j) in enumerate(pairs):
         idx[(i, j)] = n + k
@@ -37,9 +37,9 @@ def pair_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
     return validate_groupoid(names, range(n), d, r, compose, inverse)
 
 
-def group_groupoid(k: int, prefix: str = "") -> FiniteGroupoid:
+def group_groupoid(k: int) -> FiniteGroupoid:
     """The cyclic group of order k as a one-unit groupoid."""
-    names = [f"{prefix}e"] + [f"{prefix}c{i}" for i in range(1, k)]
+    names = ["e"] + [f"c{i}" for i in range(1, k)]
     d = [0] * k
     r = [0] * k
     compose = np.add.outer(range(k), range(k)) % k
@@ -47,9 +47,9 @@ def group_groupoid(k: int, prefix: str = "") -> FiniteGroupoid:
     return validate_groupoid(names, [0], d, r, compose, inverse)
 
 
-def units_groupoid(n: int, prefix: str = "") -> FiniteGroupoid:
+def units_groupoid(n: int) -> FiniteGroupoid:
     """n isolated units and nothing else."""
-    names = [f"{prefix}u{i}" for i in range(n)]
+    names = [f"u{i}" for i in range(n)]
     compose = np.full((n, n), -1)
     np.fill_diagonal(compose, range(n))
     return validate_groupoid(names, range(n), range(n), range(n), compose, range(n))

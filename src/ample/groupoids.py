@@ -20,6 +20,9 @@ from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .semigroups import FiniteInverseSemigroup, integers, row_blocks, validate_inverse_semigroup
 
+# Most candidates, prod(|source fiber| + 1), enumerate_bisections may scan.
+MAX_BISECTION_CANDIDATES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
@@ -217,20 +220,21 @@ def source_mask(G: FiniteGroupoid, mask: int) -> int:
     return mask_of(G.d[a] for a in iter_bits(mask))
 
 
-def enumerate_bisections(G: FiniteGroupoid, max_candidates: int = 1 << 20) -> tuple[int, ...]:
+def enumerate_bisections(G: FiniteGroupoid) -> tuple[int, ...]:
     """Every bisection, ascending.
 
     Walks source fibers one at a time, picking at most one arrow per fiber
     and pruning range collisions, so only injective prefixes are ever
-    visited.  The a-priori candidate count prod(|fiber|+1) guards the call.
+    visited.  The a-priori candidate count prod(|fiber|+1) is held to
+    MAX_BISECTION_CANDIDATES.
     """
     fibers = [G.d_fibers[u] for u in G.units]
     estimate = 1
     for f in fibers:
         estimate *= len(f) + 1
-        if estimate > max_candidates:
+        if estimate > MAX_BISECTION_CANDIDATES:
             raise BoundExceeded(
-                f"bisection enumeration would scan > {max_candidates} candidates"
+                f"bisection enumeration would scan > {MAX_BISECTION_CANDIDATES} candidates"
             )
     out: list[int] = []
 

@@ -721,7 +721,7 @@ def parse_semigroup_by_tokens(text, adjoin_missing_zero=False):
         sg = validate_inverse_semigroup(element_names, table)
     except AmpleError as exc:
         raise ValidationError(f"semigroup document is invalid: {exc}", reason=exc) from exc
-    if sg.elements[sg.zero] != ztok[1] and not adjoin_missing_zero:
+    if len(sg) == n and sg.elements[sg.zero] != ztok[1]:
         raise ValidationError(
             f"declared zero {ztok[1]!r} is not the absorbing element "
             f"({sg.elements[sg.zero]!r} is)"

@@ -21,7 +21,7 @@ from ample import (
     validate_inverse_semigroup,
     write_groupoid,
 )
-from ample import convolution, reconstruction
+from ample import convolution, groupoids, reconstruction
 from ample.cli import build_parser, main
 from ample.errors import BoundExceeded, CheckFailed, ParseError, ValidationError
 
@@ -307,16 +307,25 @@ def test_summary_is_deterministic(capsys, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_bound_exceeded_maps_to_input_error(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "ample",
-        str(DATA / "pair2.gpd"),
-        "--max-bisections",
-        "2",
-    )
-    assert code == 2
-    assert "error" in err
+def test_bound_exceeded_maps_to_input_error(capsys, monkeypatch, tmp_path):
+    pair2 = str(DATA / "pair2.gpd")  # 3 * 3 = 9 bisection candidates
+    summary = tmp_path / "s.json"
+    monkeypatch.setattr(groupoids, "MAX_BISECTION_CANDIDATES", 8)
+    for argv in (
+        ["ample", pair2],
+        ["check-iso", pair2, "--collection", "ample"],
+        ["rep-check", pair2, "--collection", "ample"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--summary", str(summary))
+        assert (code, out) == (2, "")
+        assert err == "error: bisection enumeration would scan > 8 candidates\n"
+        assert not summary.exists()
+    # the guard is a constant, not an option
+    for command in ("ample", "check-iso", "rep-check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, pair2, "--max-bisections", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-bisections" in capsys.readouterr().err
 
 
 def test_check_failure_exit_code(capsys, monkeypatch):
@@ -429,6 +438,82 @@ def test_adjoin_zero_flag(capsys, tmp_path):
     assert code == 0
     H = parse_groupoid(out)
     assert len(H.units) == 1 and len(H.arrows) == 3
+
+
+def test_adjoin_zero_checks_the_declared_zero_when_none_is_added(capsys, tmp_path):
+    # '0' absorbs, so --adjoin-zero adds nothing and the declared zero must be right
+    doc = tmp_path / "wrong-zero.sgp"
+    doc.write_text("semigroup { elements { 0 e } zero e table { 0 0 0 e } }\n")
+    expected = "error: declared zero 'e' is not the absorbing element ('0' is)\n"
+    for command in ("validate", "spectrum", "reconstruct"):
+        assert run_cli(capsys, command, str(doc), "--adjoin-zero") == (2, "", expected)
+
+
+PAIR2, CHAIN = str(DATA / "pair2.gpd"), str(DATA / "chain.sgp")
+# For each command: a passing run, its --summary keys besides command and
+# ok, and a run whose input cannot be used.
+DRIVER_CONTRACT = {
+    "validate": (["validate", CHAIN], {"kind"}, ["validate", "no-such-file.sgp"]),
+    "spectrum": (
+        ["spectrum", CHAIN],
+        {"filters", "ultrafilters", "tight_points"},
+        ["spectrum", str(DATA / "right_zero.sgp")],
+    ),
+    "ample": (["ample", PAIR2], {"bisections", "idempotents", "seed"}, ["ample", CHAIN]),
+    "reconstruct": (
+        ["reconstruct", CHAIN],
+        {"tight_points", "germ_arrows", "germ_units"},
+        ["reconstruct", str(DATA / "bad_assoc.sgp")],
+    ),
+    "check-iso": (["check-iso", PAIR2], {"collection", "seed"}, ["check-iso", CHAIN]),
+    "rep-check": (
+        ["rep-check", PAIR2, "--collection", "ample"],
+        {"collection", "instances", "covers"},
+        ["rep-check", CHAIN, "--collection", "ample"],
+    ),
+    "stone-check": (
+        ["stone-check", "--max-points", "2"],
+        {"max_points", "bases"},
+        ["stone-check", "--max-points", "-1"],
+    ),
+    "corpus": (["corpus"], {"instances", "written"}, ["corpus", "--out-dir", PAIR2]),
+}
+
+
+@pytest.mark.parametrize("command", DRIVER_CONTRACT)
+def test_every_command_reports_through_the_driver(
+    capsys, monkeypatch, tmp_path, command
+):
+    import ample.cli as cli
+
+    passing, keys, unusable = DRIVER_CONTRACT[command]
+    summary = tmp_path / "s.json"
+    runs = [(passing, 0)]
+    if command == "check-iso":
+        runs.append((passing, 1))
+    for argv, expected in runs:
+        if expected == 1:
+            monkeypatch.setattr(cli, "brute_force_iso", lambda *a, **k: None)
+        code, _, _ = run_cli(capsys, *argv, "--summary", str(summary))
+        payload = json.loads(summary.read_text(encoding="utf-8"))
+        assert code == expected
+        assert payload["command"] == command and payload["ok"] is (code == 0)
+        assert set(payload) == keys | {"command", "ok"}
+        summary.unlink()
+    code, out, err = run_cli(capsys, *unusable, "--summary", str(summary))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize("command, source", [("ample", PAIR2), ("reconstruct", CHAIN)])
+def test_an_unwritable_output_prints_no_report(capsys, tmp_path, command, source):
+    # the document is written before any report line is printed
+    summary = tmp_path / "s.json"
+    target = tmp_path / "no-such-dir" / "out.txt"
+    argv = [command, source, "-o", str(target), "--summary", str(summary)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not summary.exists() and not target.parent.exists()
 
 
 def _with_src_path():

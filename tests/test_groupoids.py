@@ -33,6 +33,7 @@ from ample import (
     validate_inverse_semigroup,
     write_groupoid,
 )
+from ample import groupoids
 from ample.bitsets import iter_bits
 from ample.errors import AmpleError, BoundExceeded, ValidationError
 
@@ -165,9 +166,14 @@ def test_enumerate_bisections_z2():
     assert list(got) == bisections_by_definition(G)
 
 
-def test_enumerate_bisections_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_bisections(pair_groupoid(4), max_candidates=10)
+def test_enumerate_bisections_bound(monkeypatch):
+    G = pair_groupoid(4)  # four source fibers of four arrows: 5^4 = 625 candidates
+    assert len(enumerate_bisections(G)) == 209
+    monkeypatch.setattr(groupoids, "MAX_BISECTION_CANDIDATES", 624)
+    with pytest.raises(BoundExceeded, match="would scan > 624 candidates"):
+        enumerate_bisections(G)
+    monkeypatch.setattr(groupoids, "MAX_BISECTION_CANDIDATES", 625)
+    assert len(enumerate_bisections(G)) == 209
 
 
 def test_singleton_semigroup_closure_and_basis():
