@@ -105,20 +105,21 @@ def _square_table(table, n: int) -> np.ndarray:
     return t.astype(np.int32, copy=False)
 
 
-def _generators(t: np.ndarray, order: Iterable[int]) -> list[int]:
+def _generators(t: np.ndarray, order: Iterable[int]) -> Iterator[int]:
     """A greedy generating set of the magma t, candidates taken in the given order.
 
-    Each candidate not yet generated joins the set, and the closure grows
-    by multiplying each fresh element with every member on both sides.
-    Only the table's own products are used, never associativity, so the
-    set generates t even when t is not a semigroup.
+    Each candidate not yet generated joins the set and is yielded; only
+    when the next one is asked for does the closure grow by multiplying
+    each fresh element with every member on both sides, so a caller that
+    stops early pays for no more closure than it used.  Only the table's
+    own products are used, never associativity, so the set generates t
+    even when t is not a semigroup.
     """
     member = np.zeros(len(t), dtype=bool)
-    gens = []
     for g in order:
         if member[g]:
             continue
-        gens.append(int(g))
+        yield int(g)
         member[g] = True
         fresh = np.array([g])
         while fresh.size:
@@ -128,14 +129,20 @@ def _generators(t: np.ndarray, order: Iterable[int]) -> list[int]:
                 member[t[fresh[rows]][:, inside]] = True
                 member[t[:, fresh[rows]][inside]] = True
             fresh = np.flatnonzero(member & ~before)
-    return gens
 
 
-def _light_witness(t: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
-    """The first (x, a, y) with (xa)y != x(ay), over blocks of x, then a in gens."""
+def _light_witness(t: np.ndarray, gens: Iterable[int]) -> tuple[int, int, int] | None:
+    """The first (x, a, y) with (xa)y != x(ay), over blocks of x, then a in gens.
+
+    The first block draws gens one at a time, so a failure there stops
+    the draw at its generator; later blocks reuse what it drew.
+    """
+    drawn = []
     for rows in row_blocks(len(t), len(t)):
         block = t[rows]
-        for a in gens:
+        for a in drawn if rows.start else gens:
+            if not rows.start:
+                drawn.append(a)
             # (xa)y against x(ay)
             bad = np.take(t, block[:, a], axis=0) != np.take(block, t[a], axis=1)
             if bad.any():
@@ -147,22 +154,29 @@ def _light_witness(t: np.ndarray, gens: list[int]) -> tuple[int, int, int] | Non
 def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
 
-    Light's test (Clifford-Preston, *The Algebraic Theory of Semigroups* I,
-    section 1.2): the b with (xb)y = x(by) for all x, y are closed under
-    the product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) =
-    x((bc)y).  So checking a generating set A suffices, O(n^2 |A|) work.
-    The argument never uses associativity, so A may come from the closure
-    of the untrusted table itself, in any order.  The verdict draws A
-    top-down by row image (distinct entries per row, ties by index); a
-    failure's witness comes from the ascending order, as if unranked.
+    A table with n^3 <= _BLOCK gets its verdict from one comparison over
+    every triple: t[t] is (xa)y indexed [x, a, y], t[:, t] is x(ay).
+    Larger tables use Light's test (Clifford-Preston, *The Algebraic
+    Theory of Semigroups* I, section 1.2): the b with (xb)y = x(by) for
+    all x, y are closed under the product, since (x(bc))y = ((xb)c)y =
+    (xb)(cy) = x(b(cy)) = x((bc)y).  So checking a generating set A
+    suffices, O(n^2 |A|) work.  The argument never uses associativity,
+    so A may come from the closure of the untrusted table itself, in any
+    order.  The verdict draws A top-down by row image (distinct entries
+    per row, ties by index).  On either path a failure's witness comes
+    from Light's test in ascending order, as if unranked.
     """
     n = len(t)
-    image = np.empty(n, dtype=np.intp)
-    for rows in row_blocks(n, n):
-        s = np.sort(t[rows], axis=1)
-        image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-    if _light_witness(t, _generators(t, np.argsort(-image, kind="stable"))) is None:
-        return None
+    if n**3 <= _BLOCK:
+        if np.array_equal(t[t], t[:, t]):
+            return None
+    else:
+        image = np.empty(n, dtype=np.intp)
+        for rows in row_blocks(n, n):
+            s = np.sort(t[rows], axis=1)
+            image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
+        if _light_witness(t, _generators(t, np.argsort(-image, kind="stable"))) is None:
+            return None
     return _light_witness(t, _generators(t, range(n)))
 
 

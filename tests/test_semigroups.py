@@ -143,6 +143,8 @@ def test_light_agrees_with_cubic_scan_on_fixtures():
 
 def test_light_agrees_with_cubic_scan_on_corrupted_tables(corpus_runs):
     tables = [r.bisection_semigroup.semigroup.table for r in corpus_runs if len(r.masks) <= 50]
+    # tables on both sides of the direct comparison's line
+    assert {len(t) ** 3 <= semigroups._BLOCK for t in tables} == {True, False}
     rng = random.Random(7)
     rejected = 0
     for _ in range(240):
@@ -152,13 +154,16 @@ def test_light_agrees_with_cubic_scan_on_corrupted_tables(corpus_runs):
 
 
 def drawn_generators(t):
-    """associativity_witness(t) and the generating sets it drew, in order."""
+    """associativity_witness(t) and what it drew from each generating set, in order."""
     drawn = []
     real = semigroups._generators
 
     def spy(table, order):
-        drawn.append(real(table, order))
-        return drawn[-1]
+        gens = []
+        drawn.append(gens)
+        for g in real(table, order):
+            gens.append(g)
+            yield g
 
     with patch.object(semigroups, "_generators", spy):
         witness = associativity_witness(t)
@@ -166,17 +171,30 @@ def drawn_generators(t):
 
 
 def assert_top_down_generates(rows):
-    """The verdict's set is the top-down greedy one, and every drawn set generates rows.
+    """Check what the verdict draws; return the full top-down set, which generates rows.
 
-    A second, ascending set is drawn exactly when the verdict finds a failure.
+    A table with n^3 <= _BLOCK gets a direct verdict and draws no set; a
+    larger one draws the top-down set, all of it when it is associative.
+    A failure then draws the ascending set up to the witness's generator,
+    since every table here fits one row block.
     """
     t = np.array(rows, dtype=np.int32)
+    n = len(rows)
+    assert n * n <= semigroups._BLOCK
     witness, drawn = drawn_generators(t)
-    assert drawn[0] == semigroups._generators(t, top_down_order_by_definition(rows))
-    assert len(drawn) == (1 if witness is None else 2)
-    for gens in drawn:
-        assert closure_by_definition(rows, gens) == set(range(len(rows)))
-    return drawn[0]
+    top_down = list(semigroups._generators(t, top_down_order_by_definition(rows)))
+    ascending = list(semigroups._generators(t, range(n)))
+    for gens in (top_down, ascending):
+        assert closure_by_definition(rows, gens) == set(range(n))
+    verdict = [] if n**3 <= semigroups._BLOCK else [top_down]
+    if witness is None:
+        assert drawn == verdict
+        return top_down
+    assert len(drawn) == len(verdict) + 1
+    if verdict:
+        assert drawn[0] == top_down[: len(drawn[0])]
+    assert drawn[-1] == ascending[: ascending.index(witness[1]) + 1]
+    return top_down
 
 
 def relabellings(run, seeds=(1, 2, 3)):
@@ -205,11 +223,17 @@ def test_top_down_generators_generate_corrupted_tables(corpus_runs):
 
 def test_top_down_generator_counts(corpus_runs):
     runs = {run.label: run for run in corpus_runs}
-    # ascending order draws 16 and 19 generators on these tables
-    for label, count in (("units4/ample", 5), ("pair3/ample", 4)):
+    # ascending order draws 16, 19, 37 and 46 generators on these tables;
+    # the last two lie above the direct comparison, so the verdict draws them
+    for label, count in (
+        ("units4/ample", 5),
+        ("pair3/ample", 4),
+        ("pair2+pair2/ample", 5),
+        ("pair4/ample", 5),
+    ):
         t = runs[label].bisection_semigroup.semigroup.table
         assert len(assert_top_down_generates(t.tolist())) == count
-        assert len(semigroups._generators(t, range(len(t)))) > count
+        assert len(list(semigroups._generators(t, range(len(t))))) > count
 
 
 def test_witness_matches_ascending_order_on_relabelled_corruptions(corpus_runs):
@@ -224,6 +248,37 @@ def test_witness_matches_ascending_order_on_relabelled_corruptions(corpus_runs):
                 assert witness == associativity_witness_ascending(t)
                 failing += witness is not None
     assert failing > 0
+
+
+def test_direct_verdict_agrees_on_both_sides_of_the_line():
+    rng = random.Random(3)
+    for n in (40, 41):
+        assert (n**3 <= semigroups._BLOCK) == (n == 40)
+        chain = [[min(i, j) for j in range(n)] for i in range(n)]
+        tables = [chain] + [corrupt(chain, rng) for _ in range(10)]
+        tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(10)]
+        verdicts = set()
+        for rows in tables:
+            verdicts.add(assert_light_agrees(rows) is None)
+            assert_top_down_generates(rows)
+        assert verdicts == {True, False}
+
+
+def test_a_failing_table_draws_the_ascending_set_up_to_its_witness(corpus_runs):
+    rng = random.Random(17)
+    saved = 0
+    for label in ("units4/ample", "pair3/ample", "pair2+pair2/ample", "pair4/ample"):
+        run = next(r for r in corpus_runs if r.label == label)
+        rows = run.bisection_semigroup.semigroup.table.tolist()
+        for _ in range(10):
+            t = np.array(corrupt(rows, rng), dtype=np.int32)
+            witness, drawn = drawn_generators(t)
+            if witness is None:
+                continue
+            ascending = list(semigroups._generators(t, range(len(t))))
+            assert drawn[-1] == ascending[: ascending.index(witness[1]) + 1]
+            saved += len(ascending) - len(drawn[-1])
+    assert saved > 0
 
 
 def test_malformed_tables_name_the_first_bad_entry():
