@@ -22,6 +22,7 @@ from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
+from .semigroups import integers, row_blocks
 from .spectrum import tight_spectrum
 
 # Largest cover --audit-covers adds to the minimal ones.
@@ -30,12 +31,9 @@ AUDIT_COVER_SIZE = 4
 MAX_COVER_COMBINATIONS = 1 << 20
 # Most cover-sup instances a failing verdict or --audit-covers lists.
 MAX_REP_INSTANCES = 1 << 24
-# Most (available candidates, E^{X,Y}) states the instance count memoizes;
-# pair20 singleton memoizes 1,048,976 of them at about 345 MB peak RSS.
+# Most states (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y)))
+# the cover-sup walk memoizes; pair20 singleton counts 1,048,976 at 345 MB RSS.
 MAX_REP_STATES = 1 << 22
-# Entries per temporary array of the representation-law checks; a block
-# of products holds about five such arrays at once.
-_BLOCK = 1 << 14
 
 
 class AlgebraElement:
@@ -46,8 +44,12 @@ class AlgebraElement:
     def __init__(self, groupoid: FiniteGroupoid, coeffs=None):
         data: dict[int, Fraction] = {}
         if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for arrow, value in items:
+            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+            arrows = integers((arrow for arrow, _ in items), "arrow index")
+            for arrow in arrows:
+                if not 0 <= arrow < len(groupoid.arrows):
+                    raise ValueError(f"arrow index {arrow} out of range")
+            for arrow, (_, value) in zip(arrows, items):
                 v = Fraction(value)
                 if v:
                     acc = data.get(arrow, 0) + v
@@ -266,11 +268,11 @@ def _coefficient_matrix(
 
 def _first_mismatch(count: int, width: int, differs) -> int | None:
     """Least i < count at which differs(indices) is True, in blocks of indices."""
-    step = max(1, _BLOCK // max(width, 1))
-    for start in range(0, count, step):
-        bad = np.flatnonzero(differs(np.arange(start, min(start + step, count))))
+    # a block of products holds about five temporaries: a quarter of a table block
+    for block in row_blocks(count, 4 * width):
+        bad = np.flatnonzero(differs(np.arange(block.start, block.stop)))
         if bad.size:
-            return start + int(bad[0])
+            return block.start + int(bad[0])
     return None
 
 
@@ -306,65 +308,30 @@ def _atom_characters(
     return [mask for _, mask in atoms]
 
 
-def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
-    """Instances and covers of the cover-sup enumeration, counted without listing them.
+def _cover_sup_walk(
+    E: Semilattice, atom_masks: Sequence[int], covers_of
+) -> tuple[int, int, list[tuple[int | None, int, int]]]:
+    """Instances, covers and the violated (x, Y, Z) of the cover-sup identity.
 
     An instance is X (nothing or one position) with an antichain Y of
-    nonzero positions, and contributes the covers of the nonzero part of
-    E^{X,Y}.  The count recurses over the candidates of Y still
-    available, memoized on (available candidates, E^{X,Y}); past
-    MAX_REP_STATES memoized states it raises BoundExceeded, and so it
-    does when the recursion passes Python's stack limit, which takes
-    antichains (or covers) of about a thousand members and so a count
-    far past any feasible one.
+    nonzero positions, and contributes the covers Z of the nonzero part of
+    E^{X,Y}.  Written as sets of atoms, pi(x) prod (1 - pi(y)) is
+    A_x & ~(A_y1 | ...) and the join over Z is A_z1 | ..., so the identity
+    compares ints, and with no atoms the walk only counts.  Y grows by its
+    lowest available candidate, memoized on (available candidates,
+    E^{X,Y}, atoms of pi(x) prod (1 - pi(y))); a state's violations are
+    relative to it, and its parent prefixes its own candidate, which keeps
+    them in depth-first order.  Past MAX_REP_STATES states, or Python's
+    stack limit (antichains or covers of about a thousand members), it
+    raises BoundExceeded.
     """
-    m = len(E)
-    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
-    orth = E.orth_masks
-    nonzero = E.nonzero_mask
-    memo: dict[int, tuple[int, int]] = {}
-
-    def count(avail: int, exy: int) -> tuple[int, int]:
-        key = avail << m | exy
-        got = memo.get(key)
-        if got is None:
-            instances, covers = 1, len(covers_of(exy & nonzero))
-            rest = avail
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                q = low.bit_length() - 1
-                i, c = count(rest & ~comparable[q], exy & orth[q])
-                instances += i
-                covers += c
-            if len(memo) >= MAX_REP_STATES:
-                raise BoundExceeded(
-                    f"the cover-sup count passed {MAX_REP_STATES} memoized states"
-                )
-            got = memo[key] = (instances, covers)
-        return got
-
-    try:
-        totals = [count(nonzero, base) for base in (E.full_mask, *E.down_masks)]
-    except RecursionError:
-        raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
-    return sum(i for i, _ in totals), sum(c for _, c in totals)
-
-
-def _cover_sup_violations(
-    E: Semilattice, atom_masks: Sequence[int], covers_of
-) -> list[tuple[int | None, int, int]]:
-    """Every (x, Y, Z) at which the cover-sup identity fails, in enumeration order.
-
-    The literal enumeration, with each projection written as the set of
-    atoms below it: pi(x) prod (1 - pi(y)) is A_x & ~(A_y1 | ...) and the
-    join over Z is A_z1 | ..., so the identity is a comparison of ints.
-    """
-    below = [
-        mask_of(k for k, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(len(E))
-    ]
-    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
-    orth = E.orth_masks
+    m, k = len(E), len(atom_masks)
+    shift, atoms = m + k, (1 << k) - 1
+    below = [mask_of(a for a, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(m)]
+    # a state is the atoms above the m bits of E^{X,Y}; choosing y in Y
+    # leaves rest & apart available and takes the state to state & keep
+    masks = zip(E.down_masks, E.up_masks, E.orth_masks, below)
+    steps = [(~(d | u), (atoms & ~b) << m | o) for d, u, o, b in masks]
     nonzero = E.nonzero_mask
     joins: dict[int, int] = {0: 0}
 
@@ -375,23 +342,42 @@ def _cover_sup_violations(
             got = joins[zmask] = below[low.bit_length() - 1] | join(zmask ^ low)
         return got
 
-    out: list[tuple[int | None, int, int]] = []
+    memo: dict[int, tuple[int, int, Sequence[tuple[int, int]]]] = {}
 
-    def visit(x: int | None, avail: int, y_mask: int, exy: int, rhs: int) -> None:
-        for zmask in covers_of(exy & nonzero):
-            if join(zmask) != rhs:
-                out.append((x, y_mask, zmask))
+    def expand(avail: int, state: int) -> tuple[int, int, Sequence[tuple[int, int]]]:
+        """Walk and memoize a state not in the memo; callers read hits themselves."""
+        covers = covers_of(state & nonzero)
+        instances, total = 1, len(covers)
+        bad = [(0, z) for z in covers if join(z) != state >> m] if k else ()
         rest = avail
         while rest:
             low = rest & -rest
             rest ^= low
-            q = low.bit_length() - 1
-            visit(x, rest & ~comparable[q], y_mask | low, exy & orth[q], rhs & ~below[q])
+            apart, keep = steps[low.bit_length() - 1]
+            a, s = rest & apart, state & keep
+            i, c, sub = memo.get(a << shift | s) or expand(a, s)
+            instances += i
+            total += c
+            if sub:
+                bad += [(y | low, z) for y, z in sub]
+        if len(memo) >= MAX_REP_STATES:
+            raise BoundExceeded(f"the cover-sup count passed {MAX_REP_STATES} memoized states")
+        got = memo[avail << shift | state] = (instances, total, bad)
+        return got
 
-    visit(None, nonzero, 0, E.full_mask, (1 << len(atom_masks)) - 1)
-    for x in range(len(E)):
-        visit(x, nonzero, 0, E.down_masks[x], below[x])
-    return out
+    roots = [(None, atoms << m | E.full_mask)]
+    roots += [(x, below[x] << m | E.down_masks[x]) for x in range(m)]
+    instances = covers = 0
+    violations: list[tuple[int | None, int, int]] = []
+    try:
+        for x, state in roots:
+            i, c, bad = memo.get(nonzero << shift | state) or expand(nonzero, state)
+            instances += i
+            covers += c
+            violations += [(x, y, z) for y, z in bad]
+    except RecursionError:
+        raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
+    return instances, covers, violations
 
 
 @dataclass
@@ -465,10 +451,11 @@ def check_tight_representation(
     combinatorial C*-algebras*, arXiv:math/0703182, sections 11-12;
     Donsig and Milan, *Joins and covers in inverse semigroups and tight
     C*-algebras*, Bull. Aust. Math. Soc. 2014), that is, a point of
-    ``tight_spectrum(E)``.  The instance and cover counters
-    are counted, not enumerated.  Only a failing verdict or
-    ``audit_covers`` lists the instances, to report every violated one;
-    past MAX_REP_INSTANCES of them it raises BoundExceeded.
+    ``tight_spectrum(E)``.  The instance and cover counters come from
+    the memoized cover-sup walk without atoms, which only counts.  Only a
+    failing verdict or ``audit_covers`` walks again over the atom masks,
+    to list every violated instance; past MAX_REP_INSTANCES instances it
+    raises BoundExceeded instead.
     """
     values = [pi[s] for s in range(len(S))]
     G = values[S.zero].groupoid
@@ -506,13 +493,8 @@ def check_tight_representation(
     E = idempotent_semilattice(S)
     m = len(E)
     carrier = np.array(E.carrier, dtype=np.intp)
-    bad = _first_mismatch(
-        m,
-        pm.width,
-        lambda idx: (
-            pm.products(carrier[idx], carrier[idx]) != pm.scale * pm.rows[carrier[idx]]
-        ).any(axis=1),
-    )
+    # as e e = e, pi(e) is idempotent iff pi is multiplicative at (e, e)
+    bad = _first_mismatch(m, pm.width, lambda idx: product_differs(carrier[idx] * (n + 1)))
     if bad is not None:
         raise CheckFailed(f"pi({name[carrier[bad]]}) is not idempotent")
 
@@ -542,7 +524,7 @@ def check_tight_representation(
             cover_cache[fplus] = covers
         return covers
 
-    instances, covers = _count_instances(E, covers_of)
+    instances, covers, _ = _cover_sup_walk(E, (), covers_of)
     witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
     if audit_covers or not tight:
         if instances > MAX_REP_INSTANCES:
@@ -554,7 +536,7 @@ def check_tight_representation(
         def names_of(mask: int) -> tuple[str, ...]:
             return tuple(name[E.carrier[p]] for p in iter_bits(mask))
 
-        for x, y_mask, zmask in _cover_sup_violations(E, atom_masks, covers_of):
+        for x, y_mask, zmask in _cover_sup_walk(E, atom_masks, covers_of)[2]:
             x_name = None if x is None else name[E.carrier[x]]
             witnesses.append((x_name, names_of(y_mask), names_of(zmask)))
 

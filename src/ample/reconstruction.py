@@ -30,6 +30,7 @@ from .semigroups import (
     FiniteInverseSemigroup,
     Semilattice,
     idempotent_semilattice,
+    integers,
     validate_inverse_semigroup,
 )
 from .spectrum import TightSpectrum, tight_spectrum
@@ -63,7 +64,7 @@ def point_basis_space(
     points: Iterable[str], sets: Iterable[Iterable[int]]
 ) -> PointBasisSpace:
     pts = tuple(str(p) for p in points)
-    members = [[int(i) for i in s] for s in sets]
+    members = [integers(s, "point index") for s in sets]
     for s in members:
         for i in s:
             if not 0 <= i < len(pts):

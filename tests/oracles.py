@@ -6,15 +6,17 @@ staying off the code paths it is used to check.
 
 import re
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
 from ample import AlgebraElement, slice_product, sup
 from ample.bitsets import iter_bits, mask_of
-from ample.convolution import AUDIT_COVER_SIZE, TightRepresentationReport
-from ample.errors import AmpleError, CheckFailed, ParseError, ValidationError
+from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentationReport
+from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
 from ample.groupoids import FiniteGroupoid, validate_groupoid
 from ample.semigroups import (
+    Semilattice,
     adjoin_zero,
     idempotent_semilattice,
     row_blocks,
@@ -580,6 +582,98 @@ def tight_representation_by_definition(pi, S, audit_covers=False):
         covers_checked=counters["covers"],
         failure_witness=witness,
     )
+
+
+# -- the cover-sup count and listing as two separate walks -------------------------
+# A count memoized on (available candidates, E^{X,Y}) only and an
+# unmemoized listing; the tests compare convolution._cover_sup_walk with both.
+
+def _count_instances(E: Semilattice, covers_of) -> tuple[int, int]:
+    """Instances and covers of the cover-sup enumeration, counted without listing them.
+
+    An instance is X (nothing or one position) with an antichain Y of
+    nonzero positions, and contributes the covers of the nonzero part of
+    E^{X,Y}.  The count recurses over the candidates of Y still
+    available, memoized on (available candidates, E^{X,Y}); past
+    MAX_REP_STATES memoized states it raises BoundExceeded, and so it
+    does when the recursion passes Python's stack limit, which takes
+    antichains (or covers) of about a thousand members and so a count
+    far past any feasible one.
+    """
+    m = len(E)
+    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
+    orth = E.orth_masks
+    nonzero = E.nonzero_mask
+    memo: dict[int, tuple[int, int]] = {}
+
+    def count(avail: int, exy: int) -> tuple[int, int]:
+        key = avail << m | exy
+        got = memo.get(key)
+        if got is None:
+            instances, covers = 1, len(covers_of(exy & nonzero))
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                q = low.bit_length() - 1
+                i, c = count(rest & ~comparable[q], exy & orth[q])
+                instances += i
+                covers += c
+            if len(memo) >= MAX_REP_STATES:
+                raise BoundExceeded(
+                    f"the cover-sup count passed {MAX_REP_STATES} memoized states"
+                )
+            got = memo[key] = (instances, covers)
+        return got
+
+    try:
+        totals = [count(nonzero, base) for base in (E.full_mask, *E.down_masks)]
+    except RecursionError:
+        raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
+    return sum(i for i, _ in totals), sum(c for _, c in totals)
+
+
+def _cover_sup_violations(
+    E: Semilattice, atom_masks: Sequence[int], covers_of
+) -> list[tuple[int | None, int, int]]:
+    """Every (x, Y, Z) at which the cover-sup identity fails, in enumeration order.
+
+    The literal enumeration, with each projection written as the set of
+    atoms below it: pi(x) prod (1 - pi(y)) is A_x & ~(A_y1 | ...) and the
+    join over Z is A_z1 | ..., so the identity is a comparison of ints.
+    """
+    below = [
+        mask_of(k for k, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(len(E))
+    ]
+    comparable = [d | u for d, u in zip(E.down_masks, E.up_masks)]
+    orth = E.orth_masks
+    nonzero = E.nonzero_mask
+    joins: dict[int, int] = {0: 0}
+
+    def join(zmask: int) -> int:
+        got = joins.get(zmask)
+        if got is None:
+            low = zmask & -zmask
+            got = joins[zmask] = below[low.bit_length() - 1] | join(zmask ^ low)
+        return got
+
+    out: list[tuple[int | None, int, int]] = []
+
+    def visit(x: int | None, avail: int, y_mask: int, exy: int, rhs: int) -> None:
+        for zmask in covers_of(exy & nonzero):
+            if join(zmask) != rhs:
+                out.append((x, y_mask, zmask))
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
+            visit(x, rest & ~comparable[q], y_mask | low, exy & orth[q], rhs & ~below[q])
+
+    visit(None, nonzero, 0, E.full_mask, (1 << len(atom_masks)) - 1)
+    for x in range(len(E)):
+        visit(x, nonzero, 0, E.down_masks[x], below[x])
+    return out
 
 
 # -- token-at-a-time document parser ---------------------------------------------

@@ -31,8 +31,11 @@ from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, ValidationError
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
+from ample.spectrum import tight_spectrum
 
 from oracles import (
+    _count_instances,
+    _cover_sup_violations,
     covers_upto_by_definition,
     minimal_covers_by_definition,
     representation_laws_by_definition,
@@ -84,6 +87,17 @@ def test_rho_zero_and_injective():
     for i, f in enumerate(images):
         for j, g in enumerate(images):
             assert (f == g) == (i == j)
+
+
+def test_bad_arrow_indices_are_rejected():
+    # unchecked, -1 would wrap to the last arrow under star() and 4 would index past compose
+    G = pair_groupoid(2)
+    for bad in (-1, 4, 70):
+        with pytest.raises(ValueError, match=f"^arrow index {bad} out of range$"):
+            AlgebraElement(G, {bad: 1})
+    with pytest.raises(ValueError, match=r"^arrow index 0\.5 is not an integer$"):
+        AlgebraElement(G, [(0, 1), (0.5, 1), (9, 1)])
+    assert AlgebraElement(G, {np.int64(3): 2}) == AlgebraElement(G, {3: 2})
 
 
 def test_groupoid_mismatch_rejected():
@@ -436,4 +450,95 @@ def test_count_past_the_stack_limit_is_bound_exceeded():
     S = FiniteInverseSemigroup(tuple(f"e{i}" for i in range(n)), table, 0, tuple(range(n)))
     E = idempotent_semilattice(S)
     with pytest.raises(BoundExceeded):
-        convolution._count_instances(E, lambda fplus: _minimal_covers(E.intersect_masks, fplus))
+        convolution._cover_sup_walk(E, (), lambda fplus: _minimal_covers(E.intersect_masks, fplus))
+
+
+# -- one walker for the count and the listing -----------------------------------
+
+
+def _covers_of(E, audit):
+    """covers_of as check_tight_representation builds it."""
+    cache = {}
+
+    def covers_of(fplus):
+        if fplus not in cache:
+            covers = _minimal_covers(E.intersect_masks, fplus)
+            if audit:
+                extra = convolution._all_covers_upto(E.intersect_masks, fplus, AUDIT_COVER_SIZE)
+                covers = tuple(sorted(set(covers) | set(extra)))
+            cache[fplus] = covers
+        return cache[fplus]
+
+    return covers_of
+
+
+def _assert_walk_matches_two_walks(E, atom_masks, label):
+    """The walker against the separate count and listing it replaced.
+
+    Returns the violations with minimal covers, then with audited covers.
+    """
+    listed = []
+    for audit in (False, True):
+        covers_of = _covers_of(E, audit)
+        instances, covers, violations = convolution._cover_sup_walk(E, atom_masks, covers_of)
+        assert (instances, covers) == _count_instances(E, covers_of), (label, audit)
+        assert violations == _cover_sup_violations(E, atom_masks, covers_of), (label, audit)
+        assert convolution._cover_sup_walk(E, (), covers_of) == (instances, covers, []), label
+        listed.append(violations)
+    return listed
+
+
+def _atoms(pi, S):
+    E = idempotent_semilattice(S)
+    unit = AlgebraElement.unit(pi[S.zero].groupoid)
+    return E, convolution._atom_characters(pi, E, unit)
+
+
+def test_walk_matches_two_walks_on_the_zoo():
+    # tight points pass; dropping one, or adding every filter, fails
+    failing = 0
+    for S in (S for items in all_semilattices_upto(5).values() for S in items):
+        E = idempotent_semilattice(S)
+        spec = tight_spectrum(E)
+        points = list(spec.points)
+        filters = [m for m in E.minimum_of if m not in spec.point_index]
+        for atom_masks in (points, points[1:], points + filters, points[::-1]):
+            failing += bool(_assert_walk_matches_two_walks(E, atom_masks, S.table.tolist())[0])
+    assert failing
+
+
+def test_walk_matches_two_walks_on_the_corpus(corpus_runs):
+    failing = 0
+    for r in corpus_runs:
+        G, bs = r.groupoid, r.bisection_semigroup
+        drop = G.units_mask & ~(1 << G.units[0]) if G.units else 0
+        for keep in (-1, drop):
+            E, atom_masks = _atoms([rho(G, m & keep) for m in bs.bits], bs.semigroup)
+            failing += bool(_assert_walk_matches_two_walks(E, atom_masks, (r.label, keep))[0])
+    assert failing
+
+
+def test_walk_lists_units5_without_u0_in_order():
+    G = units_groupoid(5)
+    bs = _ample(G)
+    pi = [rho(G, m & ~(1 << G.index["u0"])) for m in bs.bits]
+    E, atom_masks = _atoms(pi, bs.semigroup)
+    plain, audited = _assert_walk_matches_two_walks(E, atom_masks, "units5 - u0")
+    assert (len(plain), len(audited)) == (8511, 45116)
+    report = check_tight_representation(pi, bs.semigroup)
+    assert len(report.tightness_witnesses) == 8511 and not report.passed
+
+
+@pytest.mark.parametrize("name, states", [("pair2", 8), ("units4", 108), ("units5", 766)])
+def test_walk_memoizes_pinned_states_on_passing_runs(monkeypatch, name, states):
+    # a passing verdict walks once, with no atoms, and memoizes what the count did
+    G = pair_groupoid(2) if name == "pair2" else units_groupoid(int(name[5:]))
+    bs = _ample(G)
+    E = idempotent_semilattice(bs.semigroup)
+    covers_of = _covers_of(E, False)
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", states)
+    counted = convolution._cover_sup_walk(E, (), covers_of)
+    assert counted[:2] == _count_instances(E, covers_of)
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", states - 1)
+    with pytest.raises(BoundExceeded):
+        convolution._cover_sup_walk(E, (), covers_of)

@@ -57,6 +57,14 @@ def test_point_basis_space_validation():
             point_basis_space(["x", "y"], [(), (0,), (1,), (0, 1), (0, bad)])
 
 
+def test_point_basis_space_rejects_non_integer_points():
+    # int() would truncate 0.9 and 1.2 to points 0 and 1
+    with pytest.raises(ValueError, match=r"^point index 0\.9 is not an integer$"):
+        point_basis_space(["a", "b"], [[], [0.9], [1], [0, 1.2]])
+    with pytest.raises(ValueError, match=r"^point index 1\.2 is not an integer$"):
+        point_basis_space(["a", "b"], [[], [0], [1], [0, 1.2]])
+
+
 def test_point_bases_match_the_definition():
     counts = []
     for n in range(5):
