@@ -281,55 +281,55 @@ class BisectionSemigroup:
 
 
 class _SectionIndex:
-    """Exact lookup of sections among the sorted keys of a family's sections.
+    """Exact lookup of sections by dense per-unit digit codes, with no search.
 
-    A section's digits are arrow + 1, or 0 where it has no arrow.  Units
-    are read in runs short enough that a run's digits, as one mixed-radix
-    number, stay below 2^31.  A run's key is the rank of the previous
-    run's key followed by the run's digits, so keys stay below 2^63 for
-    any number of units, and the rank of the last key names the section.
+    A section's digit at unit k is 1 + the place of its arrow in the source
+    fiber of unit k, or 0 where it has none.  A run of units, grown while
+    (live + 1) * span <= 2^16 and at least one unit long, has as code the
+    previous run's rank followed by its digits.  A dense slot array sends a
+    code to its rank among the members' codes, or to a dead rank for good.
     """
 
-    def __init__(self, sections: np.ndarray, arrows: int) -> None:
-        self.radix = arrows + 1
-        units = sections.shape[1]
-        width = 1
-        while width < units and self.radix ** (width + 1) < 1 << 31:
-            width += 1
-        self.runs = [range(k, min(k + width, units)) for k in range(0, units, width)]
-        self.keys = []
-        rank = np.zeros(len(sections), dtype=np.int64)
-        for run in self.runs:
-            code = self._code(rank, sections, run)
-            self.keys.append(np.sort(code))
-            rank = np.searchsorted(self.keys[-1], code)
-        self.element = np.empty(len(sections), dtype=np.int32)
-        self.element[rank] = np.arange(len(sections))
+    def __init__(self, digits: np.ndarray, radix: list[int]) -> None:
+        self.runs: list[tuple[slice, np.ndarray, int, np.ndarray]] = []
+        rank, live, lo = np.zeros(digits.shape[1], dtype=np.int32), 1, 0
+        while lo < len(digits):
+            hi, span = lo + 1, radix[lo]
+            while hi < len(digits) and (live + 1) * span * radix[hi] <= 1 << 16:
+                span, hi = span * radix[hi], hi + 1
+            run = (slice(lo, hi), (span // np.cumprod(radix[lo:hi])).astype(np.int32), span)
+            code = self._code(rank, digits, *run)
+            seen = np.zeros((live + 1) * span, dtype=bool)
+            seen[code] = True
+            live = np.count_nonzero(seen)
+            slots = np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(live))
+            self.runs.append((*run, slots))
+            rank, lo = slots[code], hi
+        self.element = np.full(live + 1, -1, dtype=np.int32)
+        self.element[rank] = np.arange(len(rank), dtype=np.int32)
 
-    def _code(self, rank: np.ndarray, sections: np.ndarray, run: range) -> np.ndarray:
-        for k in run:
-            rank = rank * self.radix + sections[:, k] + 1
-        return rank
+    @staticmethod
+    def _code(rank: np.ndarray, digits: np.ndarray, run: slice, place: np.ndarray, span: int):
+        return rank * span + (digits[..., run, :] * place[:, None]).sum(axis=-2, dtype=np.int32)
 
-    def find(self, sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Element index of each row of ``sections``, and whether it is one."""
-        rank = np.zeros(len(sections), dtype=np.int64)
-        found = np.ones(len(sections), dtype=bool)
-        for run, keys in zip(self.runs, self.keys):
-            code = self._code(rank, sections, run)
-            rank = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-            found &= keys[rank] == code
-        return self.element[rank], found
+    def find(self, digits: np.ndarray) -> np.ndarray:
+        """Element of each section j, read from ``digits[..., k, j]``, or -1 if none."""
+        rank = np.zeros(digits.shape[:-2] + digits.shape[-1:], dtype=np.int32)
+        for *run, slots in self.runs:
+            rank = slots.take(self._code(rank, digits, *run))
+        return self.element.take(rank)
 
 
 def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> BisectionSemigroup:
     """Multiplication table of a product/inverse-closed family of bisections.
 
     Each bisection is stored as its section: the array sending each unit
-    to the arrow of the bisection with that source, or -1.  The product
-    s.t has at unit u the composite of b = t(u) with s(r(b)), so a row of
-    the table is one gather through the groupoid's composition array, and
-    its entries are found by searching the family's sorted section keys.
+    to the arrow of the bisection with that source, or to no arrow.  The
+    product s.t has at unit u the composite of b = t(u) with s(r(b)), and
+    d(s.t) = d(t), so a row of the table is one gather of digits (see
+    :class:`_SectionIndex`) through the groupoid's composition array.  A
+    product found in the family's index is a member, hence a bisection, so
+    only a block with a product not found is checked for non-bisections.
     Raises ValidationError when the family is not closed, with the first
     witness pair in row-major order, or (message, None) when a member,
     the empty bisection or an inverse is at fault; the table then goes
@@ -339,46 +339,59 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     if 0 not in masks:
         message = "the empty bisection must belong to the collection"
         raise ValidationError(message, witness=(message, None))
-    for m in masks:
-        if not is_bisection(G, m):
-            message = f"{bisection_name(G, m)} is not a bisection"
-            raise ValidationError(message, witness=(message, None))
-    names = tuple(bisection_name(G, m) for m in masks)
     n, arrows, units = len(masks), len(G.arrows), len(G.units)
     unit_pos = {u: k for k, u in enumerate(G.units)}
-    # Index -1 (no arrow) lands on a padding entry: column `units` of a
-    # section array, row and column `arrows` of `compose`, and the last
-    # entry of `range_pos`, which is the sentinel position `units`.
-    padded = np.full((n, units + 1), -1, dtype=np.int32)
-    for i, m in enumerate(masks):
-        for a in iter_bits(m):
-            padded[i, unit_pos[G.d[a]]] = a
-    sections = padded[:, :units]
-    index = _SectionIndex(sections, arrows)
+    # Index `arrows` (no arrow) lands on padding: row and column `arrows` of
+    # `compose`, row `units` of `padded`, and the last entry of `digit_of`,
+    # `source_pos` and `range_pos`, which is the sentinel position `units`.
+    source_pos, range_pos = (
+        np.array([*(unit_pos[u] for u in ends), units], dtype=np.int32) for ends in (G.d, G.r)
+    )
+    names = tuple(bisection_name(G, m) for m in masks)  # made before the temporaries it outlives
+    width = (arrows + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    member, arrow = np.nonzero(np.unpackbits(packed.reshape(n, width), 1, arrows, "little"))
+    keys = (member * units + pos[arrow] for pos in (source_pos, range_pos))
+    clash = np.concatenate([np.flatnonzero(np.bincount(key) > 1) for key in keys])
+    if clash.size:
+        message = f"{bisection_name(G, masks[clash.min() // units])} is not a bisection"
+        raise ValidationError(message, witness=(message, None))
+    digit_of = np.zeros(arrows + 1, dtype=np.int32)
+    for fiber in G.d_fibers.values():
+        digit_of[list(fiber)] = range(1, len(fiber) + 1)
+    padded = np.full((units + 1, n), arrows, dtype=np.int32)
+    padded[source_pos[arrow], member] = arrow
+    sections = padded[:units]  # sections[k, t]: the arrow of t with source unit k
+    index = _SectionIndex(digit_of[sections], [len(G.d_fibers[u]) + 1 for u in G.units])
     compose = np.pad(G.compose, (0, 1), constant_values=-1)
-    range_pos = np.array([*(unit_pos[G.r[a]] for a in range(arrows)), units], dtype=np.int32)
-    right = range_pos[sections]  # right[t, k]: unit position of r(t(unit k))
+    # validate_groupoid certifies d(a.b) = d(b), which makes product digits exact
+    if ((source_pos[compose] != source_pos) & (compose >= 0)).any():
+        raise CheckFailed("a product must have the source of its right factor")
+    product_digit = digit_of[compose]
+    right = range_pos[sections]  # right[k, t]: unit position of r(t(unit k))
+    row_start = np.ascontiguousarray(padded.T) * np.int32(arrows + 1)
 
     table = np.empty((n, n), dtype=np.int32)
     for rows in row_blocks(n, n * units):
-        product = compose[padded[rows][:, right], sections]  # [s, t, k] = (s.t)(unit k)
-        ranges = np.sort(range_pos[product], axis=-1)
-        if ((ranges[..., 1:] == ranges[..., :-1]) & (ranges[..., 1:] < units)).any():
-            raise CheckFailed("product of bisections must be a bisection")
-        found_at, found = index.find(product.reshape(len(product) * n, units))
-        if not found.all():
-            s, t = divmod(int(found.argmin()), n)
+        at = row_start[rows].take(right, axis=1)
+        at += sections  # at[s, k, t]: flat index into `compose` of s(r(t(unit k))) * t(unit k)
+        found = index.find(product_digit.take(at))
+        if found.min() < 0:
+            ranges = np.sort(range_pos[compose.take(at)], axis=1)
+            if ((ranges[:, 1:] == ranges[:, :-1]) & (ranges[:, 1:] < units)).any():
+                raise CheckFailed("product of bisections must be a bisection")
+            s, t = divmod(int(np.argmax(found < 0)), n)
             left, right = names[rows.start + s], names[t]
             raise ValidationError(
                 f"collection not closed at product {left} * {right}", witness=(left, right)
             )
-        table[rows] = found_at.reshape(-1, n)
+        table[rows] = found
 
-    inverse = np.full((n, units + 1), -1, dtype=np.int32)
-    inverse[np.arange(n)[:, None], right] = np.array([*G.inverse, -1])[sections]
-    star, found = index.find(inverse[:, :units])
-    if not found.all():
-        message = f"inverse of {names[int(found.argmin())]} missing"
+    inverse = np.zeros((units + 1, n), dtype=np.int32)
+    inverse[right, np.arange(n)] = digit_of[np.array([*G.inverse, arrows])[sections]]
+    star = index.find(inverse[:units])
+    if star.min() < 0:
+        message = f"inverse of {names[int(np.argmax(star < 0))]} missing"
         raise ValidationError(message, witness=(message, None))
     sg = validate_inverse_semigroup(names, table)
     # masks ascend, so the empty bisection is element 0
@@ -417,7 +430,9 @@ def abstract_table(
     new_of_old[order] = np.arange(n)
     width = len(str(n - 1))
     names = tuple(f"x{str(i).zfill(width)}" for i in range(n))
-    table = new_of_old[S.table[np.ix_(order, order)]]
+    table = S.table[np.ix_(order, order)]
+    for rows in row_blocks(n, n):  # relabel in place: no second n x n temporary
+        table[rows] = new_of_old[table[rows]]
     star = tuple(new_of_old[np.array(S.star)[order]].tolist())
     T = FiniteInverseSemigroup(names, table, int(new_of_old[S.zero]), star)
     audit = TableAudit(bs.groupoid, tuple(bs.bits[old] for old in order))

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -34,8 +35,8 @@ from ample import (
     write_groupoid,
 )
 from ample import groupoids
-from ample.bitsets import iter_bits
-from ample.errors import AmpleError, BoundExceeded, ValidationError
+from ample.bitsets import iter_bits, mask_of
+from ample.errors import AmpleError, BoundExceeded, CheckFailed, ValidationError
 
 from oracles import (
     bisections_by_definition,
@@ -203,13 +204,31 @@ def test_bisection_table_matches_slice_products(corpus_runs):
         assert got == product_table_by_definition(run.groupoid, run.masks), run.label
 
 
-def test_bisection_table_with_keys_over_several_unit_runs():
-    # 64 arrows give radix-65 digits, so a section of 8 units is read in two runs
+def recorded_indexes(monkeypatch):
+    """The digit-code indexes that bisection_semigroup builds, in order."""
+    made = []
+
+    class Recording(groupoids._SectionIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groupoids, "_SectionIndex", Recording)
+    return made
+
+
+def test_bisection_table_with_keys_over_several_unit_runs(monkeypatch):
+    # pair8's source fibers of 8 arrows give radix-9 digits and units40's
+    # give radix-2 digits; neither family's codes fit one run below 2^16
+    made = recorded_indexes(monkeypatch)
+    for G, runs in ((pair_groupoid(8), 2), (units_groupoid(40), 3)):
+        masks = singleton_semigroup(G)
+        bs = bisection_semigroup(G, masks)
+        assert len(made[-1].runs) >= runs
+        got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
+        assert got == product_table_by_definition(G, masks)
     G = pair_groupoid(8)
     masks = singleton_semigroup(G)
-    bs = bisection_semigroup(G, masks)
-    got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
-    assert got == product_table_by_definition(G, masks)
     extra = (1 << G.index["a01"]) | (1 << G.index["a76"])
     with pytest.raises(ValidationError, match=r"inverse of a01\+a76 missing") as exc:
         bisection_semigroup(G, [*masks, extra])
@@ -228,6 +247,107 @@ def first_gap_by_definition(G, masks):
         if slice_inverse(G, s) not in have:
             return (f"inverse of {bisection_name(G, s)} missing", None)
     return None
+
+
+def test_digit_index_gaps_that_die_in_the_first_and_in_the_last_run(monkeypatch):
+    made = recorded_indexes(monkeypatch)
+    G = units_groupoid(40)
+
+    def units(*ks):
+        return mask_of(G.units[k] for k in ks)
+
+    # the product u1+u2 is missing, and no member starts like it
+    first = [*singleton_semigroup(G), units(0, 1, 2), units(1, 2, 3)]
+    # the product u38+u39 is missing, and it agrees with the member u38 on
+    # every unit but the last
+    last = [*singleton_semigroup(G), units(37, 38, 39), units(0, 38, 39)]
+    for masks in (first, last):
+        with pytest.raises(ValidationError, match="not closed at product") as exc:
+            bisection_semigroup(G, masks)
+        assert exc.value.witness == first_gap_by_definition(G, masks)
+    (head, *_), (*_, tail) = (
+        [units(*range(run.start, run.stop)) for run, *_ in index.runs] for index in made
+    )
+    assert min(len(index.runs) for index in made) >= 3
+    assert units(1, 2) & head not in {m & head for m in first}
+    assert units(38, 39) & ~tail in {m & ~tail for m in last}
+
+
+def test_bisection_table_of_the_groupoid_without_units():
+    G = validate_groupoid([], [], [], [], np.zeros((0, 0), dtype=np.int32), [])
+    bs = bisection_semigroup(G, [0])
+    assert bs.semigroup.table.tolist() == [[0]] == product_table_by_definition(G, [0])
+    assert bs.semigroup.elements == ("0",) and bs.semigroup.zero == 0
+    with pytest.raises(ValidationError, match="empty bisection must belong"):
+        bisection_semigroup(G, [])
+
+
+def test_random_subfamilies_of_pair3_bisections():
+    G = pair_groupoid(3)
+    full = enumerate_bisections(G)
+    rng = random.Random(16)
+    closed = raised = 0
+    for _ in range(60):
+        masks = {0, *rng.sample(full, rng.randint(1, 8))}
+        if rng.random() < 0.5:  # close under products and inverses
+            while True:
+                more = {slice_product(G, s, t) for s in masks for t in masks}
+                more |= {slice_inverse(G, s) for s in masks}
+                if more <= masks:
+                    break
+                masks |= more
+        expected = first_gap_by_definition(G, masks)
+        if expected is None:
+            bs = bisection_semigroup(G, masks)
+            got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
+            assert got == product_table_by_definition(G, masks)
+            closed += 1
+            continue
+        with pytest.raises(ValidationError, match="not closed at product|missing$") as exc:
+            bisection_semigroup(G, masks)
+        assert exc.value.witness == expected
+        raised += 1
+    assert closed >= 20 and raised >= 20
+
+
+def test_the_first_member_that_is_not_a_bisection_is_named():
+    G = pair_groupoid(2)
+    u0, u1, a01, a10 = (1 << G.index[x] for x in ("u0", "u1", "a01", "a10"))
+    # u0+a01 and u1+a10 repeat a source, u1+a01 and u0+a10 a range
+    for masks, first in (
+        ([u1 | a01, u0 | a01, u0 | a10], "u0+a01"),
+        ([u0 | a10, u1 | a10, u1 | a01], "u1+a01"),
+        ([u1 | a10, u0 | a10], "u0+a10"),
+    ):
+        message = f"{first} is not a bisection"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
+            bisection_semigroup(G, [0, *masks])
+        assert exc.value.witness == (message, None)
+
+
+def _unchecked_pair2(product_of_u1_u1):
+    """pair2 with u1*u1 redefined, built without validate_groupoid."""
+    G = pair_groupoid(2)
+    compose = G.compose.copy()
+    compose[G.index["u1"], G.index["u1"]] = G.index[product_of_u1_u1]
+    return FiniteGroupoid(G.arrows, G.units, G.d, G.r, compose, G.inverse)
+
+
+def test_a_product_that_is_not_a_bisection_is_still_reported():
+    # a10 keeps the source u1 but has range u0, so (u0+u1)(u0+u1) = u0+a10
+    # meets u0 twice
+    G = _unchecked_pair2("a10")
+    with pytest.raises(CheckFailed, match="product of bisections must be a bisection"):
+        bisection_semigroup(G, enumerate_bisections(G))
+
+
+def test_broken_source_bookkeeping_raises_instead_of_aliasing_a_digit():
+    # a01 has source u0, and its digit in u0's fiber is the digit of a10 in
+    # u1's, so read at u1 the product u1*u1 would pass for the member a10
+    G = _unchecked_pair2("a01")
+    for masks in (singleton_semigroup(G), enumerate_bisections(G)):
+        with pytest.raises(CheckFailed, match="source of its right factor"):
+            bisection_semigroup(G, masks)
 
 
 def test_not_closed_witness_is_first_in_row_major_order(corpus_groupoids):
