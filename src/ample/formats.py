@@ -24,15 +24,16 @@ line and column are counted from the text when an error is raised.
 Structural tokens are read one at a time with one regex.  An identifier
 list (elements, table, units) is read as one run: a character-class
 match over identifiers and whitespace that hops over each '#' comment
-and goes on, after which the names are one str.split.  A regex
-alternation over whitespace, comment and identifier would do the same
-in one match, but Python's re keeps a backtracking frame per
-repetition, which costs more memory than the names.  Table entries are
-looked up in bulk into one int32 array, and the first unknown one in
-row-major order is located by rescanning the run, on the error path
-only.  The token after a run is read by the ordinary scanner, so a bad
-character there is reported exactly where a token-at-a-time scan would
-meet it.
+and goes on.  A regex alternation over whitespace, comment and identifier
+would do the same in one match, but Python's re keeps a backtracking
+frame per repetition, which costs more memory than the names.  Comments
+in the run are blanked to spaces, so it is ASCII and its byte offsets
+are text offsets.  Table entries go into one int32 array _CHUNK
+characters at a time, looked up on the bytes by _NameIndex (no string
+per entry) or, in a small table, through a dict.  The first unknown entry
+is located by rescanning the run, on the error path only.  The token
+after a run is read by the ordinary scanner, so a bad character there is
+reported where a token-at-a-time scan would meet it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ _TOKEN_RE = re.compile(
 _RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_.+@]+")
+# A table run is looked up _CHUNK characters at a time, which bounds the
+# temporaries; under _SMALL entries a dict costs less than _NameIndex.
+_CHUNK = 1 << 15
+_SMALL = 1 << 12
+_MULT = 0x9E3779B97F4A7C15  # odd, so its powers are too
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 class _Scanner:
@@ -113,10 +120,10 @@ class _Scanner:
         return tok
 
 
-def _ident_list(sc: _Scanner):
+def _ident_list(sc: _Scanner) -> tuple[int, str]:
     """'{' IDENT* '}' read as one run.
 
-    Returns the names and locate(k), the offset of the k-th name.
+    Returns its offset and its text, each comment blanked to as many spaces.
     """
     sc.expect("lbrace", "'{'")
     text = sc.text
@@ -127,21 +134,70 @@ def _ident_list(sc: _Scanner):
     sc.pos = end
     sc.expect("rbrace", "'}'")
     run = text[start:end]
-    names = (_COMMENT_RE.sub(" ", run) if "#" in run else run).split()
+    if "#" in run:
+        run = _COMMENT_RE.sub(lambda m: " " * len(m.group()), run)
+    return start, run
 
-    def locate(k: int) -> int:
-        # Whole lines are counted by split; a comment ends its line.
-        pos = start
-        while True:
-            eol = text.find("\n", pos, end)
-            line = text[pos : end if eol < 0 else eol].partition("#")[0]
-            words = len(line.split())
-            if k < words:
-                return pos + next(islice(_IDENT_RE.finditer(line), k, None)).start()
-            k -= words
-            pos = eol + 1
 
-    return names, locate
+def _offset(run: str, k: int) -> int:
+    """Offset in run of its k-th identifier."""
+    return next(islice(_IDENT_RE.finditer(run), k, None)).start()
+
+
+class _NameIndex:
+    """Exact lookup of identifiers by their bytes as little-endian uint64 words.
+
+    A key is ceil(w/8) words, w the longest name, zero past the name's end;
+    identifier bytes are never 0, so equal keys are equal strings.  Names
+    hash into tables of at least 8n slots; those that collide go into one
+    more table with the next multiplier.  A table only proposes a name, which
+    an entry takes when every key word agrees, so no hash decides a lookup.
+    """
+
+    def __init__(self, names: list[str]):
+        self.words = -(-max(map(len, names)) // 8)
+        padded = (name.encode("ascii").ljust(8 * self.words, b"\0") for name in names)
+        self.keys = np.frombuffer(b"".join(padded), "<u8").reshape(len(names), -1)
+        bits = (8 * len(names) - 1).bit_length()
+        self.shift = np.uint64(64 - bits)
+        self.tables = []
+        left, mult = np.arange(len(names)), np.uint64(_MULT)
+        while left.size:  # each table places the first name of every slot
+            slots, first = np.unique(self._slots(self.keys[left], mult), return_index=True)
+            table = np.full(1 << bits, -1, dtype=np.int32)
+            table[slots] = left[first]
+            self.tables.append((mult, table))
+            left = np.delete(left, first)
+            mult = np.uint64(int(mult) * _MULT % 2**64)
+
+    def _slots(self, keys: np.ndarray, mult: np.uint64) -> np.ndarray:
+        h = keys[:, 0] * mult
+        for j in range(1, self.words):
+            h = (h ^ keys[:, j]) * mult
+        return (h ^ h >> np.uint64(32)) * mult >> self.shift  # high bits mixed into low
+
+    def find(self, chunk: str) -> np.ndarray:
+        """Indices of the identifiers in chunk (ASCII identifiers and
+        whitespace), in order, with -1 for an unknown one."""
+        padded = b" " + chunk.encode("ascii") + bytes(8 * self.words)
+        inside = np.frombuffer(padded, dtype=np.uint8) > 32
+        edges = np.flatnonzero(inside[1:] != inside[:-1]) + 1
+        starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+        # the 8 bytes from every offset; fancy indexing, as take() copies the source
+        window = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+        keys = np.empty((len(starts), self.words), dtype=np.uint64)
+        for j in range(self.words):
+            keys[:, j] = window[starts + 8 * j] & _MASKS[np.clip(lengths - 8 * j, 0, 8)]
+        keys[lengths > 8 * self.words, 0] = 0  # too long: no name's first word is 0
+        found = np.full(len(starts), -1, dtype=np.int32)
+        todo, asked = np.arange(len(starts)), keys
+        for mult, table in self.tables:
+            cand = table[self._slots(asked, mult)]
+            hit = (self.keys[cand] == asked).all(axis=1) & (cand >= 0)
+            found[todo[hit]] = cand[hit]
+            todo = todo[~hit & (cand >= 0)]
+            asked = keys[todo]
+        return found
 
 
 def _first_duplicate(names: list[str]) -> int | None:
@@ -160,11 +216,12 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("elements")
-    names, locate = _ident_list(sc)
+    start, run = _ident_list(sc)
+    names = run.split()
     seen = {name: i for i, name in enumerate(names)}
     if len(seen) != len(names):
         k = _first_duplicate(names)
-        raise sc.error(f"duplicate element {names[k]!r}", locate(k))
+        raise sc.error(f"duplicate element {names[k]!r}", start + _offset(run, k))
     if not names:
         raise sc.error("element list is empty", sc.peek()[2])
 
@@ -174,17 +231,29 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
         raise sc.error(f"unknown zero element {ztok[1]!r}", ztok[2])
 
     sc.expect_keyword("table")
-    entries, locate = _ident_list(sc)
+    start, run = _ident_list(sc)
     n = len(names)
-    if len(entries) != n * n:
-        raise sc.error(f"table has {len(entries)} entries, expected {n * n}", sc.peek()[2])
-    # one int32 array, which validation takes over without a copy
-    table = np.fromiter(map(seen.get, entries, repeat(-1)), dtype=np.int32, count=n * n)
+    find = _NameIndex(names).find if n * n >= _SMALL else (
+        lambda chunk: np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32))
+    # one int32 array, which validation takes over without a copy, filled
+    # by chunks cut at whitespace; the run holds at most len(run)//2+1 entries
+    table = np.empty(min(n * n, len(run) // 2 + 1), dtype=np.int32)
+    count = pos = 0
+    while pos < len(run):
+        cut = _IDENT_RE.match(run, pos + _CHUNK)
+        end = cut.end() if cut else pos + _CHUNK
+        found = find(run[pos:end])
+        if count + len(found) <= len(table):
+            table[count : count + len(found)] = found
+        count += len(found)
+        pos = end
+    if count != n * n:
+        raise sc.error(f"table has {count} entries, expected {n * n}", sc.peek()[2])
     unknown = np.flatnonzero(table < 0)
     if unknown.size:
-        k = int(unknown[0])
-        raise sc.error(f"unknown element {entries[k]!r} in table", locate(k))
-    del entries
+        entry = _IDENT_RE.match(run, _offset(run, int(unknown[0])))
+        raise sc.error(f"unknown element {entry.group()!r} in table", start + entry.start())
+    del run
     table = table.reshape(n, n)
 
     sc.expect("rbrace", "'}'")
@@ -214,11 +283,12 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("units")
-    names, locate = _ident_list(sc)
+    start, run = _ident_list(sc)
+    names = run.split()
     seen = {name: i for i, name in enumerate(names)}
     if len(seen) != len(names):
         k = _first_duplicate(names)
-        raise sc.error(f"duplicate unit {names[k]!r}", locate(k))
+        raise sc.error(f"duplicate unit {names[k]!r}", start + _offset(run, k))
     n_units = len(names)
 
     sc.expect_keyword("arrows")

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -14,9 +15,11 @@ from ample import (
     parse_document,
     parse_groupoid,
     parse_semigroup,
+    units_groupoid,
     write_groupoid,
     write_semigroup,
 )
+from ample import formats
 from ample.errors import ParseError, ValidationError
 
 from oracles import parse_groupoid_by_tokens, parse_semigroup_by_tokens
@@ -43,6 +46,12 @@ def mutate(text, rng):
 def ample_table_document(G):
     table, _audit = abstract_table(bisection_semigroup(G, enumerate_bisections(G)))
     return write_semigroup(table)
+
+
+def renamed(doc, suffix):
+    """doc with every element name lengthened by suffix."""
+    names = set(doc.split("elements {")[1].split("}")[0].split())
+    return re.sub(r"[A-Za-z0-9_.+@]+", lambda m: m.group() + suffix * (m.group() in names), doc)
 
 
 def outcome(parse, text, *args):
@@ -238,6 +247,8 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
     large = [
         ample_table_document(pair_groupoid(4)),
         ample_table_document(disjoint_union(pair_groupoid(2), pair_groupoid(3))),
+        # 64 elements, so above the dict cutoff, with names of 3 key words
+        renamed(ample_table_document(units_groupoid(6)), "_idempotent.of.units6"),
     ]
     kinds = Counter()
     for docs, edits in ((small, 250), (large, 12)):
@@ -252,6 +263,110 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
                 assert got == outcome(parse_groupoid_by_tokens, text), text
                 kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
     assert kinds["ok"] and kinds["ParseError"] and kinds["ValidationError"], kinds
+
+
+IDENT_CHARS = "abyz0189_.+@"
+
+
+def random_name(rng, length):
+    return "".join(rng.choice(IDENT_CHARS) for _ in range(length))
+
+
+def stress_names(rng, width):
+    """Names of 1-width bytes; some agree on their first 8 or 16 bytes."""
+    names = {random_name(rng, rng.randint(1, width)) for _ in range(40)}
+    for stem in (random_name(rng, 8), random_name(rng, 16)[: width - 1]):
+        names |= {stem + random_name(rng, k)[: width - len(stem)] for k in range(1, 9)}
+    names = sorted(names)
+    rng.shuffle(names)
+    return names
+
+
+def near_misses(rng, names):
+    """Every name, a prefix and an extension of each, entries longer than
+    every name, and random entries; shuffled."""
+    longest = max(map(len, names))
+    entries = names + [name[:-1] for name in names if len(name) > 1]
+    entries += [name + rng.choice(IDENT_CHARS) for name in names]
+    entries += [random_name(rng, longest + k) for k in (1, 8, 9)] + [names[0] * 25]
+    entries += [random_name(rng, rng.randint(1, longest)) for _ in range(60)]
+    rng.shuffle(entries)
+    return entries
+
+
+@pytest.mark.parametrize("one_slot", [False, True])
+def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
+    if one_slot:  # a zero multiplier hashes every name to slot 0
+        monkeypatch.setattr(formats, "_MULT", 0)
+    rng = random.Random(11)
+    for width in (8, 16, 24):
+        names = stress_names(rng, width)
+        seen = {name: i for i, name in enumerate(names)}
+        index = formats._NameIndex(names)
+        assert index.words == width // 8
+        if one_slot:  # one name per table
+            assert len(index.tables) == len(names)
+        for _ in range(3):
+            entries = near_misses(rng, names)
+            chunk = "".join(e + rng.choice((" ", "\t", "\r\n", "\n   ")) for e in entries)
+            assert index.find(chunk).tolist() == [seen.get(e, -1) for e in entries]
+
+
+# separators between table entries: tabs, CRLF, and comments (one non-ASCII)
+SEPARATORS = (" ", "\t", "\r\n", "  # row é\n", "# x y\r\n  ", "\n\t")
+
+
+def chain_document(names, rng):
+    """The semilattice min(i, j) on names, entries split by random separators."""
+    n = len(names)
+    entries = [names[min(i, j)] for i in range(n) for j in range(n)]
+    table = "".join(e + rng.choice(SEPARATORS) for e in entries)
+    return (f"semigroup {{\r\n  elements {{ {' '.join(names)} }}\n  zero {names[0]}\n"
+            f"  table {{ # é\n{table}}}\n}}\n")
+
+
+def corruptions(text, names, rng):
+    """text, then each kind of bad table entry swapped in for a random one."""
+    start = text.index("table {")
+    blanked = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text[start:])
+    spans = [m.span() for m in re.finditer(r"[A-Za-z0-9_.+@]+", blanked)][1:]
+    yield text
+    longest = max(map(len, names))
+    for bad in ("q", names[3][:-1], names[3] + "a", "a" * (longest + 1), "#", "", "x y"):
+        i, j = spans[rng.randrange(len(spans))]
+        yield text[: start + i] + bad + text[start + j :]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 15])
+def test_chunked_table_lookup_agrees_with_token_scan(monkeypatch, chunk):
+    monkeypatch.setattr(formats, "_SMALL", 0)
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for width in (3, 12, 20):  # the names differ only in their last 2 bytes
+        names = [f"{i:0{width}d}" for i in range(12)]
+        for text in corruptions(chain_document(names, rng), names, rng):
+            assert outcome(parse_semigroup, text) == outcome(parse_semigroup_by_tokens, text)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_tables_either_side_of_the_dict_cutoff(n):
+    assert (n * n >= formats._SMALL) == (n == 64)
+    rng = random.Random(n)
+    names = [f"idempotent.number.{i}" for i in range(n)]
+    rng.shuffle(names)
+    for k, text in enumerate(corruptions(chain_document(names, rng), names, rng)):
+        got = outcome(parse_semigroup, text)
+        assert got == outcome(parse_semigroup_by_tokens, text)
+        assert (k == 0) == (not isinstance(got, tuple))
+
+
+def wide_table_with_unknown_entry():
+    """64 elements; a non-ASCII comment ends row 63, and row 64 holds 'q'."""
+    names = [f"e{i}" for i in range(64)]
+    rows = [" ".join(names)] * 63 + ["e0 e1 q " + " ".join(names[3:])]
+    rows[62] += "  # ligne née ici"
+    body = "\n    ".join(rows)
+    return f"semigroup {{\n  elements {{ {' '.join(names)} }}\n  zero e0\n  table {{\n    {body}\n  }}\n}}\n"
 
 
 def error_position(parse, text):
@@ -297,6 +412,11 @@ def error_position(parse, text):
         (  # an empty element list is reported at the token after it
             "semigroup {\n  elements { # none\n  }\n  zero 0 }",
             "element list is empty", 4, 3,
+        ),
+        pytest.param(  # a table above the dict cutoff, after a non-ASCII comment
+            wide_table_with_unknown_entry(),
+            "unknown element 'q' in table", 68, 11,
+            id="64-elements-unknown-after-non-ascii-comment",
         ),
         (
             "groupoid {\n  units { u v\n    u }\n}",
