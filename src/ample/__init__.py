@@ -12,9 +12,6 @@ from .convolution import (
     TightRepresentationReport,
     check_tight_representation,
     rho,
-    sup,
-    sup_all,
-    unit_cover,
 )
 from .corpus import (
     corpus,
@@ -38,11 +35,7 @@ from .formats import (
     write_groupoid,
     write_semigroup,
 )
-from .germs import (
-    GermGroupoidModel,
-    build_germ_model,
-    theta_apply,
-)
+from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import (
     BisectionSemigroup,
     FiniteGroupoid,
@@ -50,18 +43,13 @@ from .groupoids import (
     abstract_table,
     bisection_name,
     bisection_semigroup,
-    check_conjugation_lemma,
     enumerate_bisections,
     is_bisection,
-    lambda_action,
     singleton_semigroup,
-    slice_inverse,
     slice_product,
-    source_mask,
     validate_groupoid,
 )
 from .reconstruction import (
-    EquivarianceReport,
     GroupoidIsomorphism,
     PointBasisSpace,
     ReconstructionRun,
@@ -71,7 +59,6 @@ from .reconstruction import (
     canonical_iso_of_run,
     check_isomorphism,
     enumerate_point_bases,
-    equivariance_check,
     phi_point,
     point_basis_space,
     reconstruct,

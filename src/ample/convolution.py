@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
-from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
 from .semigroups import integers, row_blocks
@@ -27,8 +26,6 @@ from .spectrum import tight_spectrum
 
 # Largest cover --audit-covers adds to the minimal ones.
 AUDIT_COVER_SIZE = 4
-# Most idempotent subsets unit_cover tries before it gives up.
-MAX_COVER_COMBINATIONS = 1 << 20
 # Most cover-sup instances a failing verdict or --audit-covers lists.
 MAX_REP_INSTANCES = 1 << 24
 # Most states (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y)))
@@ -146,18 +143,6 @@ class AlgebraElement:
 def rho(G: FiniteGroupoid, mask: int) -> AlgebraElement:
     """The indicator representation: a bisection to its characteristic function."""
     return AlgebraElement.indicator(G, mask)
-
-
-def sup(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
-    """Join of commuting idempotents: p + q - pq."""
-    return p + q - p * q
-
-
-def sup_all(groupoid: FiniteGroupoid, items: Iterable[AlgebraElement]) -> AlgebraElement:
-    acc = AlgebraElement.zero(groupoid)
-    for item in items:
-        acc = sup(acc, item)
-    return acc
 
 
 def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
@@ -552,47 +537,3 @@ def check_tight_representation(
         covers_checked=covers,
         failure_witness=witness,
     )
-
-
-def unit_cover(source: FiniteInverseSemigroup | GermGroupoidModel) -> list[int]:
-    """Shortest list of idempotents whose basic sets exhaust the spectrum.
-
-    Returns ambient element indices, and certifies the matching algebra
-    identity: the projection join of the germ slices of the chosen
-    idempotents is the unit of the germ groupoid algebra.  Subsets are
-    tried by size; past MAX_COVER_COMBINATIONS of them it raises
-    BoundExceeded.
-    """
-    model = source if isinstance(source, GermGroupoidModel) else build_germ_model(source)
-    E = model.semilattice
-    spec = model.spectrum
-    if not spec.points:
-        raise ValidationError("no tight characters, nothing to cover")
-    full = (1 << len(spec.points)) - 1
-    coverage = [spec.basic_sets[e] for e in E.carrier]
-    candidates = [p for p in range(len(E)) if coverage[p]]
-    chosen: tuple[int, ...] | None = None
-    tried = 0
-    for k in range(1, len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            tried += 1
-            if tried > MAX_COVER_COMBINATIONS:
-                raise BoundExceeded(
-                    f"unit cover search passed {MAX_COVER_COMBINATIONS} idempotent subsets"
-                )
-            got = 0
-            for p in combo:
-                got |= coverage[p]
-            if got == full:
-                chosen = combo
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
-        raise CheckFailed("the basic sets of all idempotents cover the spectrum")
-    ambient = [E.carrier[p] for p in chosen]
-    H = model.groupoid
-    joined = sup_all(H, (rho(H, model.slice_of(e)) for e in ambient))
-    if joined != AlgebraElement.unit(H):
-        raise CheckFailed("unit-cover join must be the unit")
-    return ambient

@@ -16,42 +16,11 @@ from itertools import groupby
 
 import numpy as np
 
-from .bitsets import bit_array, iter_bits, mask_of
-from .errors import CheckFailed, ValidationError
+from .bitsets import bit_array
+from .errors import CheckFailed
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
 from .spectrum import TightSpectrum, tight_spectrum
-
-
-def _domain_idempotent(S: FiniteInverseSemigroup, s: int) -> int:
-    return int(S.table[S.star[s], s])
-
-
-def theta_apply(E: Semilattice, s: int, bits: int) -> int:
-    """Push the character through s: result(e) = value at s* e s.
-
-    Defined only when the character is alive at s*s; the result is a
-    character alive at ss*.
-    """
-    S = E.semigroup
-    t = S.table
-    st = S.star[s]
-    ss = _domain_idempotent(S, s)
-    if not bits >> E.position[ss] & 1:
-        raise ValidationError(
-            f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
-        )
-    conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
-    out = mask_of(p for p, c in enumerate(conj.tolist()) if bits >> c & 1)
-    if not out >> E.position[int(t[s, st])] & 1:
-        raise CheckFailed("image must live at ss*")
-    return out
-
-
-def theta_point(spec: TightSpectrum, s: int, point: int) -> int:
-    """Index of the image point of the action of s."""
-    bits = theta_apply(spec.semilattice, s, spec.points[point])
-    return spec.point_index[bits]
 
 
 @dataclass(frozen=True)
@@ -79,28 +48,14 @@ class GermGroupoidModel:
 
     __hash__ = None
 
-    def germ(self, s: int, point: int) -> int:
-        """Arrow index of the germ of s at the given spectrum point."""
-        S = self.semigroup
-        bits = self.spectrum.points[point]
-        ss = _domain_idempotent(S, s)
-        if not bits >> self.semilattice.position[ss] & 1:
-            raise ValidationError(f"point {point} is outside the domain of {S.elements[s]}")
-        key = int(S.table[s, self.point_minimum[point]])
-        return self.germ_index[(point, key)]
-
-    def slice_of(self, s: int) -> int:
-        """X_s: the germs of s at every point alive at s*s, as an arrow mask."""
-        alive = self.spectrum.basic_sets[_domain_idempotent(self.semigroup, s)]
-        return mask_of(self.germ(s, point) for point in iter_bits(alive))
-
 
 def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     """Construct the groupoid of germs of the canonical spectral action."""
     E = idempotent_semilattice(S)
     spec = tight_spectrum(E)
     points = spec.points
-    minima = [E.carrier[E.minimum_of[bits]] for bits in points]
+    least = [E.minimum_of[bits] for bits in points]  # the position of each point's minimum
+    minima = [E.carrier[p] for p in least]
 
     # Germ classes per point, keyed by s * m with m the point's minimum.
     t = S.table
@@ -134,15 +89,21 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
         (arrow_point[a], arrow_key[a]): a for a in range(len(ordered))
     }
 
-    target_point = tuple(
-        theta_point(spec, arrow_rep[a], arrow_point[a]) for a in range(len(ordered))
-    )
-
     # the unit at point p is arrow p, so d and r are the base and target points;
     # intp even when there are no points, so the gathers below stay integer
-    reps, point, target, point_min = (
-        np.array(v, dtype=np.intp) for v in (arrow_rep, arrow_point, target_point, minima)
-    )
+    reps, point, point_min = (np.array(v, dtype=np.intp) for v in (arrow_rep, arrow_point, minima))
+    # theta_s sends up(m) to {e : m <= s*es}, which is up(sms*) since m <= s*s
+    image = t[t[reps, point_min[point]], star[reps]]
+    if (t[image, t[reps, star[reps]]] != image).any():
+        raise CheckFailed("image must live at ss*")
+    # point_at[p] indexes the point up(p), or is -1; the last entry serves position -1
+    point_at = np.full(len(E) + 1, -1, dtype=np.intp)
+    point_at[least] = np.arange(len(points))
+    target = point_at[E.positions[image]]
+    if (target < 0).any():
+        raise CheckFailed("image must be a tight point")
+    target_point = tuple(target.tolist())
+
     left, right = np.nonzero(point[:, None] == target)  # every composable (a, b), row-major
     keys = t[t[reps[left], reps[right]], point_min[point[right]]]
     compose = np.full((len(ordered), len(ordered)), -1, dtype=np.int32)

@@ -202,10 +202,6 @@ def is_bisection(G: FiniteGroupoid, mask: int) -> bool:
     return True
 
 
-def slice_inverse(G: FiniteGroupoid, mask: int) -> int:
-    return mask_of(G.inverse[a] for a in iter_bits(mask))
-
-
 def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
     """Pointwise product {sigma.tau : composable}; certified to be a bisection."""
     products = G.compose[np.ix_(list(iter_bits(s)), list(iter_bits(t)))]
@@ -213,11 +209,6 @@ def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
     if not is_bisection(G, out):
         raise CheckFailed("product of bisections must be a bisection")
     return out
-
-
-def source_mask(G: FiniteGroupoid, mask: int) -> int:
-    """d(S) as a bitmask of unit arrows."""
-    return mask_of(G.d[a] for a in iter_bits(mask))
 
 
 def enumerate_bisections(G: FiniteGroupoid) -> tuple[int, ...]:
@@ -275,10 +266,6 @@ class BisectionSemigroup:
     semigroup: FiniteInverseSemigroup
     bits: tuple[int, ...]
 
-    @cached_property
-    def element_of(self) -> dict[int, int]:
-        return {mask: i for i, mask in enumerate(self.bits)}
-
 
 class _SectionIndex:
     """Exact lookup of sections by dense per-unit digit codes, with no search.
@@ -332,8 +319,9 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     only a block with a product not found is checked for non-bisections.
     Raises ValidationError when the family is not closed, with the first
     witness pair in row-major order, or (message, None) when a member,
-    the empty bisection or an inverse is at fault; the table then goes
-    through the inverse-semigroup checker.
+    the empty bisection or an inverse is at fault, or when two members
+    share a name (the first such pair in ascending mask order); the table
+    then goes through the inverse-semigroup checker.
     """
     masks = tuple(sorted(set(collection)))
     if 0 not in masks:
@@ -348,6 +336,14 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
         np.array([*(unit_pos[u] for u in ends), units], dtype=np.int32) for ends in (G.d, G.r)
     )
     names = tuple(bisection_name(G, m) for m in masks)  # made before the temporaries it outlives
+    if len(set(names)) < n:  # an arrow name may contain '+' or be '0'
+        first: dict[str, int] = {}
+        for m, name in zip(masks, names):
+            other = first.setdefault(name, m)
+            if other != m:
+                lhs, rhs = ([G.arrows[a] for a in iter_bits(x)] for x in (other, m))
+                message = f"bisections {lhs} and {rhs} share the name {name}"
+                raise ValidationError(message, witness=(message, None))
     width = (arrows + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     member, arrow = np.nonzero(np.unpackbits(packed.reshape(n, width), 1, arrows, "little"))
@@ -437,27 +433,3 @@ def abstract_table(
     T = FiniteInverseSemigroup(names, table, int(new_of_old[S.zero]), star)
     audit = TableAudit(bs.groupoid, tuple(bs.bits[old] for old in order))
     return T, audit
-
-
-# -- the action on units ------------------------------------------------------
-
-
-def lambda_action(G: FiniteGroupoid, mask: int, x: int) -> int:
-    """r(gamma) for the unique gamma in the bisection with d(gamma) = x."""
-    for a in iter_bits(mask):
-        if G.d[a] == x:
-            return G.r[a]
-    raise ValidationError(
-        f"unit {G.arrows[x]} is not in the source set of {bisection_name(G, mask)}"
-    )
-
-
-def check_conjugation_lemma(G: FiniteGroupoid, s_mask: int, u_mask: int) -> bool:
-    """d(gamma) in S*US iff r(gamma) in U, for every gamma in S."""
-    if u_mask & ~G.units_mask:
-        raise CheckFailed("U must consist of units")
-    conj = slice_product(G, slice_product(G, slice_inverse(G, s_mask), u_mask), s_mask)
-    for a in iter_bits(s_mask):
-        if bool(conj >> G.d[a] & 1) != bool(u_mask >> G.r[a] & 1):
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""The point-to-character correspondence, equivariance, and the round trip.
+"""The point-to-character correspondence and the round trip.
 
 A finite Hausdorff space is discrete, so a compact-open basis closed under
 intersection that generates the topology must contain every singleton;
@@ -17,15 +17,8 @@ import numpy as np
 
 from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
-from .germs import GermGroupoidModel, build_germ_model, theta_apply
-from .groupoids import (
-    BisectionSemigroup,
-    FiniteGroupoid,
-    TableAudit,
-    abstract_table,
-    lambda_action,
-    source_mask,
-)
+from .germs import GermGroupoidModel, build_germ_model
+from .groupoids import BisectionSemigroup, FiniteGroupoid, TableAudit, abstract_table
 from .semigroups import (
     FiniteInverseSemigroup,
     Semilattice,
@@ -204,55 +197,6 @@ def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:
             basis = tuple(s for s in every if s.bit_count() < 2 or s in chosen)
             spaces.append(PointBasisSpace(names, basis))
     return spaces
-
-
-# -- equivariance ---------------------------------------------------------------
-
-
-@dataclass
-class EquivarianceReport:
-    """theta after Phi versus Phi after lambda, over every element and unit."""
-
-    elements_checked: int
-    pairs_checked: int
-    failures: list[tuple[str, str]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def equivariance_check(bs: BisectionSemigroup) -> EquivarianceReport:
-    """Check theta_S(Phi(x)) = Phi(lambda_S(x)) for all S and x in d(S)."""
-    G = bs.groupoid
-    sg = bs.semigroup
-    E = idempotent_semilattice(sg)
-    spec = tight_spectrum(E)
-    # Characters of units against the idempotent bisections (unit subsets).
-    for e in E.carrier:
-        if bs.bits[e] & ~G.units_mask:
-            raise CheckFailed("idempotent bisections are unit sets")
-    phi = {}
-    for u in G.units:
-        bits = mask_of(p for p, e in enumerate(E.carrier) if bs.bits[e] >> u & 1)
-        if bits not in spec.point_index:
-            raise CheckFailed("unit characters must be tight")
-        phi[u] = bits
-    failures = []
-    pairs = 0
-    for s in range(len(sg)):
-        mask = bs.bits[s]
-        if mask == 0:
-            continue
-        for u in iter_bits(source_mask(G, mask)):
-            pairs += 1
-            lhs = theta_apply(E, s, phi[u])
-            rhs = phi[lambda_action(G, mask, u)]
-            if lhs != rhs:
-                failures.append((sg.elements[s], G.arrows[u]))
-    return EquivarianceReport(
-        elements_checked=len(sg), pairs_checked=pairs, failures=failures
-    )
 
 
 # -- reconstruction and isomorphism ---------------------------------------------

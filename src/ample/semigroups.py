@@ -287,10 +287,6 @@ class Semilattice:
         return len(self.carrier)
 
     @cached_property
-    def position(self) -> dict[int, int]:
-        return {e: p for p, e in enumerate(self.carrier)}
-
-    @cached_property
     def positions(self) -> np.ndarray:
         """positions[e] = position of ambient element e, or -1 when e is not idempotent."""
         out = np.full(len(self.semigroup), -1, dtype=np.int32)
@@ -305,7 +301,7 @@ class Semilattice:
 
     @cached_property
     def zero_pos(self) -> int:
-        return self.position[self.semigroup.zero]
+        return int(self.positions[self.semigroup.zero])
 
     @cached_property
     def full_mask(self) -> int:
@@ -356,7 +352,7 @@ class Semilattice:
 def idempotent_semilattice(S: FiniteInverseSemigroup) -> Semilattice:
     """Collect the idempotents of S and certify they form a semilattice."""
     E = Semilattice(S, S.idempotents)
-    if S.zero not in E.position:
+    if E.positions[S.zero] < 0:
         raise CheckFailed("a validated semigroup always has an idempotent zero")
     meets = E.meets
     if (meets < 0).any() or (meets != meets.T).any():

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ample import AlgebraElement, slice_product, sup
+from ample import AlgebraElement, slice_product
 from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentationReport
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
@@ -53,7 +53,7 @@ def filters_by_definition(E):
 
 def meet_pos_by_table(E, p, q):
     """Position of e_p e_q, read from the semigroup's table."""
-    return E.position[int(E.semigroup.table[E.carrier[p], E.carrier[q]])]
+    return int(E.positions[E.semigroup.table[E.carrier[p], E.carrier[q]]])
 
 
 def is_character(E, bits):
@@ -218,11 +218,43 @@ def range_mask(G, mask):
     return out
 
 
+def domain_idempotent(S, s):
+    """s*s, the idempotent on which s is defined."""
+    return int(S.table[S.star[s], s])
+
+
+def theta_apply(E, s, bits):
+    """Push the character through s: result(e) = value at s* e s.
+
+    Defined only when the character is alive at s*s; the result is a
+    character alive at ss*.
+    """
+    S = E.semigroup
+    t = S.table
+    st = S.star[s]
+    ss = domain_idempotent(S, s)
+    if not bits >> int(E.positions[ss]) & 1:
+        raise ValidationError(
+            f"character vanishes at {S.elements[ss]}, the domain of {S.elements[s]}"
+        )
+    conj = E.positions[t[t[st, list(E.carrier)], s]]  # positions of s* e s
+    out = mask_of(p for p, c in enumerate(conj.tolist()) if bits >> c & 1)
+    if not out >> int(E.positions[t[s, st]]) & 1:
+        raise CheckFailed("image must live at ss*")
+    return out
+
+
+def theta_point(spec, s, point):
+    """Index of the image point of the action of s."""
+    bits = theta_apply(spec.semilattice, s, spec.points[point])
+    return spec.point_index[bits]
+
+
 def same_germ(E, s1, s2, bits):
     """Some idempotent e with character value 1 has s1 e = s2 e."""
     S = E.semigroup
     for s in (s1, s2):
-        if not bits >> E.position[S.table[S.star[s]][s]] & 1:
+        if not bits >> int(E.positions[S.table[S.star[s]][s]]) & 1:
             raise ValidationError(f"character vanishes at the domain of {S.elements[s]}")
     return any(
         bits >> p & 1 and S.table[s1][e] == S.table[s2][e] for p, e in enumerate(E.carrier)
@@ -437,7 +469,7 @@ def germ_count_by_pairwise_quotient(S):
         valid = [
             s
             for s in range(len(S))
-            if bits >> E.position[S.table[S.star[s]][s]] & 1
+            if bits >> int(E.positions[S.table[S.star[s]][s]]) & 1
         ]
         classes = []
         for s in valid:
@@ -530,7 +562,8 @@ def tight_representation_by_definition(pi, S, audit_covers=False):
     def sup_of(zmask):
         if zmask not in sup_cache:
             low = zmask & -zmask
-            sup_cache[zmask] = sup(val[low.bit_length() - 1], sup_of(zmask ^ low))
+            p, q = val[low.bit_length() - 1], sup_of(zmask ^ low)
+            sup_cache[zmask] = p + q - p * q
         return sup_cache[zmask]
 
     def names_of(mask):

@@ -8,12 +8,10 @@ from ample import (
     AlgebraElement,
     brute_force_iso,
     canonical_iso_of_run,
-    check_conjugation_lemma,
     check_tight_representation,
     enumerate_bisections,
     enumerate_filters,
     enumerate_point_bases,
-    equivariance_check,
     find_tightness_violation,
     idempotent_semilattice,
     pair_groupoid,
@@ -21,13 +19,12 @@ from ample import (
     run_reconstruction,
     singleton_semigroup,
     stone_check,
-    sup_all,
     tight_spectrum,
     ultrafilters,
-    unit_cover,
 )
 from ample.bitsets import iter_bits
 from conftest import criterion
+from lemmas import check_conjugation_lemma, equivariance_check, slice_of, sup_all, unit_cover
 from oracles import (
     bisections_by_definition,
     filters_by_definition,
@@ -118,19 +115,19 @@ def test_representation_identities(corpus_runs):
             run = run_info.run
             model = run.model
             H = model.groupoid
-            pi_prime = [rho(H, model.slice_of(s)) for s in range(len(run.table))]
+            pi_prime = [rho(H, slice_of(model, s)) for s in range(len(run.table))]
             report2 = check_tight_representation(pi_prime, run.table)
             assert report2.passed, (run_info.label, report2.tightness_witnesses)
             # the unit cover joins to the unit of the germ algebra
             cover = unit_cover(model)
-            joined = sup_all(H, (rho(H, model.slice_of(e)) for e in cover))
+            joined = sup_all(H, (rho(H, slice_of(model, e)) for e in cover))
             assert joined == AlgebraElement.unit(H), run_info.label
             # arrow-level content of the composite isomorphism: each germ
             # slice is carried back onto the bisection it came from
             iso = canonical_iso_of_run(run)
             for s in range(len(run.table)):
                 image = 0
-                for a in iter_bits(model.slice_of(s)):
+                for a in iter_bits(slice_of(model, s)):
                     image |= 1 << iso.arrow_map[a]
                 assert image == run.audit.bisections[s], run_info.label
 

@@ -241,6 +241,37 @@ def test_rep_check_count_past_its_bound_exits_2(capsys, monkeypatch, tmp_path):
     assert not summary.exists()
 
 
+CLASHING = {
+    # the unit 0 and the empty bisection are both named 0
+    "zero": ("{ 0 }", "[] and ['0'] share the name 0"),
+    # the bisection {u, v} and the unit u+v are both named u+v
+    "plus": ("{ u v u+v }", "['u', 'v'] and ['u+v'] share the name u+v"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("zero", ["check-iso"]),
+        ("plus", ["ample"]),
+        ("plus", ["check-iso", "--collection", "ample"]),
+        ("plus", ["rep-check", "--collection", "ample"]),
+    ],
+)
+def test_clashing_bisection_names_exit_2(capsys, tmp_path, name, argv):
+    units, clash = CLASHING[name]
+    gpd = tmp_path / f"{name}.gpd"
+    gpd.write_text(
+        f"groupoid {{ units {units} arrows {{ }} compose {{ }} inverse {{ }} }}\n",
+        encoding="utf-8",
+    )
+    assert run_cli(capsys, "validate", str(gpd))[0] == 0  # the document itself is fine
+    summary = tmp_path / "s.json"
+    code, out, err = run_cli(capsys, argv[0], str(gpd), *argv[1:], "--summary", str(summary))
+    assert (code, out, err) == (2, "", f"error: bisections {clash}\n")
+    assert not summary.exists()
+
+
 def test_check_iso_node_budget_exits_2(capsys, monkeypatch, tmp_path):
     gpd = tmp_path / "pair3.gpd"
     gpd.write_text(write_groupoid(pair_groupoid(3)), encoding="utf-8")

@@ -18,11 +18,7 @@ from ample import (
     rho,
     run_reconstruction,
     singleton_semigroup,
-    slice_inverse,
     slice_product,
-    sup,
-    sup_all,
-    unit_cover,
     units_groupoid,
     validate_inverse_semigroup,
 )
@@ -33,6 +29,8 @@ from ample.errors import BoundExceeded, CheckFailed, ValidationError
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
 from ample.spectrum import tight_spectrum
 
+import lemmas
+from lemmas import slice_inverse, slice_of, sup, sup_all, unit_cover
 from oracles import (
     _count_instances,
     _cover_sup_violations,
@@ -210,7 +208,7 @@ def test_rho_prime_is_tight_on_germ_model():
     run = run_reconstruction(bisection_semigroup(G, enumerate_bisections(G)), seed=0)
     model = run.model
     H = model.groupoid
-    pi = [rho(H, model.slice_of(s)) for s in range(len(run.table))]
+    pi = [rho(H, slice_of(model, s)) for s in range(len(run.table))]
     assert check_tight_representation(pi, run.table).passed
 
 
@@ -245,9 +243,9 @@ def test_unit_cover_empty_spectrum():
 def test_unit_cover_search_is_bounded(monkeypatch):
     # subsets of {1,2} without the top: {a}, {b}, then {a, b} covers
     S = validate_inverse_semigroup(["0", "a", "b"], [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
-    monkeypatch.setattr(convolution, "MAX_COVER_COMBINATIONS", 3)
+    monkeypatch.setattr(lemmas, "MAX_COVER_COMBINATIONS", 3)
     assert sorted(S.elements[e] for e in unit_cover(S)) == ["a", "b"]
-    monkeypatch.setattr(convolution, "MAX_COVER_COMBINATIONS", 2)
+    monkeypatch.setattr(lemmas, "MAX_COVER_COMBINATIONS", 2)
     with pytest.raises(BoundExceeded):
         unit_cover(S)
 

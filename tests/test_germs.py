@@ -1,25 +1,39 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ample import (
+    abstract_table,
     bisection_semigroup,
     build_germ_model,
+    disjoint_union,
     enumerate_bisections,
     group_groupoid,
     idempotent_semilattice,
     pair_groupoid,
+    parse_groupoid,
+    parse_semigroup,
     reconstruct,
     singleton_semigroup,
-    theta_apply,
+    slice_product,
     tight_spectrum,
     units_groupoid,
     validate_groupoid,
 )
 from ample.errors import ValidationError
-from ample.germs import _domain_idempotent, theta_point
 
-from oracles import germ_count_by_pairwise_quotient, same_germ
+from lemmas import germ, slice_inverse, slice_of
+from oracles import (
+    domain_idempotent,
+    germ_count_by_pairwise_quotient,
+    same_germ,
+    theta_apply,
+    theta_point,
+)
 from test_semigroups import _group_with_zero, powerset_semilattice
+
+DATA = Path(__file__).parent / "data"
 
 
 def _pair2_setup(full=False):
@@ -37,7 +51,7 @@ def test_theta_fixes_points_at_idempotents():
         if e == bs.semigroup.zero:
             continue
         for bits in spec.points:
-            if bits >> E.position[e] & 1:
+            if bits >> int(E.positions[e]) & 1:
                 assert theta_apply(E, e, bits) == bits
 
 
@@ -45,8 +59,8 @@ def test_theta_moves_point_along_arrow():
     G, bs, E, spec = _pair2_setup()
     s = bs.semigroup.index["a01"]  # the singleton {a01}: u0 -> u1
     # xi_{u0}: the character alive exactly at {u0}
-    xi_x = 1 << E.position[bs.semigroup.index["u0"]]
-    xi_y = 1 << E.position[bs.semigroup.index["u1"]]
+    xi_x = 1 << int(E.positions[bs.semigroup.index["u0"]])
+    xi_y = 1 << int(E.positions[bs.semigroup.index["u1"]])
     assert theta_apply(E, s, xi_x) == xi_y
     with pytest.raises(ValidationError, match="character vanishes at u0, the domain of a01"):
         theta_apply(E, s, xi_y)
@@ -56,7 +70,7 @@ def test_theta_inverse_roundtrip():
     _, bs, E, spec = _pair2_setup(full=True)
     S = bs.semigroup
     for s in range(len(S)):
-        dom = E.position[_domain_idempotent(S, s)]
+        dom = int(E.positions[domain_idempotent(S, s)])
         for bits in spec.points:
             if bits >> dom & 1:
                 assert theta_apply(E, S.star[s], theta_apply(E, s, bits)) == bits
@@ -69,11 +83,11 @@ def test_theta_is_an_action():
         for t in range(len(S)):
             st = S.table[s][t]
             for bits in spec.points:
-                t_dom = bits >> E.position[_domain_idempotent(S, t)] & 1
+                t_dom = bits >> int(E.positions[domain_idempotent(S, t)]) & 1
                 if not t_dom:
                     continue
                 mid = theta_apply(E, t, bits)
-                if not mid >> E.position[_domain_idempotent(S, s)] & 1:
+                if not mid >> int(E.positions[domain_idempotent(S, s)]) & 1:
                     continue
                 # both theta_s theta_t and theta_st are defined here
                 assert theta_apply(E, s, mid) == theta_apply(E, st, bits)
@@ -83,7 +97,7 @@ def test_same_germ_reflexive_with_domain_witness():
     _, bs, E, spec = _pair2_setup(full=True)
     S = bs.semigroup
     for s in range(len(S)):
-        dom = E.position[_domain_idempotent(S, s)]
+        dom = int(E.positions[domain_idempotent(S, s)])
         for bits in spec.points:
             if bits >> dom & 1:
                 assert same_germ(E, s, s, bits)
@@ -96,7 +110,7 @@ def test_same_germ_distinguishes_singletons():
     E = idempotent_semilattice(S)
     s1 = S.index["a01"]
     s2 = S.index["a02"]  # same source u0, different germ
-    xi = 1 << E.position[S.index["u0"]]
+    xi = 1 << int(E.positions[S.index["u0"]])
     assert not same_germ(E, s1, s2, xi)
     assert not same_germ(E, S.index["u0"], s1, xi)
 
@@ -106,8 +120,8 @@ def test_same_germ_via_restriction():
     S = bs.semigroup
     big = S.index["a01+a10"]
     small = S.index["a01"]
-    xi = 1 << E.position[S.index["u0"]]
-    xi |= 1 << E.position[S.index["u0+u1"]]
+    xi = 1 << int(E.positions[S.index["u0"]])
+    xi |= 1 << int(E.positions[S.index["u0+u1"]])
     # small = big * {u0} and the character keeps {u0} alive
     assert S.table[big][S.index["u0"]] == small
     assert same_germ(E, small, big, xi)
@@ -116,7 +130,7 @@ def test_same_germ_via_restriction():
 def test_same_germ_outside_domain():
     _, bs, E, _ = _pair2_setup()
     S = bs.semigroup
-    xi_y = 1 << E.position[S.index["u1"]]
+    xi_y = 1 << int(E.positions[S.index["u1"]])
     with pytest.raises(ValidationError, match="character vanishes at the domain of a01"):
         same_germ(E, S.index["a01"], S.index["a01"], xi_y)
 
@@ -128,7 +142,7 @@ def test_same_germ_is_equivalence_per_point():
         valid = [
             s
             for s in range(len(S))
-            if bits >> E.position[_domain_idempotent(S, s)] & 1
+            if bits >> int(E.positions[domain_idempotent(S, s)]) & 1
         ]
         for a in valid:
             assert same_germ(E, a, a, bits)
@@ -206,7 +220,7 @@ def test_composition_is_independent_of_representatives():
         pb = model.arrow_point[b]
         for sa in model.arrow_members[a]:
             for sb in model.arrow_members[b]:
-                assert model.germ(S.table[sa][sb], pb) == c
+                assert germ(model, S.table[sa][sb], pb) == c
 
 
 def test_theta_point_matches_groupoid_range():
@@ -221,11 +235,40 @@ def test_theta_point_matches_groupoid_range():
         assert H.d[a] == pt
 
 
+def _assert_targets_match_theta(S):
+    model = build_germ_model(S)
+    expected = [theta_point(model.spectrum, *a) for a in zip(model.arrow_rep, model.arrow_point)]
+    assert list(model.groupoid.r) == expected
+
+
+def test_gathered_targets_match_the_theta_oracle(corpus_runs):
+    # build_germ_model finds every target in one gather; theta_point acts arrow by arrow
+    families = [(run.groupoid, run.masks) for run in corpus_runs]
+    pair2 = parse_groupoid((DATA / "pair2.gpd").read_text(encoding="utf-8"))
+    families += [(pair2, singleton_semigroup(pair2)), (pair2, enumerate_bisections(pair2))]
+    assert len(families) == 30  # 14 corpus documents and pair2.gpd, in both collections
+    for G in (units_groupoid(6), disjoint_union(pair_groupoid(3), group_groupoid(4))):
+        families.append((G, enumerate_bisections(G)))
+    for G, masks in families:
+        bs = bisection_semigroup(G, masks)
+        for seed in (0, 1):
+            _assert_targets_match_theta(abstract_table(bs, seed=seed)[0])
+    tables = 0
+    for path in sorted(DATA.glob("*.sgp")):
+        try:
+            S = parse_semigroup(path.read_text(encoding="utf-8"))
+        except ValidationError:
+            continue  # a table that fails validation has no germs
+        _assert_targets_match_theta(S)
+        tables += 1
+    assert tables == 1  # chain.sgp
+
+
 def test_slice_of_zero_is_empty():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, singleton_semigroup(G))
     model = build_germ_model(bs.semigroup)
-    assert model.slice_of(bs.semigroup.zero) == 0
+    assert slice_of(model, bs.semigroup.zero) == 0
 
 
 def test_slice_of_idempotent_is_unit_set():
@@ -236,7 +279,7 @@ def test_slice_of_idempotent_is_unit_set():
     assert model.groupoid.units == tuple(range(len(model.spectrum.points)))
     for e in E.carrier:
         # the unit at point p is arrow p, so the unit set is D_e itself
-        assert model.slice_of(e) == model.spectrum.basic_sets[e]
+        assert slice_of(model, e) == model.spectrum.basic_sets[e]
 
 
 def test_slice_sizes_match_basic_sets():
@@ -245,27 +288,24 @@ def test_slice_sizes_match_basic_sets():
         model = build_germ_model(bs.semigroup)
         S = bs.semigroup
         for s in range(len(S)):
-            dom = _domain_idempotent(S, s)
-            assert model.slice_of(s).bit_count() == model.spectrum.basic_sets[dom].bit_count()
+            dom = domain_idempotent(S, s)
+            assert slice_of(model, s).bit_count() == model.spectrum.basic_sets[dom].bit_count()
 
 
 def test_slice_map_is_multiplicative_and_star_compatible():
-    from ample import slice_inverse as groupoid_slice_inverse
-    from ample import slice_product as groupoid_slice_product
-
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, enumerate_bisections(G))
     model = build_germ_model(bs.semigroup)
     S = bs.semigroup
     H = model.groupoid
     for s in range(len(S)):
-        assert groupoid_slice_inverse(H, model.slice_of(s)) == model.slice_of(
+        assert slice_inverse(H, slice_of(model, s)) == slice_of(model, 
             S.star[s]
         )
         for t in range(len(S)):
             assert (
-                groupoid_slice_product(H, model.slice_of(s), model.slice_of(t))
-                == model.slice_of(S.table[s][t])
+                slice_product(H, slice_of(model, s), slice_of(model, t))
+                == slice_of(model, S.table[s][t])
             )
 
 

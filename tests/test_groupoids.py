@@ -14,21 +14,16 @@ from ample import (
     bisection_name,
     bisection_semigroup,
     build_germ_model,
-    check_conjugation_lemma,
     corpus,
     disjoint_union,
     enumerate_bisections,
     group_bundle_z2,
     group_groupoid,
     is_bisection,
-    lambda_action,
     pair_groupoid,
     parse_groupoid,
     singleton_semigroup,
-    slice_inverse,
     slice_product,
-    source_mask,
-    unit_cover,
     units_groupoid,
     validate_groupoid,
     validate_inverse_semigroup,
@@ -38,6 +33,14 @@ from ample import groupoids
 from ample.bitsets import iter_bits, mask_of
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ValidationError
 
+from lemmas import (
+    check_conjugation_lemma,
+    element_of,
+    lambda_action,
+    slice_inverse,
+    source_mask,
+    unit_cover,
+)
 from oracles import (
     bisections_by_definition,
     compose_array,
@@ -325,6 +328,24 @@ def test_the_first_member_that_is_not_a_bisection_is_named():
         assert exc.value.witness == (message, None)
 
 
+def test_bisections_whose_names_clash_are_named():
+    # '+' and '0' may appear in arrow names, so joined names can coincide
+    sections = "arrows { } compose { } inverse { }"
+    for units, collection, first in (
+        ("0", singleton_semigroup, "[] and ['0'] share the name 0"),
+        ("u v u+v", enumerate_bisections, "['u', 'v'] and ['u+v'] share the name u+v"),
+        # {u, v, w} and {u+v, w} clash too, and so do {v, w} and {v+w}, at larger masks
+        ("u v u+v w v+w", enumerate_bisections, "['u', 'v'] and ['u+v'] share the name u+v"),
+    ):
+        G = parse_groupoid(f"groupoid {{ units {{ {units} }} {sections} }}")
+        message = f"bisections {first}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
+            bisection_semigroup(G, collection(G))
+        assert exc.value.witness == (message, None)
+    G = parse_groupoid(f"groupoid {{ units {{ u v u+v }} {sections} }}")
+    assert len(bisection_semigroup(G, singleton_semigroup(G)).semigroup) == 4
+
+
 def _unchecked_pair2(product_of_u1_u1):
     """pair2 with u1*u1 redefined, built without validate_groupoid."""
     G = pair_groupoid(2)
@@ -384,7 +405,7 @@ def test_bisection_semigroup_validates():
         assert bs.bits[e] & ~G.units_mask == 0
     for m in enumerate_bisections(G):
         if m & ~G.units_mask == 0:
-            assert is_idempotent(bs.semigroup, bs.element_of[m])
+            assert is_idempotent(bs.semigroup, element_of(bs)[m])
 
 
 def test_bisection_semilattice_order():
@@ -393,11 +414,11 @@ def test_bisection_semilattice_order():
     from ample import idempotent_semilattice
 
     E = idempotent_semilattice(bs.semigroup)
-    ux = E.position[bs.semigroup.index["u0"]]
-    top = E.position[bs.semigroup.index["u0+u1"]]
+    ux = int(E.positions[bs.semigroup.index["u0"]])
+    top = int(E.positions[bs.semigroup.index["u0+u1"]])
     assert E.down_masks[top] >> ux & 1 and E.up_masks[ux] >> top & 1
     assert E.intersect_masks[top] >> ux & 1
-    assert E.orth_masks[ux] >> E.position[bs.semigroup.index["u1"]] & 1
+    assert E.orth_masks[ux] >> int(E.positions[bs.semigroup.index["u1"]]) & 1
 
 
 def test_abstract_table_erases_geometry():

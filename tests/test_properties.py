@@ -41,7 +41,7 @@ def test_restricted_ideal_reduces_to_the_meet(data):
     family = restricted_ideal(E, X, Y)
     assert family == restricted_ideal(E, (meet,), Y)
     # the position masks give the same E^{X,Y}
-    mask = _restricted_ideal_mask(E, [E.position[e] for e in X], [E.position[f] for f in Y])
+    mask = _restricted_ideal_mask(E, E.positions[X].tolist(), E.positions[Y].tolist())
     assert family == tuple(E.carrier[p] for p in iter_bits(mask))
 
 

@@ -400,7 +400,7 @@ def _is_cover_mask(E, zmask, fmask):
 def test_order_and_orthogonality_on_powerset():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    pos = {s: E.position[i] for i, s in enumerate(subsets)}
+    pos = {s: int(E.positions[i]) for i, s in enumerate(subsets)}
     s1, s2, s12 = pos[frozenset([1])], pos[frozenset([2])], pos[frozenset([1, 2])]
     assert _leq(E, s1, s12) and E.up_masks[s1] >> s12 & 1
     assert not _leq(E, s12, s1) and not E.up_masks[s12] >> s1 & 1
@@ -428,7 +428,7 @@ def test_natural_order_is_partial_order():
 def test_restricted_ideal_examples():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    pos = {s: E.position[i] for i, s in enumerate(subsets)}
+    pos = {s: int(E.positions[i]) for i, s in enumerate(subsets)}
     # Y = {0}: zero is orthogonal to everything, so nothing is excluded
     assert _restricted_ideal_mask(E, (), (E.zero_pos,)) == E.full_mask
     # X = {{1,2}}, Y = {{1}}
@@ -440,7 +440,7 @@ def test_restricted_ideal_top_of_bisection_semilattice():
     G = pair_groupoid(2)
     bs = bisection_semigroup(G, enumerate_bisections(G))
     E = idempotent_semilattice(bs.semigroup)
-    top = E.position[bs.semigroup.index["u0+u1"]]
+    top = int(E.positions[bs.semigroup.index["u0+u1"]])
     assert _restricted_ideal_mask(E, (top,), ()) == E.full_mask
 
 
@@ -450,8 +450,8 @@ def test_restricted_ideal_meet_reduction():
     carrier = E.carrier
     for size in (1, 2, 3):
         for X in combinations(carrier, size):
-            meet = E.position[product_of(S, X)]
-            xs = [E.position[e] for e in X]
+            meet = int(E.positions[product_of(S, X)])
+            xs = [int(E.positions[e]) for e in X]
             for Y in combinations(range(len(E)), 2):
                 assert _restricted_ideal_mask(E, xs, Y) == _restricted_ideal_mask(E, (meet,), Y)
 
@@ -459,7 +459,7 @@ def test_restricted_ideal_meet_reduction():
 def test_is_cover_examples():
     S, subsets = powerset_semilattice((1, 2))
     E = idempotent_semilattice(S)
-    pos = {s: E.position[i] for i, s in enumerate(subsets)}
+    pos = {s: int(E.positions[i]) for i, s in enumerate(subsets)}
     s1, s2 = 1 << pos[frozenset([1])], 1 << pos[frozenset([2])]
     full = E.full_mask
     assert _is_cover_mask(E, full, full)  # F covers itself when it has a nonzero member
