@@ -216,8 +216,7 @@ def cmd_stone_check(args) -> Report:
     sweep = [enumerate_point_bases(n) for n in sizes]
     for n, spaces in enumerate(sweep):
         passed = 0
-        for space in spaces:
-            report = stone_check(space)
+        for report in stone_check(spaces):
             if report.passed:
                 passed += 1
             else:

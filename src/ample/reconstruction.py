@@ -24,11 +24,14 @@ from .semigroups import (
     Semilattice,
     idempotent_semilattice,
     integers,
+    row_blocks,
     validate_inverse_semigroup,
 )
 from .spectrum import TightSpectrum, tight_spectrum
 
 MAX_BASIS_FAMILIES = 1 << 20
+# Most entries stone_check's (m, m, max(m, n)) temporaries may hold for one basis.
+MAX_BASIS_ENTRIES = 1 << 21
 # Most assignments brute_force_iso tries before it gives up.
 MAX_ISO_NODES = 1_000_000
 
@@ -69,14 +72,20 @@ def point_basis_space(
     for i in range(len(pts)):
         if 1 << i not in family:
             raise ValidationError(f"basis must contain the singleton of {pts[i]}")
-    for a in ordered:
-        for b in ordered:
+    _require_closed(ordered)
+    return PointBasisSpace(pts, ordered)
+
+
+def _require_closed(sets: tuple[int, ...]) -> None:
+    """ValidationError at the first pair, in basis order, whose intersection is missing."""
+    family = set(sets)
+    for a in sets:
+        for b in sets:
             if a & b not in family:
                 raise ValidationError(
                     "basis not closed under intersection at"
                     f" {list(iter_bits(a))} and {list(iter_bits(b))}"
                 )
-    return PointBasisSpace(pts, ordered)
 
 
 def _set_name(mask: int) -> str:
@@ -88,9 +97,15 @@ def _set_name(mask: int) -> str:
 def basis_semilattice(space: PointBasisSpace) -> Semilattice:
     """The basis viewed as a semilattice under intersection.
 
-    Carrier position p is the basis member ``space.basis[p]``.
+    Carrier position p is the basis member ``space.basis[p]``.  A directly
+    built space whose member is not a set of its points, or whose basis
+    is not intersection-closed, raises ValidationError.
     """
     sets = space.basis
+    for s in sets:
+        if not 0 <= s < 1 << len(space.points):
+            raise ValidationError(f"basis member {s} is not a set of {len(space.points)} points")
+    _require_closed(sets)
     index = {s: i for i, s in enumerate(sets)}
     table = np.array([index[a & b] for a in sets for b in sets], dtype=np.int32)
     sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), -1))
@@ -133,39 +148,134 @@ class StoneReport:
             raise CheckFailed(self.witness or "stone check failed")
 
 
-def stone_check(space: PointBasisSpace) -> StoneReport:
-    """Compare x -> xi_x against the tight spectrum of the basis.
+def _intersection_tables(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, m, m) positions of a & b within each basis of a (B, m) mask stack.
+
+    The second result says, per basis, whether every a & b equals exactly
+    one member: the family is intersection-closed and lists no set twice.
+    Where it does not, the positions are meaningless.
+    """
+    equal = (masks[:, :, None, None] & masks[:, None, :, None]) == masks[:, None, None, :]
+    return equal.argmax(axis=3), (equal.sum(axis=3) == 1).all(axis=(1, 2))
+
+
+def stone_laws(
+    t: np.ndarray, member: np.ndarray
+) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]:
+    """Every law the per-basis route certifies, over a stack of B tables.
+
+    ``t[b]`` is an m x m table on positions 0..m-1 and ``member[b, p, x]``
+    says whether point x lies in member p of basis b.  The laws map each
+    check that basis_semilattice, tight_spectrum and phi_point make to
+    whether it holds, per basis.  The verdicts are, per basis, the
+    spectrum size, injective, surjective and the first member p whose
+    image differs from its basic set (-1 when none does); they mean
+    something only where every law holds.
+    """
+    B, m, _ = t.shape
+    bb = np.arange(B)[:, None, None]
+    every = np.arange(m)
+    t_swapped = t.transpose(0, 2, 1)
+    # left[b, x, a, y] = (xa)y; where t is symmetric (its own law), x(ay) = (ay)x
+    left = np.take(t.reshape(B * m, m), t + bb * m, axis=0)
+    associative = (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))
+    # u is an inverse of s when sus = s and usu = u, indexed [b, s, u]
+    inverses = (t[bb, t, every[:, None]] == every[:, None]) & (t[bb, t_swapped, every] == every)
+    up = t == every[:, None]  # up[b, p, q]: pq = p, so p <= q
+    down = t == every  # down[b, p, q]: pq = q, so q <= p
+    absorbing = up.all(axis=2) & down.all(axis=1)
+    nonzero = every != absorbing.argmax(axis=1)[:, None]
+    twins = (up[:, :, None] == up[:, None]).all(axis=3) & nonzero[:, :, None] & nonzero[:, None]
+    # the atom rule of find_tightness_violation: nothing but p and zero below p
+    tight = nonzero & ((down & nonzero[:, None]) == np.eye(m, dtype=bool)).all(axis=2)
+    ultra = np.count_nonzero(down, axis=2) == 2
+    # match[b, x, q]: the character of point x is the tight up-set of q
+    match = tight[:, None] & (member.transpose(0, 2, 1)[:, :, None] == up[:, None]).all(axis=3)
+    laws = {
+        "associative": associative,
+        "one inverse": (np.count_nonzero(inverses, axis=2) == 1).all(axis=1),
+        "absorbing zero": absorbing.any(axis=1),
+        "idempotent": (t.diagonal(axis1=1, axis2=2) == every).all(axis=1),
+        "symmetric": (t == t_swapped).all(axis=(1, 2)),
+        "distinct filters": ~(twins & ~np.eye(m, dtype=bool)).any(axis=(1, 2)),
+        "tight are ultra": (tight == ultra).all(axis=1),
+        "characters tight": (np.count_nonzero(match, axis=2) == 1).all(axis=1),
+    }
+    hit = match.any(axis=1)
+    # image[b, p, q]: some point of member p goes to q; D_p holds the tight q <= p
+    image = member @ match
+    differs = (image != (tight[:, None] & up.transpose(0, 2, 1))).any(axis=2)
+    verdicts = (
+        np.count_nonzero(tight, axis=1),
+        np.count_nonzero(hit, axis=1) == member.shape[2],
+        (hit == tight).all(axis=1),
+        np.where(differs.any(axis=1), differs.argmax(axis=1), -1),
+    )
+    return laws, verdicts
+
+
+def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
+    """Compare x -> xi_x against the tight spectrum of each basis, in input order.
 
     Verifies injectivity, surjectivity onto the tight characters, and that
-    the image of each basis member U is exactly D_U, as masks over the
-    spectrum's point indices.
+    the image of each basis member U is exactly D_U.  Bases that share a
+    point count n and a size m are checked as one stack of intersection
+    tables, in chunks whose (B, m, m, max(m, n)) temporaries stay within
+    semigroups._BLOCK entries or hold a single basis.  Every law basis_semilattice, tight_spectrum
+    and phi_point certify is one comparison over a chunk (stone_laws);
+    tight points are read by the atom rule that find_tightness_violation
+    proves.  A basis that breaks a law goes to that per-basis route, which
+    raises its own error, so the first such basis in input order decides
+    the exception.  Before any check, a basis member that is not an
+    integer raises ValueError, and a basis too large for
+    MAX_BASIS_ENTRIES raises BoundExceeded.
     """
-    E = basis_semilattice(space)
-    spec = tight_spectrum(E)
-    point_of = [spec.point_index[phi_point(space, spec, x)] for x in range(len(space.points))]
-    hit = mask_of(point_of)
-    injective = hit.bit_count() == len(space.points)
-    surjective = hit == (1 << len(spec.points)) - 1
-    witness = None
-    if not injective:
-        witness = "two points induce the same character"
-    elif not surjective:
-        witness = "a tight character comes from no point"
-    basic_ok = True
-    for p, s in enumerate(space.basis):
-        if mask_of(point_of[x] for x in iter_bits(s)) != spec.basic_sets[E.carrier[p]]:
-            basic_ok = False
-            witness = f"image of {_set_name(s)} differs from its basic set"
-            break
-    return StoneReport(
-        point_count=len(space.points),
-        basis_count=len(space.basis),
-        spectrum_size=len(spec.points),
-        injective=injective,
-        surjective=surjective,
-        basic_sets_match=basic_ok,
-        witness=witness,
-    )
+    spaces = list(spaces)
+    stacks: dict[tuple[int, int], list[int]] = {}
+    raising = []
+    for i, space in enumerate(spaces):
+        basis = integers(space.basis, "basis member")  # an int64 stack would truncate 1.5
+        n, m = len(space.points), len(basis)
+        if m * m * max(m, n) > MAX_BASIS_ENTRIES:
+            raise BoundExceeded(
+                f"stone check of {m} sets on {n} points would hold {m * m * max(m, n)}"
+                f" > {MAX_BASIS_ENTRIES} entries at once"
+            )
+        if not m or min(basis) < 0 or max(basis) >> n:
+            raising.append(i)  # not a family of sets of the points
+        else:
+            stacks.setdefault((n, m), []).append(i)
+    reports: list[StoneReport | None] = [None] * len(spaces)
+    for (n, m), where in stacks.items():
+        for rows in row_blocks(len(where), m * m * max(m, n)):
+            chunk = where[rows]
+            # past 62 points a mask no longer fits an int64
+            masks = np.array([spaces[i].basis for i in chunk], dtype=np.int64 if n < 63 else object)
+            t, closed = _intersection_tables(masks)
+            laws, verdicts = stone_laws(t, (masks[:, :, None] >> np.arange(n)) & 1 == 1)
+            fine = closed & np.logical_and.reduce(list(laws.values()))
+            for i, ok, size, injective, surjective, first in zip(
+                chunk, fine.tolist(), *map(np.ndarray.tolist, verdicts)
+            ):
+                if not ok:
+                    raising.append(i)
+                    continue
+                witness = None
+                if not injective:
+                    witness = "two points induce the same character"
+                elif not surjective:
+                    witness = "a tight character comes from no point"
+                if first >= 0:
+                    basis = spaces[i].basis
+                    witness = f"image of {_set_name(basis[first])} differs from its basic set"
+                reports[i] = StoneReport(n, m, size, injective, surjective, first < 0, witness)
+    if raising:
+        space = spaces[min(raising)]
+        spec = tight_spectrum(basis_semilattice(space))
+        for x in range(len(space.points)):
+            phi_point(space, spec, x)
+        raise CheckFailed(f"stacked and per-basis stone checks disagree on basis {space.basis}")
+    return reports
 
 
 def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:

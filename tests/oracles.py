@@ -15,6 +15,7 @@ from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentationReport
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
 from ample.groupoids import FiniteGroupoid, validate_groupoid
+from ample.reconstruction import StoneReport, _set_name, basis_semilattice, phi_point
 from ample.semigroups import (
     Semilattice,
     adjoin_zero,
@@ -97,6 +98,42 @@ def point_bases_by_definition(n):
         if required <= chosen and all(a & b in chosen for a in family for b in family):
             out.append(tuple(family))
     return out
+
+
+def stone_check_by_definition(space):
+    """One basis through basis_semilattice, tight_spectrum and phi_point.
+
+    Compares x -> xi_x against the tight spectrum of the basis: injectivity,
+    surjectivity onto the tight characters, and that the image of each
+    basis member U is exactly D_U, as masks over the spectrum's point
+    indices.  This is the per-basis route stone_check replaced by stacks.
+    """
+    E = basis_semilattice(space)
+    spec = tight_spectrum(E)
+    point_of = [spec.point_index[phi_point(space, spec, x)] for x in range(len(space.points))]
+    hit = mask_of(point_of)
+    injective = hit.bit_count() == len(space.points)
+    surjective = hit == (1 << len(spec.points)) - 1
+    witness = None
+    if not injective:
+        witness = "two points induce the same character"
+    elif not surjective:
+        witness = "a tight character comes from no point"
+    basic_ok = True
+    for p, s in enumerate(space.basis):
+        if mask_of(point_of[x] for x in iter_bits(s)) != spec.basic_sets[E.carrier[p]]:
+            basic_ok = False
+            witness = f"image of {_set_name(s)} differs from its basic set"
+            break
+    return StoneReport(
+        point_count=len(space.points),
+        basis_count=len(space.basis),
+        spectrum_size=len(spec.points),
+        injective=injective,
+        surjective=surjective,
+        basic_sets_match=basic_ok,
+        witness=witness,
+    )
 
 
 def product_of(S, items):

@@ -67,8 +67,7 @@ def test_stone_correspondence():
     with criterion("stone correspondence on |X| <= 4"):
         total = 0
         for n in range(5):
-            for space in enumerate_point_bases(n):
-                report = stone_check(space)
+            for report in stone_check(enumerate_point_bases(n)):
                 assert report.passed, (n, report.witness)
                 total += 1
         assert total > 20  # the |X|=4 family dominates

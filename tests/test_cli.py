@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import (
-    enumerate_filters,
     pair_groupoid,
     parse_groupoid,
     parse_semigroup,
@@ -24,6 +23,7 @@ from ample import (
 from ample import convolution, groupoids, reconstruction
 from ample.cli import build_parser, main
 from ample.errors import BoundExceeded, CheckFailed, ParseError, ValidationError
+from ample.semigroups import _BLOCK
 
 from test_formats import mutate
 
@@ -168,12 +168,16 @@ def test_stone_check(capsys):
     assert "status: pass" in out
 
 
-def test_stone_check_enumerates_filters_once_per_basis(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, enumerate_filters)
+def test_stone_check_stacks_every_basis_once(capsys, monkeypatch):
+    chunks = count_calls(monkeypatch, reconstruction.stone_laws)
+    validations = count_calls(monkeypatch, validate_inverse_semigroup)
     code, out, _ = run_cli(capsys, "stone-check", "--max-points", "4")
     assert code == 0
     assert "total-bases: 1110" in out.splitlines()
-    assert len(calls) == 1110
+    assert sum(len(t) for t, _ in chunks) == 1110
+    # a chunk's (B, m, m, max(m, n)) temporaries stay within one block
+    assert all(t.size * max(t.shape[1], member.shape[2]) <= _BLOCK for t, member in chunks)
+    assert validations == []
 
 
 def test_stone_check_with_a_negative_count_exits_2(capsys, tmp_path):

@@ -26,11 +26,17 @@ from ample import (
     validate_inverse_semigroup,
 )
 from ample.bitsets import iter_bits, mask_of
-from ample.errors import CheckFailed, ValidationError
-from ample.reconstruction import GroupoidIsomorphism, basis_semilattice
+from ample.errors import AmpleError, BoundExceeded, CheckFailed, ValidationError
+from ample.reconstruction import (
+    GroupoidIsomorphism,
+    PointBasisSpace,
+    _intersection_tables,
+    basis_semilattice,
+    stone_laws,
+)
 
 from lemmas import equivariance_check, slice_of
-from oracles import point_bases_by_definition
+from oracles import point_bases_by_definition, stone_check_by_definition
 from test_groupoids import pair_times_cyclic
 from test_semigroups import _group_with_zero
 
@@ -104,7 +110,7 @@ def test_phi_point_three_points():
 
 def test_stone_check_powerset_two_points():
     space = point_basis_space(["1", "2"], [(), (0,), (1,), (0, 1)])
-    report = stone_check(space)
+    (report,) = stone_check([space])
     assert report.passed
     assert report.spectrum_size == 2
     report.require()  # no-op on pass
@@ -112,7 +118,7 @@ def test_stone_check_powerset_two_points():
 
 def test_stone_check_degenerate_empty_space():
     space = point_basis_space([], [()])
-    report = stone_check(space)
+    (report,) = stone_check([space])
     assert report.passed
     assert report.spectrum_size == 0
 
@@ -122,9 +128,127 @@ def test_stone_sweep_small():
     for n in range(4):
         spaces = enumerate_point_bases(n)
         counts[n] = len(spaces)
-        for space in spaces:
-            assert stone_check(space).passed
+        assert all(report.passed for report in stone_check(spaces))
     assert counts[0] == 1 and counts[1] == 1 and counts[2] == 2 and counts[3] == 16
+
+
+def _outcome(check, space):
+    """The report, or the type and message of what the check raised."""
+    try:
+        return check(space)
+    except AmpleError as exc:
+        return type(exc), str(exc)
+
+
+def _closed_families_with_empty_set(n):
+    """Every intersection-closed family on n points that holds the empty set."""
+    larger = range(1, 1 << n)
+    out = []
+    for pick in range(1 << len(larger)):
+        family = (0, *(s for i, s in enumerate(larger) if pick >> i & 1))
+        if all(a & b in family for a in family for b in family):
+            out.append(PointBasisSpace(tuple(f"p{i}" for i in range(n)), family))
+    return out
+
+
+def test_stone_check_matches_the_per_basis_oracle():
+    enumerated = []
+    for n in range(5):
+        spaces = enumerate_point_bases(n)
+        assert stone_check(spaces) == [stone_check_by_definition(s) for s in spaces]
+        enumerated += spaces
+    assert len(enumerated) == 1110
+    # singletons not required: some raise, some are not injective
+    families = [space for n in range(4) for space in _closed_families_with_empty_set(n)]
+    outcomes = []
+    for space in families:
+        want = _outcome(stone_check_by_definition, space)
+        assert _outcome(lambda s: stone_check([s])[0], space) == want, space
+        outcomes.append(want)
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    reports = [o for o in outcomes if not isinstance(o, tuple)]
+    assert len(families) == 101 and {t for t, _ in raised} == {CheckFailed}
+    assert len(raised) == 73
+    assert sum(r.passed for r in reports) == 20
+    assert sum(not r.injective for r in reports) == 8
+    # one call over mixed point counts and sizes, in shuffled order
+    mixed = enumerated + [s for s, o in zip(families, outcomes) if not isinstance(o, tuple)]
+    random.Random(7).shuffle(mixed)
+    assert stone_check(mixed) == [stone_check_by_definition(s) for s in mixed]
+
+
+def test_directly_built_bases_are_validated():
+    not_closed = PointBasisSpace(("a", "b", "c"), (0, 1, 2, 3, 5, 6))
+    message = r"^basis not closed under intersection at \[0, 2\] and \[1, 2\]$"
+    with pytest.raises(ValidationError, match=message):
+        basis_semilattice(not_closed)
+    with pytest.raises(ValidationError, match=message):
+        stone_check([not_closed])
+    for stray in (2, -1, 1 << 70):
+        space = PointBasisSpace(("a",), (0, 1, stray))
+        with pytest.raises(ValidationError, match=f"^basis member {stray} is not a set of 1 points$"):
+            stone_check([space])
+    # a mask that is not an integer is refused, not truncated
+    with pytest.raises(ValueError, match=r"^basis member 1\.0 is not an integer$"):
+        stone_check([PointBasisSpace(("a", "b"), (0, 1.0, 2, 3))])
+    # a basis too large to check at once is refused before any check
+    discrete = PointBasisSpace(tuple(map(str, range(128))), (0, *(1 << i for i in range(128))))
+    with pytest.raises(BoundExceeded, match="129 sets on 128 points"):
+        stone_check([not_closed, discrete])
+    # the first bad basis in input order decides, whatever its stack
+    good = point_basis_space(["x"], [(), (0,)])
+    with pytest.raises(ValidationError, match="not a set of 1 points"):
+        stone_check([good, PointBasisSpace(("a",), (0, 1, 2)), not_closed])
+    with pytest.raises(ValidationError, match="not closed"):
+        stone_check([good, not_closed, PointBasisSpace(("a",), (0, 1, 2))])
+
+
+def _powerset_stack(copies, membership):
+    """Copies of the intersection table of the powerset on two points, with
+    ``membership[p][x]`` saying whether point x lies in member p."""
+    t, closed = _intersection_tables(np.array([[0, 1, 2, 3]] * copies))
+    assert closed.all()
+    return t, np.array([membership] * copies, dtype=bool).reshape(copies, 4, -1)
+
+
+# position 0 is the empty set, 1 is {0}, 2 is {1} and 3 is {0, 1}
+CORRUPTIONS = {
+    "associative": {(3, 3): 0},  # (3 3) 1 = 0 but 3 (3 1) = 1
+    "one inverse": {(1, 1): 0},  # nothing u has 1 u 1 = 1
+    "absorbing zero": {(0, 3): 3},
+    "idempotent": {(2, 2): 0},
+    "symmetric": {(1, 2): 1},
+    "distinct filters": {(1, 2): 1, (2, 1): 2},  # up(1) = up(2) = {1, 2, 3}
+    "tight are ultra": {(3, 2): 0, (3, 3): 0},  # below 3: 0 and 1 only, yet 3 is no atom
+}
+
+
+def test_stone_laws_reject_each_corrupted_table():
+    t, member = _powerset_stack(len(CORRUPTIONS) + 2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    for k, changes in enumerate(CORRUPTIONS.values(), start=1):
+        for (p, q), value in changes.items():
+            t[k, p, q] = value
+    member[-1, 0, 0] = True  # point 0 in the empty set: its character is no up-set
+    laws, (size, injective, surjective, first) = stone_laws(t, member)
+    assert all(law[0] for law in laws.values())
+    assert (size[0], injective[0], surjective[0], first[0]) == (2, True, True, -1)
+    for k, name in enumerate([*CORRUPTIONS, "characters tight"], start=1):
+        assert not laws[name][k], name
+    # duplicates and a missing intersection both fail closure
+    _, closed = _intersection_tables(np.array([[0, 1, 1, 2], [0, 1, 2, 3], [0, 3, 5, 6]]))
+    assert closed.tolist() == [False, True, False]
+
+
+def test_stone_laws_verdicts_on_tampered_points():
+    # one point, in {0} and {0, 1}: injective, but the atom {1} is never hit,
+    # and the image of {1} is empty where its basic set holds that atom
+    laws, verdicts = stone_laws(*_powerset_stack(1, [[0], [1], [0], [1]]))
+    assert all(law.all() for law in laws.values())
+    assert [v.tolist() for v in verdicts] == [[2], [True], [False], [2]]
+    # two points with the same character
+    laws, verdicts = stone_laws(*_powerset_stack(1, [[0, 0], [1, 1], [0, 0], [1, 1]]))
+    assert all(law.all() for law in laws.values())
+    assert [v.tolist() for v in verdicts] == [[2], [False], [False], [2]]
 
 
 def test_equivariance_idempotents_and_arrows():
