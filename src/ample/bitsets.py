@@ -23,12 +23,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
-def bit_array(mask: int, count: int) -> np.ndarray:
-    """Bits 0 .. count-1 of mask as a bool array."""
-    packed = np.frombuffer(mask.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=count, bitorder="little").view(bool)
-
-
 def row_masks(bits: np.ndarray) -> tuple[int, ...]:
     """Each row of a 2-d bool array as a mask, column q as bit q."""
     packed = np.packbits(bits, axis=1, bitorder="little")

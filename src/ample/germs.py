@@ -2,21 +2,21 @@
 
 Two elements have the same germ at a character when some idempotent the
 character keeps alive equalizes them on the right.  Over a finite
-semilattice every point of the spectrum is a principal filter, so the
-germ class of s at a point is determined by s * m, where m is the point's
-least member; that product is the class key used below.  The composition
-and inversion formulas are not taken on trust: the assembled groupoid is
+semilattice every point of the spectrum is a principal filter up(m), s is
+alive there iff m <= s*s (one gather of the meet table), and the germ
+class of s is determined by s * m.  Each class is the dense code
+q * |S| + s * m for point q, sorted once; products and inverses are found
+by one gather through the arrow of each code.  The composition and
+inversion formulas are not taken on trust: the assembled groupoid is
 pushed through the full groupoid-axiom checker before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .bitsets import bit_array
 from .errors import CheckFailed
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
@@ -53,80 +53,62 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     """Construct the groupoid of germs of the canonical spectral action."""
     E = idempotent_semilattice(S)
     spec = tight_spectrum(E)
-    points = spec.points
-    least = [E.minimum_of[bits] for bits in points]  # the position of each point's minimum
-    minima = [E.carrier[p] for p in least]
+    n = len(S)
+    # the position of each point's minimum, intp even when there are no points
+    least = np.array([E.minimum_of[bits] for bits in spec.points], dtype=np.intp)
+    point_min = np.array(E.carrier, dtype=np.intp)[least]
 
-    # Germ classes per point, keyed by s * m with m the point's minimum.
+    # the (point, s) pairs with s*s in the point, ordered by point, then s
     t = S.table
-    star = np.array(S.star)
-    domain = E.positions[t[star, np.arange(len(S))]]  # position of s*s
-    classes: list[tuple[int, int, int, tuple[int, ...]]] = []
-    for pi, bits in enumerate(points):
-        alive = np.flatnonzero(bit_array(bits, len(E))[domain])
-        keys = t[alive, minima[pi]]
-        order = np.argsort(keys, kind="stable")
-        pairs = zip(keys[order].tolist(), alive[order].tolist())
-        for key, group in groupby(pairs, key=lambda pair: pair[0]):
-            members = tuple(s for _, s in group)
-            classes.append((pi, members[0], key, members))
+    star = np.array(S.star, dtype=np.intp)
+    domain = E.positions[t[star, np.arange(n)]]  # position of s*s
+    pair_point, pair_s = np.nonzero(E.meets[least][:, domain] == least[:, None])
+    pair_code = pair_point * n + t[pair_s, point_min[pair_point]]
+    codes, first = np.unique(pair_code, return_index=True)
+    point, key, reps = codes // n, codes % n, pair_s[first]
+    # units first by point, then the other classes by (point, least member)
+    order = np.lexsort((reps, point, key != point_min[point]))
+    point, key, reps = point[order], key[order], reps[order]
+    arrow_of = np.full(len(least) * n, -1, dtype=np.int32)
+    arrow_of[codes[order]] = np.arange(len(order))
 
-    unit_classes = [c for c in classes if c[2] == minima[c[0]]]
-    other_classes = [c for c in classes if c[2] != minima[c[0]]]
-    unit_classes.sort(key=lambda c: c[0])
-    other_classes.sort(key=lambda c: (c[0], c[1]))
-    ordered = unit_classes + other_classes
+    pair_arrow = arrow_of[pair_code]
+    members = pair_s[np.argsort(pair_arrow, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(pair_arrow, minlength=len(order))).tolist()
+    arrow_point, arrow_rep, arrow_key = (tuple(v.tolist()) for v in (point, reps, key))
+    names = [f"{S.elements[rep]}@q{pt}" for rep, pt in zip(arrow_rep, arrow_point)]
 
-    arrow_point = tuple(c[0] for c in ordered)
-    arrow_rep = tuple(c[1] for c in ordered)
-    arrow_key = tuple(c[2] for c in ordered)
-    arrow_members = tuple(c[3] for c in ordered)
-    names = tuple(
-        f"{S.elements[rep]}@q{pt}" for rep, pt in zip(arrow_rep, arrow_point)
-    )
-
-    germ_index = {
-        (arrow_point[a], arrow_key[a]): a for a in range(len(ordered))
-    }
-
-    # the unit at point p is arrow p, so d and r are the base and target points;
-    # intp even when there are no points, so the gathers below stay integer
-    reps, point, point_min = (np.array(v, dtype=np.intp) for v in (arrow_rep, arrow_point, minima))
-    # theta_s sends up(m) to {e : m <= s*es}, which is up(sms*) since m <= s*s
-    image = t[t[reps, point_min[point]], star[reps]]
+    # theta_s sends up(m) to {e : m <= s*es}, which is up(sms*) since m <= s*s; key is sm
+    image = t[key, star[reps]]
     if (t[image, t[reps, star[reps]]] != image).any():
         raise CheckFailed("image must live at ss*")
     # point_at[p] indexes the point up(p), or is -1; the last entry serves position -1
     point_at = np.full(len(E) + 1, -1, dtype=np.intp)
-    point_at[least] = np.arange(len(points))
+    point_at[least] = np.arange(len(least))
     target = point_at[E.positions[image]]
     if (target < 0).any():
         raise CheckFailed("image must be a tight point")
-    target_point = tuple(target.tolist())
 
+    # the unit at point p is arrow p, so d and r are the base and target points
     left, right = np.nonzero(point[:, None] == target)  # every composable (a, b), row-major
-    keys = t[t[reps[left], reps[right]], point_min[point[right]]]
-    compose = np.full((len(ordered), len(ordered)), -1, dtype=np.int32)
-    compose[left, right] = [
-        germ_index[pt_key] for pt_key in zip(point[right].tolist(), keys.tolist())
-    ]
+    product = t[t[reps[left], reps[right]], point_min[point[right]]]
+    found = arrow_of[point[right] * n + product]
+    inverse = arrow_of[target * n + t[star[reps], point_min[target]]]
+    if (found < 0).any() or (inverse < 0).any():
+        raise CheckFailed("every product and inverse of germs must be a germ class")
+    compose = np.full((len(order), len(order)), -1, dtype=np.int32)
+    compose[left, right] = found
 
-    keys = t[star[reps], point_min[target]]
-    inverse = [germ_index[pt_key] for pt_key in zip(target_point, keys.tolist())]
-
-    groupoid = validate_groupoid(
-        names, range(len(points)), arrow_point, target_point, compose, inverse
-    )
+    groupoid = validate_groupoid(names, range(len(least)), arrow_point, target, compose, inverse)
     return GermGroupoidModel(
         semigroup=S,
         semilattice=E,
         spectrum=spec,
         groupoid=groupoid,
-        point_minimum=tuple(minima),
+        point_minimum=tuple(point_min.tolist()),
         arrow_point=arrow_point,
         arrow_rep=arrow_rep,
         arrow_key=arrow_key,
-        arrow_members=arrow_members,
-        germ_index=germ_index,
+        arrow_members=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
+        germ_index=dict(zip(zip(arrow_point, arrow_key), range(len(order)))),
     )
-

@@ -108,7 +108,7 @@ def basis_semilattice(space: PointBasisSpace) -> Semilattice:
     _require_closed(sets)
     index = {s: i for i, s in enumerate(sets)}
     table = np.array([index[a & b] for a in sets for b in sets], dtype=np.int32)
-    sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), -1))
+    sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), len(sets)))
     E = idempotent_semilattice(sg)
     if E.carrier != tuple(range(len(sets))):
         raise CheckFailed("every basis set must be an idempotent")

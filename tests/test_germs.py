@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,16 @@ from ample import (
     tight_spectrum,
     units_groupoid,
     validate_groupoid,
+    validate_inverse_semigroup,
 )
 from ample.errors import ValidationError
+from ample.germs import GermGroupoidModel
 
 from lemmas import germ, slice_inverse, slice_of
 from oracles import (
     domain_idempotent,
     germ_count_by_pairwise_quotient,
+    germ_model_by_point_loop,
     same_germ,
     theta_apply,
     theta_point,
@@ -235,33 +239,63 @@ def test_theta_point_matches_groupoid_range():
         assert H.d[a] == pt
 
 
-def _assert_targets_match_theta(S):
-    model = build_germ_model(S)
-    expected = [theta_point(model.spectrum, *a) for a in zip(model.arrow_rep, model.arrow_point)]
-    assert list(model.groupoid.r) == expected
-
-
-def test_gathered_targets_match_the_theta_oracle(corpus_runs):
-    # build_germ_model finds every target in one gather; theta_point acts arrow by arrow
-    families = [(run.groupoid, run.masks) for run in corpus_runs]
+def _tables_with_germs(corpus_runs, *families):
+    """Abstract tables, at seeds 0 and 1, of the corpus documents and pair2.gpd
+    in both collections and of the given families, then the tests/data tables
+    that validate."""
     pair2 = parse_groupoid((DATA / "pair2.gpd").read_text(encoding="utf-8"))
-    families += [(pair2, singleton_semigroup(pair2)), (pair2, enumerate_bisections(pair2))]
-    assert len(families) == 30  # 14 corpus documents and pair2.gpd, in both collections
-    for G in (units_groupoid(6), disjoint_union(pair_groupoid(3), group_groupoid(4))):
-        families.append((G, enumerate_bisections(G)))
-    for G, masks in families:
+    runs = [(run.groupoid, run.masks) for run in corpus_runs]
+    runs += [(pair2, singleton_semigroup(pair2)), (pair2, enumerate_bisections(pair2))]
+    assert len(runs) == 30  # 14 corpus documents and pair2.gpd, in both collections
+    for G, masks in runs + list(families):
         bs = bisection_semigroup(G, masks)
         for seed in (0, 1):
-            _assert_targets_match_theta(abstract_table(bs, seed=seed)[0])
+            yield abstract_table(bs, seed=seed)[0]
     tables = 0
     for path in sorted(DATA.glob("*.sgp")):
         try:
             S = parse_semigroup(path.read_text(encoding="utf-8"))
         except ValidationError:
             continue  # a table that fails validation has no germs
-        _assert_targets_match_theta(S)
+        yield S
         tables += 1
     assert tables == 1  # chain.sgp
+
+
+def _ample(G):
+    return G, enumerate_bisections(G)
+
+
+def test_gathered_targets_match_the_theta_oracle(corpus_runs):
+    # build_germ_model finds every target in one gather; theta_point acts arrow by arrow
+    families = [_ample(units_groupoid(6)), _ample(disjoint_union(pair_groupoid(3), group_groupoid(4)))]
+    for S in _tables_with_germs(corpus_runs, *families):
+        model = build_germ_model(S)
+        expected = [theta_point(model.spectrum, *a) for a in zip(model.arrow_rep, model.arrow_point)]
+        assert list(model.groupoid.r) == expected
+
+
+def test_germ_classes_match_the_point_loop_oracle(corpus_runs):
+    # one sort of dense class codes against the per-point groupby and its (point, key) dict
+    units40 = units_groupoid(40)
+    families = [
+        _ample(units_groupoid(6)),
+        _ample(disjoint_union(pair_groupoid(3), group_groupoid(4))),
+        _ample(units_groupoid(10)),
+        (units40, singleton_semigroup(units40)),  # a flat spectrum with 40 points
+    ]
+    zero = validate_inverse_semigroup(["0"], [[0]])  # its spectrum is empty
+    checked = 0
+    for S in [*_tables_with_germs(corpus_runs, *families), zero]:
+        model, oracle = build_germ_model(S), germ_model_by_point_loop(S)
+        for field in fields(GermGroupoidModel):
+            assert getattr(model, field.name) == getattr(oracle, field.name), field.name
+        H, K = model.groupoid, oracle.groupoid
+        assert (H.arrows, H.r, H.inverse) == (K.arrows, K.r, K.inverse)
+        assert np.array_equal(H.compose, K.compose)
+        checked += 1
+    assert checked == 2 * 34 + 2
+    assert len(model.groupoid.arrows) == 0
 
 
 def test_slice_of_zero_is_empty():
@@ -310,8 +344,6 @@ def test_slice_map_is_multiplicative_and_star_compatible():
 
 
 def test_empty_spectrum_gives_empty_groupoid():
-    from ample import validate_inverse_semigroup
-
     Z = validate_inverse_semigroup(["0"], [[0]])
     H = reconstruct(Z)
     assert len(H.arrows) == 0

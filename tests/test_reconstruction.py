@@ -201,6 +201,11 @@ def test_directly_built_bases_are_validated():
         stone_check([good, PointBasisSpace(("a",), (0, 1, 2)), not_closed])
     with pytest.raises(ValidationError, match="not closed"):
         stone_check([good, not_closed, PointBasisSpace(("a",), (0, 1, 2))])
+    # an empty basis has no element to be the zero
+    empty = PointBasisSpace(("a",), ())
+    for check in (basis_semilattice, lambda space: stone_check([space])):
+        with pytest.raises(ValidationError, match="^empty element set has no absorbing element$"):
+            check(empty)
 
 
 def _powerset_stack(copies, membership):

@@ -523,3 +523,5 @@ def test_every_constructor_yields_a_read_only_int32_table():
     assert all(type(s) is int for members in model.arrow_members for s in members)
     assert all(type(v) is int for key in model.germ_index for v in key)
     assert all(type(v) is int for v in model.germ_index.values())
+    for field in ("inverse", "r"):
+        assert all(type(v) is int for v in getattr(model.groupoid, field)), field
