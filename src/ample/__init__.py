@@ -54,12 +54,10 @@ from .reconstruction import (
     PointBasisSpace,
     ReconstructionRun,
     StoneReport,
-    basis_semilattice,
     brute_force_iso,
     canonical_iso_of_run,
     check_isomorphism,
     enumerate_point_bases,
-    phi_point,
     point_basis_space,
     reconstruct,
     run_reconstruction,

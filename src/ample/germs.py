@@ -27,24 +27,19 @@ from .spectrum import TightSpectrum, tight_spectrum
 class GermGroupoidModel:
     """The germ groupoid plus the bookkeeping tying arrows back to classes.
 
-    ``point_minimum`` holds the least member of each spectrum point (as an
-    ambient element), ``arrow_members`` every semigroup element in each
-    germ class, and ``arrow_rep`` the least of them; arrow order is units
-    first, one per point in point order, so the unit at point p is arrow p,
-    then by (base point, representative).  ``germ_index`` sends (point,
-    class key) to the arrow.
+    ``arrow_point`` holds the base point of each arrow, ``arrow_members``
+    every semigroup element in its germ class, and ``arrow_rep`` the least
+    of them; arrow order is units first, one per point in point order, so
+    the unit at point p is arrow p, then by (base point, representative).
     """
 
     semigroup: FiniteInverseSemigroup
     semilattice: Semilattice
     spectrum: TightSpectrum
     groupoid: FiniteGroupoid
-    point_minimum: tuple[int, ...]
     arrow_point: tuple[int, ...]
     arrow_rep: tuple[int, ...]
-    arrow_key: tuple[int, ...]
     arrow_members: tuple[tuple[int, ...], ...]
-    germ_index: dict[tuple[int, int], int]
 
     __hash__ = None
 
@@ -75,7 +70,7 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
     pair_arrow = arrow_of[pair_code]
     members = pair_s[np.argsort(pair_arrow, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(pair_arrow, minlength=len(order))).tolist()
-    arrow_point, arrow_rep, arrow_key = (tuple(v.tolist()) for v in (point, reps, key))
+    arrow_point, arrow_rep = tuple(point.tolist()), tuple(reps.tolist())
     names = [f"{S.elements[rep]}@q{pt}" for rep, pt in zip(arrow_rep, arrow_point)]
 
     # theta_s sends up(m) to {e : m <= s*es}, which is up(sms*) since m <= s*s; key is sm
@@ -105,10 +100,7 @@ def build_germ_model(S: FiniteInverseSemigroup) -> GermGroupoidModel:
         semilattice=E,
         spectrum=spec,
         groupoid=groupoid,
-        point_minimum=tuple(point_min.tolist()),
         arrow_point=arrow_point,
         arrow_rep=arrow_rep,
-        arrow_key=arrow_key,
         arrow_members=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
-        germ_index=dict(zip(zip(arrow_point, arrow_key), range(len(order)))),
     )

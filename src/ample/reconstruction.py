@@ -19,15 +19,7 @@ from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import BisectionSemigroup, FiniteGroupoid, TableAudit, abstract_table
-from .semigroups import (
-    FiniteInverseSemigroup,
-    Semilattice,
-    idempotent_semilattice,
-    integers,
-    row_blocks,
-    validate_inverse_semigroup,
-)
-from .spectrum import TightSpectrum, tight_spectrum
+from .semigroups import FiniteInverseSemigroup, integers, row_blocks
 
 MAX_BASIS_FAMILIES = 1 << 20
 # Most entries stone_check's (m, m, max(m, n)) temporaries may hold for one basis.
@@ -94,39 +86,6 @@ def _set_name(mask: int) -> str:
     return "U" + ".".join(map(str, iter_bits(mask)))
 
 
-def basis_semilattice(space: PointBasisSpace) -> Semilattice:
-    """The basis viewed as a semilattice under intersection.
-
-    Carrier position p is the basis member ``space.basis[p]``.  A directly
-    built space whose member is not a set of its points, or whose basis
-    is not intersection-closed, raises ValidationError.
-    """
-    sets = space.basis
-    for s in sets:
-        if not 0 <= s < 1 << len(space.points):
-            raise ValidationError(f"basis member {s} is not a set of {len(space.points)} points")
-    _require_closed(sets)
-    index = {s: i for i, s in enumerate(sets)}
-    table = np.array([index[a & b] for a in sets for b in sets], dtype=np.int32)
-    sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), len(sets)))
-    E = idempotent_semilattice(sg)
-    if E.carrier != tuple(range(len(sets))):
-        raise CheckFailed("every basis set must be an idempotent")
-    return E
-
-
-def phi_point(space: PointBasisSpace, spec: TightSpectrum, x: int) -> int:
-    """The character of the basis members through x; certified ultra.
-
-    ``spec`` is the tight spectrum of :func:`basis_semilattice` of the
-    space, whose points are certified to be its ultrafilters.
-    """
-    bits = mask_of(p for p, s in enumerate(space.basis) if s >> x & 1)
-    if bits not in spec.point_index:
-        raise CheckFailed("a point character must be an ultrafilter")
-    return bits
-
-
 @dataclass
 class StoneReport:
     """Outcome of the point/spectrum comparison for one space."""
@@ -162,12 +121,13 @@ def _intersection_tables(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def stone_laws(
     t: np.ndarray, member: np.ndarray
 ) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]:
-    """Every law the per-basis route certifies, over a stack of B tables.
+    """Every law the stone check certifies, over a stack of B tables.
 
     ``t[b]`` is an m x m table on positions 0..m-1 and ``member[b, p, x]``
     says whether point x lies in member p of basis b.  The laws map each
-    check that basis_semilattice, tight_spectrum and phi_point make to
-    whether it holds, per basis.  The verdicts are, per basis, the
+    check on the table as an inverse semigroup, on its semilattice, on its
+    tight spectrum and on the point characters to whether it holds, per
+    basis, in that order.  The verdicts are, per basis, the
     spectrum size, injective, surjective and the first member p whose
     image differs from its basic set (-1 when none does); they mean
     something only where every law holds.
@@ -221,18 +181,18 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
     the image of each basis member U is exactly D_U.  Bases that share a
     point count n and a size m are checked as one stack of intersection
     tables, in chunks whose (B, m, m, max(m, n)) temporaries stay within
-    semigroups._BLOCK entries or hold a single basis.  Every law basis_semilattice, tight_spectrum
-    and phi_point certify is one comparison over a chunk (stone_laws);
-    tight points are read by the atom rule that find_tightness_violation
-    proves.  A basis that breaks a law goes to that per-basis route, which
-    raises its own error, so the first such basis in input order decides
-    the exception.  Before any check, a basis member that is not an
-    integer raises ValueError, and a basis too large for
-    MAX_BASIS_ENTRIES raises BoundExceeded.
+    semigroups._BLOCK entries or hold a single basis.  Every law is one
+    comparison over a chunk (stone_laws); tight points are read by the
+    atom rule that find_tightness_violation proves.  Before any check, a
+    basis member that is not an integer raises ValueError, and a basis too
+    large for MAX_BASIS_ENTRIES raises BoundExceeded.  Otherwise the first
+    bad basis in input order raises: ValidationError for a member that is
+    not a set of the points, an empty basis or a missing intersection,
+    ValueError for a set listed twice, and CheckFailed for a broken law.
     """
     spaces = list(spaces)
     stacks: dict[tuple[int, int], list[int]] = {}
-    raising = []
+    failed: dict[int, str | None] = {}  # bad basis -> its first broken law, None if unclosed
     for i, space in enumerate(spaces):
         basis = integers(space.basis, "basis member")  # an int64 stack would truncate 1.5
         n, m = len(space.points), len(basis)
@@ -242,7 +202,7 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
                 f" > {MAX_BASIS_ENTRIES} entries at once"
             )
         if not m or min(basis) < 0 or max(basis) >> n:
-            raising.append(i)  # not a family of sets of the points
+            failed[i] = None  # not a family of sets of the points
         else:
             stacks.setdefault((n, m), []).append(i)
     reports: list[StoneReport | None] = [None] * len(spaces)
@@ -254,11 +214,12 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
             t, closed = _intersection_tables(masks)
             laws, verdicts = stone_laws(t, (masks[:, :, None] >> np.arange(n)) & 1 == 1)
             fine = closed & np.logical_and.reduce(list(laws.values()))
-            for i, ok, size, injective, surjective, first in zip(
-                chunk, fine.tolist(), *map(np.ndarray.tolist, verdicts)
+            for k, (i, ok, size, injective, surjective, first) in enumerate(
+                zip(chunk, fine.tolist(), *map(np.ndarray.tolist, verdicts))
             ):
                 if not ok:
-                    raising.append(i)
+                    broken = [name for name, law in laws.items() if not law[k]]
+                    failed[i] = broken[0] if closed[k] else None  # laws are moot unclosed
                     continue
                 witness = None
                 if not injective:
@@ -269,12 +230,20 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
                     basis = spaces[i].basis
                     witness = f"image of {_set_name(basis[first])} differs from its basic set"
                 reports[i] = StoneReport(n, m, size, injective, surjective, first < 0, witness)
-    if raising:
-        space = spaces[min(raising)]
-        spec = tight_spectrum(basis_semilattice(space))
-        for x in range(len(space.points)):
-            phi_point(space, spec, x)
-        raise CheckFailed(f"stacked and per-basis stone checks disagree on basis {space.basis}")
+    if failed:
+        i = min(failed)
+        basis, n = spaces[i].basis, len(spaces[i].points)
+        for s in basis:
+            if not 0 <= s < 1 << n:
+                raise ValidationError(f"basis member {s} is not a set of {n} points")
+        if not basis:
+            raise ValidationError("empty element set has no absorbing element")
+        _require_closed(basis)
+        if failed[i] is None:
+            raise ValueError("duplicate element names")
+        if failed[i] == "characters tight":
+            raise CheckFailed("a point character must be an ultrafilter")
+        raise CheckFailed(f"stone law {failed[i]!r} fails on basis {basis}")
     return reports
 
 

@@ -71,8 +71,12 @@ def germ(model: GermGroupoidModel, s: int, point: int) -> int:
     bits = model.spectrum.points[point]
     if not bits >> int(model.semilattice.positions[domain_idempotent(S, s)]) & 1:
         raise ValidationError(f"point {point} is outside the domain of {S.elements[s]}")
-    key = int(S.table[s, model.point_minimum[point]])
-    return model.germ_index[(point, key)]
+    (arrow,) = [
+        a
+        for a, members in enumerate(model.arrow_members)
+        if model.arrow_point[a] == point and s in members
+    ]
+    return arrow
 
 
 def slice_of(model: GermGroupoidModel, s: int) -> int:

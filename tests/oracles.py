@@ -16,7 +16,7 @@ from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentat
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
 from ample.germs import GermGroupoidModel
 from ample.groupoids import FiniteGroupoid, validate_groupoid
-from ample.reconstruction import StoneReport, _set_name, basis_semilattice, phi_point
+from ample.reconstruction import StoneReport, _require_closed, _set_name
 from ample.semigroups import (
     Semilattice,
     adjoin_zero,
@@ -101,13 +101,47 @@ def point_bases_by_definition(n):
     return out
 
 
+def basis_semilattice(space):
+    """The basis viewed as a semilattice under intersection.
+
+    Carrier position p is the basis member ``space.basis[p]``.  A directly
+    built space whose member is not a set of its points, or whose basis
+    is not intersection-closed, raises ValidationError.
+    """
+    sets = space.basis
+    for s in sets:
+        if not 0 <= s < 1 << len(space.points):
+            raise ValidationError(f"basis member {s} is not a set of {len(space.points)} points")
+    _require_closed(sets)
+    index = {s: i for i, s in enumerate(sets)}
+    table = np.array([index[a & b] for a in sets for b in sets], dtype=np.int32)
+    sg = validate_inverse_semigroup(map(_set_name, sets), table.reshape(len(sets), len(sets)))
+    E = idempotent_semilattice(sg)
+    if E.carrier != tuple(range(len(sets))):
+        raise CheckFailed("every basis set must be an idempotent")
+    return E
+
+
+def phi_point(space, spec, x):
+    """The character of the basis members through x; certified ultra.
+
+    ``spec`` is the tight spectrum of :func:`basis_semilattice` of the
+    space, whose points are certified to be its ultrafilters.
+    """
+    bits = mask_of(p for p, s in enumerate(space.basis) if s >> x & 1)
+    if bits not in spec.point_index:
+        raise CheckFailed("a point character must be an ultrafilter")
+    return bits
+
+
 def stone_check_by_definition(space):
     """One basis through basis_semilattice, tight_spectrum and phi_point.
 
     Compares x -> xi_x against the tight spectrum of the basis: injectivity,
     surjectivity onto the tight characters, and that the image of each
     basis member U is exactly D_U, as masks over the spectrum's point
-    indices.  This is the per-basis route stone_check replaced by stacks.
+    indices.  This is the per-basis route that stone_check decides in stacks,
+    and it raises its own errors.
     """
     E = basis_semilattice(space)
     spec = tight_spectrum(E)
@@ -595,12 +629,9 @@ def germ_model_by_point_loop(S):
         semilattice=E,
         spectrum=spec,
         groupoid=groupoid,
-        point_minimum=tuple(minima),
         arrow_point=arrow_point,
         arrow_rep=arrow_rep,
-        arrow_key=arrow_key,
         arrow_members=arrow_members,
-        germ_index=germ_index,
     )
 
 

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import (
+    idempotent_semilattice,
     pair_groupoid,
     parse_groupoid,
     parse_semigroup,
     stone_check,
+    tight_spectrum,
     validate_inverse_semigroup,
     write_groupoid,
 )
@@ -170,14 +172,17 @@ def test_stone_check(capsys):
 
 def test_stone_check_stacks_every_basis_once(capsys, monkeypatch):
     chunks = count_calls(monkeypatch, reconstruction.stone_laws)
-    validations = count_calls(monkeypatch, validate_inverse_semigroup)
+    per_basis = [
+        count_calls(monkeypatch, function)
+        for function in (validate_inverse_semigroup, idempotent_semilattice, tight_spectrum)
+    ]
     code, out, _ = run_cli(capsys, "stone-check", "--max-points", "4")
     assert code == 0
     assert "total-bases: 1110" in out.splitlines()
     assert sum(len(t) for t, _ in chunks) == 1110
     # a chunk's (B, m, m, max(m, n)) temporaries stay within one block
     assert all(t.size * max(t.shape[1], member.shape[2]) <= _BLOCK for t, member in chunks)
-    assert validations == []
+    assert per_basis == [[], [], []]
 
 
 def test_stone_check_with_a_negative_count_exits_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from ample import (
     enumerate_point_bases,
     group_groupoid,
     pair_groupoid,
-    phi_point,
     point_basis_space,
     reconstruct,
     run_reconstruction,
@@ -27,16 +27,21 @@ from ample import (
 )
 from ample.bitsets import iter_bits, mask_of
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ValidationError
+from ample import reconstruction
 from ample.reconstruction import (
     GroupoidIsomorphism,
     PointBasisSpace,
     _intersection_tables,
-    basis_semilattice,
     stone_laws,
 )
 
 from lemmas import equivariance_check, slice_of
-from oracles import point_bases_by_definition, stone_check_by_definition
+from oracles import (
+    basis_semilattice,
+    phi_point,
+    point_bases_by_definition,
+    stone_check_by_definition,
+)
 from test_groupoids import pair_times_cyclic
 from test_semigroups import _group_with_zero
 
@@ -208,6 +213,33 @@ def test_directly_built_bases_are_validated():
             check(empty)
 
 
+def test_a_set_listed_twice_is_refused():
+    twice = PointBasisSpace(("a",), (0, 1, 1))
+    not_closed_twice = PointBasisSpace(("a", "b", "c"), (0, 1, 2, 3, 5, 6, 6))
+    for check in (stone_check_by_definition, lambda space: stone_check([space])):
+        with pytest.raises(ValueError, match="^duplicate element names$"):
+            check(twice)
+        with pytest.raises(ValidationError, match="^basis not closed under intersection at"):
+            check(not_closed_twice)
+
+
+def test_closed_families_without_the_empty_set_are_refused():
+    # the least member is nonempty and is the zero, and a point in it
+    # has a character that holds the zero
+    families = []
+    for n in range(1, 4):
+        larger = range(1, 1 << n)
+        for pick in range(1, 1 << len(larger)):
+            family = tuple(s for i, s in enumerate(larger) if pick >> i & 1)
+            if all(a & b in family for a in family for b in family):
+                families.append(PointBasisSpace(tuple(f"p{i}" for i in range(n)), family))
+    assert len(families) == 37
+    want = (CheckFailed, "a point character must be an ultrafilter")
+    for space in families:
+        assert _outcome(stone_check_by_definition, space) == want, space
+        assert _outcome(lambda s: stone_check([s])[0], space) == want, space
+
+
 def _powerset_stack(copies, membership):
     """Copies of the intersection table of the powerset on two points, with
     ``membership[p][x]`` saying whether point x lies in member p."""
@@ -254,6 +286,43 @@ def test_stone_laws_verdicts_on_tampered_points():
     laws, verdicts = stone_laws(*_powerset_stack(1, [[0, 0], [1, 1], [0, 0], [1, 1]]))
     assert all(law.all() for law in laws.values())
     assert [v.tolist() for v in verdicts] == [[2], [False], [False], [2]]
+
+
+@pytest.mark.parametrize("law", [*CORRUPTIONS, "characters tight"])
+def test_a_broken_law_raises_for_the_first_bad_basis(monkeypatch, law):
+    target = PointBasisSpace(("p0", "p1", "p2"), (0, 1, 2, 4, 3, 5))
+    target_member = (np.array(target.basis)[:, None] >> np.arange(3)) & 1 == 1
+    stone_laws_as_built = reconstruction.stone_laws
+
+    def breaks_laws_on_target(t, member):
+        # this law and every later one break, so the error names the first broken law
+        laws, verdicts = stone_laws_as_built(t, member)
+        if member.shape[1:] == target_member.shape:
+            hit = (member == target_member).all(axis=(1, 2))
+            for name in [*laws][[*laws].index(law) :]:
+                laws[name] = laws[name] & ~hit
+        return laws, verdicts
+
+    monkeypatch.setattr(reconstruction, "stone_laws", breaks_laws_on_target)
+    spaces = [space for n in range(5) for space in enumerate_point_bases(n)]
+    random.Random(5).shuffle(spaces)
+    if law == "characters tight":
+        message = "a point character must be an ultrafilter"
+    else:
+        message = f"stone law '{law}' fails on basis {target.basis}"
+    with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
+        stone_check(spaces)
+    # a bad basis before the target decides, in its own stack or another; one after does not
+    at = next(k for k, space in enumerate(spaces) if space.basis == target.basis)
+    for bad, error, first in (
+        (PointBasisSpace(("a", "b", "c"), (0, 1, 2, 3, 5, 6)), ValidationError, "^basis not closed"),
+        (PointBasisSpace(("a",), (0, 1, 2)), ValidationError, "^basis member 2 is not a set"),
+        (PointBasisSpace(("a",), (0, 1, 1)), ValueError, "^duplicate element names$"),
+    ):
+        with pytest.raises(error, match=first):
+            stone_check([*spaces[:at], bad, *spaces[at:]])
+        with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
+            stone_check([*spaces[: at + 1], bad, *spaces[at + 1 :]])
 
 
 def test_equivariance_idempotents_and_arrows():
