@@ -8,7 +8,9 @@ import numpy as np
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending; a negative mask is a ValueError."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

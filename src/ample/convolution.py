@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
@@ -21,15 +22,15 @@ from .bitsets import iter_bits, mask_of
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
-from .semigroups import integers, row_blocks
+from .semigroups import integers, ranked_generators, row_blocks
 from .spectrum import tight_spectrum
 
 # Largest cover --audit-covers adds to the minimal ones.
 AUDIT_COVER_SIZE = 4
 # Most cover-sup instances a failing verdict or --audit-covers lists.
 MAX_REP_INSTANCES = 1 << 24
-# Most states (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y)))
-# the cover-sup walk memoizes; pair20 singleton counts 1,048,976 at 345 MB RSS.
+# Most states (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y))) one
+# walk memoizes; pair20 singleton memoizes 3 a block, units5 ample (one block) 766.
 MAX_REP_STATES = 1 << 22
 
 
@@ -63,7 +64,11 @@ class AlgebraElement:
 
     @classmethod
     def indicator(cls, groupoid: FiniteGroupoid, mask: int) -> "AlgebraElement":
-        return cls(groupoid, {a: Fraction(1) for a in iter_bits(mask)})
+        if mask < 0 or mask >> len(groupoid.arrows):
+            raise ValueError(f"mask {mask} is not a set of the {len(groupoid.arrows)} arrows")
+        res = cls(groupoid)
+        res.coeffs = dict.fromkeys(iter_bits(mask), Fraction(1))
+        return res
 
     @classmethod
     def unit(cls, groupoid: FiniteGroupoid) -> "AlgebraElement":
@@ -110,7 +115,7 @@ class AlgebraElement:
             for b, gb in other.coeffs.items():
                 c = compose.item(a, b)
                 if c >= 0:
-                    out[c] = out.get(c, 0) + fa * gb
+                    out[c] = out[c] + fa * gb if c in out else fa * gb
         res = AlgebraElement(self.groupoid)
         res.coeffs = {a: v for a, v in out.items() if v}
         return res
@@ -294,12 +299,12 @@ def _atom_characters(
 
 
 def _cover_sup_walk(
-    E: Semilattice, atom_masks: Sequence[int], covers_of
-) -> tuple[int, int, list[tuple[int | None, int, int]]]:
-    """Instances, covers and the violated (x, Y, Z) of the cover-sup identity.
+    E: Semilattice, atom_masks: Sequence[int], covers_of, block: int
+) -> tuple[dict[int | None, tuple[int, int]], list[tuple[int | None, int, int]]]:
+    """Instances and covers per X, and the violated (x, Y, Z), of the cover-sup identity.
 
-    An instance is X (nothing or one position) with an antichain Y of
-    nonzero positions, and contributes the covers Z of the nonzero part of
+    An instance is X (nothing, a position of ``block`` or 0) with an
+    antichain Y in block, and contributes the covers Z of the nonzero part of
     E^{X,Y}.  Written as sets of atoms, pi(x) prod (1 - pi(y)) is
     A_x & ~(A_y1 | ...) and the join over Z is A_z1 | ..., so the identity
     compares ints, and with no atoms the walk only counts.  Y grows by its
@@ -311,12 +316,13 @@ def _cover_sup_walk(
     raises BoundExceeded.
     """
     m, k = len(E), len(atom_masks)
-    shift, atoms = m + k, (1 << k) - 1
-    below = [mask_of(a for a, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(m)]
+    shift, atoms, zero = m + k, (1 << k) - 1, 1 << E.zero_pos
+    positions = iter_bits(block | zero)
+    below = {p: mask_of(a for a, mask in enumerate(atom_masks) if mask >> p & 1) for p in positions}
     # a state is the atoms above the m bits of E^{X,Y}; choosing y in Y
     # leaves rest & apart available and takes the state to state & keep
-    masks = zip(E.down_masks, E.up_masks, E.orth_masks, below)
-    steps = [(~(d | u), (atoms & ~b) << m | o) for d, u, o, b in masks]
+    down, up, orth = E.down_masks, E.up_masks, E.orth_masks
+    steps = {p: (~(down[p] | up[p]), (atoms & ~below[p]) << m | orth[p]) for p in iter_bits(block)}
     nonzero = E.nonzero_mask
     joins: dict[int, int] = {0: 0}
 
@@ -350,19 +356,37 @@ def _cover_sup_walk(
         got = memo[avail << shift | state] = (instances, total, bad)
         return got
 
-    roots = [(None, atoms << m | E.full_mask)]
-    roots += [(x, below[x] << m | E.down_masks[x]) for x in range(m)]
-    instances = covers = 0
+    roots = [(None, atoms << m | block | zero)]
+    roots += [(x, below[x] << m | down[x]) for x in below]
+    counts: dict[int | None, tuple[int, int]] = {}
     violations: list[tuple[int | None, int, int]] = []
     try:
         for x, state in roots:
-            i, c, bad = memo.get(nonzero << shift | state) or expand(nonzero, state)
-            instances += i
-            covers += c
+            i, c, bad = memo.get(block << shift | state) or expand(block, state)
+            counts[x] = (i, c)
             violations += [(x, y, z) for y, z in bad]
     except RecursionError:
         raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
-    return instances, covers, violations
+    return counts, violations
+
+
+def _cover_sup_count(E: Semilattice, covers_of) -> tuple[int, int]:
+    """The cover-sup counts as products over blocks (see check_tight_representation)."""
+    antichains, none, sums, rest = 1, 1, [], E.nonzero_mask
+    while rest:
+        block, todo = 0, rest & -rest
+        while todo:
+            low = todo & -todo
+            block |= low
+            todo = (todo | E.intersect_masks[low.bit_length() - 1]) & ~block
+        rest &= ~block
+        counts = _cover_sup_walk(E, (), covers_of, block)[0]
+        a = counts.pop(E.zero_pos)[0]
+        none *= counts.pop(None)[1]
+        sums.append((a, sum(c for _, c in counts.values())))
+        antichains *= a
+    covers = none + antichains + sum(c * (antichains // a) for a, c in sums)
+    return (len(E) + 1) * antichains, covers
 
 
 @dataclass
@@ -418,11 +442,14 @@ def check_tight_representation(
     of one groupoid, whose unit serves as the adjoined unit.
 
     The representation laws come first, on pi scaled by the LCM of its
-    denominators into integer rows: multiplicativity over every pair,
-    star-compatibility and pi(0) = 0, each reporting its first row-major
-    witness.  Images of idempotents must be commuting idempotents
-    (violations raise CheckFailed since the cover-sup identity is not even
-    well posed without them).
+    denominators into integer rows: multiplicativity, star-compatibility
+    and pi(0) = 0, each reporting its first row-major witness.  The a
+    with pi(ab) = pi(a) pi(b) for all b are closed under products, so
+    multiplicativity is decided on the rows of ``ranked_generators``;
+    only a failure scans all pairs, for its witness.  Images of
+    idempotents must be commuting idempotents, which a multiplicative pi
+    gives, so only a failed multiplicativity checks them (a violation
+    raises CheckFailed: the identity is not well posed then).
 
     The identity has X reduced to one idempotent or nothing, Y running
     over antichains of nonzero idempotents, and Z over minimal covers of
@@ -436,11 +463,16 @@ def check_tight_representation(
     combinatorial C*-algebras*, arXiv:math/0703182, sections 11-12;
     Donsig and Milan, *Joins and covers in inverse semigroups and tight
     C*-algebras*, Bull. Aust. Math. Soc. 2014), that is, a point of
-    ``tight_spectrum(E)``.  The instance and cover counters come from
-    the memoized cover-sup walk without atoms, which only counts.  Only a
-    failing verdict or ``audit_covers`` walks again over the atom masks,
-    to list every violated instance; past MAX_REP_INSTANCES instances it
-    raises BoundExceeded instead.
+    ``tight_spectrum(E)``.
+
+    The counters multiply over the orthogonal blocks B of nonzero
+    idempotents (the README proves it): instances = (m + 1) P and covers =
+    prod c_B(no X) + P + sum of c_B(x) P / a_B over all B and x in B, with
+    a_B the antichains of B (the empty one too), P = prod a_B and c_B the
+    covers from each root of the walk of B.  Only a failing verdict or
+    ``audit_covers`` walks all of E with the atom masks, to list every
+    violated instance and count the audited covers, which do not multiply;
+    past MAX_REP_INSTANCES instances it raises BoundExceeded.
     """
     values = [pi[s] for s in range(len(S))]
     G = values[S.zero].groupoid
@@ -455,11 +487,15 @@ def check_tight_representation(
         expected = pm.scale * pm.rows[S.table[a, b]]
         return (pm.products(a, b) != expected).any(axis=1)
 
+    left = np.fromiter(ranked_generators(S.table), np.intp)
+
+    def left_differs(idx: np.ndarray) -> np.ndarray:
+        return product_differs(left[idx // n] * n + idx % n)
+
     witness = None
-    bad = _first_mismatch(n * n, pm.width, product_differs)
-    mult_ok = bad is None
+    mult_ok = _first_mismatch(len(left) * n, pm.width, left_differs) is None
     if not mult_ok:
-        a, b = divmod(bad, n)
+        a, b = divmod(_first_mismatch(n * n, pm.width, product_differs), n)
         witness = f"pi({name[a]} {name[b]}) != pi({name[a]}) pi({name[b]})"
     star = np.array(S.star, dtype=np.intp)
     inverse = np.array(G.inverse, dtype=np.intp)
@@ -476,40 +512,33 @@ def check_tight_representation(
         witness = witness or "pi(0) != 0"
 
     E = idempotent_semilattice(S)
-    m = len(E)
-    carrier = np.array(E.carrier, dtype=np.intp)
-    # as e e = e, pi(e) is idempotent iff pi is multiplicative at (e, e)
-    bad = _first_mismatch(m, pm.width, lambda idx: product_differs(carrier[idx] * (n + 1)))
-    if bad is not None:
-        raise CheckFailed(f"pi({name[carrier[bad]]}) is not idempotent")
+    if not mult_ok:
+        m, carrier = len(E), np.array(E.carrier, dtype=np.intp)
 
-    def commutator_differs(idx: np.ndarray) -> np.ndarray:
-        e, f = carrier[idx // m], carrier[idx % m]
-        return (pm.products(e, f) != pm.products(f, e)).any(axis=1)
+        def commutator_differs(idx: np.ndarray) -> np.ndarray:
+            e, f = carrier[idx // m], carrier[idx % m]
+            return (pm.products(e, f) != pm.products(f, e)).any(axis=1)
 
-    bad = _first_mismatch(m * m, pm.width, commutator_differs)
-    if bad is not None:
-        e, f = carrier[bad // m], carrier[bad % m]
-        raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
+        # as e e = e, pi(e) is idempotent iff pi is multiplicative at (e, e)
+        bad = _first_mismatch(m, pm.width, lambda idx: product_differs(carrier[idx] * (n + 1)))
+        if bad is not None:
+            raise CheckFailed(f"pi({name[carrier[bad]]}) is not idempotent")
+        bad = _first_mismatch(m * m, pm.width, commutator_differs)
+        if bad is not None:
+            e, f = carrier[bad // m], carrier[bad % m]
+            raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
 
     atom_masks = _atom_characters(values, E, AlgebraElement.unit(G))
     points = tight_spectrum(E).point_index
     tight = all(mask in points for mask in atom_masks)
 
     isect = E.intersect_masks
-    cover_cache: dict[int, tuple[int, ...]] = {}
+    covers_of = minimal = cache(partial(_minimal_covers, isect))
+    if audit_covers:
+        audit = partial(_all_covers_upto, isect, max_size=AUDIT_COVER_SIZE)
+        covers_of = cache(lambda fplus: tuple(sorted({*minimal(fplus), *audit(fplus)})))
 
-    def covers_of(fplus: int) -> tuple[int, ...]:
-        covers = cover_cache.get(fplus)
-        if covers is None:
-            covers = _minimal_covers(isect, fplus)
-            if audit_covers:
-                audit = _all_covers_upto(isect, fplus, AUDIT_COVER_SIZE)
-                covers = tuple(sorted(set(covers) | set(audit)))
-            cover_cache[fplus] = covers
-        return covers
-
-    instances, covers, _ = _cover_sup_walk(E, (), covers_of)
+    instances, covers = _cover_sup_count(E, minimal)
     witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
     if audit_covers or not tight:
         if instances > MAX_REP_INSTANCES:
@@ -521,7 +550,9 @@ def check_tight_representation(
         def names_of(mask: int) -> tuple[str, ...]:
             return tuple(name[E.carrier[p]] for p in iter_bits(mask))
 
-        for x, y_mask, zmask in _cover_sup_walk(E, atom_masks, covers_of)[2]:
+        counts, violations = _cover_sup_walk(E, atom_masks, covers_of, E.nonzero_mask)
+        covers = sum(c for _, c in counts.values())
+        for x, y_mask, zmask in violations:
             x_name = None if x is None else name[E.carrier[x]]
             witnesses.append((x_name, names_of(y_mask), names_of(zmask)))
 

@@ -162,22 +162,27 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     (xb)(cy) = x(b(cy)) = x((bc)y).  So checking a generating set A
     suffices, O(n^2 |A|) work.  The argument never uses associativity,
     so A may come from the closure of the untrusted table itself, in any
-    order.  The verdict draws A top-down by row image (distinct entries
-    per row, ties by index).  On either path a failure's witness comes
-    from Light's test in ascending order, as if unranked.
+    order.  The verdict draws A from ranked_generators(t).  On either
+    path a failure's witness comes from Light's test in ascending order,
+    as if unranked.
     """
     n = len(t)
     if n**3 <= _BLOCK:
         if np.array_equal(t[t], t[:, t]):
             return None
-    else:
-        image = np.empty(n, dtype=np.intp)
-        for rows in row_blocks(n, n):
-            s = np.sort(t[rows], axis=1)
-            image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-        if _light_witness(t, _generators(t, np.argsort(-image, kind="stable"))) is None:
-            return None
+    elif _light_witness(t, ranked_generators(t)) is None:
+        return None
     return _light_witness(t, _generators(t, range(n)))
+
+
+def ranked_generators(t: np.ndarray) -> Iterator[int]:
+    """The greedy generating set of t, candidates by descending count of distinct row entries."""
+    n = len(t)
+    image = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, n):
+        s = np.sort(t[rows], axis=1)
+        image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
+    return _generators(t, np.argsort(-image, kind="stable"))
 
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:

@@ -769,6 +769,19 @@ def tight_representation_by_definition(pi, S, audit_covers=False):
     )
 
 
+def orthogonal_blocks_by_definition(E):
+    """The classes of nonzero positions joined by e f != 0, as ascending masks."""
+    zero = E.zero_pos
+    block = {p: {p} for p in range(len(E)) if p != zero}
+    for p in block:
+        for q in block:
+            if E.meets[p, q] != zero and block[p] is not block[q]:
+                merged = block[p] | block[q]
+                for r in merged:
+                    block[r] = merged
+    return sorted({mask_of(b) for b in block.values()})
+
+
 # -- the cover-sup count and listing as two separate walks -------------------------
 # A count memoized on (available candidates, E^{X,Y}) only and an
 # unmemoized listing; the tests compare convolution._cover_sup_walk with both.

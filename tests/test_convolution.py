@@ -27,6 +27,7 @@ from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, _minimal_covers
 from ample.errors import BoundExceeded, CheckFailed, ValidationError
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
+from ample.semigroups import ranked_generators
 from ample.spectrum import tight_spectrum
 
 import lemmas
@@ -34,8 +35,10 @@ from lemmas import slice_inverse, slice_of, sup, sup_all, unit_cover
 from oracles import (
     _count_instances,
     _cover_sup_violations,
+    closure_by_definition,
     covers_upto_by_definition,
     minimal_covers_by_definition,
+    orthogonal_blocks_by_definition,
     representation_laws_by_definition,
     tight_representation_by_definition,
 )
@@ -96,6 +99,18 @@ def test_bad_arrow_indices_are_rejected():
     with pytest.raises(ValueError, match=r"^arrow index 0\.5 is not an integer$"):
         AlgebraElement(G, [(0, 1), (0.5, 1), (9, 1)])
     assert AlgebraElement(G, {np.int64(3): 2}) == AlgebraElement(G, {3: 2})
+
+
+def test_negative_masks_are_rejected():
+    # iter_bits never ended on a negative mask, so these calls hung
+    G = pair_groupoid(2)
+    for build in (rho, AlgebraElement.indicator):
+        for bad in (-1, -6, 16):
+            with pytest.raises(ValueError, match=f"^mask {bad} is not a set of the 4 arrows$"):
+                build(G, bad)
+        assert build(G, 15) == AlgebraElement(G, {a: 1 for a in range(4)})
+    with pytest.raises(ValueError, match="^mask -1 is negative$"):
+        list(iter_bits(-1))
 
 
 def test_groupoid_mismatch_rejected():
@@ -390,6 +405,50 @@ def _assert_laws_match(pi, S, label):
         assert fast.failure_witness == slow[3], label
 
 
+def test_generator_route_keeps_the_oracle_verdicts():
+    # multiplicativity is decided on the rows of pair2+pair2 ample's 5
+    # generators, and a failure is named by the row-major scan
+    G = corpus()["pair2+pair2"]
+    bs = _ample(G)
+    S = bs.semigroup
+    gens = set(ranked_generators(S.table))
+    assert len(gens) == 5
+    plain = [rho(G, m) for m in bs.bits]
+    rng = random.Random(3)
+    lefts = set()
+    for _ in range(8):
+        s, t = rng.sample([x for x in range(len(S)) if x != S.zero], 2)
+        pi = list(plain)
+        pi[s], pi[t] = pi[t], pi[s]
+        _assert_laws_match(pi, S, (s, t))
+        report = _outcome(check_tight_representation, pi, S)
+        if not isinstance(report, tuple):
+            lefts.add(S.index[report.failure_witness[3:].split()[0]])
+    # some witnesses have a left factor whose row the verdict never checked
+    assert lefts - gens
+    # doubling pi off what the other generators generate breaks, among the
+    # generator rows, only the row of the one left out
+    broken = 0
+    for g in gens:
+        inside = closure_by_definition(S.table.tolist(), gens - {g})
+        if g not in inside:
+            pi = [f if s in inside else f + f for s, f in enumerate(plain)]
+            _assert_laws_match(pi, S, g)
+            broken += 1
+    assert broken == 4
+    # images of idempotents that are not idempotent, or do not commute
+    H = pair_groupoid(2)
+    e0 = rho(H, 1 << H.index["u0"])
+    skew = rho(H, 1 << H.index["u0"] | 1 << H.index["a01"])
+    s, t = sorted(set(S.idempotents) - gens - {S.zero})[-2:]
+    for image, message in ((skew, "and .* do not commute"), (e0 + e0, "is not idempotent")):
+        pi = [AlgebraElement.zero(H)] * len(S)
+        pi[s], pi[t] = e0, image
+        with pytest.raises(CheckFailed, match=message):
+            representation_laws_by_definition(pi, S)
+        _assert_laws_match(pi, S, message)
+
+
 def test_idempotent_and_commutation_messages():
     S = _ample(units_groupoid(2)).semigroup
     G = pair_groupoid(2)
@@ -439,16 +498,22 @@ def test_counting_states_is_bounded(monkeypatch):
 
 
 def test_count_past_the_stack_limit_is_bound_exceeded():
-    # a flat semilattice of 1100 atoms: antichains and covers of 1100 members
-    # recurse past Python's stack limit, and the count reports BoundExceeded
-    n = 1101
+    # 1100 orthogonal atoms under a top: one block, whose antichains and covers
+    # of 1100 members recurse past Python's stack limit, so the count reports
+    # BoundExceeded; without the top they are 1100 one-atom blocks
+    n = 1102
     table = np.zeros((n, n), dtype=np.int32)
     table[np.arange(n), np.arange(n)] = np.arange(n)
+    table[-1], table[:, -1] = np.arange(n), np.arange(n)
     # built directly, as relabelling code does, to skip the cubic validation
     S = FiniteInverseSemigroup(tuple(f"e{i}" for i in range(n)), table, 0, tuple(range(n)))
     E = idempotent_semilattice(S)
     with pytest.raises(BoundExceeded):
-        convolution._cover_sup_walk(E, (), lambda fplus: _minimal_covers(E.intersect_masks, fplus))
+        convolution._cover_sup_count(E, lambda fplus: _minimal_covers(E.intersect_masks, fplus))
+    flat = FiniteInverseSemigroup(S.elements[:-1], table[:-1, :-1], 0, tuple(range(n - 1)))
+    E = idempotent_semilattice(flat)
+    count = convolution._cover_sup_count(E, lambda fplus: _minimal_covers(E.intersect_masks, fplus))
+    assert count == (n * 2 ** (n - 2), n * 2 ** (n - 2))
 
 
 # -- one walker for the count and the listing -----------------------------------
@@ -470,6 +535,12 @@ def _covers_of(E, audit):
     return covers_of
 
 
+def _walk(E, atom_masks, covers_of):
+    """Instances, covers and violations of the one unfactored walk."""
+    counts, violations = convolution._cover_sup_walk(E, atom_masks, covers_of, E.nonzero_mask)
+    return sum(i for i, _ in counts.values()), sum(c for _, c in counts.values()), violations
+
+
 def _assert_walk_matches_two_walks(E, atom_masks, label):
     """The walker against the separate count and listing it replaced.
 
@@ -478,10 +549,10 @@ def _assert_walk_matches_two_walks(E, atom_masks, label):
     listed = []
     for audit in (False, True):
         covers_of = _covers_of(E, audit)
-        instances, covers, violations = convolution._cover_sup_walk(E, atom_masks, covers_of)
+        instances, covers, violations = _walk(E, atom_masks, covers_of)
         assert (instances, covers) == _count_instances(E, covers_of), (label, audit)
         assert violations == _cover_sup_violations(E, atom_masks, covers_of), (label, audit)
-        assert convolution._cover_sup_walk(E, (), covers_of) == (instances, covers, []), label
+        assert _walk(E, (), covers_of) == (instances, covers, []), label
         listed.append(violations)
     return listed
 
@@ -529,14 +600,49 @@ def test_walk_lists_units5_without_u0_in_order():
 
 @pytest.mark.parametrize("name, states", [("pair2", 8), ("units4", 108), ("units5", 766)])
 def test_walk_memoizes_pinned_states_on_passing_runs(monkeypatch, name, states):
-    # a passing verdict walks once, with no atoms, and memoizes what the count did
+    # a passing verdict walks each block once, with no atoms; these have one
+    # block, and the X = 0 root goes through the memo as the count's did
     G = pair_groupoid(2) if name == "pair2" else units_groupoid(int(name[5:]))
     bs = _ample(G)
     E = idempotent_semilattice(bs.semigroup)
+    assert orthogonal_blocks_by_definition(E) == [E.nonzero_mask]
     covers_of = _covers_of(E, False)
     monkeypatch.setattr(convolution, "MAX_REP_STATES", states)
-    counted = convolution._cover_sup_walk(E, (), covers_of)
-    assert counted[:2] == _count_instances(E, covers_of)
+    assert convolution._cover_sup_count(E, covers_of) == _count_instances(E, covers_of)
     monkeypatch.setattr(convolution, "MAX_REP_STATES", states - 1)
     with pytest.raises(BoundExceeded):
-        convolution._cover_sup_walk(E, (), covers_of)
+        convolution._cover_sup_count(E, covers_of)
+
+
+# -- the count, one orthogonal block at a time ----------------------------------
+
+
+def _assert_block_count_matches(E, label):
+    covers_of = _covers_of(E, False)
+    count = convolution._cover_sup_count(E, covers_of)
+    assert count == _walk(E, (), covers_of)[:2] == _count_instances(E, covers_of), label
+    return len(orthogonal_blocks_by_definition(E))
+
+
+def test_block_count_matches_the_walk_on_the_zoo():
+    zoo = [S for items in all_semilattices_upto(6).values() for S in items]
+    blocks = [_assert_block_count_matches(idempotent_semilattice(S), S.table.tolist()) for S in zoo]
+    assert (len(blocks), sum(b >= 2 for b in blocks), blocks.count(0)) == (77, 27, 1)
+
+
+def test_block_count_matches_the_walk_on_the_corpus(corpus_runs):
+    blocks = []
+    for r in corpus_runs:
+        E = idempotent_semilattice(r.bisection_semigroup.semigroup)
+        blocks.append(_assert_block_count_matches(E, r.label))
+    assert max(blocks) >= 2
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_pair_singleton_counts_have_a_closed_form(n):
+    # n one-unit blocks of two antichains each, with two covers from each root
+    G = pair_groupoid(n)
+    bs = bisection_semigroup(G, singleton_semigroup(G))
+    report = check_tight_representation([rho(G, m) for m in bs.bits], bs.semigroup)
+    assert report.passed
+    assert report.instances_checked == report.covers_checked == (n + 2) * 2**n
