@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -251,7 +251,7 @@ def singleton_semigroup(G: FiniteGroupoid) -> tuple[int, ...]:
 def bisection_name(G: FiniteGroupoid, mask: int) -> str:
     if mask == 0:
         return "0"
-    return "+".join(G.arrows[a] for a in iter_bits(mask))
+    return "+".join([G.arrows[a] for a in iter_bits(mask)])
 
 
 @dataclass(frozen=True)
@@ -273,37 +273,40 @@ class _SectionIndex:
     A section's digit at unit k is 1 + the place of its arrow in the source
     fiber of unit k, or 0 where it has none.  A run of units, grown while
     (live + 1) * span <= 2^16 and at least one unit long, has as code the
-    previous run's rank followed by its digits.  A dense slot array sends a
-    code to its rank among the members' codes, or to a dead rank for good.
+    previous run's rank followed by its digits, one multiply-add per unit
+    k with digit(k), all sections' digits at unit k.  A dense slot array
+    sends a code to its rank among the members' codes, or to a dead rank.
     """
 
-    def __init__(self, digits: np.ndarray, radix: list[int]) -> None:
-        self.runs: list[tuple[slice, np.ndarray, int, np.ndarray]] = []
-        rank, live, lo = np.zeros(digits.shape[1], dtype=np.int32), 1, 0
-        while lo < len(digits):
+    def __init__(self, digit: Callable[[int], np.ndarray], radix: list[int], count: int) -> None:
+        self.radix = radix
+        self.runs: list[tuple[range, np.ndarray]] = []
+        rank, live, lo = np.zeros(count, dtype=np.int32), 1, 0
+        while lo < len(radix):
             hi, span = lo + 1, radix[lo]
-            while hi < len(digits) and (live + 1) * span * radix[hi] <= 1 << 16:
+            while hi < len(radix) and (live + 1) * span * radix[hi] <= 1 << 16:
                 span, hi = span * radix[hi], hi + 1
-            run = (slice(lo, hi), (span // np.cumprod(radix[lo:hi])).astype(np.int32), span)
-            code = self._code(rank, digits, *run)
+            code = self._code(rank, digit, range(lo, hi))
             seen = np.zeros((live + 1) * span, dtype=bool)
             seen[code] = True
             live = np.count_nonzero(seen)
             slots = np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(live))
-            self.runs.append((*run, slots))
+            self.runs.append((range(lo, hi), slots))
             rank, lo = slots[code], hi
         self.element = np.full(live + 1, -1, dtype=np.int32)
-        self.element[rank] = np.arange(len(rank), dtype=np.int32)
+        self.element[rank] = np.arange(count, dtype=np.int32)
 
-    @staticmethod
-    def _code(rank: np.ndarray, digits: np.ndarray, run: slice, place: np.ndarray, span: int):
-        return rank * span + (digits[..., run, :] * place[:, None]).sum(axis=-2, dtype=np.int32)
+    def _code(self, rank: np.ndarray, digit: Callable[[int], np.ndarray], run: range):
+        for k in run:  # in place: no caller reads rank again
+            rank *= self.radix[k]
+            rank += digit(k)
+        return rank
 
-    def find(self, digits: np.ndarray) -> np.ndarray:
-        """Element of each section j, read from ``digits[..., k, j]``, or -1 if none."""
-        rank = np.zeros(digits.shape[:-2] + digits.shape[-1:], dtype=np.int32)
-        for *run, slots in self.runs:
-            rank = slots.take(self._code(rank, digits, *run))
+    def find(self, digit: Callable[[int], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+        """Element of each section, of the given shape, with digits digit(k); -1 if none."""
+        rank = np.zeros(shape, dtype=np.int32)
+        for run, slots in self.runs:
+            rank = slots.take(self._code(rank, digit, run))
         return self.element.take(rank)
 
 
@@ -313,10 +316,11 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     Each bisection is stored as its section: the array sending each unit
     to the arrow of the bisection with that source, or to no arrow.  The
     product s.t has at unit u the composite of b = t(u) with s(r(b)), and
-    d(s.t) = d(t), so a row of the table is one gather of digits (see
-    :class:`_SectionIndex`) through the groupoid's composition array.  A
-    product found in the family's index is a member, hence a bisection, so
-    only a block with a product not found is checked for non-bisections.
+    d(s.t) = d(t), so the digits of a block of the table's rows at one
+    unit are one gather through the groupoid's composition array, and
+    :class:`_SectionIndex` finds each product from them.  A product found
+    in the family's index is a member, hence a bisection, so only the row
+    of the first product not found is checked for non-bisections.
     Raises ValidationError when the family is not closed, with the first
     witness pair in row-major order, or (message, None) when a member,
     the empty bisection or an inverse is at fault, or when two members
@@ -358,7 +362,8 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     padded = np.full((units + 1, n), arrows, dtype=np.int32)
     padded[source_pos[arrow], member] = arrow
     sections = padded[:units]  # sections[k, t]: the arrow of t with source unit k
-    index = _SectionIndex(digit_of[sections], [len(G.d_fibers[u]) + 1 for u in G.units])
+    radix = [len(G.d_fibers[u]) + 1 for u in G.units]
+    index = _SectionIndex(digit_of[sections].__getitem__, radix, n)
     compose = np.pad(G.compose, (0, 1), constant_values=-1)
     # validate_groupoid certifies d(a.b) = d(b), which makes product digits exact
     if ((source_pos[compose] != source_pos) & (compose >= 0)).any():
@@ -368,15 +373,21 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     row_start = np.ascontiguousarray(padded.T) * np.int32(arrows + 1)
 
     table = np.empty((n, n), dtype=np.int32)
-    for rows in row_blocks(n, n * units):
-        at = row_start[rows].take(right, axis=1)
-        at += sections  # at[s, k, t]: flat index into `compose` of s(r(t(unit k))) * t(unit k)
-        found = index.find(product_digit.take(at))
+    for rows in row_blocks(n, 2 * n):  # half blocks: take copies its int32 indices to intp
+        start = row_start[rows]
+
+        def digit(k: int) -> np.ndarray:
+            at = start.take(right[k], axis=1)
+            at += sections[k]  # at[s, t]: flat index into `compose` of s(r(t(unit k))) * t(unit k)
+            return product_digit.take(at)
+
+        found = index.find(digit, (len(start), n))
         if found.min() < 0:
-            ranges = np.sort(range_pos[compose.take(at)], axis=1)
-            if ((ranges[:, 1:] == ranges[:, :-1]) & (ranges[:, 1:] < units)).any():
-                raise CheckFailed("product of bisections must be a bisection")
             s, t = divmod(int(np.argmax(found < 0)), n)
+            at = row_start[rows.start + s].take(right) + sections  # the row's at[k, t]
+            ranges = np.sort(range_pos[compose.take(at)], axis=0)
+            if ((ranges[1:] == ranges[:-1]) & (ranges[1:] < units)).any():
+                raise CheckFailed("product of bisections must be a bisection")
             left, right = names[rows.start + s], names[t]
             raise ValidationError(
                 f"collection not closed at product {left} * {right}", witness=(left, right)
@@ -385,7 +396,7 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
 
     inverse = np.zeros((units + 1, n), dtype=np.int32)
     inverse[right, np.arange(n)] = digit_of[np.array([*G.inverse, arrows])[sections]]
-    star = index.find(inverse[:units])
+    star = index.find(inverse.__getitem__, (n,))
     if star.min() < 0:
         message = f"inverse of {names[int(np.argmax(star < 0))]} missing"
         raise ValidationError(message, witness=(message, None))
@@ -422,14 +433,15 @@ def abstract_table(
     n = len(S)
     order = list(range(n))  # order[new] = old
     random.Random(seed).shuffle(order)
+    old = np.array(order, dtype=np.intp)
     new_of_old = np.empty(n, dtype=np.int32)
-    new_of_old[order] = np.arange(n)
+    new_of_old[old] = np.arange(n)
     width = len(str(n - 1))
     names = tuple(f"x{str(i).zfill(width)}" for i in range(n))
-    table = S.table[np.ix_(order, order)]
-    for rows in row_blocks(n, n):  # relabel in place: no second n x n temporary
-        table[rows] = new_of_old[table[rows]]
-    star = tuple(new_of_old[np.array(S.star)[order]].tolist())
+    table = S.table.take(old, axis=0)
+    for rows in row_blocks(n, 4 * n):  # no second n x n temporary; take copies to intp
+        table[rows] = new_of_old.take(table[rows].take(old, axis=1))
+    star = tuple(new_of_old[np.array(S.star)[old]].tolist())
     T = FiniteInverseSemigroup(names, table, int(new_of_old[S.zero]), star)
-    audit = TableAudit(bs.groupoid, tuple(bs.bits[old] for old in order))
+    audit = TableAudit(bs.groupoid, tuple(bs.bits[i] for i in order))
     return T, audit

@@ -341,13 +341,16 @@ def run_reconstruction(bs: BisectionSemigroup, seed: int = 0) -> ReconstructionR
 def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
     """Send the germ of S at xi_x to the unique arrow of S with source x.
 
-    Raises CheckFailed when class members disagree or the resulting map
-    is not an isomorphism; these are bug traps at finite scale.
+    A member's arrow with source x is its bisection masked by the arrows
+    with source x.  Raises CheckFailed when class members disagree or the
+    resulting map is not an isomorphism; these are bug traps at finite
+    scale.
     """
     G = run.groupoid
     model = run.model
     audit = run.audit
     E = model.semilattice
+    sources = {u: mask_of(fiber) for u, fiber in G.d_fibers.items()}
     mapping = []
     for a in range(len(model.groupoid.arrows)):
         bits = model.spectrum.points[model.arrow_point[a]]
@@ -364,12 +367,12 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
         x = inter.bit_length() - 1
         gammas = set()
         for s in model.arrow_members[a]:
-            found = [g for g in iter_bits(audit.bisections[s]) if G.d[g] == x]
-            if len(found) != 1:
+            found = audit.bisections[s] & sources[x]
+            if found == 0 or found & (found - 1):
                 raise CheckFailed(
                     f"{run.table.elements[s]} has no unique arrow with source {G.arrows[x]}"
                 )
-            gammas.add(found[0])
+            gammas.add(found.bit_length() - 1)
         if len(gammas) != 1:
             raise CheckFailed(
                 f"class members of {model.groupoid.arrows[a]} map to different arrows"

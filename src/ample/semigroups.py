@@ -23,6 +23,9 @@ from .errors import CheckFailed, ValidationError
 
 # Entries per temporary array: the table checks work on blocks of rows.
 _BLOCK = 1 << 16
+# From this many elements inverses come from inner inverses; below it the
+# full scan is faster (measured crossover near 85 elements).
+_INNER_INVERSES_FROM = 90
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,29 +108,37 @@ def _square_table(table, n: int) -> np.ndarray:
     return t.astype(np.int32, copy=False)
 
 
-def _generators(t: np.ndarray, order: Iterable[int]) -> Iterator[int]:
+def _generators(t: np.ndarray, order: Iterable[int], words: bool = False) -> Iterator[int]:
     """A greedy generating set of the magma t, candidates taken in the given order.
 
     Each candidate not yet generated joins the set and is yielded; only
-    when the next one is asked for does the closure grow by multiplying
-    each fresh element with every member on both sides, so a caller that
-    stops early pays for no more closure than it used.  Only the table's
-    own products are used, never associativity, so the set generates t
-    even when t is not a semigroup.
+    when the next one is asked for does the closure grow, so a caller that
+    stops early pays for no more closure than it used.  The closure takes
+    products with every member on both sides or, with ``words``, holds only
+    the left-bracketed words ((a1 a2) a3)... of the set: |A| n products.
+    Only the table's own products are used, never associativity, so the
+    set generates t even when t is not a semigroup; on a semigroup both
+    closures are the generated subsemigroup and draw the same set.
     """
     member = np.zeros(len(t), dtype=bool)
+    gens, drawn = np.empty(len(t), dtype=np.intp), 0
     for g in order:
         if member[g]:
             continue
         yield int(g)
+        gens[drawn], drawn = g, drawn + 1
+        before = member.copy()
         member[g] = True
-        fresh = np.array([g])
+        if words:
+            member[t[:, g][before]] = True
+        fresh = np.flatnonzero(member & ~before)
         while fresh.size:
             before = member.copy()
-            inside = np.flatnonzero(member)
-            for rows in row_blocks(len(fresh), len(t)):
-                member[t[fresh[rows]][:, inside]] = True
-                member[t[:, fresh[rows]][inside]] = True
+            right = gens[:drawn] if words else np.flatnonzero(member)
+            for rows in row_blocks(len(fresh), len(right)):
+                member[t[fresh[rows, None], right]] = True
+                if not words:
+                    member[t[right[:, None], fresh[rows]]] = True
             fresh = np.flatnonzero(member & ~before)
 
 
@@ -159,12 +170,13 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     Larger tables use Light's test (Clifford-Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2): the b with (xb)y = x(by) for
     all x, y are closed under the product, since (x(bc))y = ((xb)c)y =
-    (xb)(cy) = x(b(cy)) = x((bc)y).  So checking a generating set A
-    suffices, O(n^2 |A|) work.  The argument never uses associativity,
-    so A may come from the closure of the untrusted table itself, in any
-    order.  The verdict draws A from ranked_generators(t).  On either
-    path a failure's witness comes from Light's test in ascending order,
-    as if unranked.
+    (xb)(cy) = x(b(cy)) = x((bc)y).  So checking a set A whose
+    left-bracketed words ((a1 a2) a3)... reach every element suffices,
+    O(n^2 |A|) work.  The argument never uses associativity, so A may
+    come from the words of the untrusted table itself, in any order.  The
+    verdict draws A from ranked_generators(t).  On either path a failure's
+    witness comes from Light's test over the two-sided greedy set in
+    ascending order, as if unranked.
     """
     n = len(t)
     if n**3 <= _BLOCK:
@@ -176,13 +188,13 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
 
 
 def ranked_generators(t: np.ndarray) -> Iterator[int]:
-    """The greedy generating set of t, candidates by descending count of distinct row entries."""
+    """_generators by words, candidates by descending count of distinct row entries."""
     n = len(t)
     image = np.empty(n, dtype=np.intp)
     for rows in row_blocks(n, n):
         s = np.sort(t[rows], axis=1)
         image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-    return _generators(t, np.argsort(-image, kind="stable"))
+    return _generators(t, np.argsort(-image, kind="stable"), words=True)
 
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -203,6 +215,43 @@ def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
                 witness=(element, found),
             )
         star[rows] = candidates.argmax(axis=1)
+    return tuple(star.tolist())
+
+
+def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
+    """Each s's inverse usu for the first u with sus = s, or None (see validate_inverse_semigroup).
+
+    u goes by descending count of distinct ue over the idempotents e, which
+    counts the e <= u*u: u with large domains serve many s.
+    """
+    n = len(t)
+    every = np.arange(n)
+    idempotent = t.diagonal() == every
+    e = np.flatnonzero(idempotent)
+    for rows in row_blocks(len(e), len(e)):  # idempotents commute: ef = fe, f from the block on
+        later = e[rows.start :]
+        if (t[e[rows, None], later] != t[later[:, None], e[rows]].T).any():
+            return None
+    inner, todo, lo = np.where(idempotent, every, -1), np.flatnonzero(~idempotent), 0  # eee = e
+    if todo.size:
+        size = np.empty(n, dtype=np.intp)
+        for rows in row_blocks(n, len(e)):
+            image = np.sort(t[rows, e], axis=1)
+            size[rows] = np.count_nonzero(image[:, 1:] != image[:, :-1], axis=1)
+        order, flat = np.argsort(-size, kind="stable"), t.ravel()
+    # u in blocks of a quarter _BLOCK (128 KB intp indices reuse freed memory)
+    while todo.size and lo < n:
+        u = order[lo : lo + max(1, (_BLOCK >> 2) // todo.size)]
+        su = flat.take(todo[:, None] * n + u)
+        hit = flat.take(su * np.intp(n) + todo[:, None]) == todo[:, None]
+        found = hit.any(axis=1)
+        inner[todo[found]] = u[hit[found].argmax(axis=1)]
+        todo, lo = todo[~found], lo + len(u)
+    if todo.size:
+        return None
+    star = t[t[inner, every], inner]
+    if (t[t[every, star], every] != every).any() or (t[t[star, every], star] != star).any():
+        return None
     return tuple(star.tolist())
 
 
@@ -227,7 +276,14 @@ def validate_inverse_semigroup(
 
     Raises ValidationError when associativity fails, with the witness
     triple of names, when an element s lacks a unique inverse, with the
-    witness (s, its candidates), or when no zero exists.
+    witness (s, its candidates), or when no zero exists.  An associative
+    table is an inverse semigroup iff it is regular and its idempotents
+    commute (Clifford-Preston I, Thm 1.17; Howie, Thm 5.1.1), and sus = s
+    makes usu an inverse of s: s(usu)s = (sus)us = s and (usu)s(usu) =
+    u(sus)(usu) = u(sus)u = usu.  So from _INNER_INVERSES_FROM elements
+    on, the idempotents are checked to commute and s* = usu for the first
+    u with sus = s is re-checked; a table that fails there, and every
+    smaller one, gets the full scan of every pair (s, u).
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names) raise ValueError because they are caller errors, not algebra.
     Every check is an array test on the table as one int32 array, and
@@ -247,7 +303,9 @@ def validate_inverse_semigroup(
     if witness is not None:
         x, a, y = (names[i] for i in witness)
         raise ValidationError(f"associativity fails at ({x}, {a}, {y})", witness=(x, a, y))
-    star = _unique_inverses(t, names)
+    star = _inner_inverses(t) if n >= _INNER_INVERSES_FROM else None
+    if star is None:
+        star = _unique_inverses(t, names)
     zero = _absorbing(t)
     if zero is None:
         raise ValidationError("no absorbing element in table")
@@ -282,7 +340,7 @@ class Semilattice:
     ``carrier`` holds ambient element indices in ascending order; the
     bitmask positions used throughout the spectrum code are offsets into
     ``carrier``.  Build through :func:`idempotent_semilattice`, which
-    certifies that ``meets`` is closed and symmetric.
+    certifies that ``meets`` is closed (validation decided it is symmetric).
     """
 
     semigroup: FiniteInverseSemigroup
@@ -355,11 +413,10 @@ class Semilattice:
 
 
 def idempotent_semilattice(S: FiniteInverseSemigroup) -> Semilattice:
-    """Collect the idempotents of S and certify they form a semilattice."""
+    """Collect the idempotents of S; validation decided that they commute."""
     E = Semilattice(S, S.idempotents)
     if E.positions[S.zero] < 0:
         raise CheckFailed("a validated semigroup always has an idempotent zero")
-    meets = E.meets
-    if (meets < 0).any() or (meets != meets.T).any():
-        raise CheckFailed("idempotents must form a commutative subsemigroup")
+    if (E.meets < 0).any():
+        raise CheckFailed("idempotents must form a subsemigroup")
     return E

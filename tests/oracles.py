@@ -16,7 +16,13 @@ from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentat
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
 from ample.germs import GermGroupoidModel
 from ample.groupoids import FiniteGroupoid, validate_groupoid
-from ample.reconstruction import StoneReport, _require_closed, _set_name
+from ample.reconstruction import (
+    GroupoidIsomorphism,
+    StoneReport,
+    _require_closed,
+    _set_name,
+    check_isomorphism,
+)
 from ample.semigroups import (
     Semilattice,
     adjoin_zero,
@@ -523,6 +529,39 @@ def closure_by_definition(rows, gens):
     return inside
 
 
+def left_words_closure_by_definition(rows, gens):
+    """The left-bracketed words ((a1 a2) a3)... over gens: gens closed under w -> w g."""
+    inside = set(gens)
+    todo = list(inside)
+    while todo:
+        w = todo.pop()
+        for g in gens:
+            c = rows[w][g]
+            if c not in inside:
+                inside.add(c)
+                todo.append(c)
+    return inside
+
+
+def word_generators_by_definition(rows, order):
+    """The greedy set by left-bracketed words: a candidate joins unless it is a word already."""
+    gens, words = [], set()
+    for g in order:
+        if g not in words:
+            gens.append(g)
+            words = left_words_closure_by_definition(rows, gens)
+    return gens
+
+
+def generalized_inverses_by_definition(rows):
+    """For each s, the u with sus = s and usu = u, ascending, one pair at a time."""
+    n = len(rows)
+    return [
+        tuple(u for u in range(n) if rows[rows[s][u]][s] == s and rows[rows[u][s]][u] == u)
+        for s in range(n)
+    ]
+
+
 def top_down_order_by_definition(rows):
     """Indices by descending count of distinct entries in their row, ties by index."""
     return sorted(range(len(rows)), key=lambda g: (-len(set(rows[g])), g))
@@ -530,6 +569,51 @@ def top_down_order_by_definition(rows):
 
 def idempotents_of_table(rows):
     return [i for i in range(len(rows)) if rows[i][i] == i]
+
+
+# The former canonical_iso_of_run, whose messages the masked map must keep.
+def canonical_map_by_member_loop(run):
+    """Send the germ of S at xi_x to the unique arrow of S with source x, member by member.
+
+    Raises CheckFailed when class members disagree or the resulting map
+    is not an isomorphism.
+    """
+    G = run.groupoid
+    model = run.model
+    audit = run.audit
+    E = model.semilattice
+    mapping = []
+    for a in range(len(model.groupoid.arrows)):
+        bits = model.spectrum.points[model.arrow_point[a]]
+        inter = G.units_mask
+        for p in iter_bits(bits):
+            unit_set = audit.bisections[E.carrier[p]]
+            if unit_set & ~G.units_mask:
+                raise CheckFailed("idempotent bisections are unit sets")
+            inter &= unit_set
+        if inter == 0 or inter & (inter - 1):
+            raise CheckFailed(
+                f"base character of arrow {model.groupoid.arrows[a]} does not pin a point"
+            )
+        x = inter.bit_length() - 1
+        gammas = set()
+        for s in model.arrow_members[a]:
+            found = [g for g in iter_bits(audit.bisections[s]) if G.d[g] == x]
+            if len(found) != 1:
+                raise CheckFailed(
+                    f"{run.table.elements[s]} has no unique arrow with source {G.arrows[x]}"
+                )
+            gammas.add(found[0])
+        if len(gammas) != 1:
+            raise CheckFailed(
+                f"class members of {model.groupoid.arrows[a]} map to different arrows"
+            )
+        mapping.append(gammas.pop())
+    if len(set(mapping)) != len(G.arrows):
+        raise CheckFailed(f"germ arrows cover {len(set(mapping))} of {len(G.arrows)} arrows")
+    iso = GroupoidIsomorphism(model.groupoid, G, tuple(mapping))
+    check_isomorphism(iso)
+    return iso
 
 
 def germ_count_by_pairwise_quotient(S):

@@ -221,13 +221,14 @@ def recorded_indexes(monkeypatch):
 
 
 def test_bisection_table_with_keys_over_several_unit_runs(monkeypatch):
-    # pair8's source fibers of 8 arrows give radix-9 digits and units40's
-    # give radix-2 digits; neither family's codes fit one run below 2^16
+    # pair8's and pair20's source fibers of 8 and 20 arrows give radix-9 and
+    # radix-21 digits, and units40's give radix-2 digits; no family's codes
+    # fit one run below 2^16, so each product is found over several runs
     made = recorded_indexes(monkeypatch)
-    for G, runs in ((pair_groupoid(8), 2), (units_groupoid(40), 3)):
+    for G, runs in ((pair_groupoid(8), 3), (units_groupoid(40), 4), (pair_groupoid(20), 15)):
         masks = singleton_semigroup(G)
         bs = bisection_semigroup(G, masks)
-        assert len(made[-1].runs) >= runs
+        assert len(made[-1].runs) == runs
         got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
         assert got == product_table_by_definition(G, masks)
     G = pair_groupoid(8)

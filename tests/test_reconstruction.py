@@ -6,6 +6,7 @@ import pytest
 
 from ample import (
     abstract_table,
+    bisection_name,
     bisection_semigroup,
     brute_force_iso,
     canonical_iso_of_run,
@@ -28,9 +29,11 @@ from ample import (
 from ample.bitsets import iter_bits, mask_of
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ValidationError
 from ample import reconstruction
+from ample.groupoids import TableAudit
 from ample.reconstruction import (
     GroupoidIsomorphism,
     PointBasisSpace,
+    ReconstructionRun,
     _intersection_tables,
     stone_laws,
 )
@@ -38,6 +41,7 @@ from ample.reconstruction import (
 from lemmas import equivariance_check, slice_of
 from oracles import (
     basis_semilattice,
+    canonical_map_by_member_loop,
     phi_point,
     point_bases_by_definition,
     stone_check_by_definition,
@@ -488,3 +492,69 @@ def test_brute_force_iso_past_the_recursion_limit():
     G = units_groupoid(1200)
     iso = brute_force_iso(G, units_groupoid(1200))
     assert iso is not None and iso.arrow_map == tuple(range(1200))
+
+
+def outcome(canonical_map, run):
+    """The arrow map, or the CheckFailed message."""
+    try:
+        return canonical_map(run).arrow_map
+    except CheckFailed as exc:
+        return str(exc)
+
+
+def named_run(G, masks):
+    """A seed-0 run and the place in its audit of each bisection, by concrete name."""
+    run = run_reconstruction(bisection_semigroup(G, masks), seed=0)
+    return run, {bisection_name(G, m): i for i, m in enumerate(run.audit.bisections)}
+
+
+def tampered(named, **masks):
+    """The run with the audit's bisections of the named elements replaced."""
+    run, place = named
+    bisections = list(run.audit.bisections)
+    for name, mask in masks.items():
+        bisections[place[name]] = mask
+    audit = TableAudit(run.groupoid, tuple(bisections))
+    return ReconstructionRun(run.groupoid, run.table, audit, run.model)
+
+
+def test_canonical_map_reaches_each_failure_of_the_member_loop():
+    G = pair_groupoid(2)
+    u0, u1, a01, a10 = (1 << G.index[x] for x in ("u0", "u1", "a01", "a10"))
+    assert (G.d[G.index["a01"]], G.d[G.index["a10"]]) == (G.index["u0"], G.index["u1"])
+    full, singletons = named_run(G, enumerate_bisections(G)), named_run(G, singleton_semigroup(G))
+    cases = [
+        # an idempotent that is not a unit set
+        (tampered(full, **{"u0+u1": a01}), "^idempotent bisections are unit sets$"),
+        # u0 turned into u0+u1: the point of u0 keeps both units
+        (tampered(full, u0=u0 | u1), "^base character of arrow .* does not pin a point$"),
+        # a01 (source u0) turned into a10 (source u1): nothing at u0
+        (tampered(full, a01=a10), "^.* has no unique arrow with source u0$"),
+        # a member with two arrows at the source u0
+        (tampered(full, a01=a01 | u0), "^.* has no unique arrow with source u0$"),
+        # a01+a10 turned into u0+a10: at u0 it gives u0, where a01 gives a01
+        (tampered(full, **{"a01+a10": u0 | a10}), "^class members of .* map to different arrows$"),
+        # a01 turned into u0: both classes at u0 map to u0
+        (tampered(singletons, a01=u0), "^germ arrows cover 3 of 4 arrows$"),
+    ]
+    for run, message in cases:
+        got = outcome(canonical_iso_of_run, run)
+        assert isinstance(got, str) and re.match(message, got), (message, got)
+        assert got == outcome(canonical_map_by_member_loop, run)
+
+
+def test_canonical_map_agrees_with_the_member_loop_on_random_tampering():
+    rng = random.Random(29)
+    failures = set()
+    for G in (pair_groupoid(2), pair_groupoid(3), corpus()["pair2+z2"]):
+        for masks in (singleton_semigroup, enumerate_bisections):
+            run, place = named = named_run(G, masks(G))
+            assert outcome(canonical_iso_of_run, run) == outcome(canonical_map_by_member_loop, run)
+            for _ in range(40):
+                names = rng.sample(sorted(place), rng.randint(1, 2))
+                broken = tampered(named, **{x: rng.randrange(1 << len(G.arrows)) for x in names})
+                got = outcome(canonical_iso_of_run, broken)
+                assert got == outcome(canonical_map_by_member_loop, broken)
+                if isinstance(got, str):
+                    failures.add(re.sub(r"\S*[0-9]\S*", "#", got))
+    assert len(failures) >= 5  # every branch of the member loop

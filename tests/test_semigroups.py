@@ -16,6 +16,7 @@ from ample import (
     pair_groupoid,
     parse_semigroup,
     point_basis_space,
+    units_groupoid,
     validate_inverse_semigroup,
     write_semigroup,
 )
@@ -30,10 +31,13 @@ from oracles import (
     associativity_witness_by_definition,
     closure_by_definition,
     idempotents_of_table,
+    generalized_inverses_by_definition,
     is_idempotent,
+    left_words_closure_by_definition,
     order_masks_by_definition,
     product_of,
     top_down_order_by_definition,
+    word_generators_by_definition,
 )
 from semilattice_zoo import all_semilattices_upto
 
@@ -154,14 +158,18 @@ def test_light_agrees_with_cubic_scan_on_corrupted_tables(corpus_runs):
 
 
 def drawn_generators(t):
-    """associativity_witness(t) and what it drew from each generating set, in order."""
+    """associativity_witness(t) and each set it drew, in order, as (kind, members).
+
+    The kind is "words" for a set drawn by left-bracketed words (the
+    verdict's) and "two-sided" for one drawn by the two-sided closure.
+    """
     drawn = []
     real = semigroups._generators
 
-    def spy(table, order):
+    def spy(table, order, words=False):
         gens = []
-        drawn.append(gens)
-        for g in real(table, order):
+        drawn.append(("words" if words else "two-sided", gens))
+        for g in real(table, order, words):
             gens.append(g)
             yield g
 
@@ -174,26 +182,34 @@ def assert_top_down_generates(rows):
     """Check what the verdict draws; return the full top-down set, which generates rows.
 
     A table with n^3 <= _BLOCK gets a direct verdict and draws no set; a
-    larger one draws the top-down set, all of it when it is associative.
-    A failure then draws the ascending set up to the witness's generator,
-    since every table here fits one row block.
+    larger one draws the top-down set by left-bracketed words, all of it
+    when it is associative.  A failure then draws the two-sided ascending
+    set up to the witness's generator, since every table here fits one
+    row block.  On an associative table the set by words is the two-sided
+    top-down set.
     """
     t = np.array(rows, dtype=np.int32)
     n = len(rows)
     assert n * n <= semigroups._BLOCK
     witness, drawn = drawn_generators(t)
-    top_down = list(semigroups._generators(t, top_down_order_by_definition(rows)))
+    order = top_down_order_by_definition(rows)
+    top_down = list(semigroups._generators(t, order))
+    by_words = word_generators_by_definition(rows, order)
     ascending = list(semigroups._generators(t, range(n)))
     for gens in (top_down, ascending):
         assert closure_by_definition(rows, gens) == set(range(n))
-    verdict = [] if n**3 <= semigroups._BLOCK else [top_down]
+    assert left_words_closure_by_definition(rows, by_words) == set(range(n))
+    assert list(semigroups._generators(t, order, words=True)) == by_words
+    verdict = [] if n**3 <= semigroups._BLOCK else [("words", by_words)]
     if witness is None:
         assert drawn == verdict
+        assert by_words == top_down
         return top_down
     assert len(drawn) == len(verdict) + 1
     if verdict:
-        assert drawn[0] == top_down[: len(drawn[0])]
-    assert drawn[-1] == ascending[: ascending.index(witness[1]) + 1]
+        kind, gens = drawn[0]
+        assert kind == "words" and gens == by_words[: len(gens)]
+    assert drawn[-1] == ("two-sided", ascending[: ascending.index(witness[1]) + 1])
     return top_down
 
 
@@ -276,8 +292,8 @@ def test_a_failing_table_draws_the_ascending_set_up_to_its_witness(corpus_runs):
             if witness is None:
                 continue
             ascending = list(semigroups._generators(t, range(len(t))))
-            assert drawn[-1] == ascending[: ascending.index(witness[1]) + 1]
-            saved += len(ascending) - len(drawn[-1])
+            assert drawn[-1] == ("two-sided", ascending[: ascending.index(witness[1]) + 1])
+            saved += len(ascending) - len(drawn[-1][1])
     assert saved > 0
 
 
@@ -523,3 +539,121 @@ def test_every_constructor_yields_a_read_only_int32_table():
     assert all(type(s) is int for members in model.arrow_members for s in members)
     for field in ("inverse", "r"):
         assert all(type(v) is int for v in getattr(model.groupoid, field)), field
+
+
+def validation_by_definition(names, rows):
+    """(star, None) or (None, first message): Light's test, then every pair (s, u), then zero."""
+    witness = associativity_witness_ascending(np.array(rows, dtype=np.int32))
+    if witness is not None:
+        x, a, y = (names[i] for i in witness)
+        return None, f"associativity fails at ({x}, {a}, {y})"
+    inverses = generalized_inverses_by_definition(rows)
+    for s, found in enumerate(inverses):
+        if len(found) != 1:
+            found = tuple(names[u] for u in found)
+            return None, f"element {names[s]} has {len(found)} generalized inverse(s): {found!r}"
+    n = len(rows)
+    if not any(all(rows[z][x] == z == rows[x][z] for x in range(n)) for z in range(n)):
+        return None, "no absorbing element in table"
+    return tuple(u for (u,) in inverses), None
+
+
+def assert_validation_agrees(rows, names=None):
+    """validate_inverse_semigroup gives the definition's star or first message, returned."""
+    names = names or [f"x{i}" for i in range(len(rows))]
+    star, message = validation_by_definition(names, rows)
+    try:
+        S = validate_inverse_semigroup(names, rows)
+    except ValidationError as exc:
+        assert str(exc) == message
+        return message
+    assert message is None and S.star == star
+    return None
+
+
+def left_zero_band_with_zero(k):
+    """k idempotents with xy = x, then an adjoined zero: idempotents that do not commute."""
+    return [[i if max(i, j) < k else k for j in range(k + 1)] for i in range(k + 1)]
+
+
+def chain_with_nilpotent(m):
+    """The chain 0 < e1 < ... < em under min, then x with x * anything = anything * x = 0."""
+    return [[min(i, j) if max(i, j) <= m else 0 for j in range(m + 2)] for i in range(m + 2)]
+
+
+def right_zero_band(k):
+    """k idempotents with xy = y: every element inverts every other, and there is no zero."""
+    return [list(range(k)) for _ in range(k)]
+
+
+def failing_inverse_tables():
+    """Associative tables that are not inverse semigroups, on both sides of the inverse line."""
+    line = semigroups._INNER_INVERSES_FROM
+    return [
+        left_zero_band_with_zero(2),
+        left_zero_band_with_zero(line - 1),
+        chain_with_nilpotent(1),
+        chain_with_nilpotent(line - 2),
+        rows_of_document(DATA / "right_zero.sgp"),
+        right_zero_band(line),
+    ]
+
+
+def test_left_zero_band_with_zero_keeps_the_full_scan_message():
+    with pytest.raises(ValidationError) as exc:
+        parse_semigroup((DATA / "left_zero.sgp").read_text())
+    assert str(exc.value.reason) == "element e has 2 generalized inverse(s): ('e', 'f')"
+    assert exc.value.reason.witness == ("e", ("e", "f"))
+    assert rows_of_document(DATA / "left_zero.sgp") == left_zero_band_with_zero(2)
+
+
+def test_tables_that_are_not_inverse_semigroups_get_the_full_scan_message():
+    messages = []
+    for rows in failing_inverse_tables():
+        t = np.array(rows, dtype=np.int32)
+        assert associativity_witness(t) is None
+        if len(rows) >= semigroups._INNER_INVERSES_FROM:
+            assert semigroups._inner_inverses(t) is None
+        messages.append(assert_validation_agrees(rows))
+    line = semigroups._INNER_INVERSES_FROM
+    counts = ["2", str(line - 1), "0", "0", "2", str(line)]
+    assert [m.split(" has ")[1].split()[0] for m in messages] == counts
+
+
+def test_validation_matches_the_definition_on_corpus_tables(corpus_runs):
+    lines = set()
+    for run in corpus_runs:
+        for rows in relabellings(run):
+            assert assert_validation_agrees(rows) is None, run.label
+            lines.add(len(rows) >= semigroups._INNER_INVERSES_FROM)
+    assert lines == {True, False}
+
+
+def test_inner_inverses_match_the_definition_on_units10_and_pair5():
+    for G in (units_groupoid(10), pair_groupoid(5)):
+        S = bisection_semigroup(G, enumerate_bisections(G)).semigroup
+        inverses = generalized_inverses_by_definition(S.table.tolist())
+        assert S.star == semigroups._inner_inverses(S.table) == tuple(u for (u,) in inverses)
+
+
+def test_validation_matches_the_definition_on_corrupted_tables(corpus_runs):
+    tables = failing_inverse_tables()
+    small = [r for r in corpus_runs if len(r.masks) <= 50]
+    tables += [r.bisection_semigroup.semigroup.table.tolist() for r in small]
+    assert {len(rows) >= semigroups._INNER_INVERSES_FROM for rows in tables} == {True, False}
+    rng = random.Random(23)
+    kinds = set()
+    for rows in tables:
+        for _ in range(12):
+            message = assert_validation_agrees(corrupt(rows, rng))
+            kinds.add(message.split()[0] if message else None)
+    assert kinds == {"associativity", "element", "no", None}
+
+
+def test_inner_inverses_recheck_the_inverse_laws():
+    # no idempotents, and every s has a u with sus = s, but this magma is not
+    # associative and some usu is no inverse of s: the re-check refuses it
+    t = np.array([[2, 2, 3, 3], [2, 3, 2, 1], [3, 1, 1, 2], [0, 3, 0, 2]], dtype=np.int32)
+    assert associativity_witness(t) is not None
+    assert all(any(t[t[s, u], s] == s for u in range(4)) for s in range(4))
+    assert semigroups._inner_inverses(t) is None
