@@ -474,7 +474,14 @@ def check_tight_representation(
     violated instance and count the audited covers, which do not multiply;
     past MAX_REP_INSTANCES instances it raises BoundExceeded.
     """
-    values = [pi[s] for s in range(len(S))]
+    values = []
+    for s, element in enumerate(S.elements):
+        try:
+            values.append(pi[s])
+        except (KeyError, IndexError):
+            raise ValueError(f"pi has no image of element {element}") from None
+        if not isinstance(values[-1], AlgebraElement):
+            raise ValueError(f"pi({element}) is not an AlgebraElement")
     G = values[S.zero].groupoid
     if any(v.groupoid is not G for v in values):
         raise ValidationError("operands live over different groupoids")

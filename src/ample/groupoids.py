@@ -327,7 +327,10 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     share a name (the first such pair in ascending mask order); the table
     then goes through the inverse-semigroup checker.
     """
-    masks = tuple(sorted(set(collection)))
+    masks = tuple(sorted(set(integers(collection, "mask"))))
+    bad = [m for m in masks if m < 0 or m >> len(G.arrows)]
+    if bad:
+        raise ValueError(f"mask {bad[0]} is not a set of the {len(G.arrows)} arrows")
     if 0 not in masks:
         message = "the empty bisection must belong to the collection"
         raise ValidationError(message, witness=(message, None))

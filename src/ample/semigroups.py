@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import CheckFailed, ValidationError
 
 # Entries per temporary array: the table checks work on blocks of rows.
 _BLOCK = 1 << 16
-# From this many elements inverses come from inner inverses; below it the
-# full scan is faster (measured crossover near 85 elements).
-_INNER_INVERSES_FROM = 90
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +61,7 @@ class FiniteInverseSemigroup:
 
     @cached_property
     def idempotents(self) -> tuple[int, ...]:
-        diagonal = self.table.diagonal()
-        return tuple(np.flatnonzero(diagonal == np.arange(len(diagonal))).tolist())
+        return tuple(np.flatnonzero(self.table.diagonal() == np.arange(len(self))).tolist())
 
 
 def row_blocks(count: int, width: int) -> Iterator[slice]:
@@ -197,32 +193,26 @@ def ranked_generators(t: np.ndarray) -> Iterator[int]:
     return _generators(t, np.argsort(-image, kind="stable"), words=True)
 
 
-def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> tuple[int, ...]:
-    """For each s the one u with sus = s and usu = u; ValidationError otherwise."""
-    n = len(t)
-    every = np.arange(n)
-    star = np.empty(n, dtype=np.int32)
-    for rows in row_blocks(n, n):
-        s = every[rows, None]
-        candidates = (t[t[rows], s] == s) & (t[t[:, rows].T, every] == every)
-        wrong = np.flatnonzero(candidates.sum(axis=1) != 1)
-        if wrong.size:
-            i = wrong[0]
-            element = names[rows.start + i]
-            found = tuple(names[u] for u in np.flatnonzero(candidates[i]))
+def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
+    """Raise for the first s without exactly one u with sus = s and usu = u."""
+    every = np.arange(len(t))
+    for s in range(len(t)):
+        found = np.flatnonzero((t[t[s], s] == s) & (t[t[:, s], every] == every))
+        if len(found) != 1:
+            element, found = names[s], tuple(names[u] for u in found)
             raise ValidationError(
                 f"element {element} has {len(found)} generalized inverse(s): {found!r}",
                 witness=(element, found),
             )
-        star[rows] = candidates.argmax(axis=1)
-    return tuple(star.tolist())
+    raise CheckFailed("a table without inner inverses must lack a unique inverse")
 
 
 def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
     """Each s's inverse usu for the first u with sus = s, or None (see validate_inverse_semigroup).
 
-    u goes by descending count of distinct ue over the idempotents e, which
-    counts the e <= u*u: u with large domains serve many s.
+    Commuting idempotents are their own inverses.  u goes by descending
+    count of distinct ue over the idempotents e, which counts the e <= u*u:
+    u with large domains serve many s.
     """
     n = len(t)
     every = np.arange(n)
@@ -232,13 +222,15 @@ def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
         later = e[rows.start :]
         if (t[e[rows, None], later] != t[later[:, None], e[rows]].T).any():
             return None
-    inner, todo, lo = np.where(idempotent, every, -1), np.flatnonzero(~idempotent), 0  # eee = e
-    if todo.size:
-        size = np.empty(n, dtype=np.intp)
-        for rows in row_blocks(n, len(e)):
-            image = np.sort(t[rows, e], axis=1)
-            size[rows] = np.count_nonzero(image[:, 1:] != image[:, :-1], axis=1)
-        order, flat = np.argsort(-size, kind="stable"), t.ravel()
+    todo = np.flatnonzero(~idempotent)
+    if not todo.size:
+        return tuple(range(n))
+    inner, lo = np.where(idempotent, every, -1), 0
+    size = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, len(e)):
+        image = np.sort(t[rows, e], axis=1)
+        size[rows] = np.count_nonzero(image[:, 1:] != image[:, :-1], axis=1)
+    order, flat = np.argsort(-size, kind="stable"), t.ravel()
     # u in blocks of a quarter _BLOCK (128 KB intp indices reuse freed memory)
     while todo.size and lo < n:
         u = order[lo : lo + max(1, (_BLOCK >> 2) // todo.size)]
@@ -256,17 +248,16 @@ def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _absorbing(t: np.ndarray) -> int | None:
-    """The first z whose row and column are constant at z, or None."""
-    n = len(t)
-    every = np.arange(n)
-    row_ok = np.empty(n, dtype=bool)
-    column_ok = np.ones(n, dtype=bool)
-    for rows in row_blocks(n, n):
-        block = t[rows]
-        row_ok[rows] = (block == every[rows, None]).all(axis=1)
-        column_ok &= (block == every).all(axis=0)
-    zeros = np.flatnonzero(row_ok & column_ok)
-    return int(zeros[0]) if zeros.size else None
+    """The z whose row and column are constant at z, or None.
+
+    In any magma such a z is one idempotent (z = zz' = z'), and the left
+    fold ((e1 e2) e3)... of the idempotents stays at z once it meets it.
+    """
+    e = np.flatnonzero(t.diagonal() == np.arange(len(t))).tolist()
+    if not e:
+        return None
+    z = reduce(t.item, e)
+    return z if (t[z] == z).all() and (t[:, z] == z).all() else None
 
 
 def validate_inverse_semigroup(
@@ -274,16 +265,16 @@ def validate_inverse_semigroup(
 ) -> FiniteInverseSemigroup:
     """Check a raw multiplication table and derive the involution and zero.
 
-    Raises ValidationError when associativity fails, with the witness
-    triple of names, when an element s lacks a unique inverse, with the
-    witness (s, its candidates), or when no zero exists.  An associative
-    table is an inverse semigroup iff it is regular and its idempotents
-    commute (Clifford-Preston I, Thm 1.17; Howie, Thm 5.1.1), and sus = s
-    makes usu an inverse of s: s(usu)s = (sus)us = s and (usu)s(usu) =
-    u(sus)(usu) = u(sus)u = usu.  So from _INNER_INVERSES_FROM elements
-    on, the idempotents are checked to commute and s* = usu for the first
-    u with sus = s is re-checked; a table that fails there, and every
-    smaller one, gets the full scan of every pair (s, u).
+    Raises ValidationError when associativity fails, with the witness triple
+    of names, when an element s lacks a unique inverse, with the witness (s,
+    its candidates), or when no zero exists.  An associative table is an
+    inverse semigroup iff it is regular and its idempotents commute
+    (Clifford-Preston I, Thm 1.17; Howie, Thm 5.1.1), and sus = s makes usu
+    an inverse of s: s(usu)s = (sus)us = s and (usu)s(usu) = u(sus)(usu) =
+    u(sus)u = usu.  So the idempotents are checked to commute and s* = usu
+    for the first u with sus = s is re-checked; a table that fails there
+    gets the full scan of every pair (s, u) for its message.  The zero is
+    read off the idempotents.
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names) raise ValueError because they are caller errors, not algebra.
     Every check is an array test on the table as one int32 array, and
@@ -303,9 +294,9 @@ def validate_inverse_semigroup(
     if witness is not None:
         x, a, y = (names[i] for i in witness)
         raise ValidationError(f"associativity fails at ({x}, {a}, {y})", witness=(x, a, y))
-    star = _inner_inverses(t) if n >= _INNER_INVERSES_FROM else None
+    star = _inner_inverses(t)
     if star is None:
-        star = _unique_inverses(t, names)
+        _unique_inverses(t, names)
     zero = _absorbing(t)
     if zero is None:
         raise ValidationError("no absorbing element in table")
@@ -339,8 +330,8 @@ class Semilattice:
 
     ``carrier`` holds ambient element indices in ascending order; the
     bitmask positions used throughout the spectrum code are offsets into
-    ``carrier``.  Build through :func:`idempotent_semilattice`, which
-    certifies that ``meets`` is closed (validation decided it is symmetric).
+    ``carrier``.  Build through :func:`idempotent_semilattice`; validation
+    decided that idempotents commute, so ``meets`` is closed and symmetric.
     """
 
     semigroup: FiniteInverseSemigroup
@@ -413,10 +404,8 @@ class Semilattice:
 
 
 def idempotent_semilattice(S: FiniteInverseSemigroup) -> Semilattice:
-    """Collect the idempotents of S; validation decided that they commute."""
+    """Collect the idempotents of S; they commute (validation), so ef is one too."""
     E = Semilattice(S, S.idempotents)
     if E.positions[S.zero] < 0:
         raise CheckFailed("a validated semigroup always has an idempotent zero")
-    if (E.meets < 0).any():
-        raise CheckFailed("idempotents must form a subsemigroup")
     return E

@@ -562,6 +562,12 @@ def generalized_inverses_by_definition(rows):
     ]
 
 
+def absorbing_by_definition(rows):
+    """Every z with zx = xz = z for all x, ascending, one z at a time."""
+    n = len(rows)
+    return [z for z in range(n) if all(rows[z][x] == z == rows[x][z] for x in range(n))]
+
+
 def top_down_order_by_definition(rows):
     """Indices by descending count of distinct entries in their row, ties by index."""
     return sorted(range(len(rows)), key=lambda g: (-len(set(rows[g])), g))

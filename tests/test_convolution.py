@@ -113,6 +113,23 @@ def test_negative_masks_are_rejected():
         list(iter_bits(-1))
 
 
+def test_representations_without_an_image_of_every_element_are_value_errors():
+    # a missing key, a short list and a non-element failed as KeyError, IndexError, AttributeError
+    G = pair_groupoid(2)
+    bs = bisection_semigroup(G, enumerate_bisections(G))
+    pi = [rho(G, m) for m in bs.bits]
+    last = bs.semigroup.elements[-1]
+    for bad, message in [
+        (dict(enumerate(pi[1:], 1)), "pi has no image of element 0"),
+        (pi[:-1], f"pi has no image of element {last}"),
+        (pi[:-1] + [1], f"pi({last}) is not an AlgebraElement"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            check_tight_representation(bad, bs.semigroup)
+        assert str(exc.value) == message
+    assert check_tight_representation(dict(enumerate(pi)), bs.semigroup).passed
+
+
 def test_groupoid_mismatch_rejected():
     f = rho(pair_groupoid(2), 1)
     g = rho(pair_groupoid(2), 1)  # distinct object

@@ -286,6 +286,19 @@ def test_bisection_table_of_the_groupoid_without_units():
         bisection_semigroup(G, [])
 
 
+def test_masks_that_are_no_sets_of_arrows_are_value_errors():
+    # a mask past the arrows indexed past G.arrows, and a float failed on &
+    G = pair_groupoid(2)
+    for masks, message in [
+        ([0, 16], "mask 16 is not a set of the 4 arrows"),
+        ([0, 1, -1], "mask -1 is not a set of the 4 arrows"),
+        ([0, 1.5], "mask 1.5 is not an integer"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            bisection_semigroup(G, masks)
+        assert str(exc.value) == message
+
+
 def test_random_subfamilies_of_pair3_bisections():
     G = pair_groupoid(3)
     full = enumerate_bisections(G)

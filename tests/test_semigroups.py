@@ -26,6 +26,7 @@ from ample import semigroups
 from ample.semigroups import associativity_witness
 
 from oracles import (
+    absorbing_by_definition,
     associativity_witness_ascending,
     basis_semilattice,
     associativity_witness_by_definition,
@@ -552,8 +553,7 @@ def validation_by_definition(names, rows):
         if len(found) != 1:
             found = tuple(names[u] for u in found)
             return None, f"element {names[s]} has {len(found)} generalized inverse(s): {found!r}"
-    n = len(rows)
-    if not any(all(rows[z][x] == z == rows[x][z] for x in range(n)) for z in range(n)):
+    if not absorbing_by_definition(rows):
         return None, "no absorbing element in table"
     return tuple(u for (u,) in inverses), None
 
@@ -587,15 +587,14 @@ def right_zero_band(k):
 
 
 def failing_inverse_tables():
-    """Associative tables that are not inverse semigroups, on both sides of the inverse line."""
-    line = semigroups._INNER_INVERSES_FROM
+    """Associative tables that are not inverse semigroups, of 2 to 90 elements."""
     return [
         left_zero_band_with_zero(2),
-        left_zero_band_with_zero(line - 1),
+        left_zero_band_with_zero(89),
         chain_with_nilpotent(1),
-        chain_with_nilpotent(line - 2),
+        chain_with_nilpotent(88),
         rows_of_document(DATA / "right_zero.sgp"),
-        right_zero_band(line),
+        right_zero_band(90),
     ]
 
 
@@ -612,21 +611,28 @@ def test_tables_that_are_not_inverse_semigroups_get_the_full_scan_message():
     for rows in failing_inverse_tables():
         t = np.array(rows, dtype=np.int32)
         assert associativity_witness(t) is None
-        if len(rows) >= semigroups._INNER_INVERSES_FROM:
-            assert semigroups._inner_inverses(t) is None
+        assert semigroups._inner_inverses(t) is None
         messages.append(assert_validation_agrees(rows))
-    line = semigroups._INNER_INVERSES_FROM
-    counts = ["2", str(line - 1), "0", "0", "2", str(line)]
+    counts = ["2", "89", "0", "0", "2", "90"]
     assert [m.split(" has ")[1].split()[0] for m in messages] == counts
 
 
 def test_validation_matches_the_definition_on_corpus_tables(corpus_runs):
-    lines = set()
     for run in corpus_runs:
         for rows in relabellings(run):
             assert assert_validation_agrees(rows) is None, run.label
-            lines.add(len(rows) >= semigroups._INNER_INVERSES_FROM)
-    assert lines == {True, False}
+
+
+def test_inner_inverses_match_the_definition_on_every_corpus_table(corpus_runs):
+    bands = 0
+    for run in corpus_runs:
+        for rows in relabellings(run):
+            star = semigroups._inner_inverses(np.array(rows, dtype=np.int32))
+            assert star == tuple(u for (u,) in generalized_inverses_by_definition(rows)), run.label
+            if all(rows[s][s] == s for s in range(len(rows))):
+                assert star == tuple(range(len(rows)))
+                bands += 1
+    assert 0 < bands < 4 * len(corpus_runs)
 
 
 def test_inner_inverses_match_the_definition_on_units10_and_pair5():
@@ -640,7 +646,6 @@ def test_validation_matches_the_definition_on_corrupted_tables(corpus_runs):
     tables = failing_inverse_tables()
     small = [r for r in corpus_runs if len(r.masks) <= 50]
     tables += [r.bisection_semigroup.semigroup.table.tolist() for r in small]
-    assert {len(rows) >= semigroups._INNER_INVERSES_FROM for rows in tables} == {True, False}
     rng = random.Random(23)
     kinds = set()
     for rows in tables:
@@ -650,10 +655,45 @@ def test_validation_matches_the_definition_on_corrupted_tables(corpus_runs):
     assert kinds == {"associativity", "element", "no", None}
 
 
+# A magma without idempotents in which every s has a u with sus = s.
+NO_IDEMPOTENTS = [[2, 2, 3, 3], [2, 3, 2, 1], [3, 1, 1, 2], [0, 3, 0, 2]]
+
+
 def test_inner_inverses_recheck_the_inverse_laws():
     # no idempotents, and every s has a u with sus = s, but this magma is not
     # associative and some usu is no inverse of s: the re-check refuses it
-    t = np.array([[2, 2, 3, 3], [2, 3, 2, 1], [3, 1, 1, 2], [0, 3, 0, 2]], dtype=np.int32)
+    t = np.array(NO_IDEMPOTENTS, dtype=np.int32)
     assert associativity_witness(t) is not None
     assert all(any(t[t[s, u], s] == s for u in range(4)) for s in range(4))
     assert semigroups._inner_inverses(t) is None
+
+
+def assert_absorbing_agrees(rows):
+    """_absorbing and adjoin_zero find the definition's absorbing element; it is returned."""
+    found = absorbing_by_definition(rows)
+    assert len(found) <= 1
+    zero = found[0] if found else None
+    t = np.array(rows, dtype=np.int32)
+    assert semigroups._absorbing(t) == zero
+    names, grown = adjoin_zero([f"x{i}" for i in range(len(rows))], t)
+    assert len(names) == len(rows) + (zero is None)
+    assert semigroups._absorbing(grown) == (len(rows) if zero is None else zero)
+    return zero
+
+
+def test_absorbing_matches_the_definition(corpus_runs):
+    tables = [rows for run in corpus_runs for rows in relabellings(run)]
+    for G in (units_groupoid(10), pair_groupoid(5)):
+        tables.append(bisection_semigroup(G, enumerate_bisections(G)).semigroup.table)
+    for rows in tables:
+        assert assert_absorbing_agrees(rows) is not None
+    rng = random.Random(31)
+    small = [r.bisection_semigroup.semigroup.table.tolist() for r in corpus_runs]
+    small = [rows for rows in small if len(rows) <= 50]
+    found = {assert_absorbing_agrees(corrupt(rng.choice(small), rng)) is None for _ in range(200)}
+    assert found == {True, False}
+    group = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    for rows in (NO_IDEMPOTENTS, right_zero_band(5), group):
+        assert assert_absorbing_agrees(rows) is None
+    # a chain under max: every element is idempotent and the top, the last one, absorbs
+    assert assert_absorbing_agrees([[max(i, j) for j in range(6)] for i in range(6)]) == 5
