@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The bench ladder: per-stage time, counters and peak memory of fixed CLI rungs.
 
-    python3 bench/ladder.py --out BENCH_<n>.json [--root DIR] [--only NAME ...] [--work DIR]
+    python3 bench/ladder.py --out BENCH_<n>.json [--root DIR ...] [--repeat N]
+                            [--only NAME ...] [--work DIR]
 
 The checkout's own package first writes the input documents (the corpus
 and the larger pair and units groupoids) into ``--work``.  A rung is one
@@ -27,6 +28,17 @@ input an earlier rung did not write is recorded with ``status: "no
 input"``.  The results of one checkout are one entry of ``runs`` in the
 output JSON, keyed by commit; an entry for the same commit is replaced,
 so the parent and the change can share one file.
+
+``--repeat N`` runs every rung N times (once by default), and ``--root``
+may name several checkouts (say the parent and the change), which then
+take turns on each rung, so that a drift of the machine falls on all of
+them alike.  A rung's record holds the median of ``seconds``,
+``peak_rss_mb`` and each stage over its runs, with ``seconds_range`` and
+``peak_rss_mb_range`` (least and greatest) and ``repeats``; a rung that
+did not pass every run keeps the record of its first failing run, with
+``failed_repeats`` and the figures of the runs that passed.  The inputs
+are written by the first root's package, and the documents that rungs
+write are shared by the roots.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -152,6 +165,26 @@ def run_rung(root: Path, argvs: list[list[str]], seconds: int, memory_mb: int) -
     return {**json.loads(lines[-1]), "budget": budget}
 
 
+def combine(results: list[dict]) -> dict:
+    """One rung's record from its runs: medians and ranges of the runs that passed."""
+    done = [r for r in results if r["status"] == "ok"]
+    failed = [r for r in results if r["status"] != "ok"]
+    record = {**(failed or done)[0], "repeats": len(results)}
+    if failed:
+        record["failed_repeats"] = len(failed)
+    if done:
+        for key in ("seconds", "peak_rss_mb"):
+            values = [r[key] for r in done]
+            record[key] = round(statistics.median(values), 6)
+            record[f"{key}_range"] = [min(values), max(values)]
+        names = sorted({name for r in done for name in r["stages"]})
+        record["stages"] = {
+            name: round(statistics.median(r["stages"].get(name, 0.0) for r in done), 6)
+            for name in names
+        }
+    return record
+
+
 def write_inputs(root: Path, work: Path) -> None:
     """Write the corpus and the other groupoid documents with the checkout's own package."""
     sys.path.insert(0, str(root / "src"))
@@ -187,10 +220,12 @@ def describe(root: Path) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    parser.add_argument("--out", type=Path, help="BENCH_*.json to add this checkout's run to")
+    parser.add_argument("--root", type=Path, nargs="+", default=[HERE],
+                        help="checkouts to measure, in turns on each rung")
+    parser.add_argument("--out", type=Path, help="BENCH_*.json to add each checkout's run to")
     parser.add_argument("--work", type=Path, default=HERE / ".bench_ladder")
     parser.add_argument("--only", nargs="*", help="rung names to run (default: all)")
+    parser.add_argument("--repeat", type=int, default=1, help="runs of every rung (default 1)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -202,23 +237,32 @@ def main() -> None:
         return
     if not args.out:
         parser.error("--out is required")
-    root, work = args.root.resolve(), args.work.resolve()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    roots, work = [root.resolve() for root in args.root], args.work.resolve()
     (work / "corpus").mkdir(parents=True, exist_ok=True)
-    spec = json.dumps({"root": str(root), "work": str(work)})
+    spec = json.dumps({"root": str(roots[0]), "work": str(work)})
     subprocess.run([sys.executable, __file__, "--child", spec], check=True)
-    run = {**describe(root), "rungs": {}}
+    runs = [{**describe(root), "rungs": {}} for root in roots]
     for name, argvs, seconds, memory in rungs(work):
         if args.only and name not in args.only:
             continue
-        result = run_rung(root, argvs, seconds, memory)
-        run["rungs"][name] = result
-        if "seconds" in result:
-            print(f"{name:32} {result['status']:12} {result['seconds']:.3f} s, "
-                  f"{result['peak_rss_mb']} MB", flush=True)
-        else:
-            print(f"{name:32} {result['status']}", flush=True)
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
-    runs = [r for r in runs if r["commit"] != run["commit"]] + [run]
+        results = [[] for _ in roots]
+        for _ in range(args.repeat):
+            for root, mine in zip(roots, results):
+                mine.append(run_rung(root, argvs, seconds, memory))
+        for run, mine in zip(runs, results):
+            result = run["rungs"][name] = combine(mine)
+            if "seconds" in result:
+                low, high = result.get("seconds_range", (result["seconds"],) * 2)
+                print(f"{run['commit']:14} {name:32} {result['status']:12} "
+                      f"{result['seconds']:.3f} s ({low:.3f}-{high:.3f}), "
+                      f"{result['peak_rss_mb']} MB", flush=True)
+            else:
+                print(f"{run['commit']:14} {name:32} {result['status']}", flush=True)
+    previous = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    commits = {run["commit"] for run in runs}
+    runs = [r for r in previous if r["commit"] not in commits] + runs
     args.out.write_text(json.dumps({"ladder": "bench/ladder.py", "runs": runs}, indent=1) + "\n")
 
 

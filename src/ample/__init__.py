@@ -32,6 +32,7 @@ from .formats import (
     parse_document,
     parse_groupoid,
     parse_semigroup,
+    semigroup_lines,
     write_groupoid,
     write_semigroup,
 )

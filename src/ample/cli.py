@@ -7,12 +7,15 @@ deterministic text; --summary additionally writes a JSON digest.
 
 Each ``cmd_*`` takes the parsed arguments and returns ``(lines, summary,
 ok, documents)``: the report lines, the --summary fields other than
-``command`` and ``ok``, whether every check passed, and ``{path: text}``
-for the documents that -o or --out-dir names.  A document bound for
-stdout is the last report line instead, without its final newline.
-Commands print and write nothing themselves; :func:`main` alone writes
-the documents, prints the lines, writes the summary and picks the exit
-code.
+``command`` and ``ok``, whether every check passed, and ``{path:
+document}`` for the documents that -o or --out-dir names.  A document is
+its text, or an iterable of its lines (each with its newline) that is
+written as it comes, so a large table is never held whole; either kind
+goes to a sibling ``.part`` file that replaces the target only once it
+is whole.  A document bound for stdout is the last report line instead,
+without its final newline.  Commands print and write nothing themselves;
+:func:`main` alone writes the documents, prints the lines, writes the
+summary and picks the exit code.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .formats import (
     parse_document,
     parse_groupoid,
     parse_semigroup,
+    semigroup_lines,
     write_groupoid,
     write_semigroup,
 )
@@ -53,7 +57,7 @@ from .semigroups import idempotent_semilattice
 from .spectrum import tight_spectrum
 
 
-# (report lines, --summary fields, every check passed, {path: document text})
+# (report lines, --summary fields, every check passed, {path: text or lines})
 Report = tuple[list[str], dict, bool, dict]
 
 
@@ -120,7 +124,6 @@ def cmd_ample(args) -> Report:
     bs = bisection_semigroup(G, masks)
     idem = bs.semigroup.idempotents
     T, _audit = abstract_table(bs, seed=args.seed)
-    doc = write_semigroup(T)
     lines = [
         f"arrows: {len(G.arrows)}",
         f"units: {len(G.units)}",
@@ -132,8 +135,8 @@ def cmd_ample(args) -> Report:
     lines.append(f"abstract-table-seed: {args.seed}")
     summary = {"bisections": len(masks), "idempotents": len(idem), "seed": args.seed}
     if args.output:
-        return lines, summary, True, {args.output: doc}
-    return lines + [doc[:-1]], summary, True, {}
+        return lines, summary, True, {args.output: semigroup_lines(T)}
+    return lines + [write_semigroup(T)[:-1]], summary, True, {}
 
 
 def cmd_reconstruct(args) -> Report:
@@ -319,12 +322,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_document(path: Path, doc) -> None:
+    """Write ``doc`` (its text or its lines) beside ``path``, then move it there.
+
+    The lines are written as they come, so ``path`` never holds part of a
+    document: a write that fails leaves whatever was there before.  A
+    device or a pipe (``/dev/null``, say) takes the lines directly, and a
+    symbolic link keeps pointing at the file it names.
+    """
+    lines = [doc] if isinstance(doc, str) else doc
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+        return
+    path = path.resolve()
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lines, summary, ok, documents = args.func(args)
-        for path, text in documents.items():
-            Path(path).write_text(text, encoding="utf-8")
+        for path, doc in documents.items():
+            write_document(Path(path), doc)
         for line in lines:
             print(line)
         if args.summary:

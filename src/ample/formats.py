@@ -19,21 +19,23 @@ and column; documents that parse but break an axiom raise ValidationError
 wrapping the algebraic witness.
 
 Scanning.  A table document is millions of identifiers, so the scanner
-does no per-token work on identifier lists.  It keeps only an offset;
-line and column are counted from the text when an error is raised.
-Structural tokens are read one at a time with one regex.  An identifier
-list (elements, table, units) is read as one run: a character-class
-match over identifiers and whitespace that hops over each '#' comment
-and goes on.  A regex alternation over whitespace, comment and identifier
-would do the same in one match, but Python's re keeps a backtracking
-frame per repetition, which costs more memory than the names.  Comments
-in the run are blanked to spaces, so it is ASCII and its byte offsets
-are text offsets.  Table entries go into one int32 array _CHUNK
-characters at a time, looked up on the bytes by _NameIndex (no string
-per entry) or, in a small table, through a dict.  The first unknown entry
-is located by rescanning the run, on the error path only.  The token
-after a run is read by the ordinary scanner, so a bad character there is
-reported where a token-at-a-time scan would meet it.
+does no per-token work on identifier lists and never copies one whole.
+It keeps only an offset; line and column are counted from the text when
+an error is raised.  Structural tokens are read one at a time with one
+regex.  An identifier list (elements, table, units) is read as one run,
+in pieces cut from the text itself at whitespace about _CHUNK characters
+apart, up to the first '}'.  A piece is taken whole when it is ASCII and
+one bytes.translate finds nothing in it but identifier characters and
+whitespace; otherwise _RUN_RE finds where it stops.  At a '#' the run
+goes on after the comment, which one piece holds whole, blanked to as
+many spaces (so offsets in a piece are text offsets, and a '}' or a
+non-ASCII character in a comment changes nothing); any other character
+ends the run.  Table entries go into one int32 array a piece at a time,
+looked up on the bytes by _NameIndex (no string per entry) or, in a
+small table, through a dict.  The first unknown entry is located by
+reading the run again, on the error path only.  The token after a run is
+read by the ordinary scanner, so a bad character there is reported where
+a token-at-a-time scan would meet it.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ _TOKEN_RE = re.compile(
 _RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_.+@]+")
-# A table run is looked up _CHUNK characters at a time, which bounds the
-# temporaries; under _SMALL entries a dict costs less than _NameIndex.
+_RUN_BYTES = bytes(c for c in range(128) if _RUN_RE.fullmatch(chr(c)))
+# An identifier list is read in pieces of about _CHUNK characters, which
+# bounds the temporaries; under _SMALL entries a dict costs less than
+# _NameIndex.
 _CHUNK = 1 << 15
 _SMALL = 1 << 12
 _MULT = 0x9E3779B97F4A7C15  # odd, so its powers are too
@@ -75,9 +79,9 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 class _Scanner:
     """Tokens as (kind, text, offset), with one token of lookahead."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self._peeked = None
 
     def error(self, message: str, pos: int) -> ParseError:
@@ -120,93 +124,149 @@ class _Scanner:
         return tok
 
 
-def _ident_list(sc: _Scanner) -> tuple[int, str]:
-    """'{' IDENT* '}' read as one run.
+def _run(sc: _Scanner):
+    """'{' IDENT* '}' read as one run, with no copy of it.
 
-    Returns its offset and its text, each comment blanked to as many spaces.
+    Yields (offset, piece) pairs: the run's text cut at whitespace into
+    pieces of about _CHUNK characters, each comment blanked to as many
+    spaces and held whole by one piece.  Once they are all taken, the
+    scanner stands at the run's end and has read the '}' there.
     """
     sc.expect("lbrace", "'{'")
-    text = sc.text
-    start = sc.pos
-    end = _RUN_RE.match(text, start).end()
-    while text.startswith("#", end):
-        end = _RUN_RE.match(text, _COMMENT_RE.match(text, end).end()).end()
-    sc.pos = end
+    text, pos = sc.text, sc.pos
+    end = text.find("}", pos) % (len(text) + 1)  # no '}': the end of the text
+    while pos < end:
+        stop = min(pos + _CHUNK, end)
+        cut = _IDENT_RE.match(text, stop, end)  # move the cut past the identifier it splits
+        stop = cut.end() if cut else stop
+        piece = text[pos:stop]
+        if piece.isascii() and not piece.encode("ascii").translate(None, _RUN_BYTES):
+            yield pos, piece
+            pos = stop
+            continue
+        # the run goes on after each comment, to the cut or past the comment
+        # that holds it, and ends at any other character
+        run_end = _RUN_RE.match(text, pos, stop).end()
+        while text.startswith("#", run_end):
+            run_end = _COMMENT_RE.match(text, run_end).end()
+            if run_end > end:  # the '}' was in the comment
+                end = text.find("}", run_end) % (len(text) + 1)
+            run_end = _RUN_RE.match(text, run_end, max(run_end, stop)).end()
+        yield pos, _COMMENT_RE.sub(lambda m: " " * len(m.group()), text[pos:run_end])
+        pos = run_end
+        if run_end < stop:
+            break
+    sc.pos = pos
     sc.expect("rbrace", "'}'")
-    run = text[start:end]
-    if "#" in run:
-        run = _COMMENT_RE.sub(lambda m: " " * len(m.group()), run)
-    return start, run
 
 
-def _offset(run: str, k: int) -> int:
-    """Offset in run of its k-th identifier."""
-    return next(islice(_IDENT_RE.finditer(run), k, None)).start()
+def _nth_ident(pieces, k: int) -> tuple[int, str]:
+    """Offset and text of the k-th identifier of the (offset, piece) pairs."""
+    found = ((lo + m.start(), m.group()) for lo, piece in pieces for m in _IDENT_RE.finditer(piece))
+    return next(islice(found, k, None))
 
 
 class _NameIndex:
     """Exact lookup of identifiers by their bytes as little-endian uint64 words.
 
     A key is ceil(w/8) words, w the longest name, zero past the name's end;
-    identifier bytes are never 0, so equal keys are equal strings.  Names
-    hash into tables of at least 8n slots; those that collide go into one
-    more table with the next multiplier.  A table only proposes a name, which
-    an entry takes when every key word agrees, so no hash decides a lookup.
+    identifier bytes are never 0, so equal keys are equal strings, and an
+    entry longer than every name gets key word 0 = 0, which no name has.
+    Names hash into tables of at least 8n slots; those a table has no room
+    for go into one more table with the next multiplier.  A table only
+    proposes a name, which an entry takes when every key word agrees, so no
+    hash decides a lookup.  An empty slot proposes a sentinel key of 0xFF
+    bytes, which no identifier has.
     """
 
     def __init__(self, names: list[str]):
         self.words = -(-max(map(len, names)) // 8)
-        padded = (name.encode("ascii").ljust(8 * self.words, b"\0") for name in names)
-        self.keys = np.frombuffer(b"".join(padded), "<u8").reshape(len(names), -1)
+        # masks[j][length]: the bytes of key word j of an identifier of that
+        # length; take(mode="clip") reads any longer one as 8·words + 1
+        lengths = np.arange(8 * self.words + 2)
+        self.masks = _MASKS[np.clip(lengths - 8 * np.arange(self.words)[:, None], 0, 8)]
+        self.masks[0, -1] = 0
+        sentinel = np.full((self.words, 1), np.iinfo(np.uint64).max, dtype=np.uint64)
+        # word j of name i at [j, i]; the sentinel is name len(names)
+        self.keys = np.hstack([self._keys(" ".join(names)), sentinel])
         bits = (8 * len(names) - 1).bit_length()
         self.shift = np.uint64(64 - bits)
         self.tables = []
         left, mult = np.arange(len(names)), np.uint64(_MULT)
-        while left.size:  # each table places the first name of every slot
-            slots, first = np.unique(self._slots(self.keys[left], mult), return_index=True)
-            table = np.full(1 << bits, -1, dtype=np.int32)
-            table[slots] = left[first]
+        while left.size:  # each table places one name of every slot it is given
+            slots = self._slots(self.keys[:, left], mult)
+            table = np.full(1 << bits, len(names), dtype=np.int32)
+            table[slots] = left
             self.tables.append((mult, table))
-            left = np.delete(left, first)
+            left = left[table[slots] != left]
             mult = np.uint64(int(mult) * _MULT % 2**64)
 
-    def _slots(self, keys: np.ndarray, mult: np.uint64) -> np.ndarray:
-        h = keys[:, 0] * mult
-        for j in range(1, self.words):
-            h = (h ^ keys[:, j]) * mult
-        return (h ^ h >> np.uint64(32)) * mult >> self.shift  # high bits mixed into low
-
-    def find(self, chunk: str) -> np.ndarray:
-        """Indices of the identifiers in chunk (ASCII identifiers and
-        whitespace), in order, with -1 for an unknown one."""
+    def _keys(self, chunk: str) -> np.ndarray:
+        """The keys of the identifiers in chunk (ASCII identifiers and
+        whitespace), in order, one column each."""
         padded = b" " + chunk.encode("ascii") + bytes(8 * self.words)
         inside = np.frombuffer(padded, dtype=np.uint8) > 32
         edges = np.flatnonzero(inside[1:] != inside[:-1]) + 1
-        starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts
         # the 8 bytes from every offset; fancy indexing, as take() copies the source
         window = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-        keys = np.empty((len(starts), self.words), dtype=np.uint64)
-        for j in range(self.words):
-            keys[:, j] = window[starts + 8 * j] & _MASKS[np.clip(lengths - 8 * j, 0, 8)]
-        keys[lengths > 8 * self.words, 0] = 0  # too long: no name's first word is 0
-        found = np.full(len(starts), -1, dtype=np.int32)
-        todo, asked = np.arange(len(starts)), keys
-        for mult, table in self.tables:
-            cand = table[self._slots(asked, mult)]
-            hit = (self.keys[cand] == asked).all(axis=1) & (cand >= 0)
+        keys = np.empty((self.words, len(starts)), dtype=np.uint64)
+        for j, masks in enumerate(self.masks):
+            np.bitwise_and(window[starts + 8 * j], masks.take(lengths, mode="clip"), out=keys[j])
+        return keys
+
+    def _slots(self, keys: np.ndarray, mult: np.uint64) -> np.ndarray:
+        h = keys[0] * mult
+        for word in keys[1:]:
+            h ^= word
+            h *= mult
+        h ^= h >> np.uint64(32)  # high bits mixed into low
+        h *= mult
+        h >>= self.shift
+        return h.view(np.int64)
+
+    def _differ(self, cand: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Per column, whether keys differs from the key of name cand."""
+        differ = np.zeros(len(cand), dtype=bool)
+        for own, word in zip(self.keys, keys):
+            differ |= own.take(cand) != word
+        return differ
+
+    def find(self, chunk: str, out: np.ndarray) -> int:
+        """Write the indices of chunk's identifiers to out, in order, with -1
+        for an unknown one; returns their count, and writes nothing when
+        they do not fit."""
+        keys = self._keys(chunk)
+        count = keys.shape[1]
+        if count > len(out):
+            return count
+        found = out[:count]
+        (mult, table), *more = self.tables
+        table.take(self._slots(keys, mult), out=found, mode="clip")
+        todo = np.flatnonzero(self._differ(found, keys))
+        for mult, table in more:  # only the misses ask the later tables
+            if not todo.size:
+                break
+            asked = keys[:, todo]
+            cand = table.take(self._slots(asked, mult))
+            hit = ~self._differ(cand, asked)
             found[todo[hit]] = cand[hit]
-            todo = todo[~hit & (cand >= 0)]
-            asked = keys[todo]
-        return found
+            todo = todo[~hit]
+        found[todo] = -1
+        return count
 
 
-def _first_duplicate(names: list[str]) -> int | None:
+def _names(sc: _Scanner, what: str) -> list[str]:
+    """'{' IDENT* '}' as a list of names, none of them twice."""
+    pieces = list(_run(sc))
+    names = [name for _, piece in pieces for name in piece.split()]
     seen = set()
     for k, name in enumerate(names):
         if name in seen:
-            return k
+            raise sc.error(f"duplicate {what} {name!r}", _nth_ident(pieces, k)[0])
         seen.add(name)
-    return None
+    return names
 
 
 def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInverseSemigroup:
@@ -216,12 +276,8 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("elements")
-    start, run = _ident_list(sc)
-    names = run.split()
+    names = _names(sc, "element")
     seen = {name: i for i, name in enumerate(names)}
-    if len(seen) != len(names):
-        k = _first_duplicate(names)
-        raise sc.error(f"duplicate element {names[k]!r}", start + _offset(run, k))
     if not names:
         raise sc.error("element list is empty", sc.peek()[2])
 
@@ -231,29 +287,25 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
         raise sc.error(f"unknown zero element {ztok[1]!r}", ztok[2])
 
     sc.expect_keyword("table")
-    start, run = _ident_list(sc)
     n = len(names)
-    find = _NameIndex(names).find if n * n >= _SMALL else (
-        lambda chunk: np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32))
+    if n * n >= _SMALL:
+        find = _NameIndex(names).find
+    else:
+        def find(chunk, out):
+            found = np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32)
+            out[: len(found)] = found[: len(out)]
+            return len(found)
     # one int32 array, which validation takes over without a copy, filled
-    # by chunks cut at whitespace; the run holds at most len(run)//2+1 entries
-    table = np.empty(min(n * n, len(run) // 2 + 1), dtype=np.int32)
-    count = pos = 0
-    while pos < len(run):
-        cut = _IDENT_RE.match(run, pos + _CHUNK)
-        end = cut.end() if cut else pos + _CHUNK
-        found = find(run[pos:end])
-        if count + len(found) <= len(table):
-            table[count : count + len(found)] = found
-        count += len(found)
-        pos = end
+    # piece by piece; the text holds at most len(text)//2+1 entries
+    table = np.empty(min(n * n, len(text) // 2 + 1), dtype=np.int32)
+    count, at = 0, sc.pos
+    for _, piece in _run(sc):
+        count += find(piece, table[count:])
     if count != n * n:
         raise sc.error(f"table has {count} entries, expected {n * n}", sc.peek()[2])
-    unknown = np.flatnonzero(table < 0)
-    if unknown.size:
-        entry = _IDENT_RE.match(run, _offset(run, int(unknown[0])))
-        raise sc.error(f"unknown element {entry.group()!r} in table", start + entry.start())
-    del run
+    if table.min() < 0:  # read the run again, up to the first unknown entry
+        offset, entry = _nth_ident(_run(_Scanner(text, at)), int(np.argmax(table < 0)))
+        raise sc.error(f"unknown element {entry!r} in table", offset)
     table = table.reshape(n, n)
 
     sc.expect("rbrace", "'}'")
@@ -283,12 +335,8 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     sc.expect("lbrace", "'{'")
 
     sc.expect_keyword("units")
-    start, run = _ident_list(sc)
-    names = run.split()
+    names = _names(sc, "unit")
     seen = {name: i for i, name in enumerate(names)}
-    if len(seen) != len(names):
-        k = _first_duplicate(names)
-        raise sc.error(f"duplicate unit {names[k]!r}", start + _offset(run, k))
     n_units = len(names)
 
     sc.expect_keyword("arrows")
@@ -385,17 +433,26 @@ def parse_document(text: str):
     raise sc.error("expected 'semigroup' or 'groupoid'", tok[2])
 
 
-def write_semigroup(S: FiniteInverseSemigroup) -> str:
-    lines = ["semigroup {"]
-    lines.append("  elements { " + " ".join(S.elements) + " }")
-    lines.append(f"  zero {S.elements[S.zero]}")
-    lines.append("  table {")
+def semigroup_lines(S: FiniteInverseSemigroup):
+    """The lines of S's semigroup document, each with its newline.
+
+    The table comes one row a line, so a caller that writes the lines as
+    they come never holds the whole document.
+    """
+    yield "semigroup {\n"
+    yield "  elements { " + " ".join(S.elements) + " }\n"
+    yield f"  zero {S.elements[S.zero]}\n"
+    yield "  table {\n"
     names = np.array(S.elements, dtype=object)
     for row in S.table:
-        lines.append("    " + " ".join(names[row].tolist()))
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "    " + " ".join(names[row].tolist()) + "\n"
+    yield "  }\n"
+    yield "}\n"
+
+
+def write_semigroup(S: FiniteInverseSemigroup) -> str:
+    """S's semigroup document: the lines of :func:`semigroup_lines`, joined."""
+    return "".join(semigroup_lines(S))
 
 
 def write_groupoid(G: FiniteGroupoid) -> str:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import (
+    corpus,
     idempotent_semilattice,
     pair_groupoid,
     parse_groupoid,
@@ -313,6 +314,59 @@ def test_corpus_listing_and_files(capsys, tmp_path):
     assert len(files) == 14
     for path in files:
         parse_groupoid(path.read_text())
+    # the corpus documents are str documents, written whole
+    for name, G in corpus().items():
+        path = out_dir / f"{name.replace('+', '_plus_')}.gpd"
+        assert path.read_text(encoding="utf-8") == write_groupoid(G)
+
+
+@pytest.mark.parametrize("name", ["pair2+z2", "pair5"])
+def test_ample_output_file_is_the_stdout_document(capsys, tmp_path, name):
+    # -o writes the table one row at a time; the bytes are the document that
+    # stdout ends with, which print ends with the same newline
+    G = pair_groupoid(5) if name == "pair5" else corpus()[name]
+    gpd, sgp = tmp_path / "g.gpd", tmp_path / "t.sgp"
+    gpd.write_text(write_groupoid(G), encoding="utf-8")
+    code, report, _ = run_cli(capsys, "ample", str(gpd), "-o", str(sgp), "--seed", "4")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "ample", str(gpd), "--seed", "4")
+    assert code == 0 and out.startswith(report)
+    assert sgp.read_bytes() == out[len(report) :].encode("utf-8")
+
+
+@pytest.mark.parametrize("before", [None, "an older table\n"])
+def test_a_write_that_fails_partway_leaves_no_part_of_the_document(
+    capsys, monkeypatch, tmp_path, before
+):
+    # the rows go to a sibling file that replaces the target only when whole
+    import ample.cli as cli
+
+    rows = cli.semigroup_lines
+
+    def failing(T):
+        for k, line in enumerate(rows(T)):
+            if k == 3:
+                raise OSError("No space left on device")
+            yield line
+
+    monkeypatch.setattr(cli, "semigroup_lines", failing)
+    sgp = tmp_path / "t.sgp"
+    if before is not None:
+        sgp.write_text(before, encoding="utf-8")
+    code, out, err = run_cli(capsys, "ample", str(DATA / "pair2.gpd"), "-o", str(sgp))
+    assert (code, out) == (2, "") and err == "error: No space left on device\n"
+    assert sorted(tmp_path.iterdir()) == ([sgp] if before is not None else [])
+    assert before is None or sgp.read_text(encoding="utf-8") == before
+
+
+def test_an_output_through_a_symbolic_link_replaces_the_file_it_names(capsys, tmp_path):
+    target, link = tmp_path / "t.sgp", tmp_path / "link.sgp"
+    target.write_text("an older table\n", encoding="utf-8")
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "ample", str(DATA / "pair2.gpd"), "-o", str(link))
+    assert code == 0 and link.is_symlink()
+    assert parse_semigroup(target.read_text(encoding="utf-8")).elements
+    assert sorted(tmp_path.iterdir()) == [link, target]
 
 
 def test_outputs_are_deterministic(capsys, tmp_path):

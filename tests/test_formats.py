@@ -1,8 +1,10 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ample import (
@@ -15,6 +17,7 @@ from ample import (
     parse_document,
     parse_groupoid,
     parse_semigroup,
+    semigroup_lines,
     units_groupoid,
     write_groupoid,
     write_semigroup,
@@ -43,9 +46,12 @@ def mutate(text, rng):
     return text[:i] + text[j : j + k] + text[i:]
 
 
+def ample_table(G):
+    return abstract_table(bisection_semigroup(G, enumerate_bisections(G)))[0]
+
+
 def ample_table_document(G):
-    table, _audit = abstract_table(bisection_semigroup(G, enumerate_bisections(G)))
-    return write_semigroup(table)
+    return write_semigroup(ample_table(G))
 
 
 def renamed(doc, suffix):
@@ -309,7 +315,12 @@ def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
         for _ in range(3):
             entries = near_misses(rng, names)
             chunk = "".join(e + rng.choice((" ", "\t", "\r\n", "\n   ")) for e in entries)
-            assert index.find(chunk).tolist() == [seen.get(e, -1) for e in entries]
+            out = np.full(len(entries) + 1, -2, dtype=np.int32)
+            assert index.find(chunk, out) == len(entries)
+            assert out.tolist() == [seen.get(e, -1) for e in entries] + [-2]
+            # entries that do not fit are counted, and nothing is written
+            assert index.find(chunk, out[2:]) == len(entries)
+            assert out.tolist() == [seen.get(e, -1) for e in entries] + [-2]
 
 
 # separators between table entries: tabs, CRLF, and comments (one non-ASCII)
@@ -358,6 +369,102 @@ def test_tables_either_side_of_the_dict_cutoff(n):
         got = outcome(parse_semigroup, text)
         assert got == outcome(parse_semigroup_by_tokens, text)
         assert (k == 0) == (not isinstance(got, tuple))
+
+
+def run_edges(names):
+    """Documents whose table run ends, or seems to end, in every way the
+    reader has to tell apart."""
+    n = len(names)
+    entries = [names[min(i, j)] for i in range(n) for j in range(n)]
+    head = f"semigroup {{\n  elements {{ {' '.join(names)} }}\n  zero {names[0]}\n  table {{\n"
+
+    def table(rows, tail="  }\n}\n"):
+        return head + "\n".join("    " + " ".join(row) for row in rows) + "\n" + tail
+
+    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+    middle = n * n // 2
+    flat = entries[:middle], entries[middle:]
+    yield table(rows)
+    # comments before the table's brace that hold '}', '{' or a non-ASCII character
+    for comment in ("# } here", "# {}}{", "# née }", "#}", "# = { é"):
+        yield table(rows[:1] + [rows[1] + [comment]] + rows[2:])
+        yield table([*rows[:-1], rows[-1] + [comment]])
+    yield head + "# } first\n" + table(rows)[len(head):]
+    # a '#' only after the brace
+    yield table(rows, "  } # done }\n} # {\n")
+    yield table(rows, "  }\n}\n# é }")
+    # a non-ASCII character, '=' or '{' in the middle of the table
+    for bad in ("é", "=", "{", "->", ":", "\x0c", "?"):
+        yield table([flat[0] + [bad] + flat[1]])
+        yield table([flat[0] + [bad + flat[1][0]] + flat[1][1:]])
+    # no closing brace, with and without a comment at the end
+    yield head + " ".join(entries)
+    yield head + " ".join(entries) + " # no brace }"
+    yield head + " ".join(entries) + "\n# no brace"
+    # a bad character right after n² entries
+    for bad in ("é", "=", "{", "?", "#é\n?"):
+        yield head + " ".join(entries) + bad + " }\n}\n"
+        yield head + " ".join(entries) + " " + bad + "\n  }\n}\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 15])
+@pytest.mark.parametrize("small", [0, 1 << 12])
+def test_table_run_edges_agree_with_token_scan(monkeypatch, chunk, small):
+    monkeypatch.setattr(formats, "_SMALL", small)
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    names = [f"e{i}" for i in range(6)]
+    kinds = Counter()
+    for text in run_edges(names):
+        got = outcome(parse_semigroup, text)
+        assert got == outcome(parse_semigroup_by_tokens, text), text
+        kinds[got[1].split(" (at")[0] if isinstance(got, tuple) else "ok"] += 1
+    assert kinds["ok"] == 14 and kinds["expected '}', found 'end of input'"] == 3, kinds
+
+
+def test_comments_are_blanked_inside_pieces_of_full_size(monkeypatch):
+    # a comment is held whole by one piece, so comments after a third of the
+    # entries do not cut the run into pieces of a row or less
+    monkeypatch.setattr(formats, "_CHUNK", 256)
+    text = chain_document([f"e{i}" for i in range(40)], random.Random(3))
+    start = text.index("table {") + len("table")
+    sc = formats._Scanner(text, start)
+    pieces = list(formats._run(sc))
+    run = text[start + 2 : sc.pos - 1]  # between the braces
+    assert run.count("#") > 400
+    assert "".join(piece for _, piece in pieces) == re.sub(
+        r"#[^\n]*", lambda m: " " * len(m.group()), run)
+    assert pieces[0][0] == start + 2
+    assert all(lo + len(piece) == after for (lo, piece), (after, _) in zip(pieces, pieces[1:]))
+    assert len(pieces) <= len(run) // 256 + 1
+
+
+def test_reading_a_table_makes_no_copy_of_the_document(monkeypatch):
+    # the table run is read piece by piece from the text itself, so the
+    # parse holds the table and about one piece at a time, never a second
+    # copy of the run (validation, which has its own temporaries, is stubbed)
+    text = ample_table_document(units_groupoid(10))
+    got = {}
+    monkeypatch.setattr(formats, "validate_inverse_semigroup",
+                        lambda names, table: got.setdefault("table", table))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AttributeError):  # the stub returns the table, not a semigroup
+            parse_semigroup(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["table"].shape == (1024, 1024)
+    assert peak < len(text) // 2 + got["table"].nbytes, (peak, len(text))
+
+
+def test_semigroup_lines_are_the_document_one_row_a_line():
+    for name, G in corpus().items():
+        T = ample_table(G)
+        lines = list(semigroup_lines(T))
+        assert "".join(lines) == write_semigroup(T), name
+        assert len(lines) == len(T) + 6
+        assert all(line.endswith("\n") and "\n" not in line[:-1] for line in lines)
+        assert parse_semigroup("".join(lines)) == T
 
 
 def wide_table_with_unknown_entry():
