@@ -88,9 +88,13 @@ def rungs(w: Path) -> list[tuple[str, list[list[str]], int, int]]:
     for g in ("units5", "units6", "pair3+pair3"):
         out.append((f"rep-check {g} ample",
                     [["rep-check", f"{w}/{g}.gpd", "--collection", "ample"]], 60, 1024))
+    # exits 2 once the count memoizes MAX_REP_STATES states, at about 1 GB resident
+    out.append(("rep-check units7 ample",
+                [["rep-check", f"{w}/units7.gpd", "--collection", "ample"]], 300, 2048))
     for g in ("pair16", "pair20"):
         out.append((f"rep-check {g} singleton", [["rep-check", f"{w}/{g}.gpd"]], 60, 1024))
     out.append(("stone-check 4", [["stone-check", "--max-points", "4"]], 60, 1024))
+    out.append(("stone-check 5", [["stone-check", "--max-points", "5"]], 180, 1024))
     return out
 
 
@@ -194,7 +198,7 @@ def write_inputs(root: Path, work: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         main(["corpus", "--out-dir", str(work / "corpus")])
     groupoids = {f"pair{n}": pair_groupoid(n) for n in (5, 6, 16, 20)}
-    groupoids |= {f"units{n}": units_groupoid(n) for n in (5, 6, 10, 11, 12, 300, 1100)}
+    groupoids |= {f"units{n}": units_groupoid(n) for n in (5, 6, 7, 10, 11, 12, 300, 1100)}
     groupoids["pair3+pair3"] = disjoint_union(pair_groupoid(3), pair_groupoid(3))
     for name, G in groupoids.items():
         (work / f"{name}.gpd").write_text(write_groupoid(G), encoding="utf-8")

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .bitsets import iter_bits
@@ -59,6 +60,9 @@ from .spectrum import tight_spectrum
 
 # (report lines, --summary fields, every check passed, {path: text or lines})
 Report = tuple[list[str], dict, bool, dict]
+
+# Bases stone-check hands to one stone_check call.
+STONE_CHUNK = 1 << 15
 
 
 def _collection(G, which: str):
@@ -213,20 +217,25 @@ def cmd_stone_check(args) -> Report:
     lines = []
     ok = True
     total = 0
-    # every size is enumerated first, so a size past the guard fails at once;
-    # a negative count is the one size enumerated and fails the same way
+    # every size's bases are generated, and counted against the guard, before
+    # any is checked, so a size past the guard fails at once, with nothing
+    # printed; a negative count is the one size and fails the same way
     sizes = range(min(args.max_points, 0), args.max_points + 1)
     sweep = [enumerate_point_bases(n) for n in sizes]
     for n, spaces in enumerate(sweep):
-        passed = 0
-        for report in stone_check(spaces):
-            if report.passed:
-                passed += 1
-            else:
-                ok = False
-                lines.append(f"  FAIL at |X|={n}: {report.witness}")
-        total += len(spaces)
-        lines.append(f"points={n} bases={len(spaces)} pass={passed}")
+        bases = passed = 0
+        # a chunk at a time, so five points never hold 1.4M spaces and reports;
+        # the first chunk with a bad basis raises for the first in the sweep
+        while chunk := list(islice(spaces, STONE_CHUNK)):
+            for report in stone_check(chunk):
+                if report.passed:
+                    passed += 1
+                else:
+                    ok = False
+                    lines.append(f"  FAIL at |X|={n}: {report.witness}")
+            bases += len(chunk)
+        total += bases
+        lines.append(f"points={n} bases={bases} pass={passed}")
     lines.append(f"total-bases: {total}")
     lines.append(f"status: {'pass' if ok else 'fail'}")
     return lines, {"max_points": args.max_points, "bases": total}, ok, {}

@@ -29,8 +29,9 @@ from .spectrum import tight_spectrum
 AUDIT_COVER_SIZE = 4
 # Most cover-sup instances a failing verdict or --audit-covers lists.
 MAX_REP_INSTANCES = 1 << 24
-# Most states (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y))) one
-# walk memoizes; pair20 singleton memoizes 3 a block, units5 ample (one block) 766.
+# Most states one walk memoizes: (available candidates, O) for the count of one
+# block, where pair20 singleton memoizes 3 a block and units5 ample (one block)
+# 385, and (available candidates, E^{X,Y}, atoms) for the listing.
 MAX_REP_STATES = 1 << 22
 
 
@@ -157,23 +158,30 @@ def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
     reached.  A cover is minimal iff each of its members meets a member
     of F+ that no other member meets, its private part; adding members
     only shrinks private parts, so a branch stops as soon as one is empty.
+    A branch leaves out the candidates its earlier siblings tried: a cover
+    that holds one of them is reached in that sibling's branch, or is not
+    minimal, so each cover is reached once.
     """
     if fplus == 0:
         return (0,)
-    found: set[int] = set()
+    found: list[int] = []
 
-    def rec(zmask: int, private: list[int], uncovered: int) -> None:
+    def rec(zmask: int, private: list[int], uncovered: int, taken: int) -> None:
         if not uncovered:
-            found.add(zmask)
+            found.append(zmask)
             return
-        f = (uncovered & -uncovered).bit_length() - 1
-        for z in iter_bits(isect[f] & fplus):
-            parts = [part & ~isect[z] for part in private]
+        candidates = isect[(uncovered & -uncovered).bit_length() - 1] & fplus & ~taken
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            meets = isect[low.bit_length() - 1]
+            parts = [part & ~meets for part in private]
             if all(parts):
-                parts.append(isect[z] & uncovered)
-                rec(zmask | 1 << z, parts, uncovered & ~isect[z])
+                parts.append(meets & uncovered)
+                rec(zmask | low, parts, uncovered & ~meets, taken)
+            taken |= low
 
-    rec(0, [], fplus)
+    rec(0, [], fplus, 0)
     return tuple(sorted(found))
 
 
@@ -299,31 +307,31 @@ def _atom_characters(
 
 
 def _cover_sup_walk(
-    E: Semilattice, atom_masks: Sequence[int], covers_of, block: int
-) -> tuple[dict[int | None, tuple[int, int]], list[tuple[int | None, int, int]]]:
-    """Instances and covers per X, and the violated (x, Y, Z), of the cover-sup identity.
+    E: Semilattice, atom_masks: Sequence[int], covers_of
+) -> tuple[int, int, list[tuple[int | None, int, int]]]:
+    """Instances, covers and the violated (x, Y, Z) of the cover-sup identity.
 
-    An instance is X (nothing, a position of ``block`` or 0) with an
-    antichain Y in block, and contributes the covers Z of the nonzero part of
+    An instance is X (nothing or one position) with an antichain Y of
+    nonzero positions, and contributes the covers Z of the nonzero part of
     E^{X,Y}.  Written as sets of atoms, pi(x) prod (1 - pi(y)) is
     A_x & ~(A_y1 | ...) and the join over Z is A_z1 | ..., so the identity
-    compares ints, and with no atoms the walk only counts.  Y grows by its
-    lowest available candidate, memoized on (available candidates,
-    E^{X,Y}, atoms of pi(x) prod (1 - pi(y))); a state's violations are
-    relative to it, and its parent prefixes its own candidate, which keeps
-    them in depth-first order.  Past MAX_REP_STATES states, or Python's
-    stack limit (antichains or covers of about a thousand members), it
-    raises BoundExceeded.
+    compares ints.  Y grows by its lowest available candidate, memoized
+    on (available candidates, E^{X,Y}, atoms of pi(x) prod (1 - pi(y)));
+    a state's violations are relative to it, and its parent prefixes its
+    own candidate, which keeps them in depth-first order.  Past
+    MAX_REP_STATES states, or Python's stack limit (antichains or covers
+    of about a thousand members), it raises BoundExceeded.
     """
     m, k = len(E), len(atom_masks)
-    shift, atoms, zero = m + k, (1 << k) - 1, 1 << E.zero_pos
-    positions = iter_bits(block | zero)
-    below = {p: mask_of(a for a, mask in enumerate(atom_masks) if mask >> p & 1) for p in positions}
+    shift, atoms = m + k, (1 << k) - 1
+    below = [mask_of(a for a, mask in enumerate(atom_masks) if mask >> p & 1) for p in range(m)]
     # a state is the atoms above the m bits of E^{X,Y}; choosing y in Y
     # leaves rest & apart available and takes the state to state & keep
     down, up, orth = E.down_masks, E.up_masks, E.orth_masks
-    steps = {p: (~(down[p] | up[p]), (atoms & ~below[p]) << m | orth[p]) for p in iter_bits(block)}
     nonzero = E.nonzero_mask
+    steps = {
+        p: (~(down[p] | up[p]), (atoms & ~below[p]) << m | orth[p]) for p in iter_bits(nonzero)
+    }
     joins: dict[int, int] = {0: 0}
 
     def join(zmask: int) -> int:
@@ -339,7 +347,7 @@ def _cover_sup_walk(
         """Walk and memoize a state not in the memo; callers read hits themselves."""
         covers = covers_of(state & nonzero)
         instances, total = 1, len(covers)
-        bad = [(0, z) for z in covers if join(z) != state >> m] if k else ()
+        bad = [(0, z) for z in covers if join(z) != state >> m]
         rest = avail
         while rest:
             low = rest & -rest
@@ -356,22 +364,69 @@ def _cover_sup_walk(
         got = memo[avail << shift | state] = (instances, total, bad)
         return got
 
-    roots = [(None, atoms << m | block | zero)]
-    roots += [(x, below[x] << m | down[x]) for x in below]
-    counts: dict[int | None, tuple[int, int]] = {}
+    roots = [(None, atoms << m | E.full_mask)]
+    roots += [(x, below[x] << m | down[x]) for x in range(m)]
+    instances = covers = 0
     violations: list[tuple[int | None, int, int]] = []
     try:
         for x, state in roots:
-            i, c, bad = memo.get(block << shift | state) or expand(block, state)
-            counts[x] = (i, c)
+            i, c, bad = memo.get(nonzero << shift | state) or expand(nonzero, state)
+            instances += i
+            covers += c
             violations += [(x, y, z) for y, z in bad]
     except RecursionError:
         raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
-    return counts, violations
+    return instances, covers, violations
+
+
+def _block_count(E: Semilattice, covers_of, block: int) -> tuple[int, int, int]:
+    """Antichains of an orthogonal block B, with the covers for no X and for each X in B.
+
+    One walk over the antichains Y of B, memoized on (available candidates,
+    O) with O the members of B orthogonal to all of Y.  Each node adds
+    its antichain, the covers of O for the root with no X, and h(O), the
+    sum over x in B of the covers of down(x) & O, for the roots X = x.
+    The node with nothing available, O's leaf, holds exactly those terms
+    of O, so h(O) is memoized with it.  A state keeps its three sums as
+    one int, in fields of 2|B| + 1 bits: B has at most 2^|B| antichains
+    and each O at most 2^|B| covers, so no sum carries into the next
+    field.  Past MAX_REP_STATES memoized states it raises BoundExceeded.
+    """
+    m, down, width = len(E), E.down_masks, 2 * block.bit_count() + 1
+    steps = {1 << p: (~(down[p] | E.up_masks[p]), E.orth_masks[p]) for p in iter_bits(block)}
+    memo: dict[int, int] = {}
+    get = memo.get
+
+    def walk(avail: int, inside: int) -> int:
+        """Walk and memoize a state not in the memo; callers read hits themselves."""
+        if avail:
+            sums = get(inside) or walk(0, inside)
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                apart, keep = steps[low]
+                a, o = rest & apart, inside & keep
+                sums += get(a << m | o) or walk(a, o)
+        else:
+            h = sum(len(covers_of(down[x] & inside)) for x in iter_bits(block))
+            sums = 1 | len(covers_of(inside)) << width | h << 2 * width
+        if len(memo) >= MAX_REP_STATES:
+            raise BoundExceeded(f"the cover-sup count passed {MAX_REP_STATES} memoized states")
+        memo[avail << m | inside] = sums
+        return sums
+
+    sums, field = walk(block, block), (1 << width) - 1
+    return sums & field, sums >> width & field, sums >> 2 * width
 
 
 def _cover_sup_count(E: Semilattice, covers_of) -> tuple[int, int]:
-    """The cover-sup counts as products over blocks (see check_tight_representation)."""
+    """The cover-sup counts as products over blocks (see check_tight_representation).
+
+    Each block is one walk (_block_count); past Python's stack limit
+    (antichains or covers of about a thousand members) it raises
+    BoundExceeded.
+    """
     antichains, none, sums, rest = 1, 1, [], E.nonzero_mask
     while rest:
         block, todo = 0, rest & -rest
@@ -380,12 +435,14 @@ def _cover_sup_count(E: Semilattice, covers_of) -> tuple[int, int]:
             block |= low
             todo = (todo | E.intersect_masks[low.bit_length() - 1]) & ~block
         rest &= ~block
-        counts = _cover_sup_walk(E, (), covers_of, block)[0]
-        a = counts.pop(E.zero_pos)[0]
-        none *= counts.pop(None)[1]
-        sums.append((a, sum(c for _, c in counts.values())))
+        try:
+            a, c, h = _block_count(E, covers_of, block)
+        except RecursionError:
+            raise BoundExceeded("the cover-sup count recursed past the stack limit") from None
+        none *= c
+        sums.append((a, h))
         antichains *= a
-    covers = none + antichains + sum(c * (antichains // a) for a, c in sums)
+    covers = none + antichains + sum(h * (antichains // a) for a, h in sums)
     return (len(E) + 1) * antichains, covers
 
 
@@ -467,12 +524,14 @@ def check_tight_representation(
 
     The counters multiply over the orthogonal blocks B of nonzero
     idempotents (the README proves it): instances = (m + 1) P and covers =
-    prod c_B(no X) + P + sum of c_B(x) P / a_B over all B and x in B, with
-    a_B the antichains of B (the empty one too), P = prod a_B and c_B the
-    covers from each root of the walk of B.  Only a failing verdict or
-    ``audit_covers`` walks all of E with the atom masks, to list every
-    violated instance and count the audited covers, which do not multiply;
-    past MAX_REP_INSTANCES instances it raises BoundExceeded.
+    prod c_B + P + sum over B of h_B P / a_B, with a_B the antichains Y of
+    B (the empty one too), P = prod a_B, and c_B and h_B the sums over Y
+    of the covers of O_Y and of h(O_Y), O_Y the members of B orthogonal to
+    all of Y; one walk of B's antichains gives all three (_block_count).
+    Only a failing verdict or ``audit_covers`` walks all of E with the
+    atom masks, from each root in turn, to list every violated instance
+    and count the audited covers, which do not multiply; past
+    MAX_REP_INSTANCES instances it raises BoundExceeded.
     """
     values = []
     for s, element in enumerate(S.elements):
@@ -557,8 +616,7 @@ def check_tight_representation(
         def names_of(mask: int) -> tuple[str, ...]:
             return tuple(name[E.carrier[p]] for p in iter_bits(mask))
 
-        counts, violations = _cover_sup_walk(E, atom_masks, covers_of, E.nonzero_mask)
-        covers = sum(c for _, c in counts.values())
+        _, covers, violations = _cover_sup_walk(E, atom_masks, covers_of)
         for x, y_mask, zmask in violations:
             x_name = None if x is None else name[E.carrier[x]]
             witnesses.append((x_name, names_of(y_mask), names_of(zmask)))

@@ -10,8 +10,9 @@ the table is touched only by canonical_iso_of_run, after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .germs import GermGroupoidModel, build_germ_model
 from .groupoids import BisectionSemigroup, FiniteGroupoid, TableAudit, abstract_table
 from .semigroups import FiniteInverseSemigroup, integers, row_blocks
 
-MAX_BASIS_FAMILIES = 1 << 20
+# Most closed families enumerate_point_bases generates: 1,405,050 on five points.
+MAX_BASIS_FAMILIES = 1 << 21
 # Most entries stone_check's (m, m, max(m, n)) temporaries may hold for one basis.
 MAX_BASIS_ENTRIES = 1 << 21
 # Most assignments brute_force_iso tries before it gives up.
@@ -107,15 +109,40 @@ class StoneReport:
             raise CheckFailed(self.witness or "stone check failed")
 
 
-def _intersection_tables(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, m, m) positions of a & b within each basis of a (B, m) mask stack.
+def _intersection_tables(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, m, m) positions of a & b within each basis of a (B, m) stack on n points.
 
     The second result says, per basis, whether every a & b equals exactly
     one member: the family is intersection-closed and lists no set twice.
-    Where it does not, the positions are meaningless.
+    Where it does not, the positions are meaningless.  Each a & b is one
+    lookup in a (B, 2^n) table of positions, B m^2 work.  Where that table
+    would be larger than the m^3 cube of comparisons (many points, or
+    masks past 62 points), a & b is compared with every member instead.
     """
-    equal = (masks[:, :, None, None] & masks[:, None, :, None]) == masks[:, None, None, :]
-    return equal.argmax(axis=3), (equal.sum(axis=3) == 1).all(axis=(1, 2))
+    B, m = masks.shape
+    meets = masks[:, :, None] & masks[:, None, :]
+    # m^3 <= MAX_BASIS_ENTRIES, so a position, or -1 for no member, fits an int8
+    if 1 << n > m**3:
+        equal = meets[..., None] == masks[:, None, None, :]
+        return equal.argmax(axis=3).astype(np.int8), (equal.sum(axis=3) == 1).all(axis=(1, 2))
+    at = np.arange(B)[:, None] << n
+    position = np.full(B << n, -1, dtype=np.int8)
+    position[at + masks] = np.arange(m)  # a set listed twice keeps one of its positions
+    t = position[at[:, :, None] + meets]
+    listed_once = (position[at + masks] == np.arange(m)).all(axis=1)
+    return t, listed_once & (t >= 0).all(axis=(1, 2))
+
+
+def _row_codes(bits: np.ndarray) -> np.ndarray:
+    """Each row of a bool array (its last axis) packed into 64-bit words.
+
+    Two rows are equal iff their codes are equal in every word; a row of
+    m bits takes ceil(m / 64) words, so any m packs.
+    """
+    packed = np.packbits(bits, axis=-1)
+    words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // 8) * 8), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
 
 def stone_laws(
@@ -127,10 +154,14 @@ def stone_laws(
     says whether point x lies in member p of basis b.  The laws map each
     check on the table as an inverse semigroup, on its semilattice, on its
     tight spectrum and on the point characters to whether it holds, per
-    basis, in that order.  The verdicts are, per basis, the
-    spectrum size, injective, surjective and the first member p whose
-    image differs from its basic set (-1 when none does); they mean
-    something only where every law holds.
+    basis, in that order.  Associativity compares the (B, m, m, m) cube of
+    bracketings, and the inverse law reads sus and usu off it; "distinct
+    filters" and "characters tight" compare up-sets and point characters
+    as one packed code per row (_row_codes), so no other law builds a
+    cube.  The verdicts are, per basis, the spectrum size, injective,
+    surjective and the first member p whose image differs from its basic
+    set (-1 when none does); they mean something only where every law
+    holds.
     """
     B, m, _ = t.shape
     bb = np.arange(B)[:, None, None]
@@ -139,18 +170,22 @@ def stone_laws(
     # left[b, x, a, y] = (xa)y; where t is symmetric (its own law), x(ay) = (ay)x
     left = np.take(t.reshape(B * m, m), t + bb * m, axis=0)
     associative = (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))
-    # u is an inverse of s when sus = s and usu = u, indexed [b, s, u]
-    inverses = (t[bb, t, every[:, None]] == every[:, None]) & (t[bb, t_swapped, every] == every)
+    # u is an inverse of s when sus = s and usu = u, indexed [b, s, u]; both
+    # are read off the cube, sus[b, u, s] = left[b, s, u, s]
+    sus = left.diagonal(axis1=1, axis2=3)
+    inverses = (sus.transpose(0, 2, 1) == every[:, None]) & (sus == every)
     up = t == every[:, None]  # up[b, p, q]: pq = p, so p <= q
     down = t == every  # down[b, p, q]: pq = q, so q <= p
     absorbing = up.all(axis=2) & down.all(axis=1)
     nonzero = every != absorbing.argmax(axis=1)[:, None]
-    twins = (up[:, :, None] == up[:, None]).all(axis=3) & nonzero[:, :, None] & nonzero[:, None]
+    ups = _row_codes(up)
+    twins = (ups[:, :, None] == ups[:, None]).all(axis=3) & nonzero[:, :, None] & nonzero[:, None]
     # the atom rule of find_tightness_violation: nothing but p and zero below p
     tight = nonzero & ((down & nonzero[:, None]) == np.eye(m, dtype=bool)).all(axis=2)
     ultra = np.count_nonzero(down, axis=2) == 2
     # match[b, x, q]: the character of point x is the tight up-set of q
-    match = tight[:, None] & (member.transpose(0, 2, 1)[:, :, None] == up[:, None]).all(axis=3)
+    characters = _row_codes(member.transpose(0, 2, 1))
+    match = tight[:, None] & (characters[:, :, None] == ups[:, None]).all(axis=3)
     laws = {
         "associative": associative,
         "one inverse": (np.count_nonzero(inverses, axis=2) == 1).all(axis=1),
@@ -180,9 +215,10 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
     Verifies injectivity, surjectivity onto the tight characters, and that
     the image of each basis member U is exactly D_U.  Bases that share a
     point count n and a size m are checked as one stack of intersection
-    tables, in chunks whose (B, m, m, max(m, n)) temporaries stay within
-    semigroups._BLOCK entries or hold a single basis.  Every law is one
-    comparison over a chunk (stone_laws); tight points are read by the
+    tables (_intersection_tables), in chunks whose (B, m, m, max(m, n))
+    temporaries hold one-byte entries and stay within the bytes of
+    semigroups._BLOCK intp entries, or hold a single basis.  Every law is
+    one comparison over a chunk (stone_laws); tight points are read by the
     atom rule that find_tightness_violation proves.  Before any check, a
     basis member that is not an integer raises ValueError, and a basis too
     large for MAX_BASIS_ENTRIES raises BoundExceeded.  Otherwise the first
@@ -207,11 +243,12 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
             stacks.setdefault((n, m), []).append(i)
     reports: list[StoneReport | None] = [None] * len(spaces)
     for (n, m), where in stacks.items():
-        for rows in row_blocks(len(where), m * m * max(m, n)):
+        # the cubes hold one-byte entries, eight to one intp entry of a block
+        for rows in row_blocks(len(where), -(-m * m * max(m, n) // 8)):
             chunk = where[rows]
             # past 62 points a mask no longer fits an int64
             masks = np.array([spaces[i].basis for i in chunk], dtype=np.int64 if n < 63 else object)
-            t, closed = _intersection_tables(masks)
+            t, closed = _intersection_tables(masks, n)
             laws, verdicts = stone_laws(t, (masks[:, :, None] >> np.arange(n)) & 1 == 1)
             fine = closed & np.logical_and.reduce(list(laws.values()))
             for k, (i, ok, size, injective, surjective, first) in enumerate(
@@ -247,35 +284,81 @@ def stone_check(spaces: Iterable[PointBasisSpace]) -> list[StoneReport]:
     return reports
 
 
-def enumerate_point_bases(n_points: int) -> list[PointBasisSpace]:
+def enumerate_point_bases(n_points: int) -> Iterator[PointBasisSpace]:
     """Every intersection-closed, singleton-containing basis on n points.
 
-    Pairs of candidate members only constrain the family when their
-    intersection has two or more points, so closure is checked over the
-    chosen larger sets alone.  Every subset of two or more points is in or
-    out, so the scan visits 2^(2^n - n - 1) families; past
-    MAX_BASIS_FAMILIES it raises BoundExceeded before scanning.
+    A basis is fixed by its sets of two or more points, and two of those
+    constrain it only when they meet in two or more points.  The sets are
+    decided in descending size: choosing one forces its intersections of
+    two or more points with the sets already chosen, which are smaller and
+    so still undecided, and a forced set is never left out.  So every
+    closed family comes out once and nothing else does.  Two-point sets
+    force nothing, so each choice of the larger sets stands for every
+    choice of its unforced pairs.  The families come in ascending order of
+    their pick, the integer whose bit i says whether the i-th set of two or
+    more points (by size, then by sorted members) is in; that is the order
+    of point_bases_by_definition.  Every family is generated and counted
+    when this is called, and once the count passes MAX_BASIS_FAMILIES it
+    raises BoundExceeded; the spaces are built one at a time as the
+    returned iterator is consumed.
     """
     if n_points < 0:
         raise ValidationError(f"point count {n_points} is negative")
-    larger = (1 << n_points) - n_points - 1
-    if larger >= MAX_BASIS_FAMILIES.bit_length():
-        raise BoundExceeded(
-            f"basis enumeration on {n_points} points would scan 2^{larger}"
-            f" > {MAX_BASIS_FAMILIES} candidate families"
-        )
-    bigger = [
+    pairs = (1 << n_points * (n_points - 1) // 2) - 1  # the pairs come first in `larger`
+
+    def guard(count: int) -> None:
+        if count > MAX_BASIS_FAMILIES:
+            raise BoundExceeded(
+                f"basis enumeration on {n_points} points would generate more than"
+                f" {MAX_BASIS_FAMILIES} families"
+            )
+
+    guard(pairs + 1)  # any set of pairs is closed
+    larger = [
         mask_of(c) for k in range(2, n_points + 1) for c in combinations(range(n_points), k)
     ]
-    every = sorted(range(1 << n_points), key=_basis_order)
-    spaces = []
+    bit = {s: 1 << i for i, s in enumerate(larger)}
+    order = larger[pairs.bit_length() :][::-1]
+    families: list[tuple[int, int]] = []  # (pick, forced) once every larger set is decided
+    count = 0
+
+    def decide(i: int, pick: int, forced: int, chosen: tuple[int, ...]) -> None:
+        nonlocal count
+        if i == len(order):
+            families.append((pick, forced))
+            count += 1 << (pairs & ~forced).bit_count()
+            guard(count)
+            return
+        s = order[i]
+        if not forced & bit[s]:
+            decide(i + 1, pick, forced, chosen)
+        for c in chosen:
+            meet = s & c
+            if meet & (meet - 1):
+                forced |= bit[meet]
+        decide(i + 1, pick | bit[s], forced, (*chosen, s))
+
+    decide(0, 0, 0, ())
+    families.sort()
     names = tuple(f"p{i}" for i in range(n_points))
-    for pick in range(1 << len(bigger)):
-        chosen = {bigger[i] for i in iter_bits(pick)}
-        if all((a & b).bit_count() < 2 or a & b in chosen for a in chosen for b in chosen):
-            basis = tuple(s for s in every if s.bit_count() < 2 or s in chosen)
-            spaces.append(PointBasisSpace(names, basis))
-    return spaces
+    fixed = (0, *(1 << i for i in range(n_points)))
+
+    @cache
+    def members(pick: int) -> tuple[int, ...]:
+        return tuple(s for s in larger if pick & bit[s])
+
+    def spaces() -> Iterator[PointBasisSpace]:
+        # the pairs are the low bits of a pick: a family takes its forced pairs
+        # and each subset of the others, in ascending order, so the picks ascend
+        for pick, forced in families:
+            top, free, sub = members(pick), pairs & ~forced, 0
+            while True:
+                yield PointBasisSpace(names, fixed + members(forced & pairs | sub) + top)
+                sub = (sub - free) & free
+                if not sub:
+                    break
+
+    return spaces()
 
 
 # -- reconstruction and isomorphism ---------------------------------------------

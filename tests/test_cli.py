@@ -181,8 +181,10 @@ def test_stone_check_stacks_every_basis_once(capsys, monkeypatch):
     assert code == 0
     assert "total-bases: 1110" in out.splitlines()
     assert sum(len(t) for t, _ in chunks) == 1110
-    # a chunk's (B, m, m, max(m, n)) temporaries stay within one block
-    assert all(t.size * max(t.shape[1], member.shape[2]) <= _BLOCK for t, member in chunks)
+    # a chunk's (B, m, m, max(m, n)) temporaries hold one-byte entries, and
+    # stay within the bytes of one block of intp entries
+    assert all(t.itemsize == 1 for t, _ in chunks)
+    assert all(t.size * max(t.shape[1], member.shape[2]) <= 8 * _BLOCK for t, member in chunks)
     assert per_basis == [[], [], []]
 
 
@@ -197,9 +199,11 @@ def test_stone_check_with_a_negative_count_exits_2(capsys, tmp_path):
 
 def test_stone_check_past_the_guard_exits_2_before_any_check(capsys, monkeypatch):
     checks = count_calls(monkeypatch, stone_check)
-    code, out, err = run_cli(capsys, "stone-check", "--max-points", "5")
+    code, out, err = run_cli(capsys, "stone-check", "--max-points", "6")
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err == (
+        "error: basis enumeration on 6 points would generate more than 2097152 families\n"
+    )
     assert checks == []
 
 
@@ -238,13 +242,13 @@ def test_rep_check_listing_past_its_bound_exits_2(capsys, monkeypatch, tmp_path)
 
 
 def test_rep_check_count_past_its_bound_exits_2(capsys, monkeypatch, tmp_path):
-    # a passing run counts; pair2 ample memoizes 8 states
+    # a passing run counts; pair2 ample memoizes 6 states
     summary = tmp_path / "s.json"
     argv = ["rep-check", str(DATA / "pair2.gpd"), "--collection", "ample"]
-    monkeypatch.setattr(convolution, "MAX_REP_STATES", 8)
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 6)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and "instances=25 " in out
-    monkeypatch.setattr(convolution, "MAX_REP_STATES", 7)
+    monkeypatch.setattr(convolution, "MAX_REP_STATES", 5)
     code, out, err = run_cli(capsys, *argv, "--summary", str(summary))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "Traceback" not in err

@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -83,12 +85,43 @@ def test_point_basis_space_rejects_non_integer_points():
 def test_point_bases_match_the_definition():
     counts = []
     for n in range(5):
-        spaces = enumerate_point_bases(n)
+        spaces = list(enumerate_point_bases(n))
         got = [tuple(frozenset(iter_bits(s)) for s in space.basis) for space in spaces]
         assert got == point_bases_by_definition(n)
         assert all(space.points == tuple(f"p{i}" for i in range(n)) for space in spaces)
         counts.append(len(spaces))
     assert counts == [1, 1, 2, 16, 1090]  # 1110 in all, as stone-check --max-points 4 prints
+
+
+def test_five_points_have_1405050_closed_bases(monkeypatch):
+    # every generated family is closed, the picks ascend, and the guard counts
+    # generated families, not candidates
+    sets = [mask_of(c) for k in range(2, 6) for c in itertools.combinations(range(5), k)]
+    bit = {s: 1 << i for i, s in enumerate(sets)}
+    count, last = 0, -1
+    for space in enumerate_point_bases(5):
+        if count % 1009 == 0:
+            assert point_basis_space(space.points, map(iter_bits, space.basis)) == space
+            pick = sum(bit[s] for s in space.basis[6:])
+            assert pick > last
+            last = pick
+        count += 1
+    assert count == 1405050
+    monkeypatch.setattr(reconstruction, "MAX_BASIS_FAMILIES", 1090)
+    assert len(list(enumerate_point_bases(4))) == 1090
+    monkeypatch.setattr(reconstruction, "MAX_BASIS_FAMILIES", 1089)
+    with pytest.raises(BoundExceeded, match="^basis enumeration on 4 points would generate"):
+        enumerate_point_bases(4)
+
+
+def test_six_points_pass_the_guard_at_once():
+    start = time.perf_counter()
+    message = "^basis enumeration on 6 points would generate more than 2097152 families$"
+    with pytest.raises(BoundExceeded, match=message):
+        enumerate_point_bases(6)
+    with pytest.raises(BoundExceeded, match="on 40 points"):
+        enumerate_point_bases(40)
+    assert time.perf_counter() - start < 5
 
 
 def test_phi_point_powerset():
@@ -135,7 +168,7 @@ def test_stone_check_degenerate_empty_space():
 def test_stone_sweep_small():
     counts = {}
     for n in range(4):
-        spaces = enumerate_point_bases(n)
+        spaces = list(enumerate_point_bases(n))
         counts[n] = len(spaces)
         assert all(report.passed for report in stone_check(spaces))
     assert counts[0] == 1 and counts[1] == 1 and counts[2] == 2 and counts[3] == 16
@@ -163,7 +196,7 @@ def _closed_families_with_empty_set(n):
 def test_stone_check_matches_the_per_basis_oracle():
     enumerated = []
     for n in range(5):
-        spaces = enumerate_point_bases(n)
+        spaces = list(enumerate_point_bases(n))
         assert stone_check(spaces) == [stone_check_by_definition(s) for s in spaces]
         enumerated += spaces
     assert len(enumerated) == 1110
@@ -227,6 +260,28 @@ def test_a_set_listed_twice_is_refused():
             check(not_closed_twice)
 
 
+def test_wide_bases_match_the_per_basis_oracle():
+    # past 62 points the masks are Python ints and the intersections take the
+    # comparison cube; 64 or more members pack a row into one or two words
+    discrete = [
+        PointBasisSpace(tuple(f"p{i}" for i in range(n)), (0, *(1 << i for i in range(n))))
+        for n in (63, 64)
+    ]
+    powerset = PointBasisSpace(tuple(f"p{i}" for i in range(6)), tuple(range(64)))
+    spaces = [*discrete, powerset]
+    assert [len(space.basis) for space in spaces] == [64, 65, 64]
+    reports = stone_check(spaces)
+    assert reports == [stone_check_by_definition(space) for space in spaces]
+    assert all(report.passed for report in reports)
+    assert [report.spectrum_size for report in reports] == [63, 64, 6]
+    # a set listed twice, on the cube and on the lookup
+    for space in (discrete[0], powerset):
+        twice = PointBasisSpace(space.points, (*space.basis, space.basis[-1]))
+        for check in (stone_check_by_definition, lambda space: stone_check([space])):
+            with pytest.raises(ValueError, match="^duplicate element names$"):
+                check(twice)
+
+
 def test_closed_families_without_the_empty_set_are_refused():
     # the least member is nonempty and is the zero, and a point in it
     # has a character that holds the zero
@@ -247,7 +302,7 @@ def test_closed_families_without_the_empty_set_are_refused():
 def _powerset_stack(copies, membership):
     """Copies of the intersection table of the powerset on two points, with
     ``membership[p][x]`` saying whether point x lies in member p."""
-    t, closed = _intersection_tables(np.array([[0, 1, 2, 3]] * copies))
+    t, closed = _intersection_tables(np.array([[0, 1, 2, 3]] * copies), 2)
     assert closed.all()
     return t, np.array([membership] * copies, dtype=bool).reshape(copies, 4, -1)
 
@@ -275,9 +330,27 @@ def test_stone_laws_reject_each_corrupted_table():
     assert (size[0], injective[0], surjective[0], first[0]) == (2, True, True, -1)
     for k, name in enumerate([*CORRUPTIONS, "characters tight"], start=1):
         assert not laws[name][k], name
-    # duplicates and a missing intersection both fail closure
-    _, closed = _intersection_tables(np.array([[0, 1, 1, 2], [0, 1, 2, 3], [0, 3, 5, 6]]))
-    assert closed.tolist() == [False, True, False]
+    # duplicates and a missing intersection both fail closure, on either route
+    for n in (3, 30):
+        _, closed = _intersection_tables(np.array([[0, 1, 1, 2], [0, 1, 2, 3], [0, 3, 5, 6]]), n)
+        assert closed.tolist() == [False, True, False]
+
+
+def test_intersection_tables_agree_on_both_routes():
+    # a (B, 2^n) lookup up to 2^n <= m^3, the comparison cube past it; on
+    # every enumerated basis, and on each with the empty set dropped or a set repeated
+    for n in range(2, 5):
+        spaces = list(enumerate_point_bases(n))
+        for m in {len(space.basis) for space in spaces}:
+            masks = np.array([space.basis for space in spaces if len(space.basis) == m])
+            tampered = [masks, masks[:, 1:], np.concatenate([masks, masks[:, -1:]], axis=1)]
+            for stack in tampered:
+                lookup, closed = _intersection_tables(stack, n)
+                cube, cube_closed = _intersection_tables(stack, 64)
+                assert lookup.dtype == cube.dtype == np.int8
+                assert (closed == cube_closed).all()
+                assert closed.tolist() == [stack is masks] * len(stack)
+                assert (lookup[closed] == cube[closed]).all()
 
 
 def test_stone_laws_verdicts_on_tampered_points():
