@@ -21,8 +21,9 @@ wrapping the algebraic witness.
 Scanning.  A table document is millions of identifiers, so the scanner
 does no per-token work on identifier lists and never copies one whole.
 It keeps only an offset; line and column are counted from the text when
-an error is raised.  Structural tokens are read one at a time with one
-regex.  An identifier list (elements, table, units) is read as one run,
+an error is raised.  Structural tokens are read one at a time, each
+with the whitespace and comments in front of it, by one regex match.
+An identifier list (elements, table, units) is read as one run,
 in pieces cut from the text itself at whitespace about _CHUNK characters
 apart, up to the first '}'.  A piece is taken whole when it is ASCII and
 one bytes.translate finds nothing in it but identifier characters and
@@ -49,16 +50,18 @@ from .errors import ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import FiniteInverseSemigroup, adjoin_zero, validate_inverse_semigroup
 
+# The whitespace and comments in front of a token, then the token, if any.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<colon>:)
-  | (?P<equals>=)
-  | (?P<ident>[A-Za-z0-9_.+@]+)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<arrow>->)
+      | (?P<lbrace>\{)
+      | (?P<rbrace>\})
+      | (?P<colon>:)
+      | (?P<equals>=)
+      | (?P<ident>[A-Za-z0-9_.+@]+)
+    )?
 """,
     re.VERBOSE,
 )
@@ -90,15 +93,12 @@ class _Scanner:
         return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def _next_raw(self):
-        text = self.text
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if m is None:
-                raise self.error(f"unexpected character {text[self.pos]!r}", self.pos)
-            start, self.pos = self.pos, m.end()
-            kind = m.lastgroup
-            if kind not in ("ws", "comment"):
-                return (kind, m.group(), start)
+        m = _TOKEN_RE.match(self.text, self.pos)
+        self.pos, kind = m.end(), m.lastgroup
+        if kind is not None:
+            return (kind, m.group(kind), m.start(kind))
+        if self.pos < len(self.text):
+            raise self.error(f"unexpected character {self.text[self.pos]!r}", self.pos)
         return ("eof", "", self.pos)
 
     def peek(self):

@@ -249,9 +249,15 @@ def singleton_semigroup(G: FiniteGroupoid) -> tuple[int, ...]:
 
 
 def bisection_name(G: FiniteGroupoid, mask: int) -> str:
+    """The bisection's arrow names joined by '+', ascending; "0" for the empty one."""
     if mask == 0:
         return "0"
-    return "+".join([G.arrows[a] for a in iter_bits(mask)])
+    arrows, parts = G.arrows, []
+    while mask:
+        low = mask & -mask
+        parts.append(arrows[low.bit_length() - 1])
+        mask ^= low
+    return "+".join(parts)
 
 
 @dataclass(frozen=True)
@@ -325,12 +331,13 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     witness pair in row-major order, or (message, None) when a member,
     the empty bisection or an inverse is at fault, or when two members
     share a name (the first such pair in ascending mask order); the table
-    then goes through the inverse-semigroup checker.
+    then goes through the inverse-semigroup checker, which verifies the
+    arrow inverses as the involution instead of searching for one.
     """
     masks = tuple(sorted(set(integers(collection, "mask"))))
-    bad = [m for m in masks if m < 0 or m >> len(G.arrows)]
-    if bad:
-        raise ValueError(f"mask {bad[0]} is not a set of the {len(G.arrows)} arrows")
+    if masks and (masks[0] < 0 or masks[-1] >> len(G.arrows)):  # sorted: the ends decide
+        bad = next(m for m in masks if m < 0 or m >> len(G.arrows))
+        raise ValueError(f"mask {bad} is not a set of the {len(G.arrows)} arrows")
     if 0 not in masks:
         message = "the empty bisection must belong to the collection"
         raise ValidationError(message, witness=(message, None))
@@ -367,7 +374,8 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     sections = padded[:units]  # sections[k, t]: the arrow of t with source unit k
     radix = [len(G.d_fibers[u]) + 1 for u in G.units]
     index = _SectionIndex(digit_of[sections].__getitem__, radix, n)
-    compose = np.pad(G.compose, (0, 1), constant_values=-1)
+    compose = np.full((arrows + 1, arrows + 1), -1, dtype=np.int32)
+    compose[:arrows, :arrows] = G.compose
     # validate_groupoid certifies d(a.b) = d(b), which makes product digits exact
     if ((source_pos[compose] != source_pos) & (compose >= 0)).any():
         raise CheckFailed("a product must have the source of its right factor")
@@ -403,7 +411,7 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     if star.min() < 0:
         message = f"inverse of {names[int(np.argmax(star < 0))]} missing"
         raise ValidationError(message, witness=(message, None))
-    sg = validate_inverse_semigroup(names, table)
+    sg = validate_inverse_semigroup(names, table, star)
     # masks ascend, so the empty bisection is element 0
     if sg.zero != 0 or sg.star != tuple(star.tolist()):
         raise CheckFailed("zero and involution must be the empty bisection and arrow inverses")

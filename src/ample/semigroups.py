@@ -4,8 +4,8 @@ Element names are opaque strings mapped to dense indices at validation
 time; everything downstream computes on indices.  The table is one
 read-only (n, n) int32 array from parsing to output, so a product is one
 array lookup and a row, column or sub-table is one gather.  The
-involution is always derived from the defining identities, never taken
-on trust from the input.
+involution is always derived from the defining identities or verified
+against them, never taken on trust from the input.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ class FiniteInverseSemigroup:
     @cached_property
     def idempotents(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.table.diagonal() == np.arange(len(self))).tolist())
+
+    @cached_property
+    def idempotent_table(self) -> np.ndarray:
+        """The products of the idempotents, ascending, among themselves (read-only)."""
+        return _idempotent_table(self.table)
 
 
 def row_blocks(count: int, width: int) -> Iterator[slice]:
@@ -170,27 +175,108 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     left-bracketed words ((a1 a2) a3)... reach every element suffices,
     O(n^2 |A|) work.  The argument never uses associativity, so A may
     come from the words of the untrusted table itself, in any order.  The
-    verdict draws A from ranked_generators(t).  On either path a failure's
-    witness comes from Light's test over the two-sided greedy set in
-    ascending order, as if unranked.
+    verdict draws A as ranked_generators(t) does, one orthogonal block at
+    a time (see _block_tables).  On every path a failure's witness comes
+    from Light's test over the two-sided greedy set in ascending order,
+    as if unranked and whole.
     """
-    n = len(t)
-    if n**3 <= _BLOCK:
-        if np.array_equal(t[t], t[:, t]):
-            return None
-    elif _light_witness(t, ranked_generators(t)) is None:
+    if all(_associative(*block) for block in _block_tables(t)):
         return None
-    return _light_witness(t, _generators(t, range(n)))
+    return _light_witness(t, _generators(t, range(len(t))))
+
+
+def _associative(t: np.ndarray, counts: np.ndarray) -> bool:
+    """The verdict on t: directly when n^3 <= _BLOCK, else by Light's test ranked by counts."""
+    if len(t) ** 3 <= _BLOCK:
+        return np.array_equal(t[t], t[:, t])
+    order = np.argsort(-counts, kind="stable")
+    return _light_witness(t, _generators(t, order, words=True)) is None
+
+
+def _nonzero_counts(t: np.ndarray) -> tuple[int, np.ndarray]:
+    """z, the left fold of the idempotents (-1 if none), and each row's count of entries != z."""
+    n = len(t)
+    z = _fold(t)
+    counts = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, n):
+        counts[rows] = np.count_nonzero(t[rows] != z, axis=1)
+    return z, counts
 
 
 def ranked_generators(t: np.ndarray) -> Iterator[int]:
-    """_generators by words, candidates by descending count of distinct row entries."""
+    """_generators by words, candidates by descending count of row entries other than z.
+
+    z is the left fold of the idempotents, the zero of a validated table:
+    an element with many nonzero products, such as one with a large
+    domain, serves many words.
+    """
+    return _generators(t, np.argsort(-_nonzero_counts(t)[1], kind="stable"), words=True)
+
+
+def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(table, counts) of each orthogonal block of t with z adjoined, or of t whole.
+
+    z and the counts are those of _nonzero_counts.  Once z is absorbing,
+    join x, a and xa whenever xa != z.  A triple (x, a, y) that touches
+    two blocks is z on both sides: if x and a lie apart, xa = z, and a
+    nonzero x(ay) would join x to ay and so to a; the case of a and y is
+    the mirror image.  The products of a block's members lie in it or are
+    z, so t is associative iff each block with z adjoined is, relabelled
+    to its ascending members.  A row with n - 1 entries other than z
+    joins everything, and t is taken whole; so is a t whose z is not
+    absorbing, whose nonzero elements form one block, or that is small
+    enough for the direct comparison.
+    """
     n = len(t)
-    image = np.empty(n, dtype=np.intp)
-    for rows in row_blocks(n, n):
-        s = np.sort(t[rows], axis=1)
-        image[rows] = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-    return _generators(t, np.argsort(-image, kind="stable"), words=True)
+    z, counts = _nonzero_counts(t)
+    if n**3 <= _BLOCK or counts.max() >= n - 1 or counts[z] or (t[:, z] != z).any():
+        yield t, counts
+        return
+    root = _components(t, z)
+    root[z] = -1
+    order = np.argsort(root, kind="stable")[1:]  # nonzero elements by block, ascending within
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    if not cuts.size:
+        yield t, counts
+        return
+    local = np.empty(n, dtype=np.int32)
+    for members in np.split(order, cuts):
+        idx = np.sort(np.append(members, z))
+        local[idx] = np.arange(len(idx), dtype=np.int32)
+        yield local[t[idx[:, None], idx]], counts[idx]
+
+
+def _components(t: np.ndarray, z: int) -> np.ndarray:
+    """The least member of each element's block, x, a and xa joined whenever xa != z.
+
+    A union-find forest in one array with parent[x] <= x: each block of
+    rows hooks the larger root of every joined pair under the smaller
+    until the pairs agree, and pointer jumping keeps the forest flat.
+    """
+    n = len(t)
+    parent = np.arange(n)
+    for rows in row_blocks(n, 2 * n):
+        block = t[rows].ravel()
+        at = np.flatnonzero(block != z)
+        x, a = np.divmod(at, n)
+        x += rows.start
+        u, v = np.concatenate([x, x]), np.concatenate([a, block.take(at)])
+        while u.size:
+            _flatten(parent)
+            u, v = parent[u], parent[v]
+            apart = u != v
+            u, v = u[apart], v[apart]
+            np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+    return _flatten(parent)
+
+
+def _flatten(parent: np.ndarray) -> np.ndarray:
+    """parent with every entry replaced by its root, in place."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent[:] = up
 
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
@@ -207,21 +293,50 @@ def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
     raise CheckFailed("a table without inner inverses must lack a unique inverse")
 
 
+def _idempotent_table(t: np.ndarray) -> np.ndarray:
+    """t[e][:, e], e the idempotents ascending, read-only; t itself when every element is one."""
+    e = np.flatnonzero(t.diagonal() == np.arange(len(t)))
+    if len(e) == len(t):
+        return t
+    sub = t[e[:, None], e]
+    sub.flags.writeable = False
+    return sub
+
+
+def _symmetric(sub: np.ndarray) -> bool:
+    """sub equals its transpose, compared in square tiles on and above the diagonal.
+
+    A tile of 128 x 128 entries and its mirror image stay in cache; row
+    blocks read the mirror image column by column, about 5x slower on a
+    4,096 x 4,096 table.
+    """
+    m, side = len(sub), 128
+    for i in range(0, m, side):
+        for j in range(i, m, side):
+            if (sub[i : i + side, j : j + side] != sub[j : j + side, i : i + side].T).any():
+                return False
+    return True
+
+
+def _inverse_pairs(t: np.ndarray, star: np.ndarray) -> bool:
+    """s s* s = s and s* s s* = s* for every s."""
+    every = np.arange(len(t))
+    return bool(
+        (t[t[every, star], every] == every).all() and (t[t[star, every], star] == star).all()
+    )
+
+
 def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
     """Each s's inverse usu for the first u with sus = s, or None (see validate_inverse_semigroup).
 
-    Commuting idempotents are their own inverses.  u goes by descending
-    count of distinct ue over the idempotents e, which counts the e <= u*u:
-    u with large domains serve many s.
+    Idempotents, which commute here, are their own inverses.  u goes by
+    descending count of distinct ue over the idempotents e, which counts
+    the e <= u*u: u with large domains serve many s.
     """
     n = len(t)
     every = np.arange(n)
     idempotent = t.diagonal() == every
     e = np.flatnonzero(idempotent)
-    for rows in row_blocks(len(e), len(e)):  # idempotents commute: ef = fe, f from the block on
-        later = e[rows.start :]
-        if (t[e[rows, None], later] != t[later[:, None], e[rows]].T).any():
-            return None
     todo = np.flatnonzero(~idempotent)
     if not todo.size:
         return tuple(range(n))
@@ -242,9 +357,13 @@ def _inner_inverses(t: np.ndarray) -> tuple[int, ...] | None:
     if todo.size:
         return None
     star = t[t[inner, every], inner]
-    if (t[t[every, star], every] != every).any() or (t[t[star, every], star] != star).any():
-        return None
-    return tuple(star.tolist())
+    return tuple(star.tolist()) if _inverse_pairs(t, star) else None
+
+
+def _fold(t: np.ndarray) -> int:
+    """The left fold ((e1 e2) e3)... of the idempotents, or -1 when there are none."""
+    e = np.flatnonzero(t.diagonal() == np.arange(len(t))).tolist()
+    return reduce(t.item, e) if e else -1
 
 
 def _absorbing(t: np.ndarray) -> int | None:
@@ -253,30 +372,34 @@ def _absorbing(t: np.ndarray) -> int | None:
     In any magma such a z is one idempotent (z = zz' = z'), and the left
     fold ((e1 e2) e3)... of the idempotents stays at z once it meets it.
     """
-    e = np.flatnonzero(t.diagonal() == np.arange(len(t))).tolist()
-    if not e:
-        return None
-    z = reduce(t.item, e)
-    return z if (t[z] == z).all() and (t[:, z] == z).all() else None
+    z = _fold(t)
+    return z if z >= 0 and (t[z] == z).all() and (t[:, z] == z).all() else None
 
 
 def validate_inverse_semigroup(
-    elements: Iterable[str], table: Iterable[Iterable[int]] | np.ndarray
+    elements: Iterable[str],
+    table: Iterable[Iterable[int]] | np.ndarray,
+    star: Sequence[int] | np.ndarray | None = None,
 ) -> FiniteInverseSemigroup:
-    """Check a raw multiplication table and derive the involution and zero.
+    """Check a raw multiplication table and derive or verify the involution, and the zero.
 
     Raises ValidationError when associativity fails, with the witness triple
     of names, when an element s lacks a unique inverse, with the witness (s,
     its candidates), or when no zero exists.  An associative table is an
     inverse semigroup iff it is regular and its idempotents commute
-    (Clifford-Preston I, Thm 1.17; Howie, Thm 5.1.1), and sus = s makes usu
-    an inverse of s: s(usu)s = (sus)us = s and (usu)s(usu) = u(sus)(usu) =
-    u(sus)u = usu.  So the idempotents are checked to commute and s* = usu
-    for the first u with sus = s is re-checked; a table that fails there
-    gets the full scan of every pair (s, u) for its message.  The zero is
-    read off the idempotents.
+    (Clifford-Preston I, Thm 1.17; Howie, Thm 5.1.1), and then s* is the
+    one u with sus = s and usu = u.  So the idempotents are checked to
+    commute, and a candidate ``star`` (one element index per element) is
+    taken when s s* s = s and s* s s* = s* hold for every s.  Without a
+    candidate, or when it fails, sus = s makes usu an inverse of s:
+    s(usu)s = (sus)us = s and (usu)s(usu) = u(sus)(usu) = u(sus)u = usu;
+    so s* = usu for the first u with sus = s is re-checked the same way.
+    A table that fails there gets the full scan of every pair (s, u) for
+    its message.  The result and every message are the same with or
+    without a candidate.  The zero is read off the idempotents.
     Malformed shapes (non-square table, out-of-range entries, duplicate
-    names) raise ValueError because they are caller errors, not algebra.
+    names, a candidate that is not n element indices) raise ValueError
+    because they are caller errors, not algebra.
     Every check is an array test on the table as one int32 array, and
     that array is the returned table, made read-only.  An int32 array
     argument is taken over without a copy, so a caller that still writes
@@ -289,18 +412,31 @@ def validate_inverse_semigroup(
     if n == 0:
         raise ValidationError("empty element set has no absorbing element")
     t = _square_table(table, n)
+    if star is not None:
+        star = np.asarray(star)
+        malformed = star.shape != (n,) or star.dtype.kind not in "iu"
+        if malformed or not 0 <= star.min() <= star.max() < n:
+            raise ValueError(f"star must be {n} element indices")
 
     witness = associativity_witness(t)
     if witness is not None:
         x, a, y = (names[i] for i in witness)
         raise ValidationError(f"associativity fails at ({x}, {a}, {y})", witness=(x, a, y))
-    star = _inner_inverses(t)
+    idempotent_table = _idempotent_table(t)
+    if not _symmetric(idempotent_table):
+        _unique_inverses(t, names)
+    if star is not None and _inverse_pairs(t, star):
+        star = tuple(star.tolist())
+    else:
+        star = _inner_inverses(t)
     if star is None:
         _unique_inverses(t, names)
     zero = _absorbing(t)
     if zero is None:
         raise ValidationError("no absorbing element in table")
-    return FiniteInverseSemigroup(names, t, zero, star)
+    S = FiniteInverseSemigroup(names, t, zero, star)
+    vars(S)["idempotent_table"] = idempotent_table  # the cached property, gathered once
+    return S
 
 
 def adjoin_zero(
@@ -350,8 +486,7 @@ class Semilattice:
     @cached_property
     def meets(self) -> np.ndarray:
         """meets[p, q] = position of e_p e_q, or -1 when that is not idempotent."""
-        c = np.array(self.carrier, dtype=np.intp)
-        return self.positions[self.semigroup.table[c[:, None], c]]
+        return self.positions[self.semigroup.idempotent_table]  # not take: no intp copy
 
     @cached_property
     def zero_pos(self) -> int:

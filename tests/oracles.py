@@ -568,9 +568,43 @@ def absorbing_by_definition(rows):
     return [z for z in range(n) if all(rows[z][x] == z == rows[x][z] for x in range(n))]
 
 
+def fold_of_idempotents(rows):
+    """The left fold ((e1 e2) e3)... of the idempotents, ascending, or -1 when there are none."""
+    z = -1
+    for e in idempotents_of_table(rows):
+        z = e if z < 0 else rows[z][e]
+    return z
+
+
 def top_down_order_by_definition(rows):
-    """Indices by descending count of distinct entries in their row, ties by index."""
-    return sorted(range(len(rows)), key=lambda g: (-len(set(rows[g])), g))
+    """Indices by descending count of row entries other than that fold, ties by index."""
+    z = fold_of_idempotents(rows)
+    return sorted(range(len(rows)), key=lambda g: (-sum(v != z for v in rows[g]), g))
+
+
+def product_blocks_by_definition(rows, z):
+    """The blocks of the elements other than z: x, a and xa joined whenever xa != z.
+
+    One pair at a time through a dict of parents; blocks as sorted tuples,
+    ascending by their least member.
+    """
+    parent = {x: x for x in range(len(rows)) if x != z}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in parent:
+        for a in parent:
+            if rows[x][a] != z:
+                for y in (a, rows[x][a]):
+                    rx, ry = root(x), root(y)
+                    parent[max(rx, ry)] = min(rx, ry)
+    blocks = {}
+    for x in parent:
+        blocks.setdefault(root(x), []).append(x)
+    return sorted(tuple(b) for b in blocks.values())
 
 
 def idempotents_of_table(rows):

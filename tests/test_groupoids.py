@@ -360,6 +360,23 @@ def test_bisections_whose_names_clash_are_named():
     assert len(bisection_semigroup(G, singleton_semigroup(G)).semigroup) == 4
 
 
+def test_bisection_names_join_the_arrow_names_in_ascending_order():
+    # '+' and '0' inside arrow names, and masks past 64 arrows
+    units = ["0", "u+v", "w", "x+0", "0+0"] + [f"v{i}" for i in range(70)]
+    sections = "arrows { } compose { } inverse { }"
+    G = parse_groupoid(f"groupoid {{ units {{ {' '.join(units)} }} {sections} }}")
+    rng = random.Random(61)
+    full = (1 << len(G.arrows)) - 1
+    masks = [0, 1, 2, 3, 16, 31, full, 1 << 74]
+    masks += [rng.getrandbits(len(G.arrows)) for _ in range(300)]
+    masks += [rng.getrandbits(5) for _ in range(30)]
+    for mask in masks:
+        expected = "+".join(G.arrows[a] for a in iter_bits(mask)) if mask else "0"
+        assert bisection_name(G, mask) == expected
+    assert G.arrows[:5] == tuple(units[:5])
+    assert bisection_name(G, 0b10001) == "0+0+0" and bisection_name(G, 0b1001) == "0+x+0"
+
+
 def _unchecked_pair2(product_of_u1_u1):
     """pair2 with u1*u1 redefined, built without validate_groupoid."""
     G = pair_groupoid(2)

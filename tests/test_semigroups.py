@@ -36,6 +36,7 @@ from oracles import (
     is_idempotent,
     left_words_closure_by_definition,
     order_masks_by_definition,
+    product_blocks_by_definition,
     product_of,
     top_down_order_by_definition,
     word_generators_by_definition,
@@ -611,7 +612,9 @@ def test_tables_that_are_not_inverse_semigroups_get_the_full_scan_message():
     for rows in failing_inverse_tables():
         t = np.array(rows, dtype=np.int32)
         assert associativity_witness(t) is None
-        assert semigroups._inner_inverses(t) is None
+        # the inner route refuses them: the idempotents do not commute, or the search fails
+        commute = semigroups._symmetric(semigroups._idempotent_table(t))
+        assert not commute or semigroups._inner_inverses(t) is None
         messages.append(assert_validation_agrees(rows))
     counts = ["2", "89", "0", "0", "2", "90"]
     assert [m.split(" has ")[1].split()[0] for m in messages] == counts
@@ -697,3 +700,235 @@ def test_absorbing_matches_the_definition(corpus_runs):
         assert assert_absorbing_agrees(rows) is None
     # a chain under max: every element is idempotent and the top, the last one, absorbs
     assert assert_absorbing_agrees([[max(i, j) for j in range(6)] for i in range(6)]) == 5
+
+
+# -- the verified involution --------------------------------------------------
+
+
+def validation_outcome(names, rows, star=None):
+    """The validated semigroup, or the message and witness of its ValidationError."""
+    try:
+        return validate_inverse_semigroup(names, rows, star)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+
+
+def candidate_involutions(rows):
+    """A correct, a wrong and a non-involutive candidate star, then an inner inverse per s."""
+    n = len(rows)
+    inverses = generalized_inverses_by_definition(rows)
+    correct = [found[0] if found else 0 for found in inverses]
+    inner = [next((u for u in range(n) if rows[rows[s][u]][s] == s), 0) for s in range(n)]
+    return correct, correct[1:] + correct[:1], [n - 1] * n, inner
+
+
+def assert_candidates_agree(rows):
+    """Every candidate star gives what validation without one gives: the oracle's outcome."""
+    names = [f"x{i}" for i in range(len(rows))]
+    expected = validation_outcome(names, rows)
+    star, message = validation_by_definition(names, rows)
+    if message is None:
+        assert expected.star == star
+        e = idempotents_of_table(rows)
+        assert expected.idempotent_table.tolist() == [[rows[f][g] for g in e] for f in e]
+    else:
+        assert expected[0] == message
+    for candidate in candidate_involutions(rows):
+        for form in (candidate, np.array(candidate, dtype=np.int32)):
+            assert validation_outcome(names, rows, form) == expected
+    return message
+
+
+def test_a_candidate_star_changes_no_outcome_on_the_zoo_and_the_data_tables():
+    tables = [S.table.tolist() for items in all_semilattices_upto(5).values() for S in items]
+    tables += [rows_of_document(path) for path in sorted(DATA.glob("*.sgp"))]
+    tables += failing_inverse_tables() + [NO_IDEMPOTENTS, right_zero_band(5)]
+    tables.append([[(i + j) % 4 for j in range(4)] for i in range(4)])  # a group: no zero
+    messages = [assert_candidates_agree(rows) for rows in tables]
+    kinds = {m.split()[0] if m else None for m in messages}
+    assert kinds == {"associativity", "element", "no", None}
+
+
+def test_a_candidate_star_changes_no_outcome_on_corpus_tables(corpus_runs):
+    rng = random.Random(41)
+    kinds = set()
+    for run in corpus_runs:
+        for rows in relabellings(run, seeds=(1,)):
+            assert assert_candidates_agree(rows) is None, run.label
+            if len(rows) <= 50:
+                message = assert_candidates_agree(corrupt(rows, rng))
+                kinds.add(message.split()[0] if message else None)
+    assert {"associativity", "element"} <= kinds
+
+
+def test_malformed_candidate_stars_are_value_errors():
+    rows = [[0, 0], [0, 1]]
+    for star in ([0], [0, 2], [-1, 1], [0.0, 1.0], [[0, 1]]):
+        with pytest.raises(ValueError, match="star must be 2 element indices"):
+            validate_inverse_semigroup(["0", "e"], rows, star)
+
+
+def test_bisection_tables_verify_the_arrow_inverses_without_a_search(corpus_runs):
+    def refuse(t):
+        raise AssertionError("the inner-inverse search ran")
+
+    with patch.object(semigroups, "_inner_inverses", refuse):
+        for run in corpus_runs:
+            bs = bisection_semigroup(run.groupoid, run.masks)
+            assert bs.semigroup.star == run.bisection_semigroup.semigroup.star
+
+
+# -- the verdict per orthogonal block -------------------------------------------
+
+
+def brandt_blocks(*sizes):
+    """The 0-direct union of the matrix units (i, j), i, j < k, of one Brandt block per size.
+
+    Element 0 is the zero; (i, j)(j, l) = (i, l) within a block, and every
+    other product is 0.
+    """
+    units = [(b, i, j) for b, k in enumerate(sizes) for i in range(k) for j in range(k)]
+    index = {u: p + 1 for p, u in enumerate(units)}
+    rows = [[0] * (len(units) + 1) for _ in range(len(units) + 1)]
+    for (b, i, j), p in index.items():
+        for (c, k, l), q in index.items():
+            if b == c and j == k:
+                rows[p][q] = index[(b, i, l)]
+    return rows
+
+
+def relabelled(rows, rng):
+    """rows under a random permutation of the elements."""
+    n = len(rows)
+    new = list(range(n))
+    rng.shuffle(new)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[new[x]][new[y]] = new[rows[x][y]]
+    return out
+
+
+def plant_in_a_block(rows, z, rng):
+    """A copy of rows with one nonzero product of a block moved to another member of it."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    x, a = rng.choice([(x, a) for x in range(n) for a in range(n) if rows[x][a] != z])
+    block = next(b for b in product_blocks_by_definition(rows, z) if x in b)
+    if len(block) > 1:
+        rows[x][a] = rng.choice([v for v in block if v != rows[x][a]])
+    return rows
+
+
+def squares(k):
+    """0, x1..xk, w1..wk with xi xi = wi and every other product 0.
+
+    wi is joined to xi by a product only: no nonzero product has wi as a factor.
+    """
+    rows = [[0] * (2 * k + 1) for _ in range(2 * k + 1)]
+    for i in range(1, k + 1):
+        rows[i][i] = k + i
+    return rows
+
+
+def test_blocks_match_the_definition():
+    rng = random.Random(43)
+    shapes = ((7, 1, 3, 1, 2), (1,) * 60, (4, 4, 4), (9,), (2, 6, 1))
+    tables = [brandt_blocks(*sizes) for sizes in shapes]
+    assert assert_validation_agrees(squares(30)) == "element x1 has 0 generalized inverse(s): ()"
+    for rows in tables + [squares(30)]:
+        sizes = product_blocks_by_definition(rows, 0)
+        rows = relabelled(rows, rng)
+        z = absorbing_by_definition(rows)[0]
+        t = np.array(rows, dtype=np.int32)
+        assert semigroups._nonzero_counts(t)[0] == z
+        root = semigroups._components(t, z)
+        found = {}
+        for x in range(len(rows)):
+            if x != z:
+                found.setdefault(int(root[x]), []).append(x)
+        assert sorted(map(tuple, found.values())) == product_blocks_by_definition(rows, z)
+        assert len(found) == len(sizes)
+        assert associativity_witness(t) is None
+        for _ in range(5):
+            bad = plant_in_a_block(rows, z, rng)
+            root = semigroups._components(np.array(bad, dtype=np.int32), z)
+            groups = {}
+            for x in range(len(bad)):
+                if x != z:
+                    groups.setdefault(int(root[x]), []).append(x)
+            assert sorted(map(tuple, groups.values())) == product_blocks_by_definition(bad, z)
+
+
+def test_each_block_draws_its_own_generators():
+    rng = random.Random(47)
+    rows = relabelled(brandt_blocks(7, 1, 3, 1, 2), rng)  # 65 elements: one block of 50 with zero
+    t = np.array(rows, dtype=np.int32)
+    witness, drawn = drawn_generators(t)
+    assert witness is None
+    assert [kind for kind, _ in drawn] == ["words"]
+    assert assert_validation_agrees(rows) is None
+    units = np.array(brandt_blocks(*(1,) * 60), dtype=np.int32)
+    assert drawn_generators(units) == (None, [])  # 60 blocks of one unit, each checked directly
+
+
+def test_a_triple_planted_in_one_block_gets_the_ascending_witness():
+    rng = random.Random(53)
+    failing = 0
+    for sizes in ((7, 1, 3, 1, 2), (1,) * 45 + (3,), (4, 4, 4), (2, 6, 1)):
+        rows = relabelled(brandt_blocks(*sizes), rng)
+        z = absorbing_by_definition(rows)[0]
+        for _ in range(8):
+            bad = plant_in_a_block(rows, z, rng)
+            t = np.array(bad, dtype=np.int32)
+            witness = associativity_witness(t)
+            assert witness == associativity_witness_ascending(t)
+            assert (witness is None) == (associativity_witness_by_definition(bad) is None)
+            failing += witness is not None
+            message = assert_validation_agrees(bad)
+            assert (witness is None) == (message is None or not message.startswith("associativity"))
+    assert failing > 20
+
+
+def test_tables_without_an_absorbing_element_are_taken_whole():
+    rng = random.Random(59)
+    kinds = set()
+    for sizes in ((7, 1, 3, 1, 2), (1,) * 45 + (3,)):
+        rows = brandt_blocks(*sizes)
+        for _ in range(8):
+            bad = plant_in_a_block(rows, 0, rng)
+            bad[0][rng.randrange(1, len(bad))] = rng.randrange(1, len(bad))  # 0 absorbs no longer
+            t = np.array(bad, dtype=np.int32)
+            assert not absorbing_by_definition(bad)
+            assert associativity_witness(t) == associativity_witness_ascending(t)
+            message = assert_validation_agrees(bad)
+            kinds.add(message.split()[0])
+    assert "associativity" in kinds
+
+
+def test_the_verdict_draws_as_many_generators_as_before():
+    # the counts at the change that ranked rows by their nonzero entries
+    for G, count, abstract_count in (
+        (units_groupoid(6), 7, 7),
+        (units_groupoid(11), 12, 12),
+        (pair_groupoid(5), 6, 4),
+    ):
+        bs = bisection_semigroup(G, enumerate_bisections(G))
+        tables = ((bs.semigroup.table, count), (abstract_table(bs)[0].table, abstract_count))
+        for t, expected in tables:
+            witness, drawn = drawn_generators(t)
+            assert witness is None
+            assert [(kind, len(gens)) for kind, gens in drawn] == [("words", expected)]
+
+
+def test_the_commutation_check_reads_every_tile():
+    rng = np.random.default_rng(67)
+    for m in (1, 127, 128, 129, 300):
+        upper = np.triu(rng.integers(0, m, size=(m, m), dtype=np.int32))
+        sub = upper + np.triu(upper, 1).T
+        assert semigroups._symmetric(sub)
+        for _ in range(10):
+            bad = sub.copy()
+            i, j = rng.integers(0, m, size=2)
+            bad[i, j] += 1
+            assert semigroups._symmetric(bad) == np.array_equal(bad, bad.T) == (i == j)
