@@ -225,25 +225,47 @@ def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     to its ascending members.  A row with n - 1 entries other than z
     joins everything, and t is taken whole; so is a t whose z is not
     absorbing, whose nonzero elements form one block, or that is small
-    enough for the direct comparison.
+    enough for the direct comparison.  The densest row usually shows one
+    block before any search (see _spans).
     """
     n = len(t)
     z, counts = _nonzero_counts(t)
-    if n**3 <= _BLOCK or counts.max() >= n - 1 or counts[z] or (t[:, z] != z).any():
-        yield t, counts
-        return
-    root = _components(t, z)
-    root[z] = -1
-    order = np.argsort(root, kind="stable")[1:]  # nonzero elements by block, ascending within
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
-    if not cuts.size:
-        yield t, counts
-        return
-    local = np.empty(n, dtype=np.int32)
-    for members in np.split(order, cuts):
-        idx = np.sort(np.append(members, z))
-        local[idx] = np.arange(len(idx), dtype=np.int32)
-        yield local[t[idx[:, None], idx]], counts[idx]
+    whole = (
+        n**3 <= _BLOCK
+        or counts.max() >= n - 1
+        or counts[z]  # z is not absorbing
+        or (t[:, z] != z).any()
+        or _spans(t, z, int(counts.argmax()))
+    )
+    if not whole:
+        root = _components(t, z)
+        root[z] = -1
+        order = np.argsort(root, kind="stable")[1:]  # nonzero elements by block, ascending within
+        cuts = np.flatnonzero(np.diff(root[order])) + 1
+        if cuts.size:
+            local = np.empty(n, dtype=np.int32)
+            for members in np.split(order, cuts):
+                idx = np.sort(np.append(members, z))
+                local[idx] = np.arange(len(idx), dtype=np.int32)
+                yield local[t[idx[:, None], idx]], counts[idx]
+            return
+    yield t, counts
+
+
+def _spans(t: np.ndarray, z: int, x: int) -> bool:
+    """Whether z, x, its partners a (xa != z) and theirs (the y with ay != z) are all of t.
+
+    Each such y is joined to a, and a to x, so t is then one block.  On a
+    Brandt block of matrix units, the partners of (i, j) are the (j, l),
+    whose partners are all (l, m).
+    """
+    partners = np.flatnonzero(t[x] != z)
+    reach = np.zeros(len(t), dtype=bool)
+    reach[[x, z]] = True
+    reach[partners] = True
+    for rows in row_blocks(len(partners), len(t)):
+        reach |= (t[partners[rows]] != z).any(axis=0)
+    return bool(reach.all())
 
 
 def _components(t: np.ndarray, z: int) -> np.ndarray:

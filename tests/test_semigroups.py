@@ -860,6 +860,21 @@ def test_blocks_match_the_definition():
             assert sorted(map(tuple, groups.values())) == product_blocks_by_definition(bad, z)
 
 
+def test_one_block_is_seen_from_the_densest_row_without_a_search():
+    def refuse(t, z):
+        raise AssertionError("the union-find ran")
+
+    rng = random.Random(71)
+    with patch.object(semigroups, "_components", refuse):
+        for sizes in ((9,), (12,), (7,)):
+            rows = relabelled(brandt_blocks(*sizes), rng)
+            witness, drawn = drawn_generators(np.array(rows, dtype=np.int32))
+            assert witness is None and [kind for kind, _ in drawn] == ["words"]
+            assert assert_validation_agrees(rows) is None
+        with pytest.raises(AssertionError, match="union-find"):
+            associativity_witness(np.array(brandt_blocks(7, 1), dtype=np.int32))
+
+
 def test_each_block_draws_its_own_generators():
     rng = random.Random(47)
     rows = relabelled(brandt_blocks(7, 1, 3, 1, 2), rng)  # 65 elements: one block of 50 with zero
