@@ -10,9 +10,12 @@ or more ``ample`` command lines run in one fresh child process, so that
 ``ru_maxrss`` is the rung's own peak.  The child imports
 the package from ``DIR/src`` (default: this checkout), installs
 ``benchmark/tracing.Tracer`` from ``DIR/benchmark`` around ``cli.main``,
-and adds spans for the parts of table validation (associativity, inner
-inverses, the full inverse scan, the zero), so their self time is taken
-out of ``semigroups.validate_s``.  It reports:
+and adds spans for the parts of the table build (the digit-code index and
+the product codes), of table validation (associativity, inner inverses,
+the full inverse scan, the zero) and for the write of each output
+document, so their self time is taken out of
+``groupoids.bisection_semigroup_s``, ``semigroups.validate_s`` and
+``cli.self_s``.  It reports:
 
 - ``seconds``: end-to-end, the sum of the ``cli.main`` calls (the import
   is not counted);
@@ -98,8 +101,15 @@ def rungs(w: Path) -> list[tuple[str, list[list[str]], int, int]]:
     return out
 
 
-# Parts of validate_inverse_semigroup that get their own span, where the checkout has them.
-VALIDATION_PARTS = ["associativity_witness", "_inner_inverses", "_unique_inverses", "_absorbing"]
+# Parts of the build, of validate_inverse_semigroup and of cli.main that get their own
+# span, where the checkout has them: (module, function, span name).
+PARTS = [
+    ("groupoids", "_run_slots", "groupoids.build.index_s"),
+    ("groupoids", "_product_codes", "groupoids.build.products_s"),
+    *(("semigroups", part, f"semigroups.validate.{part.strip('_')}_s")
+      for part in ["associativity_witness", "_inner_inverses", "_unique_inverses", "_absorbing"]),
+    ("cli", "write_document", "cli.write_document_s"),
+]
 
 
 def child(root: Path, argvs: list[list[str]], memory_mb: int) -> dict:
@@ -107,11 +117,11 @@ def child(root: Path, argvs: list[list[str]], memory_mb: int) -> dict:
     resource.setrlimit(resource.RLIMIT_AS, (memory_mb * MB, memory_mb * MB))
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import tracing
-    from ample import cli, semigroups
+    from ample import cli
 
-    for part in VALIDATION_PARTS:
-        if hasattr(semigroups, part):
-            tracing._spanned("semigroups", part, f"semigroups.validate.{part.strip('_')}_s")
+    for module, function, name in PARTS:
+        if hasattr(sys.modules[f"ample.{module}"], function):
+            tracing._spanned(module, function, name)
     tracer = tracing.Tracer()
     tracer.install()
     codes, errors, seconds, over = [], [], 0.0, None

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -274,46 +275,63 @@ class BisectionSemigroup:
 
 
 class _SectionIndex:
-    """Exact lookup of sections by dense per-unit digit codes, with no search.
+    """Exact lookup of sections by dense per-unit digit codes, one run of units at a time.
 
     A section's digit at unit k is 1 + the place of its arrow in the source
     fiber of unit k, or 0 where it has none.  A run of units, grown while
     (live + 1) * span <= 2^16 and at least one unit long, has as code the
-    previous run's rank followed by its digits, one multiply-add per unit
-    k with digit(k), all sections' digits at unit k.  A dense slot array
-    sends a code to its rank among the members' codes, or to a dead rank.
+    previous run's rank followed by its digits: rank * span + the sum of
+    each digit times its place value in the run.  A dense slot array sends
+    a code to its rank among the members' codes, or to a dead rank; the last
+    run's slots send it to the member itself, or to -1.  Iterating builds
+    each run's slots from the last, so one run's slots are alive at a time.
     """
 
-    def __init__(self, digit: Callable[[int], np.ndarray], radix: list[int], count: int) -> None:
-        self.radix = radix
-        self.runs: list[tuple[range, np.ndarray]] = []
-        rank, live, lo = np.zeros(count, dtype=np.int32), 1, 0
+    def __init__(self, digits: np.ndarray, radix: list[int]) -> None:
+        self.digits, self.radix = digits, radix  # digits[k, t]: member t's digit at unit k
+        self.runs: list[tuple[range, int]] = []  # each run's units and its number of slots
+
+    def __iter__(self) -> Iterator[tuple[range, np.ndarray, int, np.ndarray]]:
+        """Each run's units, the place value of a digit at each, its span and its slots."""
+        radix = self.radix
+        rank, live, lo = np.zeros(self.digits.shape[1], dtype=np.int32), 1, 0
         while lo < len(radix):
             hi, span = lo + 1, radix[lo]
             while hi < len(radix) and (live + 1) * span * radix[hi] <= 1 << 16:
                 span, hi = span * radix[hi], hi + 1
-            code = self._code(rank, digit, range(lo, hi))
-            seen = np.zeros((live + 1) * span, dtype=bool)
-            seen[code] = True
-            live = np.count_nonzero(seen)
-            slots = np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(live))
-            self.runs.append((range(lo, hi), slots))
-            rank, lo = slots[code], hi
-        self.element = np.full(live + 1, -1, dtype=np.int32)
-        self.element[rank] = np.arange(count, dtype=np.int32)
+            place = np.cumprod([1, *radix[hi - 1 : lo : -1]])[::-1]
+            code = rank * span + place @ self.digits[lo:hi]
+            slots = _run_slots(code, (live + 1) * span)
+            rank, run, lo = slots[code], range(lo, hi), hi
+            live = int(rank.max()) + 1  # the members' ranks are 0, ..., live - 1
+            if lo == len(radix):
+                element = np.full(live + 1, -1, dtype=np.int32)
+                element[rank] = np.arange(len(rank), dtype=np.int32)
+                slots = element[slots]
+            self.runs.append((run, len(slots)))
+            yield run, place, span, slots
 
-    def _code(self, rank: np.ndarray, digit: Callable[[int], np.ndarray], run: range):
-        for k in run:  # in place: no caller reads rank again
-            rank *= self.radix[k]
-            rank += digit(k)
-        return rank
 
-    def find(self, digit: Callable[[int], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-        """Element of each section, of the given shape, with digits digit(k); -1 if none."""
-        rank = np.zeros(shape, dtype=np.int32)
-        for run, slots in self.runs:
-            rank = slots.take(self._code(rank, digit, run))
-        return self.element.take(rank)
+def _run_slots(code: np.ndarray, size: int) -> np.ndarray:
+    """For each code below size, its rank among those in ``code``, or their count if absent."""
+    seen = np.zeros(size, dtype=bool)
+    seen[code] = True
+    return np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(np.count_nonzero(seen)))
+
+
+def _product_codes(
+    table: np.ndarray, left: np.ndarray, onehot: np.ndarray, span: int, slots: np.ndarray
+) -> None:
+    """Carry every product's rank through one run, a block of rows at a time.
+
+    table[s, t] becomes slots[table[s, t] * span + left[:, s] @ onehot[:, t]].
+    The product's terms are integers, and it is below span, so a float64 sum
+    in any order is exact; every code is below len(slots).
+    """
+    for rows in row_blocks(len(table), 2 * len(table)):
+        code = (left[:, rows].T @ onehot).astype(np.int32)
+        code += table[rows] * np.int32(span)
+        slots.take(code, out=table[rows], mode="wrap")  # in range: "wrap" only skips a copy
 
 
 def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> BisectionSemigroup:
@@ -321,12 +339,16 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
 
     Each bisection is stored as its section: the array sending each unit
     to the arrow of the bisection with that source, or to no arrow.  The
-    product s.t has at unit u the composite of b = t(u) with s(r(b)), and
-    d(s.t) = d(t), so the digits of a block of the table's rows at one
-    unit are one gather through the groupoid's composition array, and
-    :class:`_SectionIndex` finds each product from them.  A product found
-    in the family's index is a member, hence a bisection, so only the row
-    of the first product not found is checked for non-bisections.
+    product s.t has at unit k the composite of b = t(k) with s(r(b)), and
+    d(s.t) = d(t), so its digit at k depends on t only through b.  Over a
+    run of units of :class:`_SectionIndex`, the products' digit codes are
+    then one matrix product: left[c, s] is the digit of s(r(b_c)).b_c at
+    d(b_c) times its place value, for each arrow b_c with source in the
+    run, and onehot[c, t] is 1 where t(d(b_c)) = b_c.  The index finds each
+    product from its codes, run after run, with the ranks kept in the
+    table.  A product found in the family's index is a member, hence a
+    bisection, so only the row of the first product not found is checked
+    for non-bisections.
     Raises ValidationError when the family is not closed, with the first
     witness pair in row-major order, or (message, None) when a member,
     the empty bisection or an inverse is at fault, or when two members
@@ -366,48 +388,48 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     if clash.size:
         message = f"{bisection_name(G, masks[clash.min() // units])} is not a bisection"
         raise ValidationError(message, witness=(message, None))
+    fibers = [G.d_fibers[u] for u in G.units]
     digit_of = np.zeros(arrows + 1, dtype=np.int32)
-    for fiber in G.d_fibers.values():
+    for fiber in fibers:
         digit_of[list(fiber)] = range(1, len(fiber) + 1)
     padded = np.full((units + 1, n), arrows, dtype=np.int32)
     padded[source_pos[arrow], member] = arrow
     sections = padded[:units]  # sections[k, t]: the arrow of t with source unit k
-    radix = [len(G.d_fibers[u]) + 1 for u in G.units]
-    index = _SectionIndex(digit_of[sections].__getitem__, radix, n)
+    digits = digit_of[sections]
     compose = np.full((arrows + 1, arrows + 1), -1, dtype=np.int32)
     compose[:arrows, :arrows] = G.compose
     # validate_groupoid certifies d(a.b) = d(b), which makes product digits exact
     if ((source_pos[compose] != source_pos) & (compose >= 0)).any():
         raise CheckFailed("a product must have the source of its right factor")
-    product_digit = digit_of[compose]
     right = range_pos[sections]  # right[k, t]: unit position of r(t(unit k))
-    row_start = np.ascontiguousarray(padded.T) * np.int32(arrows + 1)
-
-    table = np.empty((n, n), dtype=np.int32)
-    for rows in row_blocks(n, 2 * n):  # half blocks: take copies its int32 indices to intp
-        start = row_start[rows]
-
-        def digit(k: int) -> np.ndarray:
-            at = start.take(right[k], axis=1)
-            at += sections[k]  # at[s, t]: flat index into `compose` of s(r(t(unit k))) * t(unit k)
-            return product_digit.take(at)
-
-        found = index.find(digit, (len(start), n))
-        if found.min() < 0:
-            s, t = divmod(int(np.argmax(found < 0)), n)
-            at = row_start[rows.start + s].take(right) + sections  # the row's at[k, t]
-            ranges = np.sort(range_pos[compose.take(at)], axis=0)
-            if ((ranges[1:] == ranges[:-1]) & (ranges[1:] < units)).any():
-                raise CheckFailed("product of bisections must be a bisection")
-            left, right = names[rows.start + s], names[t]
-            raise ValidationError(
-                f"collection not closed at product {left} * {right}", witness=(left, right)
-            )
-        table[rows] = found
-
-    inverse = np.zeros((units + 1, n), dtype=np.int32)
+    inverse = np.zeros((units + 1, n), dtype=np.int32)  # inverse[k, t]: the digit of t* at k
     inverse[right, np.arange(n)] = digit_of[np.array([*G.inverse, arrows])[sections]]
-    star = index.find(inverse.__getitem__, (n,))
+    by_source = np.array([a for fiber in fibers for a in fiber], dtype=np.intp)
+    fiber_end = [0, *accumulate(map(len, fibers))]
+
+    # each product's and inverse's rank over the runs so far, its element after
+    # the last; with no units there is no run, and the one member, the empty
+    # bisection, is element 0
+    table, star = np.zeros((n, n), dtype=np.int32), np.zeros(n, dtype=np.int32)
+    for run, place, span, slots in _SectionIndex(digits, [len(f) + 1 for f in fibers]):
+        b = by_source[fiber_end[run.start] : fiber_end[run.stop]]
+        left = digit_of[compose[padded[range_pos[b]], b[:, None]]]
+        left *= place[source_pos[b] - run.start, None]
+        onehot = digits[source_pos[b]] == digit_of[b, None]
+        _product_codes(table, left.astype(np.float64), onehot.astype(np.float64), span, slots)
+        star = slots.take(star * span + place @ inverse[run.start : run.stop])
+
+    if table.min() < 0:
+        s = int(np.argmax(table.min(axis=1) < 0))
+        t = int(np.argmax(table[s] < 0))
+        products = compose[padded[right, s], sections]  # products[k, t]: (s.t)(unit k), or -1
+        ranges = np.sort(range_pos[products], axis=0)
+        if ((ranges[1:] == ranges[:-1]) & (ranges[1:] < units)).any():
+            raise CheckFailed("product of bisections must be a bisection")
+        lhs, rhs = names[s], names[t]
+        raise ValidationError(
+            f"collection not closed at product {lhs} * {rhs}", witness=(lhs, rhs)
+        )
     if star.min() < 0:
         message = f"inverse of {names[int(np.argmax(star < 0))]} missing"
         raise ValidationError(message, witness=(message, None))

@@ -223,12 +223,20 @@ def recorded_indexes(monkeypatch):
 def test_bisection_table_with_keys_over_several_unit_runs(monkeypatch):
     # pair8's and pair20's source fibers of 8 and 20 arrows give radix-9 and
     # radix-21 digits, and units40's give radix-2 digits; no family's codes
-    # fit one run below 2^16, so each product is found over several runs
+    # fit one run below 2^16, so each product is found over several runs; the
+    # index keeps each run's units and slot count, (live + 1) * span, which
+    # bounds every code, so the float64 sums of a run's matrix product are exact
     made = recorded_indexes(monkeypatch)
-    for G, runs in ((pair_groupoid(8), 3), (units_groupoid(40), 4), (pair_groupoid(20), 15)):
+    for G, runs in (
+        (pair_groupoid(8), 3),
+        (units_groupoid(40), 4),
+        (pair_groupoid(20), 15),
+        (units_groupoid(300), 35),
+    ):
         masks = singleton_semigroup(G)
         bs = bisection_semigroup(G, masks)
         assert len(made[-1].runs) == runs
+        assert all(slots <= 1 << 16 for _, slots in made[-1].runs)
         got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
         assert got == product_table_by_definition(G, masks)
     G = pair_groupoid(8)
@@ -275,6 +283,25 @@ def test_digit_index_gaps_that_die_in_the_first_and_in_the_last_run(monkeypatch)
     assert min(len(index.runs) for index in made) >= 3
     assert units(1, 2) & head not in {m & head for m in first}
     assert units(38, 39) & ~tail in {m & ~tail for m in last}
+
+
+def test_bisection_tables_with_fibers_of_two_sizes_in_one_run(monkeypatch):
+    # pair3 + z4's source fibers of 3 and 4 arrows, and bundle2xZ2 + units3's
+    # of 2 and 1, share one run, so the run's one-hot matrix has a block of
+    # rows per unit, each as tall as that unit's fiber
+    made = recorded_indexes(monkeypatch)
+    for G in (
+        disjoint_union(pair_groupoid(3), group_groupoid(4)),
+        disjoint_union(group_bundle_z2(), units_groupoid(3)),
+    ):
+        assert len({len(fiber) for fiber in G.d_fibers.values()}) == 2
+        masks = enumerate_bisections(G)
+        bs = bisection_semigroup(G, masks)
+        [(_, slots)] = made[-1].runs
+        assert slots <= 1 << 16
+        got = [[bs.bits[v] for v in row] for row in bs.semigroup.table]
+        assert got == product_table_by_definition(G, masks)
+        assert [bs.bits[v] for v in bs.semigroup.star] == [slice_inverse(G, m) for m in masks]
 
 
 def test_bisection_table_of_the_groupoid_without_units():
