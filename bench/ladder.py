@@ -40,14 +40,18 @@ them alike.  A rung's record holds the median of ``seconds``,
 ``peak_rss_mb_range`` (least and greatest) and ``repeats``; a rung that
 did not pass every run keeps the record of its first failing run, with
 ``failed_repeats`` and the figures of the runs that passed.  The inputs
-are written by the first root's package, and the documents that rungs
-write are shared by the roots.
+are written by the first root's package.  Each root writes the documents
+of its rungs into its own directory of ``--work`` (``root0``,
+``root1``, ...), and its later rungs read them there, so no root's write
+waits on another's; a rung's record holds the sha256 of each document it
+wrote (``outputs``), so documents that differ between roots show.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -70,21 +74,21 @@ CORPUS = (
 )
 
 
-def rungs(w: Path) -> list[tuple[str, list[list[str]], int, int]]:
-    """(name, argv lists, seconds budget, memory budget in MB), documents in w."""
+def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
+    """(name, argv lists, seconds budget, memory budget in MB), inputs in w, outputs in o."""
     out = []
     for c in ("singleton", "ample"):
         calls = [["check-iso", f"{w}/corpus/{d}.gpd", "--collection", c] for d in CORPUS]
         out.append((f"corpus check-iso {c}", calls, 60, 1024))
     for g, seconds, memory in (("pair5", 60, 1024), ("pair6", 180, 3072)):
-        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{w}/{g}.sgp"]],
+        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{o}/{g}.sgp"]],
                     seconds, memory))
-        back = [["reconstruct", f"{w}/{g}.sgp", "-o", f"{w}/{g}.back.gpd"]]
+        back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
         out.append((f"reconstruct {g}", back, seconds, memory))
     for g in ("units10", "units11", "units12"):
-        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{w}/{g}.sgp"]], 60, 2048))
-        out.append((f"spectrum {g}", [["spectrum", f"{w}/{g}.sgp"]], 60, 2048))
-        back = [["reconstruct", f"{w}/{g}.sgp", "-o", f"{w}/{g}.back.gpd"]]
+        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{o}/{g}.sgp"]], 60, 2048))
+        out.append((f"spectrum {g}", [["spectrum", f"{o}/{g}.sgp"]], 60, 2048))
+        back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
         out.append((f"reconstruct {g}", back, 60, 2048))
     for g in ("units300", "units1100", "units2000"):
         out.append((f"check-iso {g} singleton", [["check-iso", f"{w}/{g}.gpd"]], 120, 1024))
@@ -176,7 +180,20 @@ def run_rung(root: Path, argvs: list[list[str]], seconds: int, memory_mb: int) -
         over = "memory" if "MemoryError" in done.stderr else None
         return {"status": "over budget" if over else "crashed", "over_budget": over,
                 "budget": budget, "returncode": done.returncode, "stderr": tail}
-    return {**json.loads(lines[-1]), "budget": budget}
+    record = {**json.loads(lines[-1]), "budget": budget}
+    if record["status"] == "ok":
+        written = [Path(argv[argv.index("-o") + 1]) for argv in argvs if "-o" in argv]
+        record["outputs"] = {path.name: sha256(path) for path in written if path.exists()}
+    return record
+
+
+def sha256(path: Path) -> str:
+    """The hex sha256 of a file, read a megabyte at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(MB), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def combine(results: list[dict]) -> dict:
@@ -254,16 +271,19 @@ def main() -> None:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     roots, work = [root.resolve() for root in args.root], args.work.resolve()
-    (work / "corpus").mkdir(parents=True, exist_ok=True)
+    outs = [work / f"root{i}" for i in range(len(roots))]
+    for path in (work / "corpus", *outs):
+        path.mkdir(parents=True, exist_ok=True)
     spec = json.dumps({"root": str(roots[0]), "work": str(work)})
     subprocess.run([sys.executable, __file__, "--child", spec], check=True)
     runs = [{**describe(root), "rungs": {}} for root in roots]
-    for name, argvs, seconds, memory in rungs(work):
+    for plans in zip(*(rungs(work, out) for out in outs)):
+        name = plans[0][0]
         if args.only and name not in args.only:
             continue
         results = [[] for _ in roots]
         for _ in range(args.repeat):
-            for root, mine in zip(roots, results):
+            for root, (_, argvs, seconds, memory), mine in zip(roots, plans, results):
                 mine.append(run_rung(root, argvs, seconds, memory))
         for run, mine in zip(runs, results):
             result = run["rungs"][name] = combine(mine)

@@ -1,10 +1,10 @@
-"""Exact-rational convolution algebra of a finite groupoid.
+"""The convolution algebra of a finite groupoid, and tight representations in it.
 
-Coefficients are fractions.Fraction, and the representation laws run on
-the same coefficients scaled to integers: every identity checked here is
-exact, and a tolerance would only mask bugs.  The algebra of a finite
-groupoid is already unital (the indicator of the unit space), so the
-adjoined unit of the tightness identity is modeled by that indicator.
+A representation's images come in with fractions.Fraction coefficients,
+and every check runs on them scaled once to integer rows: every identity
+checked here is exact, and a tolerance would only mask bugs.  The algebra
+of a finite groupoid is already unital (the indicator of the unit space),
+so the adjoined unit of the tightness identity is modeled by that indicator.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits, mask_of, row_masks
 from .errors import BoundExceeded, CheckFailed, ValidationError
 from .groupoids import FiniteGroupoid
 from .semigroups import FiniteInverseSemigroup, Semilattice, idempotent_semilattice
-from .semigroups import integers, ranked_generators, row_blocks
+from .semigroups import _BLOCK, integers, ranked_generators, row_blocks
 from .spectrum import tight_spectrum
 
 # Largest cover --audit-covers adds to the minimal ones.
@@ -36,28 +36,24 @@ MAX_REP_STATES = 1 << 22
 
 
 class AlgebraElement:
-    """A finitely supported rational function on arrows under convolution."""
+    """A finitely supported rational function on arrows: an image of a representation.
+
+    Convolution stays for benchmark/tracing.py, which counts its calls.
+    """
 
     __slots__ = ("groupoid", "coeffs")
 
     def __init__(self, groupoid: FiniteGroupoid, coeffs=None):
+        items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs or ())
+        arrows = integers((arrow for arrow, _ in items), "arrow index")
+        for arrow in arrows:
+            if not 0 <= arrow < len(groupoid.arrows):
+                raise ValueError(f"arrow index {arrow} out of range")
         data: dict[int, Fraction] = {}
-        if coeffs:
-            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
-            arrows = integers((arrow for arrow, _ in items), "arrow index")
-            for arrow in arrows:
-                if not 0 <= arrow < len(groupoid.arrows):
-                    raise ValueError(f"arrow index {arrow} out of range")
-            for arrow, (_, value) in zip(arrows, items):
-                v = Fraction(value)
-                if v:
-                    acc = data.get(arrow, 0) + v
-                    if acc:
-                        data[arrow] = acc
-                    else:
-                        data.pop(arrow, None)
+        for arrow, (_, value) in zip(arrows, items):
+            data[arrow] = data.get(arrow, 0) + Fraction(value)
         self.groupoid = groupoid
-        self.coeffs = data
+        self.coeffs = {arrow: v for arrow, v in data.items() if v}
 
     @classmethod
     def zero(cls, groupoid: FiniteGroupoid) -> "AlgebraElement":
@@ -86,27 +82,6 @@ class AlgebraElement:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        out = dict(self.coeffs)
-        for a, v in other.coeffs.items():
-            acc = out.get(a, 0) + v
-            if acc:
-                out[a] = acc
-            else:
-                out.pop(a, None)
-        res = AlgebraElement(self.groupoid)
-        res.coeffs = out
-        return res
-
-    def __neg__(self) -> "AlgebraElement":
-        res = AlgebraElement(self.groupoid)
-        res.coeffs = {a: -v for a, v in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Convolution: (f g)(gamma) = sum of f(alpha) g(beta) over alpha beta = gamma."""
         self._check_same(other)
@@ -121,29 +96,10 @@ class AlgebraElement:
         res.coeffs = {a: v for a, v in out.items() if v}
         return res
 
-    def star(self) -> "AlgebraElement":
-        """f*(gamma) = f(gamma^{-1}); coefficients are rational, so no conjugation."""
-        res = AlgebraElement(self.groupoid)
-        res.coeffs = {self.groupoid.inverse[a]: v for a, v in self.coeffs.items()}
-        return res
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.groupoid is other.groupoid and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(
-            (id(self.groupoid), frozenset(self.coeffs.items()))
-        )
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "AlgebraElement(0)"
-        terms = " + ".join(
-            f"{v}*[{self.groupoid.arrows[a]}]" for a, v in sorted(self.coeffs.items())
-        )
-        return f"AlgebraElement({terms})"
 
 
 def rho(G: FiniteGroupoid, mask: int) -> AlgebraElement:
@@ -188,13 +144,9 @@ def _minimal_covers(isect: Sequence[int], fplus: int) -> tuple[int, ...]:
 def _all_covers_upto(isect: Sequence[int], fplus: int, max_size: int) -> list[int]:
     """Every cover of F+ of at most max_size members (audit mode)."""
     members = list(iter_bits(fplus))
-    out = []
-    for k in range(0, min(max_size, len(members)) + 1):
-        for combo in combinations(members, k):
-            zmask = mask_of(combo)
-            if all(isect[f] & zmask for f in members):
-                out.append(zmask)
-    return out
+    sizes = range(min(max_size, len(members)) + 1)
+    masks = (mask_of(combo) for k in sizes for combo in combinations(members, k))
+    return [zmask for zmask in masks if all(isect[f] & zmask for f in members)]
 
 
 @dataclass(frozen=True)
@@ -220,14 +172,24 @@ class _CoefficientMatrix:
         """Entries of the largest temporary one product needs."""
         return max(self.support.shape[1] ** 2, self.rows.shape[1] + 1)
 
-    def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """scale^2 pi(left[i]) pi(right[i]) for every i, one row each."""
+    def at(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The support and weights rows of pi at the element indices idx."""
+        return self.support[idx], self.weights[idx]
+
+    def products(self, left, right) -> np.ndarray:
+        """Integer rows of l r, one per row of the factors (support, weights).
+
+        Factors are padded as ``support`` and ``weights``, and a support of
+        one row serves every row; on ``at(a)`` and ``at(b)`` the rows are
+        scale^2 pi(a) pi(b).
+        """
+        (lsup, lw), (rsup, rw) = left, right
         arrows = self.rows.shape[1]
-        count = len(left)
-        target = self.compose[self.support[left][:, :, None], self.support[right][:, None, :]]
+        terms = lw[:, :, None] * rw[:, None, :]
+        count = len(terms)
+        target = self.compose[lsup[:, :, None], rsup[:, None, :]]
         target += np.arange(0, count * (arrows + 1), arrows + 1)[:, None, None]
-        terms = self.weights[left][:, :, None] * self.weights[right][:, None, :]
-        out = np.zeros(count * (arrows + 1), dtype=self.rows.dtype)
+        out = np.zeros(count * (arrows + 1), dtype=terms.dtype)
         np.add.at(out, target.ravel(), terms.ravel())
         return out.reshape(count, arrows + 1)[:, :arrows]
 
@@ -237,17 +199,12 @@ def _coefficient_matrix(
 ) -> _CoefficientMatrix:
     """Scale pi by the LCM of its denominators into integer rows."""
     arrows = len(G.arrows)
-    scale = 1
-    for v in values:
-        for c in v.coeffs.values():
-            scale = lcm(scale, c.denominator)
-    elements, ranks, columns, ints = [], [], [], []
-    for s, v in enumerate(values):
-        for rank, (a, c) in enumerate(v.coeffs.items()):
-            elements.append(s)
-            ranks.append(rank)
-            columns.append(a)
-            ints.append(c.numerator * (scale // c.denominator))
+    scale = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
+    entries = [
+        (s, r, a, c) for s, v in enumerate(values) for r, (a, c) in enumerate(v.coeffs.items())
+    ]
+    elements, ranks, columns, coeffs = map(list, zip(*entries)) if entries else ([],) * 4
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     k = max([len(v.coeffs) for v in values] + [1])
     big = max(map(abs, ints), default=0)
     # a product slot sums at most k * k terms of at most big * big each
@@ -274,36 +231,69 @@ def _first_mismatch(count: int, width: int, differs) -> int | None:
     return None
 
 
-def _atom_characters(
-    values: Sequence[AlgebraElement], E: Semilattice, unit: AlgebraElement
-) -> list[int]:
+def _atom_characters(pm: _CoefficientMatrix, E: Semilattice, units: Sequence[int]) -> list[int]:
     """Position masks of the atoms of the Boolean algebra the pi(e) generate.
 
-    The unit is refined by one pi(e) at a time, each atom a splitting into
-    a pi(e) and a - a pi(e); nonzero orthogonal idempotents are linearly
-    independent, so there are at most as many atoms as arrows.  Atom k's mask holds the
-    positions e with atom_k <= pi(e), and pi(e) = sum of those atoms is
-    certified for every e.
+    The pi(e) must be commuting idempotents.  The unit is refined by each
+    pi(e) in turn, an atom a splitting into a pi(e) and a - a pi(e) when
+    both are nonzero; nonzero orthogonal idempotents are linearly
+    independent, so at most one atom per arrow.  The atoms are the k rows
+    of X over D = scale^j after j splits: a split by the row P of pi(e)
+    scales X, and replaces each row x that splits by x P and a new row
+    scale x - x P.  One kernel product multiplies each row by each P it
+    meets over a run of positions, k x arrows x run <= _BLOCK, and the
+    run ends at its first split.  Entries are int64 while a bound on max|X|
+    (sum |P| + scale) stays below 2^63, Python ints past it.  Atom k's
+    mask holds the e with atom_k <= pi(e); scale (sum of the rows below e)
+    = D rows[e] is certified, and the masks come in refinement order.
     """
-    S = E.semigroup
-    atoms = [(unit, 0)] if unit else []
-    for p, e in enumerate(E.carrier):
-        split = []
-        for atom, mask in atoms:
-            inside = atom * values[e]
-            if inside:
-                split.append((inside, mask | 1 << p))
-            if inside != atom:
-                split.append((atom - inside, mask))
-        atoms = split
-    for p, e in enumerate(E.carrier):
-        total = AlgebraElement.zero(unit.groupoid)
-        for atom, mask in atoms:
-            if mask >> p & 1:
-                total = total + atom
-        if total != values[e]:
-            raise CheckFailed(f"pi({S.elements[e]}) is not the sum of the atoms below it")
-    return [mask for _, mask in atoms]
+    arrows, m, carrier = pm.rows.shape[1], len(E), list(E.carrier)
+    supports, weights = pm.at(carrier)
+    composable = (pm.compose[:arrows, supports] < arrows).any(axis=2)
+    spread = (abs(weights).sum(axis=1) + pm.scale).tolist()
+    X = np.zeros((arrows, arrows), dtype=pm.rows.dtype)
+    below = np.zeros((arrows, m), dtype=bool)
+    k = min(len(units), 1)
+    X[:k, list(units)] = 1
+    p, big, denominator = 0, 1, 1
+    while p < m:
+        end = min(m, p + max(1, _BLOCK // max(k * arrows, 1)))
+        if X.dtype != object and big * max(spread[p:end]) >= 1 << 63:
+            X = X.astype(object)
+        rows, positions = ((X[:k] != 0) @ composable[:, p:end]).nonzero()
+        positions += p
+        right = supports[positions], weights[positions]
+        inside = pm.products((np.arange(arrows)[None], X[rows]), right)
+        rest = pm.scale * X[rows] - inside
+        kept = np.logical_or.reduce(inside != 0, axis=1)
+        both = kept & np.logical_or.reduce(rest != 0, axis=1)
+        p = int(positions[both].min()) if both.any() else end
+        settled, split = positions <= p, both & (positions == p)
+        below[rows[settled], positions[settled]] = kept[settled]
+        if split.any():
+            rows, new = rows[split], k + int(np.count_nonzero(split))
+            X[:k] *= pm.scale
+            X[rows], X[k:new] = inside[split], rest[split]
+            below[k:new] = below[rows]
+            below[k:new, p] = False
+            big = max(big * pm.scale, int(abs(inside[split]).max()), int(abs(rest[split]).max()))
+            k, p, denominator = new, p + 1, denominator * pm.scale
+    X, below, images = X[:k], below[:k], pm.rows[carrier]
+    if max(k * big * pm.scale, denominator * int(abs(images).max(initial=1))) >= 1 << 63:
+        X, images = X.astype(object), images.astype(object)
+
+    def sum_differs(idx: np.ndarray) -> np.ndarray:
+        atoms, positions = below[:, idx].nonzero()
+        sums = np.zeros((len(idx), arrows), dtype=X.dtype)
+        np.add.at(sums, positions, X[atoms])
+        return (pm.scale * sums != denominator * images[idx]).any(axis=1)
+
+    bad = _first_mismatch(m, arrows, sum_differs)
+    if bad is not None:
+        e = E.semigroup.elements[carrier[bad]]
+        raise CheckFailed(f"pi({e}) is not the sum of the atoms below it")
+    # refinement order puts the part under pi(e) first: bits from position 0 up, set first
+    return list(row_masks(below[np.lexsort(~below[:, ::-1].T)]))
 
 
 def _cover_sup_walk(
@@ -460,12 +450,8 @@ class TightRepresentationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.multiplicativity
-            and self.star_compatible
-            and self.zero_preserved
-            and not self.tightness_witnesses
-        )
+        laws = self.multiplicativity and self.star_compatible and self.zero_preserved
+        return laws and not self.tightness_witnesses
 
     def lines(self) -> list[str]:
         out = [
@@ -476,9 +462,7 @@ class TightRepresentationReport:
             f" (instances={self.instances_checked} covers={self.covers_checked})",
         ]
         for x, ys, zs in self.tightness_witnesses:
-            out.append(
-                f"  violated at X={{{x or ''}}} Y={{{','.join(ys)}}} Z={{{','.join(zs)}}}"
-            )
+            out.append(f"  violated at X={{{x or ''}}} Y={{{','.join(ys)}}} Z={{{','.join(zs)}}}")
         if self.failure_witness:
             out.append(f"  witness: {self.failure_witness}")
         return out
@@ -498,15 +482,15 @@ def check_tight_representation(
     pi maps every element index to an element of the convolution algebra
     of one groupoid, whose unit serves as the adjoined unit.
 
-    The representation laws come first, on pi scaled by the LCM of its
-    denominators into integer rows: multiplicativity, star-compatibility
-    and pi(0) = 0, each reporting its first row-major witness.  The a
-    with pi(ab) = pi(a) pi(b) for all b are closed under products, so
-    multiplicativity is decided on the rows of ``ranked_generators``;
-    only a failure scans all pairs, for its witness.  Images of
-    idempotents must be commuting idempotents, which a multiplicative pi
-    gives, so only a failed multiplicativity checks them (a violation
-    raises CheckFailed: the identity is not well posed then).
+    Every check runs on pi scaled by the LCM of its denominators into
+    integer rows.  The representation laws come first: multiplicativity,
+    star-compatibility and pi(0) = 0, each reporting its first row-major
+    witness.  The a with pi(ab) = pi(a) pi(b) for all b are closed under
+    products, so multiplicativity is decided on the rows of
+    ``ranked_generators``; only a failure scans all pairs, for its
+    witness.  Images of idempotents must be commuting idempotents, which a
+    multiplicative pi gives, so only a failed multiplicativity checks them
+    (a violation raises CheckFailed: the identity is not well posed then).
 
     The identity has X reduced to one idempotent or nothing, Y running
     over antichains of nonzero idempotents, and Z over minimal covers of
@@ -515,23 +499,19 @@ def check_tight_representation(
     covers.  ``audit_covers`` adds every cover of at most
     AUDIT_COVER_SIZE members.  The verdict does not enumerate these
     instances.  The pi(e) split the unit into the atoms of the Boolean
-    algebra they generate, and pi is tight iff every atom character
-    e -> [atom <= pi(e)] is tight (Exel, *Inverse semigroups and
-    combinatorial C*-algebras*, arXiv:math/0703182, sections 11-12;
-    Donsig and Milan, *Joins and covers in inverse semigroups and tight
-    C*-algebras*, Bull. Aust. Math. Soc. 2014), that is, a point of
-    ``tight_spectrum(E)``.
+    algebra they generate (_atom_characters), and pi is tight iff every
+    atom character e -> [atom <= pi(e)] is tight (Exel, *Inverse
+    semigroups and combinatorial C*-algebras*, arXiv:math/0703182,
+    sections 11-12; Donsig and Milan, *Joins and covers in inverse
+    semigroups and tight C*-algebras*, Bull. Aust. Math. Soc. 2014), that
+    is, a point of ``tight_spectrum(E)``.
 
-    The counters multiply over the orthogonal blocks B of nonzero
-    idempotents (the README proves it): instances = (m + 1) P and covers =
-    prod c_B + P + sum over B of h_B P / a_B, with a_B the antichains Y of
-    B (the empty one too), P = prod a_B, and c_B and h_B the sums over Y
-    of the covers of O_Y and of h(O_Y), O_Y the members of B orthogonal to
-    all of Y; one walk of B's antichains gives all three (_block_count).
-    Only a failing verdict or ``audit_covers`` walks all of E with the
-    atom masks, from each root in turn, to list every violated instance
-    and count the audited covers, which do not multiply; past
-    MAX_REP_INSTANCES instances it raises BoundExceeded.
+    The counters multiply over the orthogonal blocks of nonzero
+    idempotents (_cover_sup_count; the README proves it).  Only a failing
+    verdict or ``audit_covers`` walks all of E with the atom masks, from
+    each root in turn, to list every violated instance and count the
+    audited covers, which do not multiply; past MAX_REP_INSTANCES
+    instances it raises BoundExceeded.
     """
     values = []
     for s, element in enumerate(S.elements):
@@ -544,14 +524,12 @@ def check_tight_representation(
     G = values[S.zero].groupoid
     if any(v.groupoid is not G for v in values):
         raise ValidationError("operands live over different groupoids")
-    pm = _coefficient_matrix(values, G)
-    n = len(S)
-    name = S.elements
+    pm, n, name = _coefficient_matrix(values, G), len(S), S.elements
 
     def product_differs(idx: np.ndarray) -> np.ndarray:
         a, b = np.divmod(idx, n)
         expected = pm.scale * pm.rows[S.table[a, b]]
-        return (pm.products(a, b) != expected).any(axis=1)
+        return (pm.products(pm.at(a), pm.at(b)) != expected).any(axis=1)
 
     left = np.fromiter(ranked_generators(S.table), np.intp)
 
@@ -563,12 +541,9 @@ def check_tight_representation(
     if not mult_ok:
         a, b = divmod(_first_mismatch(n * n, pm.width, product_differs), n)
         witness = f"pi({name[a]} {name[b]}) != pi({name[a]}) pi({name[b]})"
-    star = np.array(S.star, dtype=np.intp)
-    inverse = np.array(G.inverse, dtype=np.intp)
+    star, inverse = np.array(S.star, dtype=np.intp), np.array(G.inverse, dtype=np.intp)
     bad = _first_mismatch(
-        n,
-        len(G.arrows),
-        lambda idx: (pm.rows[star[idx]] != pm.rows[idx][:, inverse]).any(axis=1),
+        n, len(G.arrows), lambda idx: (pm.rows[star[idx]] != pm.rows[idx][:, inverse]).any(axis=1)
     )
     star_ok = bad is None
     if not star_ok:
@@ -583,7 +558,7 @@ def check_tight_representation(
 
         def commutator_differs(idx: np.ndarray) -> np.ndarray:
             e, f = carrier[idx // m], carrier[idx % m]
-            return (pm.products(e, f) != pm.products(f, e)).any(axis=1)
+            return (pm.products(pm.at(e), pm.at(f)) != pm.products(pm.at(f), pm.at(e))).any(axis=1)
 
         # as e e = e, pi(e) is idempotent iff pi is multiplicative at (e, e)
         bad = _first_mismatch(m, pm.width, lambda idx: product_differs(carrier[idx] * (n + 1)))
@@ -594,7 +569,7 @@ def check_tight_representation(
             e, f = carrier[bad // m], carrier[bad % m]
             raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
 
-    atom_masks = _atom_characters(values, E, AlgebraElement.unit(G))
+    atom_masks = _atom_characters(pm, E, G.units)
     points = tight_spectrum(E).point_index
     tight = all(mask in points for mask in atom_masks)
 
@@ -609,8 +584,7 @@ def check_tight_representation(
     if audit_covers or not tight:
         if instances > MAX_REP_INSTANCES:
             raise BoundExceeded(
-                f"the cover-sup enumeration has {instances} instances,"
-                f" past {MAX_REP_INSTANCES}"
+                f"the cover-sup enumeration has {instances} instances, past {MAX_REP_INSTANCES}"
             )
 
         def names_of(mask: int) -> tuple[str, ...]:
@@ -625,11 +599,5 @@ def check_tight_representation(
         x, ys, zs = witnesses[0]
         witness = f"cover-sup identity fails at X={{{x or ''}}} Y={{{','.join(ys)}}}"
     return TightRepresentationReport(
-        multiplicativity=mult_ok,
-        star_compatible=star_ok,
-        zero_preserved=zero_ok,
-        tightness_witnesses=witnesses,
-        instances_checked=instances,
-        covers_checked=covers,
-        failure_witness=witness,
+        mult_ok, star_ok, zero_ok, witnesses, instances, covers, witness
     )

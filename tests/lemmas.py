@@ -18,7 +18,7 @@ from ample.groupoids import BisectionSemigroup, FiniteGroupoid, bisection_name
 from ample.semigroups import FiniteInverseSemigroup, idempotent_semilattice
 from ample.spectrum import tight_spectrum
 
-from oracles import domain_idempotent, theta_apply
+from oracles import add, domain_idempotent, sub, theta_apply
 
 # Most idempotent subsets unit_cover tries before it gives up.
 MAX_COVER_COMBINATIONS = 1 << 20
@@ -139,7 +139,7 @@ def equivariance_check(bs: BisectionSemigroup) -> EquivarianceReport:
 
 def sup(p: AlgebraElement, q: AlgebraElement) -> AlgebraElement:
     """Join of commuting idempotents: p + q - pq."""
-    return p + q - p * q
+    return sub(add(p, q), p * q)
 
 
 def sup_all(groupoid: FiniteGroupoid, items: Iterable[AlgebraElement]) -> AlgebraElement:

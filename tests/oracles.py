@@ -774,6 +774,83 @@ def tables_isomorphic(rows_a, rows_b):
     return False
 
 
+# -- the convolution algebra on Fraction coefficients -----------------------------
+# check_tight_representation reads pi's coefficients once and works on integer
+# rows; these recompute sums, adjoints and the atoms from the Fractions.
+
+
+def _element(G, coeffs):
+    out = AlgebraElement(G)
+    out.coeffs = coeffs
+    return out
+
+
+def add(f, g):
+    """f + g, dropping the arrows whose coefficients cancel."""
+    f._check_same(g)
+    out = dict(f.coeffs)
+    for a, v in g.coeffs.items():
+        acc = out.get(a, 0) + v
+        if acc:
+            out[a] = acc
+        else:
+            out.pop(a, None)
+    return _element(f.groupoid, out)
+
+
+def neg(f):
+    return _element(f.groupoid, {a: -v for a, v in f.coeffs.items()})
+
+
+def sub(f, g):
+    return add(f, neg(g))
+
+
+def star(f):
+    """f*(gamma) = f(gamma^{-1}); coefficients are rational, so no conjugation."""
+    return _element(f.groupoid, {f.groupoid.inverse[a]: v for a, v in f.coeffs.items()})
+
+
+def element_hash(f):
+    return hash((id(f.groupoid), frozenset(f.coeffs.items())))
+
+
+def element_repr(f):
+    if not f.coeffs:
+        return "AlgebraElement(0)"
+    terms = " + ".join(f"{v}*[{f.groupoid.arrows[a]}]" for a, v in sorted(f.coeffs.items()))
+    return f"AlgebraElement({terms})"
+
+
+def atom_characters_by_definition(values, E, unit):
+    """Position masks of the atoms the pi(e) generate, by Fraction convolutions.
+
+    The unit is refined by one pi(e) at a time, each atom a splitting into
+    a pi(e) and a - a pi(e), in that order, with zero parts dropped.  Atom
+    k's mask holds the positions e with atom_k <= pi(e), and pi(e) = sum
+    of those atoms is certified for every e.
+    """
+    S = E.semigroup
+    atoms = [(unit, 0)] if unit else []
+    for p, e in enumerate(E.carrier):
+        split = []
+        for atom, mask in atoms:
+            inside = atom * values[e]
+            if inside:
+                split.append((inside, mask | 1 << p))
+            if inside != atom:
+                split.append((sub(atom, inside), mask))
+        atoms = split
+    for p, e in enumerate(E.carrier):
+        total = AlgebraElement.zero(unit.groupoid)
+        for atom, mask in atoms:
+            if mask >> p & 1:
+                total = add(total, atom)
+        if total != values[e]:
+            raise CheckFailed(f"pi({S.elements[e]}) is not the sum of the atoms below it")
+    return [mask for _, mask in atoms]
+
+
 def representation_laws_by_definition(pi, S):
     """Multiplicativity, star and zero from one Fraction convolution per pair.
 
@@ -782,7 +859,6 @@ def representation_laws_by_definition(pi, S):
     images of idempotents are not commuting idempotents.
     """
     values = {s: pi[s] for s in range(len(S))}
-    unit = AlgebraElement.unit(values[S.zero].groupoid)
     mult_ok = True
     star_ok = True
     witness = None
@@ -795,11 +871,11 @@ def representation_laws_by_definition(pi, S):
         if not mult_ok:
             break
     for a in range(len(S)):
-        if values[S.star[a]] != values[a].star():
+        if values[S.star[a]] != star(values[a]):
             star_ok = False
             witness = witness or f"pi({S.elements[a]}*) != pi({S.elements[a]})*"
             break
-    zero_ok = values[S.zero] == unit - unit
+    zero_ok = not values[S.zero]
     if not zero_ok:
         witness = witness or "pi(0) != 0"
     E = idempotent_semilattice(S)
@@ -828,18 +904,18 @@ def tight_representation_by_definition(pi, S, audit_covers=False):
     unit = AlgebraElement.unit(pi[S.zero].groupoid)
     E = idempotent_semilattice(S)
     val = [pi[e] for e in E.carrier]
-    one_minus = [unit - v for v in val]
+    one_minus = [sub(unit, v) for v in val]
     down, up, orth, isect = E.down_masks, E.up_masks, E.orth_masks, E.intersect_masks
     witnesses = []
     counters = {"instances": 0, "covers": 0}
-    sup_cache = {0: unit - unit}
+    sup_cache = {0: AlgebraElement.zero(unit.groupoid)}
     cover_cache = {}
 
     def sup_of(zmask):
         if zmask not in sup_cache:
             low = zmask & -zmask
             p, q = val[low.bit_length() - 1], sup_of(zmask ^ low)
-            sup_cache[zmask] = p + q - p * q
+            sup_cache[zmask] = sub(add(p, q), p * q)
         return sup_cache[zmask]
 
     def names_of(mask):

@@ -683,7 +683,9 @@ def test_rep_check_laws_still_run_under_python_O():
         f"""
         import ample.cli
         from ample import AlgebraElement
-        ample.cli.rho = lambda G, m: AlgebraElement.indicator(G, m) + AlgebraElement.indicator(G, m)
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from oracles import add
+        ample.cli.rho = lambda G, m: add(AlgebraElement.indicator(G, m), AlgebraElement.indicator(G, m))
         sys.exit(ample.cli.main(["rep-check", {str(DATA / "pair2.gpd")!r}]))
         """
     )

@@ -35,11 +35,14 @@ from lemmas import slice_inverse, slice_of, sup, sup_all, unit_cover
 from oracles import (
     _count_instances,
     _cover_sup_violations,
+    add,
+    atom_characters_by_definition,
     closure_by_definition,
     covers_upto_by_definition,
     minimal_covers_by_definition,
     orthogonal_blocks_by_definition,
     representation_laws_by_definition,
+    star,
     tight_representation_by_definition,
 )
 from semilattice_zoo import all_semilattices_upto
@@ -76,8 +79,8 @@ def test_star_and_regularity():
     G = pair_groupoid(2)
     for s in enumerate_bisections(G):
         f = rho(G, s)
-        assert f.star() == rho(G, slice_inverse(G, s))
-        assert f * f.star() * f == f
+        assert star(f) == rho(G, slice_inverse(G, s))
+        assert f * star(f) * f == f
 
 
 def test_rho_zero_and_injective():
@@ -229,7 +232,7 @@ def test_non_idempotent_image_rejected():
     G = units_groupoid(1)
     bs = bisection_semigroup(G, enumerate_bisections(G))
     u = AlgebraElement.unit(G)
-    two = u + u
+    two = add(u, u)
     pi = {0: AlgebraElement.zero(G), 1: two}
     with pytest.raises(CheckFailed):
         check_tight_representation(pi, bs.semigroup)
@@ -449,7 +452,7 @@ def test_generator_route_keeps_the_oracle_verdicts():
     for g in gens:
         inside = closure_by_definition(S.table.tolist(), gens - {g})
         if g not in inside:
-            pi = [f if s in inside else f + f for s, f in enumerate(plain)]
+            pi = [f if s in inside else add(f, f) for s, f in enumerate(plain)]
             _assert_laws_match(pi, S, g)
             broken += 1
     assert broken == 4
@@ -458,7 +461,7 @@ def test_generator_route_keeps_the_oracle_verdicts():
     e0 = rho(H, 1 << H.index["u0"])
     skew = rho(H, 1 << H.index["u0"] | 1 << H.index["a01"])
     s, t = sorted(set(S.idempotents) - gens - {S.zero})[-2:]
-    for image, message in ((skew, "and .* do not commute"), (e0 + e0, "is not idempotent")):
+    for image, message in ((skew, "and .* do not commute"), (add(e0, e0), "is not idempotent")):
         pi = [AlgebraElement.zero(H)] * len(S)
         pi[s], pi[t] = e0, image
         with pytest.raises(CheckFailed, match=message):
@@ -479,7 +482,7 @@ def test_idempotent_and_commutation_messages():
     for check in (check_tight_representation, representation_laws_by_definition):
         with pytest.raises(CheckFailed, match=r"^pi\(u0\) and pi\(u1\) do not commute$"):
             check(pi, S)
-    pi[S.index["u1"]] = e0 + e0
+    pi[S.index["u1"]] = add(e0, e0)
     for check in (check_tight_representation, representation_laws_by_definition):
         with pytest.raises(CheckFailed, match=r"^pi\(u1\) is not idempotent$"):
             check(pi, S)
@@ -575,8 +578,105 @@ def _assert_walk_matches_two_walks(E, atom_masks, label):
 
 def _atoms(pi, S):
     E = idempotent_semilattice(S)
-    unit = AlgebraElement.unit(pi[S.zero].groupoid)
-    return E, convolution._atom_characters(pi, E, unit)
+    G = pi[S.zero].groupoid
+    return E, convolution._atom_characters(convolution._coefficient_matrix(pi, G), E, G.units)
+
+
+# -- the atoms on integer rows against the Fraction refinement --------------------
+
+
+def _atoms_by_definition(pi, S):
+    E = idempotent_semilattice(S)
+    return E, atom_characters_by_definition(pi, E, AlgebraElement.unit(pi[S.zero].groupoid))
+
+
+def _atom_outcome(atoms, pi, S):
+    """The atom masks, or the CheckFailed message when the refinement raises."""
+    try:
+        return atoms(pi, S)[1]
+    except CheckFailed as exc:
+        return ("CheckFailed", str(exc))
+
+
+def _projections_of_units1():
+    """units1 ample in pair2's algebra, pi(u0) an idempotent with coefficients other than 1.
+
+    The scaled rows of the second are Python ints; the third has scale 2^40.
+    """
+    G = pair_groupoid(2)
+    S = _ample(units_groupoid(1)).semigroup
+    u0, u1, a01, a10 = (G.index[name] for name in ("u0", "u1", "a01", "a10"))
+    images = [
+        dict.fromkeys((u0, u1, a01, a10), Fraction(1, 2)),
+        {u0: 1, a10: 1 << 40},
+        {u0: 1, a10: Fraction(1, 1 << 40)},
+    ]
+    out = []
+    for coeffs in images:
+        pi = [AlgebraElement.zero(G)] * len(S)
+        pi[S.index["u0"]] = AlgebraElement(G, coeffs)
+        out.append((pi, S))
+    return out
+
+
+def _conjugated_units(n):
+    """units(n) ample in pair(n)'s algebra, each unit set conjugated by 1 + 2^-20 a01."""
+    G, H = pair_groupoid(n), units_groupoid(n)
+    bs = _ample(H)
+    units = dict.fromkeys(G.units, 1)
+    t = AlgebraElement(G, {**units, G.index["a01"]: Fraction(1, 1 << 20)})
+    t_inverse = AlgebraElement(G, {**units, G.index["a01"]: Fraction(-1, 1 << 20)})
+    pi = [t * rho(G, mask_of(G.index[H.arrows[u]] for u in iter_bits(m))) * t_inverse for m in bs.bits]
+    return pi, bs.semigroup
+
+
+def test_atoms_on_integer_rows_match_the_fraction_refinement(corpus_runs):
+    rng = random.Random(30)
+    cases = []
+    for r in corpus_runs:
+        G, bs = r.groupoid, r.bisection_semigroup
+        keep = mask_of(u for u in G.units if rng.random() < 0.5)
+        cases += [([rho(G, m & mask) for m in bs.bits], bs.semigroup) for mask in (-1, keep)]
+    empty = parse_groupoid("groupoid { units { } arrows { } compose { } inverse { } }")
+    cases.append(([rho(empty, 0)], bisection_semigroup(empty, [0]).semigroup))
+    projections = _projections_of_units1()
+    for pi, S in cases + projections + [_conjugated_units(4)]:
+        assert _atom_outcome(_atoms, pi, S) == _atom_outcome(_atoms_by_definition, pi, S)
+    assert [_atoms(pi, S)[1] for pi, S in projections] == [[2, 0]] * 3
+    assert [check_tight_representation(pi, S).star_compatible for pi, S in projections] == [
+        True,
+        False,
+        False,
+    ]
+    dtypes = [convolution._coefficient_matrix(pi, pi[0].groupoid).rows.dtype for pi, _ in projections]
+    assert dtypes == [np.int64, object, object]
+
+
+def test_atoms_pass_int64_past_three_splits_at_scale_2_to_the_20():
+    # the conjugated unit sets split three times, and their rows grow by
+    # 2^20 a split: the refinement starts on int64 rows and ends on Python ints
+    pi, S = _conjugated_units(4)
+    report = check_tight_representation(pi, S)
+    assert report.multiplicativity and report.zero_preserved and not report.star_compatible
+    assert convolution._coefficient_matrix(pi, pi[0].groupoid).rows.dtype == np.int64
+    E, masks = _atoms(pi, S)
+    assert len(masks) == 4 and masks == atom_characters_by_definition(pi, E, AlgebraElement.unit(pi[0].groupoid))
+
+
+def test_the_atom_certification_names_the_first_image_off_its_atoms():
+    # the refinement reads pi from support and weights; the certification
+    # compares the atoms with the rows, and names the first position they miss
+    G = units_groupoid(2)
+    bs = _ample(G)
+    S = bs.semigroup
+    pi = [rho(G, m) for m in bs.bits]
+    E = idempotent_semilattice(S)
+    pm = convolution._coefficient_matrix(pi, G)
+    assert convolution._atom_characters(pm, E, G.units) == _atoms_by_definition(pi, S)[1]
+    pm.rows[S.index["u1"], G.index["u0"]] = 1
+    pm.rows[S.index["u0+u1"], G.index["u0"]] = 2
+    with pytest.raises(CheckFailed, match=r"^pi\(u1\) is not the sum of the atoms below it$"):
+        convolution._atom_characters(pm, E, G.units)
 
 
 def test_walk_matches_two_walks_on_the_zoo():
