@@ -260,7 +260,8 @@ def _atom_characters(pm: _CoefficientMatrix, E: Semilattice, units: Sequence[int
         end = min(m, p + max(1, _BLOCK // max(k * arrows, 1)))
         if X.dtype != object and big * max(spread[p:end]) >= 1 << 63:
             X = X.astype(object)
-        rows, positions = ((X[:k] != 0) @ composable[:, p:end]).nonzero()
+        meets = composable[:, p:end].any(axis=1)
+        rows, positions = ((X[:k, meets] != 0) @ composable[meets, p:end]).nonzero()
         positions += p
         right = supports[positions], weights[positions]
         inside = pm.products((np.arange(arrows)[None], X[rows]), right)
