@@ -42,9 +42,10 @@ did not pass every run keeps the record of its first failing run, with
 ``failed_repeats`` and the figures of the runs that passed.  The inputs
 are written by the first root's package.  Each root writes the documents
 of its rungs into its own directory of ``--work`` (``root0``,
-``root1``, ...), and its later rungs read them there, so no root's write
-waits on another's; a rung's record holds the sha256 of each document it
-wrote (``outputs``), so documents that differ between roots show.
+``root1``, ...), and its later rungs read them there, so no root
+overwrites or reads another's; a rung's record holds the sha256 of each
+document it wrote (``outputs``), so documents that differ between roots
+show.
 """
 
 from __future__ import annotations

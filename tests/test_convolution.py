@@ -37,6 +37,9 @@ from oracles import (
     _cover_sup_violations,
     add,
     atom_characters_by_definition,
+    element_hash,
+    element_repr,
+    neg,
     closure_by_definition,
     covers_upto_by_definition,
     minimal_covers_by_definition,
@@ -91,6 +94,15 @@ def test_rho_zero_and_injective():
     for i, f in enumerate(images):
         for j, g in enumerate(images):
             assert (f == g) == (i == j)
+
+
+def test_oracle_hash_and_repr_follow_the_coefficients():
+    G = pair_groupoid(2)
+    u0, a01 = G.index["u0"], G.index["a01"]
+    f = AlgebraElement(G, [(a01, Fraction(1, 2)), (u0, 1), (a01, Fraction(1, 2))])
+    assert f == rho(G, 1 << u0 | 1 << a01) and element_hash(f) == element_hash(rho(G, 5))
+    assert element_repr(f) == "AlgebraElement(1*[u0] + 1*[a01])"
+    assert element_repr(add(f, neg(f))) == "AlgebraElement(0)"
 
 
 def test_bad_arrow_indices_are_rejected():
