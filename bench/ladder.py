@@ -91,7 +91,7 @@ def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
         out.append((f"spectrum {g}", [["spectrum", f"{o}/{g}.sgp"]], 60, 2048))
         back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
         out.append((f"reconstruct {g}", back, 60, 2048))
-    for g in ("units300", "units1100", "units2000"):
+    for g in ("units300", "units1100", "units2000", "units4000"):
         out.append((f"check-iso {g} singleton", [["check-iso", f"{w}/{g}.gpd"]], 120, 1024))
     for g in ("units5", "units6", "pair3+pair3"):
         out.append((f"rep-check {g} ample",
@@ -226,7 +226,8 @@ def write_inputs(root: Path, work: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         main(["corpus", "--out-dir", str(work / "corpus")])
     groupoids = {f"pair{n}": pair_groupoid(n) for n in (5, 6, 16, 20)}
-    groupoids |= {f"units{n}": units_groupoid(n) for n in (5, 6, 7, 10, 11, 12, 300, 1100, 2000)}
+    sizes = (5, 6, 7, 10, 11, 12, 300, 1100, 2000, 4000)
+    groupoids |= {f"units{n}": units_groupoid(n) for n in sizes}
     groupoids["pair3+pair3"] = disjoint_union(pair_groupoid(3), pair_groupoid(3))
     for name, G in groupoids.items():
         (work / f"{name}.gpd").write_text(write_groupoid(G), encoding="utf-8")

@@ -37,18 +37,37 @@ small table, through a dict.  The first unknown entry is located by
 reading the run again, on the error path only.  The token after a run is
 read by the ordinary scanner, so a bad character there is reported where
 a token-at-a-time scan would meet it.
+
+A groupoid document is read a row at a time: each row of arrows,
+compose and inverse is one compiled match, which takes the gaps in front
+of its tokens with it, and its names go through one dict into a flat
+array of indices as it is read (so no row outlives its match), and
+compose is filled by one fancy assignment.  A
+document the rows do not read whole (a row they cannot match, a
+duplicate, an unknown name, a conflicting or missing inverse, trailing
+input) is read again a token at a time, and that reading raises the
+error with its line and column.  The table is written a block of rows
+at a time: when every name is ASCII and of one width, a block of about
+2^16 characters is one gather of fixed-size "name " cells, and other
+names are joined per row.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
-from .semigroups import FiniteInverseSemigroup, adjoin_zero, validate_inverse_semigroup
+from .semigroups import (
+    FiniteInverseSemigroup,
+    adjoin_zero,
+    row_blocks,
+    validate_inverse_semigroup,
+)
 
 # The whitespace and comments in front of a token, then the token, if any.
 _TOKEN_RE = re.compile(
@@ -65,6 +84,21 @@ _TOKEN_RE = re.compile(
 """,
     re.VERBOSE,
 )
+# One row of a groupoid section, with the gaps in front of its tokens.  A
+# gap splits only one way (a comment runs to its newline), so a row that
+# does not match is given up in time linear in its length.
+_GAP = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
+_NAME = r"([A-Za-z0-9_.+@]+)"
+_ROW_RE = {
+    "arrows": re.compile(f"{_GAP}{_NAME}{_GAP}:{_GAP}{_NAME}{_GAP}->{_GAP}{_NAME}"),
+    # the lookahead keeps a run of identifier characters one name
+    "compose": re.compile(f"{_GAP}{_NAME}(?![A-Za-z0-9_.+@]){_GAP}{_NAME}{_GAP}={_GAP}{_NAME}"),
+    "inverse": re.compile(f"{_GAP}{_NAME}{_GAP}={_GAP}{_NAME}"),
+}
+_OPEN_RE = {key: re.compile(f"{_GAP}{key}{_GAP}\\{{") for key in _ROW_RE}
+_CLOSE_RE = re.compile(f"{_GAP}\\}}")
+_END_RE = re.compile(f"{_GAP}\\}}{_GAP}\\Z")
+_UNKNOWN = (-1, -1, -1)  # the index of a name the dict does not hold
 # Identifiers and whitespace up to the next comment or other token.
 _RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
 _COMMENT_RE = re.compile(r"#[^\n]*")
@@ -328,8 +362,79 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     return sg
 
 
-def parse_groupoid(text: str) -> FiniteGroupoid:
-    """Parse and validate a groupoid document."""
+def _groupoid_rows(text: str):
+    """The parts of a groupoid document read a row per match, or None.
+
+    The header and the units are read by the scanner; then each row of
+    arrows, compose and inverse is one _ROW_RE match, whose names go
+    through one dict into a flat array of indices as the row is read, so
+    no row outlives its match.  None wherever the rows do not read the
+    whole document into a well-formed groupoid, which leaves every error
+    to _groupoid_tokens.
+    """
+    sc = _Scanner(text)
+    try:
+        sc.expect_keyword("groupoid")
+        sc.expect("lbrace", "'{'")
+        sc.expect_keyword("units")
+        names = _names(sc, "unit")
+    except ParseError:
+        return None
+    n_units, pos, flat, ends = len(names), sc.pos, array("q"), []
+    index = dict(zip(names, range(n_units)))  # then each arrow as its row is read
+    for key, row in _ROW_RE.items():
+        m = _OPEN_RE[key].match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        while m := row.match(text, pos):
+            if key == "arrows":
+                k = len(index)
+                if index.setdefault(m[1], k) != k:
+                    return None  # a duplicate arrow id
+            flat.extend(map(index.get, m.groups(), _UNKNOWN))
+            pos = m.end()
+        m = _CLOSE_RE.match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        ends.append(len(flat))
+    if not _END_RE.match(text, pos):
+        return None
+
+    n, (a, c, _) = len(index), ends  # where the compose rows and the inverse rows start
+    flat = np.array(flat, dtype=np.intp)
+    if flat.min(initial=0) < 0:
+        return None  # an unknown name
+    units = np.arange(n_units)
+    d, r = (np.concatenate([units, v]) for v in flat[:a].reshape(-1, 3)[:, 1:].T)
+    if max(d.max(initial=-1), r.max(initial=-1)) >= n_units:
+        return None  # an arrow's source or range is no unit
+    left, right, value = flat[a:c].reshape(-1, 3).T
+    # the products with a unit that the unit laws imply, then the declared
+    # ones over them, each first as its row number to find a duplicate
+    compose = np.full((n, n), -1, dtype=np.int32)
+    arrows = np.arange(n, dtype=np.int32)
+    compose[arrows, d] = compose[r, arrows] = arrows
+    rows = np.arange(len(left), dtype=np.int32)
+    compose[left, right] = rows
+    if (compose[left, right] != rows).any():
+        return None  # a duplicate composition: a later row took its place
+    compose[left, right] = value
+    arrow, inverse = (np.concatenate([units, v]) for v in flat[c:].reshape(-1, 2).T)
+    inv = np.full(n, -1, dtype=np.intp)
+    inv[arrow] = inverse  # the units' own rows first, so a later row that differs shows
+    if (inv[arrow] != inverse).any() or inv.min(initial=0) < 0:
+        return None  # a conflicting or missing inverse
+    return list(index), n_units, d.tolist(), r.tolist(), compose, inv.tolist()
+
+
+def _groupoid_tokens(text: str):
+    """The parts of a groupoid document read a token at a time.
+
+    Raises the first error where a token-at-a-time reading meets it, with
+    its line and column.
+    """
     sc = _Scanner(text)
     sc.expect_keyword("groupoid")
     sc.expect("lbrace", "'{'")
@@ -413,11 +518,18 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         for key in ((a, d[a]), (r[a], a)):
             if compose[key] < 0:
                 compose[key] = a
+    return names, n_units, d, r, compose, [inverse[a] for a in range(n)]
 
+
+def parse_groupoid(text: str) -> FiniteGroupoid:
+    """Parse and validate a groupoid document.
+
+    The rows are read a match each; a document they do not read whole is
+    read again a token at a time, which raises its first error.
+    """
+    names, n_units, d, r, compose, inverse = _groupoid_rows(text) or _groupoid_tokens(text)
     try:
-        return validate_groupoid(
-            names, range(n_units), d, r, compose, [inverse[a] for a in range(n)]
-        )
+        return validate_groupoid(names, range(n_units), d, r, compose, inverse)
     except ValidationError as exc:
         raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc
 
@@ -437,15 +549,28 @@ def semigroup_lines(S: FiniteInverseSemigroup):
     """The lines of S's semigroup document, each with its newline.
 
     The table comes one row a line, so a caller that writes the lines as
-    they come never holds the whole document.
+    they come never holds the whole document.  When every name is ASCII
+    and of one width, as the zero-padded names of abstract_table are, a
+    block of rows is one gather of fixed-size "name " cells; other names
+    are joined a row at a time.
     """
+    joined = " ".join(S.elements)
     yield "semigroup {\n"
-    yield "  elements { " + " ".join(S.elements) + " }\n"
+    yield "  elements { " + joined + " }\n"
     yield f"  zero {S.elements[S.zero]}\n"
     yield "  table {\n"
-    names = np.array(S.elements, dtype=object)
-    for row in S.table:
-        yield "    " + " ".join(names[row].tolist()) + "\n"
+    n, widths = len(S), set(map(len, S.elements))
+    if len(widths) == 1 and joined.isascii():
+        cells = np.frombuffer(f"{joined} ".encode("ascii"), dtype=f"S{widths.pop() + 1}")
+        width = len(joined) + 1  # the characters of one row's cells
+        for rows in row_blocks(n, width):
+            text = cells.take(S.table[rows]).tobytes().decode("ascii")
+            for k in range(0, len(text), width):
+                yield "    " + text[k : k + width - 1] + "\n"
+    else:
+        names = np.array(S.elements, dtype=object)
+        for row in S.table:
+            yield "    " + " ".join(names[row].tolist()) + "\n"
     yield "  }\n"
     yield "}\n"
 

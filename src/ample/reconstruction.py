@@ -434,20 +434,23 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
     audit = run.audit
     E = model.semilattice
     sources = {u: mask_of(fiber) for u, fiber in G.d_fibers.items()}
+    pinned: dict[int, int] = {}  # base point -> its unit, at the point's first arrow
     mapping = []
     for a in range(len(model.groupoid.arrows)):
-        bits = model.spectrum.points[model.arrow_point[a]]
-        inter = G.units_mask
-        for p in iter_bits(bits):
-            unit_set = audit.bisections[E.carrier[p]]
-            if unit_set & ~G.units_mask:
-                raise CheckFailed("idempotent bisections are unit sets")
-            inter &= unit_set
-        if inter == 0 or inter & (inter - 1):
-            raise CheckFailed(
-                f"base character of arrow {model.groupoid.arrows[a]} does not pin a point"
-            )
-        x = inter.bit_length() - 1
+        point = model.arrow_point[a]
+        if point not in pinned:
+            inter = G.units_mask
+            for p in iter_bits(model.spectrum.points[point]):
+                unit_set = audit.bisections[E.carrier[p]]
+                if unit_set & ~G.units_mask:
+                    raise CheckFailed("idempotent bisections are unit sets")
+                inter &= unit_set
+            if inter == 0 or inter & (inter - 1):
+                raise CheckFailed(
+                    f"base character of arrow {model.groupoid.arrows[a]} does not pin a point"
+                )
+            pinned[point] = inter.bit_length() - 1
+        x = pinned[point]
         gammas = set()
         for s in model.arrow_members[a]:
             found = audit.bisections[s] & sources[x]
@@ -468,68 +471,85 @@ def canonical_iso_of_run(run: ReconstructionRun) -> GroupoidIsomorphism:
     return iso
 
 
-def _unit_signature(G: FiniteGroupoid, u: int) -> tuple[int, int, int]:
-    out = sum(1 for a in range(len(G.arrows)) if G.d[a] == u)
-    inc = sum(1 for a in range(len(G.arrows)) if G.r[a] == u)
-    loops = sum(1 for a in range(len(G.arrows)) if G.d[a] == u and G.r[a] == u)
-    return (out, inc, loops)
+def _signatures(G: FiniteGroupoid) -> dict[int, tuple[int, int, int]]:
+    """Each unit's arrows out, arrows in and loops, one bincount each."""
+    units, n = list(G.units), len(G.arrows)
+    d, r = np.array(G.d, dtype=np.intp), np.array(G.r, dtype=np.intp)
+    counts = [np.bincount(v, minlength=n)[units].tolist() for v in (d, r, d[d == r])]
+    return dict(zip(units, zip(*counts)))
 
 
 def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphism | None:
     """Independent backtracking search for an isomorphism; None if none exists.
 
-    Units are matched first by degree signature, then arrows fiber by
-    fiber with incremental inverse/composition consistency; the search
-    aborts with BoundExceeded after MAX_ISO_NODES assignments.
+    Units are matched first, each to the free units of G2 in the bucket
+    of its signature (arrows out, arrows in, loops), then the other arrows
+    fiber by fiber, each to the free non-units of G2 in the bucket of its
+    mapped (source, range); a bucket keeps the ascending order of a scan.
+    An assignment a -> b is checked against inversion and against a's
+    composable partners already mapped, the arrows whose range is d(a) and
+    those whose source is r(a), never against whole rows of compose.  So
+    it visits the nodes of a scan of every arrow, in the same order, and
+    returns the same map; it gives up with BoundExceeded after
+    MAX_ISO_NODES assignments, and never consults the canonical map.
     """
     n = len(G1.arrows)
     if n != len(G2.arrows) or len(G1.units) != len(G2.units):
         return None
-    sig1 = {u: _unit_signature(G1, u) for u in G1.units}
-    sig2 = {u: _unit_signature(G2, u) for u in G2.units}
+    sig1, sig2 = _signatures(G1), _signatures(G2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
+    by_signature: dict[tuple[int, int, int], list[int]] = {}
+    for u in G2.units:
+        by_signature.setdefault(sig2[u], []).append(u)
+    by_ends: dict[tuple[int, int], list[int]] = {}
+    for b in range(n):
+        if not G2.is_unit(b):
+            by_ends.setdefault((G2.d[b], G2.r[b]), []).append(b)
+    into: dict[int, list[int]] = {}  # unit -> the arrows with that range
+    out_of: dict[int, list[int]] = {}  # unit -> the arrows with that source
+    for x in range(n):
+        into.setdefault(G1.r[x], []).append(x)
+        out_of.setdefault(G1.d[x], []).append(x)
+    compose1, compose2 = G1.compose.item, G2.compose.item
 
     order = list(G1.units) + [a for a in range(n) if not G1.is_unit(a)]
     mapping: dict[int, int] = {}
     used = [False] * n
 
-    def candidates(a: int) -> list[int]:
+    def candidates(a: int) -> Iterator[int]:
+        # lazy: whenever a level asks for its next candidate, every deeper
+        # assignment is undone, so it skips what a list made up front would
         if G1.is_unit(a):
-            return [u for u in G2.units if not used[u] and sig2[u] == sig1[a]]
-        du, ru = mapping.get(G1.d[a]), mapping.get(G1.r[a])
-        return [
-            b
-            for b in range(n)
-            if not used[b]
-            and not G2.is_unit(b)
-            and G2.d[b] == du
-            and G2.r[b] == ru
-        ]
+            bucket = by_signature[sig1[a]]
+        else:
+            bucket = by_ends.get((mapping[G1.d[a]], mapping[G1.r[a]]), [])
+        return (b for b in bucket if not used[b])
 
     def consistent(a: int, b: int) -> bool:
         ia = G1.inverse[a]
         if ia in mapping and mapping[ia] != G2.inverse[b]:
             return False
-        # a and b against every mapped pair and themselves, on both sides
-        pairs = (*mapping.items(), (a, b))
-        for one, two in (
-            (G1.compose[a].tolist(), G2.compose[b].tolist()),
-            (G1.compose[:, a].tolist(), G2.compose[:, b].tolist()),
-        ):
-            for x, y in pairs:
-                c = one[x]
-                if c >= 0:
-                    cc = two[y]
-                    if cc < 0 or (c in mapping and mapping[c] != cc):
-                        return False
+        # a and b against every mapped partner and themselves, on both sides
+        for x in into[G1.d[a]]:  # a * x is defined
+            y = b if x == a else mapping.get(x)
+            if y is not None:
+                c, cc = compose1(a, x), compose2(b, y)
+                if cc < 0 or (c in mapping and mapping[c] != cc):
+                    return False
+        for x in out_of[G1.r[a]]:  # x * a is defined
+            y = b if x == a else mapping.get(x)
+            if y is not None:
+                c, cc = compose1(x, a), compose2(y, b)
+                if cc < 0 or (c in mapping and mapping[c] != cc):
+                    return False
         return True
 
     def search() -> bool:
         # levels[i] holds the untried candidates for order[i]: an explicit
         # stack, so a long order cannot overflow Python's recursion limit
         nodes = 0
-        levels = [iter(candidates(order[0]))] if order else []
+        levels = [candidates(order[0])] if order else []
         while levels:
             a = order[len(levels) - 1]
             for b in levels[-1]:
@@ -547,7 +567,7 @@ def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphi
             used[b] = True
             if len(levels) == len(order):
                 return True
-            levels.append(iter(candidates(order[len(levels)])))
+            levels.append(candidates(order[len(levels)]))
         return not order
 
     if not search():

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ample import AlgebraElement, slice_product
+from ample import AlgebraElement, reconstruction, slice_product
 from ample.bitsets import iter_bits, mask_of
 from ample.convolution import AUDIT_COVER_SIZE, MAX_REP_STATES, TightRepresentationReport
 from ample.errors import AmpleError, BoundExceeded, CheckFailed, ParseError, ValidationError
@@ -774,6 +774,89 @@ def tables_isomorphic(rows_a, rows_b):
     return False
 
 
+def _unit_signature(G, u):
+    out = sum(1 for a in range(len(G.arrows)) if G.d[a] == u)
+    inc = sum(1 for a in range(len(G.arrows)) if G.r[a] == u)
+    loops = sum(1 for a in range(len(G.arrows)) if G.d[a] == u and G.r[a] == u)
+    return (out, inc, loops)
+
+
+def brute_force_iso_by_scan(G1, G2):
+    """ample.brute_force_iso, scanning every arrow for candidates and whole
+    compose rows for consistency; the same node budget, read at call time."""
+    n = len(G1.arrows)
+    if n != len(G2.arrows) or len(G1.units) != len(G2.units):
+        return None
+    sig1 = {u: _unit_signature(G1, u) for u in G1.units}
+    sig2 = {u: _unit_signature(G2, u) for u in G2.units}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+
+    order = list(G1.units) + [a for a in range(n) if not G1.is_unit(a)]
+    mapping = {}
+    used = [False] * n
+
+    def candidates(a):
+        if G1.is_unit(a):
+            return [u for u in G2.units if not used[u] and sig2[u] == sig1[a]]
+        du, ru = mapping.get(G1.d[a]), mapping.get(G1.r[a])
+        return [
+            b
+            for b in range(n)
+            if not used[b]
+            and not G2.is_unit(b)
+            and G2.d[b] == du
+            and G2.r[b] == ru
+        ]
+
+    def consistent(a, b):
+        ia = G1.inverse[a]
+        if ia in mapping and mapping[ia] != G2.inverse[b]:
+            return False
+        # a and b against every mapped pair and themselves, on both sides
+        pairs = (*mapping.items(), (a, b))
+        for one, two in (
+            (G1.compose[a].tolist(), G2.compose[b].tolist()),
+            (G1.compose[:, a].tolist(), G2.compose[:, b].tolist()),
+        ):
+            for x, y in pairs:
+                c = one[x]
+                if c >= 0:
+                    cc = two[y]
+                    if cc < 0 or (c in mapping and mapping[c] != cc):
+                        return False
+        return True
+
+    def search():
+        nodes = 0
+        levels = [iter(candidates(order[0]))] if order else []
+        while levels:
+            a = order[len(levels) - 1]
+            for b in levels[-1]:
+                nodes += 1
+                if nodes > reconstruction.MAX_ISO_NODES:
+                    raise BoundExceeded("isomorphism search exceeded its node budget")
+                if consistent(a, b):
+                    break
+            else:
+                levels.pop()
+                if levels:
+                    used[mapping.pop(order[len(levels) - 1])] = False
+                continue
+            mapping[a] = b
+            used[b] = True
+            if len(levels) == len(order):
+                return True
+            levels.append(iter(candidates(order[len(levels)])))
+        return not order
+
+    if not search():
+        return None
+    iso = GroupoidIsomorphism(G1, G2, tuple(mapping[a] for a in range(n)))
+    check_isomorphism(iso)
+    return iso
+
+
 # -- the convolution algebra on Fraction coefficients -----------------------------
 # check_tight_representation reads pi's coefficients once and works on integer
 # rows; these recompute sums, adjoints and the atoms from the Fractions.
@@ -1322,3 +1405,12 @@ def parse_groupoid_by_tokens(text):
         )
     except AmpleError as exc:
         raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc
+
+
+def semigroup_document_by_join(S):
+    """ample.write_semigroup, joining the names of each table row."""
+    names = np.array(S.elements, dtype=object)
+    lines = ["semigroup {", "  elements { " + " ".join(S.elements) + " }",
+             f"  zero {S.elements[S.zero]}", "  table {"]
+    lines += ["    " + " ".join(names[row].tolist()) for row in S.table]
+    return "\n".join(lines + ["  }", "}"]) + "\n"

@@ -19,31 +19,65 @@ from ample import (
     parse_semigroup,
     semigroup_lines,
     units_groupoid,
+    validate_groupoid,
     write_groupoid,
     write_semigroup,
 )
 from ample import formats
 from ample.errors import ParseError, ValidationError
 
-from oracles import parse_groupoid_by_tokens, parse_semigroup_by_tokens
+from oracles import (
+    parse_groupoid_by_tokens,
+    parse_semigroup_by_tokens,
+    semigroup_document_by_join,
+)
 
 DATA = Path(__file__).parent / "data"
 
 # Identifier, whitespace, structural, comment and illegal characters.
 MUTATION_CHARS = "a0x1_.+@ \t\r\n{}:=->#?;\x0cé"
+IDENT = r"[A-Za-z0-9_.+@]+"
+# Comments that hold what ends a row or a section, or opens one.
+ROW_COMMENTS = ("# }", "#}", "# a -> b", "# = c", "#compose {", "# inverse {", "#\x0c0compose {")
 
 
 def mutate(text, rng):
-    """One seeded edit of 1-3 characters: an insertion, a deletion or a copy."""
+    """One seeded edit: 1-3 characters inserted, deleted or copied, or an
+    edit aimed at rows: two identifiers run together or one split in two,
+    a comment holding a brace, '->', '=' or a section keyword, CRLF line
+    ends, or the rows of a stretch packed onto one line."""
     k = rng.randint(1, 3)
     i = rng.randrange(len(text) + 1)
-    op = rng.randrange(3)
+    op = rng.randrange(7)
     if op == 0:
         return text[:i] + "".join(rng.choice(MUTATION_CHARS) for _ in range(k)) + text[i:]
     if op == 1:
         return text[:i] + text[i + k :]
-    j = rng.randrange(len(text))
-    return text[:i] + text[j : j + k] + text[i:]
+    if op == 2:
+        j = rng.randrange(len(text))
+        return text[:i] + text[j : j + k] + text[i:]
+    if op == 3:
+        gaps = [m.span(1) for m in re.finditer(f"{IDENT}([ \t]+)(?={IDENT})", text)]
+        names = [m.span() for m in re.finditer(IDENT, text) if len(m.group()) > 1]
+        if gaps and (rng.random() < 0.5 or not names):  # run two together
+            lo, hi = rng.choice(gaps)
+            return text[:lo] + text[hi:]
+        if names:  # split one in two
+            lo, hi = rng.choice(names)
+            cut = rng.randrange(lo + 1, hi)
+            return text[:cut] + " " + text[cut:]
+        return text
+    if op == 4:
+        comment = rng.choice(ROW_COMMENTS)
+        ends = [m.start() for m in re.finditer("\n", text)]
+        if ends and rng.random() < 0.5:  # at the end of a line
+            i = rng.choice(ends)
+            return text[:i] + " " + comment + text[i:]
+        return text[:i] + comment + "\n" + text[i:]
+    if op == 5:
+        return text.replace("\n", "\r\n")
+    j = rng.randrange(i, len(text) + 1)
+    return text[:i] + text[i:j].replace("\n", " ") + text[j:]
 
 
 def ample_table(G):
@@ -250,13 +284,14 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
     small = [write_groupoid(G) for G in corpus().values()]
     small += [path.read_text() for path in sorted(DATA.iterdir())]
     small.append(ample_table_document(pair_groupoid(3)))
+    small.append("groupoid { units { } arrows { } compose { } inverse { } }\n")
     large = [
         ample_table_document(pair_groupoid(4)),
         ample_table_document(disjoint_union(pair_groupoid(2), pair_groupoid(3))),
         # 64 elements, so above the dict cutoff, with names of 3 key words
         renamed(ample_table_document(units_groupoid(6)), "_idempotent.of.units6"),
     ]
-    kinds = Counter()
+    kinds, rows = Counter(), Counter()
     for docs, edits in ((small, 250), (large, 12)):
         for doc in docs:
             for k in range(edits):
@@ -268,7 +303,12 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
                 got = outcome(parse_groupoid, text)
                 assert got == outcome(parse_groupoid_by_tokens, text), text
                 kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
+                # the rows read every document that has no parse error
+                read = formats._groupoid_rows(text) is not None
+                assert read == (not isinstance(got, tuple) or got[0] != "ParseError"), text
+                rows[read, text.startswith("groupoid")] += 1
     assert kinds["ok"] and kinds["ParseError"] and kinds["ValidationError"], kinds
+    assert rows[True, True] > 1000 and rows[False, True] > 1000, rows
 
 
 IDENT_CHARS = "abyz0189_.+@"
@@ -467,6 +507,28 @@ def test_semigroup_lines_are_the_document_one_row_a_line():
         assert parse_semigroup("".join(lines)) == T
 
 
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_cell_rows_are_the_joined_rows(monkeypatch, rows):
+    if rows:  # blocks of a few rows, the last one short
+        monkeypatch.setattr(formats, "row_blocks", lambda count, width: (
+            slice(i, min(i + rows, count)) for i in range(0, count, rows)))
+    # abstract tables name their elements with one width: the cell path
+    for name, G in corpus().items():
+        T = ample_table(G)
+        assert len(set(map(len, T.elements))) == 1
+        assert "".join(semigroup_lines(T)) == semigroup_document_by_join(T), name
+    # bisections are named by joining arrow names of several widths: the join path
+    P = pair_groupoid(3)
+    P = validate_groupoid([f"p.{a[:-1]}_{a[-1]}" for a in P.arrows],
+                          P.units, P.d, P.r, P.compose, P.inverse)
+    pair, union = (bisection_semigroup(G, enumerate_bisections(G)).semigroup
+                   for G in (P, disjoint_union(pair_groupoid(2), corpus()["z3"])))
+    assert "p.a0_1+p.a1_0" in pair.index
+    for S in (pair, union):
+        assert len(set(map(len, S.elements))) > 1
+        assert "".join(semigroup_lines(S)) == semigroup_document_by_join(S)
+
+
 def wide_table_with_unknown_entry():
     """64 elements; a non-ASCII comment ends row 63, and row 64 holds 'q'."""
     names = [f"e{i}" for i in range(64)]
@@ -528,6 +590,47 @@ def error_position(parse, text):
         (
             "groupoid {\n  units { u v\n    u }\n}",
             "duplicate unit 'u'", 3, 5,
+        ),
+        (
+            "groupoid {\n  units { u }\n  arrows {\n    g : u -> u\n    g : u -> u\n  }\n"
+            "  compose { }\n  inverse { g = g }\n}\n",
+            "duplicate arrow id 'g'", 5, 5,
+        ),
+        (  # the source is an arrow, not a unit; reported once the arrows are read
+            "groupoid {\n  units { u }\n  arrows {\n    g : u -> u\n    h : g -> u\n  }\n"
+            "  compose { }\n  inverse { g = g  h = h }\n}\n",
+            "unknown unit 'g'", 5, 9,
+        ),
+        (  # two names run together are one unknown name, never two known ones
+            "groupoid {\n  units { u }\n  arrows { g : u -> u }\n  compose {\n    gg = u\n  }\n"
+            "  inverse { g = g }\n}\n",
+            "expected right factor, found '='", 5, 8,
+        ),
+        (
+            "groupoid {\n  units { u }\n  arrows { g : u -> u }\n  compose {\n"
+            "    g g = u\n    g h = u\n  }\n  inverse { g = g }\n}\n",
+            "unknown arrow 'h'", 6, 7,
+        ),
+        (  # CRLF line ends and a comment between the rows
+            "groupoid {\r\n  units { u }\r\n  arrows { g : u -> u }\r\n  compose {\r\n"
+            "    g g = u # g g = g\r\n    g u = g\r\n    g g = u\r\n  }\r\n"
+            "  inverse { g = g }\r\n}\r\n",
+            "duplicate composition g g", 7, 5,
+        ),
+        (  # rows packed onto one line
+            "groupoid { units { u } arrows { g : u -> u h : u -> u }\n"
+            "  compose { } inverse { g = g h = h g = h } }\n",
+            "conflicting inverse for 'g'", 2, 37,
+        ),
+        (  # reported at the inverse section's closing brace
+            "groupoid {\n  units { u }\n  arrows { g : u -> u  h : u -> u }\n  compose { }\n"
+            "  inverse {\n    g = g  # h = h\n  }\n}\n",
+            "missing inverse for arrow 'h'", 7, 3,
+        ),
+        (
+            "groupoid {\n  units { u }\n  arrows { }\n  compose { }\n  inverse { }\n}\n"
+            "# end\n  groupoid\n",
+            "unexpected trailing input", 8, 3,
         ),
     ],
 )

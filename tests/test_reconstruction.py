@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ample import (
     canonical_iso_of_run,
     check_isomorphism,
     corpus,
+    disjoint_union,
     enumerate_bisections,
     enumerate_point_bases,
     group_groupoid,
@@ -43,6 +45,7 @@ from ample.reconstruction import (
 from lemmas import equivariance_check, slice_of
 from oracles import (
     basis_semilattice,
+    brute_force_iso_by_scan,
     canonical_map_by_member_loop,
     phi_point,
     point_bases_by_definition,
@@ -527,6 +530,89 @@ def test_brute_force_iso_finds_relabelings():
             H = relabeled(G, perm)
             iso = brute_force_iso(G, H)  # checked before it is returned
             assert iso is not None and iso.target is H
+
+
+def permutation_group(*gens):
+    """The one-unit groupoid of the permutations the gens generate."""
+    elements = [tuple(range(len(gens[0])))]
+    for p in elements:  # grows as it goes
+        for q in (tuple(p[k] for k in g) for g in gens):
+            if q not in elements:
+                elements.append(q)
+    place = {p: i for i, p in enumerate(elements)}
+    n = len(elements)
+    table = [[place[tuple(p[k] for k in q)] for q in elements] for p in elements]
+    return validate_groupoid([f"g{i}" for i in range(n)], [0], [0] * n, [0] * n,
+                             np.array(table), [row.index(0) for row in table])
+
+
+def search_inputs():
+    """Pairs (G, H) to search between: isomorphic ones, and pairs whose unit
+    signatures agree although no isomorphism exists."""
+    rng = random.Random(31)
+
+    def shuffled(G):
+        perm = list(range(len(G)))
+        rng.shuffle(perm)
+        return relabeled(G, perm)
+
+    for G in corpus().values():
+        bs = bisection_semigroup(G, enumerate_bisections(G))
+        for seed in (0, 1):  # germ groupoids of two relabelled tables
+            H = run_reconstruction(bs, seed).model.groupoid
+            yield from ((G, H), (H, G))
+        yield from ((G, shuffled(G)), (shuffled(G), shuffled(G)))
+    for G in (pair_times_cyclic(3, 2), pair_times_cyclic(2, 3), pair_times_cyclic(2, 4),
+              units_groupoid(300)):
+        yield from ((G, G), (G, shuffled(G)))
+    # groups of order 4, 6 and 8 that agree on their one unit's signature
+    z4, klein = group_groupoid(4), permutation_group((1, 0, 2, 3), (0, 1, 3, 2))
+    z6, s3 = group_groupoid(6), permutation_group((1, 0, 2), (1, 2, 0))
+    z8, d4 = group_groupoid(8), permutation_group((1, 2, 3, 0), (3, 2, 1, 0))
+    z2z4 = permutation_group((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))
+    yield from ((z4, klein), (klein, z4), (z6, s3), (s3, shuffled(s3)))
+    yield from ((d4, z2z4), (z8, z2z4), (d4, shuffled(d4)))
+    yield disjoint_union(z4, klein), disjoint_union(klein, klein)
+    yield disjoint_union(d4, z2z4), disjoint_union(z2z4, shuffled(d4))
+
+
+def search_outcome(search, G, H):
+    """The arrow map, None, or the BoundExceeded message."""
+    try:
+        iso = search(G, H)
+    except BoundExceeded as exc:
+        return str(exc)
+    return None if iso is None else iso.arrow_map
+
+
+def test_bucketed_search_agrees_with_the_row_scan():
+    found = Counter()
+    for G, H in search_inputs():
+        got = search_outcome(brute_force_iso, G, H)
+        assert got == search_outcome(brute_force_iso_by_scan, G, H)
+        found[got is not None] += 1
+    assert found[True] >= 60 and found[False] == 6, found
+
+
+def test_bucketed_search_visits_the_nodes_of_the_row_scan(monkeypatch):
+    # the least budget the scan passes is its node count; the buckets must
+    # exceed the budget one below it, and pass it with the same map
+    most = reconstruction.MAX_ISO_NODES
+    for G, H in search_inputs():
+        if len(G) > 64:
+            continue
+        low, high = 0, most
+        while low < high:
+            monkeypatch.setattr(reconstruction, "MAX_ISO_NODES", (low + high) // 2)
+            if isinstance(search_outcome(brute_force_iso_by_scan, G, H), str):
+                low = (low + high) // 2 + 1
+            else:
+                high = (low + high) // 2
+        for budget, exceeded in ((low - 1, True), (low, False)):
+            monkeypatch.setattr(reconstruction, "MAX_ISO_NODES", budget)
+            got = search_outcome(brute_force_iso, G, H)
+            assert got == search_outcome(brute_force_iso_by_scan, G, H), budget
+            assert isinstance(got, str) == exceeded
 
 
 def test_reconstruction_seed_independence_pair2():
