@@ -76,9 +76,6 @@ class AlgebraElement:
         if self.groupoid is not other.groupoid:
             raise ValidationError("operands live over different groupoids")
 
-    def support_mask(self) -> int:
-        return mask_of(self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -42,11 +42,11 @@ A groupoid document is read a row at a time: each row of arrows,
 compose and inverse is one compiled match, which takes the gaps in front
 of its tokens with it, and its names go through one dict into a flat
 array of indices as it is read (so no row outlives its match), and
-compose is filled by one fancy assignment.  A
-document the rows do not read whole (a row they cannot match, a
-duplicate, an unknown name, a conflicting or missing inverse, trailing
-input) is read again a token at a time, and that reading raises the
-error with its line and column.  The table is written a block of rows
+compose is filled by one fancy assignment.  A row the match cannot read
+is read by the scanner, which raises its error; array checks over the
+whole document find the other faults, and only then, or before a
+ParseError, are the rows matched again to raise the first fault where a
+token-at-a-time reading meets it.  The table is written a block of rows
 at a time: when every name is ASCII and of one width, a block of about
 2^16 characters is one gather of fixed-size "name " cells, and other
 names are joined per row.
@@ -60,7 +60,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import CheckFailed, ParseError, ValidationError
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .semigroups import (
     FiniteInverseSemigroup,
@@ -84,20 +84,27 @@ _TOKEN_RE = re.compile(
 """,
     re.VERBOSE,
 )
-# One row of a groupoid section, with the gaps in front of its tokens.  A
-# gap splits only one way (a comment runs to its newline), so a row that
-# does not match is given up in time linear in its length.
-_GAP = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
-_NAME = r"([A-Za-z0-9_.+@]+)"
-_ROW_RE = {
-    "arrows": re.compile(f"{_GAP}{_NAME}{_GAP}:{_GAP}{_NAME}{_GAP}->{_GAP}{_NAME}"),
-    # the lookahead keeps a run of identifier characters one name
-    "compose": re.compile(f"{_GAP}{_NAME}(?![A-Za-z0-9_.+@]){_GAP}{_NAME}{_GAP}={_GAP}{_NAME}"),
-    "inverse": re.compile(f"{_GAP}{_NAME}{_GAP}={_GAP}{_NAME}"),
+# What follows the first name of a row, per groupoid section: each
+# token's kind and what an error calls it.  It builds the row's match and
+# drives the scanner through a row the match cannot read.
+_ROWS = {
+    "arrows": (
+        ("colon", "':'"), ("ident", "source unit"), ("arrow", "'->'"), ("ident", "range unit")
+    ),
+    "compose": (("ident", "right factor"), ("equals", "'='"), ("ident", "product arrow")),
+    "inverse": (("equals", "'='"), ("ident", "inverse arrow")),
 }
-_OPEN_RE = {key: re.compile(f"{_GAP}{key}{_GAP}\\{{") for key in _ROW_RE}
-_CLOSE_RE = re.compile(f"{_GAP}\\}}")
-_END_RE = re.compile(f"{_GAP}\\}}{_GAP}\\Z")
+# A row with the gaps in front of its tokens.  A gap splits only one way
+# (a comment runs to its newline), so a row that does not match is given
+# up in time linear in its length; the lookahead keeps a run of
+# identifier characters one name.
+_GAP = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
+_NAME = r"([A-Za-z0-9_.+@]+)(?![A-Za-z0-9_.+@])"
+_ROW_RE = {
+    key: re.compile(_GAP + _NAME + "".join(
+        _GAP + (_NAME if kind == "ident" else re.escape(what.strip("'"))) for kind, what in row))
+    for key, row in _ROWS.items()
+}
 _UNKNOWN = (-1, -1, -1)  # the index of a name the dict does not hold
 # Identifiers and whitespace up to the next comment or other token.
 _RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
@@ -362,54 +369,91 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
     return sg
 
 
-def _groupoid_rows(text: str):
-    """The parts of a groupoid document read a row per match, or None.
+def _row_fault(text: str, read, index: dict, n_units: int, default=None):
+    """The first fault of the rows read whole, where a token-at-a-time
+    reading meets it; else default, or CheckFailed when the array checks
+    found a fault that no row shows.
 
-    The header and the units are read by the scanner; then each row of
-    arrows, compose and inverse is one _ROW_RE match, whose names go
-    through one dict into a flat array of indices as the row is read, so
-    no row outlives its match.  None wherever the rows do not read the
-    whole document into a well-formed groupoid, which leaves every error
-    to _groupoid_tokens.
+    read holds each section's key and the text offsets its rows span;
+    they are matched again, and each row's names looked up in index.
+    """
+    sc, pairs, inverse = _Scanner(text), set(), {u: u for u in range(n_units)}
+    for key, pos, stop in read:
+        while pos < stop:
+            m = _ROW_RE[key].match(text, pos)
+            pos = m.end()
+            ids = [index.get(name, -1) for name in m.groups()]
+            if key == "arrows":  # its source and range must be units
+                for g in (2, 3):
+                    if not 0 <= ids[g - 1] < n_units:
+                        return sc.error(f"unknown unit {m[g]!r}", m.start(g))
+                continue
+            for g, i in enumerate(ids, 1):
+                if i < 0:
+                    return sc.error(f"unknown arrow {m[g]!r}", m.start(g))
+            if key == "compose":
+                if (ids[0], ids[1]) in pairs:
+                    return sc.error(f"duplicate composition {m[1]} {m[2]}", m.start(1))
+                pairs.add((ids[0], ids[1]))
+            elif inverse.setdefault(ids[0], ids[1]) != ids[1]:
+                return sc.error(f"conflicting inverse for {m[1]!r}", m.start(1))
+    return default or CheckFailed("the array checks found a fault that no row shows")
+
+
+def _read_groupoid(text: str):
+    """The arguments of validate_groupoid that a groupoid document gives.
+
+    The scanner reads the header, the units and each section's keyword and
+    braces, and each row is one _ROW_RE match.  Every error is the one a
+    token-at-a-time reading meets first, with its line and column: the
+    faults of rows read whole come before a later ParseError, an unknown
+    unit only once the arrows are closed, and a missing inverse last.
     """
     sc = _Scanner(text)
-    try:
-        sc.expect_keyword("groupoid")
-        sc.expect("lbrace", "'{'")
-        sc.expect_keyword("units")
-        names = _names(sc, "unit")
-    except ParseError:
-        return None
-    n_units, pos, flat, ends = len(names), sc.pos, array("q"), []
+    sc.expect_keyword("groupoid")
+    sc.expect("lbrace", "'{'")
+    sc.expect_keyword("units")
+    names = _names(sc, "unit")
+    n_units, flat, ends, read = len(names), array("q"), [], []
     index = dict(zip(names, range(n_units)))  # then each arrow as its row is read
-    for key, row in _ROW_RE.items():
-        m = _OPEN_RE[key].match(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        while m := row.match(text, pos):
-            if key == "arrows":
-                k = len(index)
-                if index.setdefault(m[1], k) != k:
-                    return None  # a duplicate arrow id
-            flat.extend(map(index.get, m.groups(), _UNKNOWN))
-            pos = m.end()
-        m = _CLOSE_RE.match(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        ends.append(len(flat))
-    if not _END_RE.match(text, pos):
-        return None
+    try:
+        for key, row in _ROW_RE.items():
+            sc.expect_keyword(key)
+            sc.expect("lbrace", "'{'")
+            pos = sc.pos
+            while m := row.match(text, pos):
+                if key == "arrows":
+                    k = len(index)
+                    if index.setdefault(m[1], k) != k:
+                        break  # a duplicate arrow id, which the scanner raises
+                flat.extend(map(index.get, m.groups(), _UNKNOWN))
+                pos = m.end()
+            read.append((key, sc.pos, pos))
+            sc.pos = pos
+            if sc.peek()[0] == "ident":  # a row the match cannot read
+                tok = sc.next()
+                if key == "arrows" and tok[1] in index:
+                    raise sc.error(f"duplicate arrow id {tok[1]!r}", tok[2])
+                for kind, what in _ROWS[key]:
+                    sc.expect(kind, what)
+                raise CheckFailed(f"the row at offset {tok[2]} reads as tokens but not as a match")
+            close = sc.expect("rbrace", "'}'")
+            ends.append(len(flat))
+        sc.expect("rbrace", "'}'")
+        tail = sc.next()
+        if tail[0] != "eof":
+            raise sc.error("unexpected trailing input", tail[2])
+    except ParseError as exc:
+        if not ends:  # the arrows' units are looked up once their section is closed
+            raise
+        raise _row_fault(text, read, index, n_units, exc) from None
 
     n, (a, c, _) = len(index), ends  # where the compose rows and the inverse rows start
     flat = np.array(flat, dtype=np.intp)
-    if flat.min(initial=0) < 0:
-        return None  # an unknown name
     units = np.arange(n_units)
     d, r = (np.concatenate([units, v]) for v in flat[:a].reshape(-1, 3)[:, 1:].T)
-    if max(d.max(initial=-1), r.max(initial=-1)) >= n_units:
-        return None  # an arrow's source or range is no unit
+    if flat.min(initial=0) < 0 or max(d.max(initial=-1), r.max(initial=-1)) >= n_units:
+        raise _row_fault(text, read, index, n_units)  # an unknown name or unit
     left, right, value = flat[a:c].reshape(-1, 3).T
     # the products with a unit that the unit laws imply, then the declared
     # ones over them, each first as its row number to find a duplicate
@@ -419,117 +463,25 @@ def _groupoid_rows(text: str):
     rows = np.arange(len(left), dtype=np.int32)
     compose[left, right] = rows
     if (compose[left, right] != rows).any():
-        return None  # a duplicate composition: a later row took its place
+        raise _row_fault(text, read, index, n_units)  # a later row took an earlier one's place
     compose[left, right] = value
     arrow, inverse = (np.concatenate([units, v]) for v in flat[c:].reshape(-1, 2).T)
     inv = np.full(n, -1, dtype=np.intp)
     inv[arrow] = inverse  # the units' own rows first, so a later row that differs shows
-    if (inv[arrow] != inverse).any() or inv.min(initial=0) < 0:
-        return None  # a conflicting or missing inverse
-    return list(index), n_units, d.tolist(), r.tolist(), compose, inv.tolist()
-
-
-def _groupoid_tokens(text: str):
-    """The parts of a groupoid document read a token at a time.
-
-    Raises the first error where a token-at-a-time reading meets it, with
-    its line and column.
-    """
-    sc = _Scanner(text)
-    sc.expect_keyword("groupoid")
-    sc.expect("lbrace", "'{'")
-
-    sc.expect_keyword("units")
-    names = _names(sc, "unit")
-    seen = {name: i for i, name in enumerate(names)}
-    n_units = len(names)
-
-    sc.expect_keyword("arrows")
-    sc.expect("lbrace", "'{'")
-    raw_arrows = []
-    while sc.peek()[0] == "ident":
-        atok = sc.next()
-        if atok[1] in seen:
-            raise sc.error(f"duplicate arrow id {atok[1]!r}", atok[2])
-        seen[atok[1]] = len(names)
-        names.append(atok[1])
-        sc.expect("colon", "':'")
-        dtok = sc.expect("ident", "source unit")
-        sc.expect("arrow", "'->'")
-        rtok = sc.expect("ident", "range unit")
-        raw_arrows.append((atok, dtok, rtok))
-    sc.expect("rbrace", "'}'")
-
-    d = list(range(n_units)) + [0] * len(raw_arrows)
-    r = list(range(n_units)) + [0] * len(raw_arrows)
-    for k, (atok, dtok, rtok) in enumerate(raw_arrows):
-        for tok, target in ((dtok, d), (rtok, r)):
-            if tok[1] not in seen or seen[tok[1]] >= n_units:
-                raise sc.error(f"unknown unit {tok[1]!r}", tok[2])
-            target[n_units + k] = seen[tok[1]]
-
-    sc.expect_keyword("compose")
-    sc.expect("lbrace", "'{'")
-    n = len(names)
-    compose = np.full((n, n), -1, dtype=np.int32)
-    while sc.peek()[0] == "ident":
-        ltok = sc.next()
-        rtok = sc.expect("ident", "right factor")
-        sc.expect("equals", "'='")
-        vtok = sc.expect("ident", "product arrow")
-        for tok in (ltok, rtok, vtok):
-            if tok[1] not in seen:
-                raise sc.error(f"unknown arrow {tok[1]!r}", tok[2])
-        key = (seen[ltok[1]], seen[rtok[1]])
-        if compose[key] >= 0:
-            raise sc.error(f"duplicate composition {ltok[1]} {rtok[1]}", ltok[2])
-        compose[key] = seen[vtok[1]]
-    sc.expect("rbrace", "'}'")
-
-    sc.expect_keyword("inverse")
-    sc.expect("lbrace", "'{'")
-    inverse: dict[int, int] = {u: u for u in range(n_units)}
-    while sc.peek()[0] == "ident":
-        ltok = sc.next()
-        sc.expect("equals", "'='")
-        vtok = sc.expect("ident", "inverse arrow")
-        for tok in (ltok, vtok):
-            if tok[1] not in seen:
-                raise sc.error(f"unknown arrow {tok[1]!r}", tok[2])
-        a = seen[ltok[1]]
-        v = seen[vtok[1]]
-        if a in inverse and inverse[a] != v:
-            raise sc.error(f"conflicting inverse for {ltok[1]!r}", ltok[2])
-        inverse[a] = v
-    close = sc.expect("rbrace", "'}'")
-
-    sc.expect("rbrace", "'}'")
-    tail = sc.next()
-    if tail[0] != "eof":
-        raise sc.error("unexpected trailing input", tail[2])
-
-    for a in range(n):
-        if a not in inverse:
-            raise sc.error(f"missing inverse for arrow {names[a]!r}", close[2])
-
-    # Unit-involving compositions are implied by the unit laws; fill any the
-    # document left out, but never overwrite what it said.
-    for a in range(n):
-        for key in ((a, d[a]), (r[a], a)):
-            if compose[key] < 0:
-                compose[key] = a
-    return names, n_units, d, r, compose, [inverse[a] for a in range(n)]
+    if (inv[arrow] != inverse).any():
+        raise _row_fault(text, read, index, n_units)  # a conflicting inverse
+    names = list(index)
+    if inv.min(initial=0) < 0:
+        missing = names[int(np.argmax(inv < 0))]
+        raise sc.error(f"missing inverse for arrow {missing!r}", close[2])
+    return names, range(n_units), d.tolist(), r.tolist(), compose, inv.tolist()
 
 
 def parse_groupoid(text: str) -> FiniteGroupoid:
-    """Parse and validate a groupoid document.
-
-    The rows are read a match each; a document they do not read whole is
-    read again a token at a time, which raises its first error.
-    """
-    names, n_units, d, r, compose, inverse = _groupoid_rows(text) or _groupoid_tokens(text)
+    """Parse and validate a groupoid document."""
+    parts = _read_groupoid(text)  # the reading's arrays are freed before validation allocates
     try:
-        return validate_groupoid(names, range(n_units), d, r, compose, inverse)
+        return validate_groupoid(*parts)
     except ValidationError as exc:
         raise ValidationError(f"groupoid document is invalid: {exc}", reason=exc) from exc
 

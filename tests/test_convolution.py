@@ -172,8 +172,8 @@ def test_sup_is_join_on_commuting_projections():
         for q in projections:
             assert sup(p, q) == sup(q, p)
             # join of unit-set indicators is the indicator of the union
-            pm = p.support_mask()
-            qm = q.support_mask()
+            pm = mask_of(p.coeffs)
+            qm = mask_of(q.coeffs)
             assert sup(p, q) == rho(G, pm | qm)
             for r_ in projections:
                 assert sup(sup(p, q), r_) == sup(p, sup(q, r_))

@@ -291,7 +291,7 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
         # 64 elements, so above the dict cutoff, with names of 3 key words
         renamed(ample_table_document(units_groupoid(6)), "_idempotent.of.units6"),
     ]
-    kinds, rows = Counter(), Counter()
+    kinds, groupoids = Counter(), Counter()
     for docs, edits in ((small, 250), (large, 12)):
         for doc in docs:
             for k in range(edits):
@@ -303,12 +303,10 @@ def test_bulk_scan_agrees_with_token_scan_on_mutated_documents():
                 got = outcome(parse_groupoid, text)
                 assert got == outcome(parse_groupoid_by_tokens, text), text
                 kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
-                # the rows read every document that has no parse error
-                read = formats._groupoid_rows(text) is not None
-                assert read == (not isinstance(got, tuple) or got[0] != "ParseError"), text
-                rows[read, text.startswith("groupoid")] += 1
+                if text.startswith("groupoid"):  # read whole, or rejected with a ParseError
+                    groupoids[isinstance(got, tuple) and got[0] == "ParseError"] += 1
     assert kinds["ok"] and kinds["ParseError"] and kinds["ValidationError"], kinds
-    assert rows[True, True] > 1000 and rows[False, True] > 1000, rows
+    assert groupoids[False] > 1000 and groupoids[True] > 1000, groupoids
 
 
 IDENT_CHARS = "abyz0189_.+@"
@@ -631,6 +629,30 @@ def error_position(parse, text):
             "groupoid {\n  units { u }\n  arrows { }\n  compose { }\n  inverse { }\n}\n"
             "# end\n  groupoid\n",
             "unexpected trailing input", 8, 3,
+        ),
+        (  # an unknown source unit waits for the arrows to close; a bad row comes first
+            "groupoid {\n  units { u }\n  arrows {\n    g : x -> u\n    h : u u\n  }\n"
+            "  compose { }\n  inverse { g = g  h = h }\n}\n",
+            "expected '->', found 'u'", 5, 11,
+        ),
+        (  # an earlier row's unknown arrow beats a later row's syntax error
+            "groupoid {\n  units { u }\n  arrows { g : u -> u }\n  compose {\n"
+            "    g h = u\n    g g = u\n    g = u\n  }\n  inverse { g = g }\n}\n",
+            "unknown arrow 'h'", 5, 7,
+        ),
+        (  # a duplicate arrow id is met before the rest of its malformed row
+            "groupoid {\n  units { u }\n  arrows {\n    g : u -> u\n    g u -> u\n  }\n"
+            "  compose { }\n  inverse { g = g }\n}\n",
+            "duplicate arrow id 'g'", 5, 5,
+        ),
+        (  # a conflicting inverse beats trailing input
+            "groupoid { units { u } arrows { g : u -> u }\n"
+            "  compose { } inverse { g = g  g = u } } x\n",
+            "conflicting inverse for 'g'", 2, 32,
+        ),
+        (  # trailing input beats a missing inverse
+            "groupoid {\n  units { u }\n  arrows { g : u -> u }\n  compose { }\n  inverse { }\n}\n}\n",
+            "unexpected trailing input", 7, 1,
         ),
     ],
 )
