@@ -507,10 +507,9 @@ def brute_force_iso(G1: FiniteGroupoid, G2: FiniteGroupoid) -> GroupoidIsomorphi
         if not G2.is_unit(b):
             by_ends.setdefault((G2.d[b], G2.r[b]), []).append(b)
     into: dict[int, list[int]] = {}  # unit -> the arrows with that range
-    out_of: dict[int, list[int]] = {}  # unit -> the arrows with that source
     for x in range(n):
         into.setdefault(G1.r[x], []).append(x)
-        out_of.setdefault(G1.d[x], []).append(x)
+    out_of = G1.d_fibers  # unit -> the arrows with that source
     compose1, compose2 = G1.compose.item, G2.compose.item
 
     order = list(G1.units) + [a for a in range(n) if not G1.is_unit(a)]

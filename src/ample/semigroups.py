@@ -225,8 +225,7 @@ def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     to its ascending members.  A row with n - 1 entries other than z
     joins everything, and t is taken whole; so is a t whose z is not
     absorbing, whose nonzero elements form one block, or that is small
-    enough for the direct comparison.  The densest row usually shows one
-    block before any search (see _spans).
+    enough for the direct comparison.
     """
     n = len(t)
     z, counts = _nonzero_counts(t)
@@ -235,7 +234,6 @@ def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         or counts.max() >= n - 1
         or counts[z]  # z is not absorbing
         or (t[:, z] != z).any()
-        or _spans(t, z, int(counts.argmax()))
     )
     if not whole:
         root = _components(t, z)
@@ -250,22 +248,6 @@ def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 yield local[t[idx[:, None], idx]], counts[idx]
             return
     yield t, counts
-
-
-def _spans(t: np.ndarray, z: int, x: int) -> bool:
-    """Whether z, x, its partners a (xa != z) and theirs (the y with ay != z) are all of t.
-
-    Each such y is joined to a, and a to x, so t is then one block.  On a
-    Brandt block of matrix units, the partners of (i, j) are the (j, l),
-    whose partners are all (l, m).
-    """
-    partners = np.flatnonzero(t[x] != z)
-    reach = np.zeros(len(t), dtype=bool)
-    reach[[x, z]] = True
-    reach[partners] = True
-    for rows in row_blocks(len(partners), len(t)):
-        reach |= (t[partners[rows]] != z).any(axis=0)
-    return bool(reach.all())
 
 
 def _components(t: np.ndarray, z: int) -> np.ndarray:

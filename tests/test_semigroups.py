@@ -860,21 +860,6 @@ def test_blocks_match_the_definition():
             assert sorted(map(tuple, groups.values())) == product_blocks_by_definition(bad, z)
 
 
-def test_one_block_is_seen_from_the_densest_row_without_a_search():
-    def refuse(t, z):
-        raise AssertionError("the union-find ran")
-
-    rng = random.Random(71)
-    with patch.object(semigroups, "_components", refuse):
-        for sizes in ((9,), (12,), (7,)):
-            rows = relabelled(brandt_blocks(*sizes), rng)
-            witness, drawn = drawn_generators(np.array(rows, dtype=np.int32))
-            assert witness is None and [kind for kind, _ in drawn] == ["words"]
-            assert assert_validation_agrees(rows) is None
-        with pytest.raises(AssertionError, match="union-find"):
-            associativity_witness(np.array(brandt_blocks(7, 1), dtype=np.int32))
-
-
 def test_each_block_draws_its_own_generators():
     rng = random.Random(47)
     rows = relabelled(brandt_blocks(7, 1, 3, 1, 2), rng)  # 65 elements: one block of 50 with zero
@@ -885,6 +870,17 @@ def test_each_block_draws_its_own_generators():
     assert assert_validation_agrees(rows) is None
     units = np.array(brandt_blocks(*(1,) * 60), dtype=np.int32)
     assert drawn_generators(units) == (None, [])  # 60 blocks of one unit, each checked directly
+    rng = random.Random(71)
+    for sizes in ((9,), (12,), (7,), (7, 1)):
+        rows = relabelled(brandt_blocks(*sizes), rng)
+        z = absorbing_by_definition(rows)[0]
+        t = np.array(rows, dtype=np.int32)
+        root = semigroups._components(t, z)
+        assert len({int(root[x]) for x in range(len(rows)) if x != z}) == len(sizes)
+        if len(sizes) == 1:  # one block: the table is drawn from whole, once
+            witness, drawn = drawn_generators(t)
+            assert witness is None and [kind for kind, _ in drawn] == ["words"]
+            assert assert_validation_agrees(rows) is None
 
 
 def test_a_triple_planted_in_one_block_gets_the_ascending_witness():
