@@ -11,9 +11,9 @@ or more ``ample`` command lines run in one fresh child process, so that
 the package from ``DIR/src`` (default: this checkout), installs
 ``benchmark/tracing.Tracer`` from ``DIR/benchmark`` around ``cli.main``,
 and adds spans for the parts of the table build (the digit-code index and
-the product codes), of table validation (associativity, inner inverses,
-the full inverse scan, the zero) and for the write of each output
-document, so their self time is taken out of
+the product codes), of table validation (associativity and its support
+verdict, inner inverses, the full inverse scan, the zero) and for the
+write of each output document, so their self time is taken out of
 ``groupoids.bisection_semigroup_s``, ``semigroups.validate_s`` and
 ``cli.self_s``.  It reports:
 
@@ -112,7 +112,8 @@ PARTS = [
     ("groupoids", "_run_slots", "groupoids.build.index_s"),
     ("groupoids", "_product_codes", "groupoids.build.products_s"),
     *(("semigroups", part, f"semigroups.validate.{part.strip('_')}_s")
-      for part in ["associativity_witness", "_inner_inverses", "_unique_inverses", "_absorbing"]),
+      for part in ["associativity_witness", "_support_associative", "_inner_inverses",
+                   "_unique_inverses", "_absorbing"]),
     ("cli", "write_document", "cli.write_document_s"),
 ]
 

@@ -167,40 +167,87 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     """A triple (x, a, y) with (xa)y != x(ay), or None when t is associative.
 
     A table with n^3 <= _BLOCK gets its verdict from one comparison over
-    every triple: t[t] is (xa)y indexed [x, a, y], t[:, t] is x(ay).
-    Larger tables use Light's test (Clifford-Preston, *The Algebraic
-    Theory of Semigroups* I, section 1.2): the b with (xb)y = x(by) for
-    all x, y are closed under the product, since (x(bc))y = ((xb)c)y =
-    (xb)(cy) = x(b(cy)) = x((bc)y).  So checking a set A whose
-    left-bracketed words ((a1 a2) a3)... reach every element suffices,
-    O(n^2 |A|) work.  The argument never uses associativity, so A may
-    come from the words of the untrusted table itself, in any order.  The
-    verdict draws A as ranked_generators(t) does, one orthogonal block at
-    a time (see _block_tables).  On every path a failure's witness comes
-    from Light's test over the two-sided greedy set in ascending order,
-    as if unranked and whole.
+    every triple: t[t] is (xa)y indexed [x, a, y], t[:, t] is x(ay).  A
+    larger table whose z (see _nonzero_counts) is absorbing, and whose
+    counts r and c of entries != z in each row and column have
+    sum of c[a] r[a] <= n^2, is decided on its support, on that many
+    triples (see _support_associative).  Every other table uses Light's test
+    (Clifford-Preston, *The Algebraic Theory of Semigroups* I, section
+    1.2): the b with (xb)y = x(by) for all x, y are closed under the
+    product, since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y).
+    So checking a set A whose left-bracketed words ((a1 a2) a3)... reach
+    every element suffices, O(n^2 |A|) work.  The argument never uses
+    associativity, so A may come from the words of the untrusted table
+    itself, in any order; the verdict draws A as ranked_generators(t)
+    does.  On every path a failure's witness comes from Light's test over
+    the two-sided greedy set in ascending order, as if unranked.
     """
-    if all(_associative(*block) for block in _block_tables(t)):
+    n = len(t)
+    if n**3 <= _BLOCK:
+        associative = np.array_equal(t[t], t[:, t])
+    else:
+        z, rows, cols = _nonzero_counts(t)
+        if z >= 0 and not rows[z] and not cols[z] and cols @ rows <= n * n:
+            associative = _support_associative(t, z, rows, cols)
+        else:
+            order = np.argsort(-rows, kind="stable")
+            associative = _light_witness(t, _generators(t, order, words=True)) is None
+    if associative:
         return None
-    return _light_witness(t, _generators(t, range(len(t))))
+    return _light_witness(t, _generators(t, range(n)))
 
 
-def _associative(t: np.ndarray, counts: np.ndarray) -> bool:
-    """The verdict on t: directly when n^3 <= _BLOCK, else by Light's test ranked by counts."""
-    if len(t) ** 3 <= _BLOCK:
-        return np.array_equal(t[t], t[:, t])
-    order = np.argsort(-counts, kind="stable")
-    return _light_witness(t, _generators(t, order, words=True)) is None
+def _support_associative(t: np.ndarray, z: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether t is associative: z is absorbing, rows and cols count the entries != z.
+
+    A triple with xa = z = ay is z on both sides.  So t is associative iff
+    (i) (xa)y = x(ay) whenever xa != z and ay != z, (ii) row xa is z
+    outside the support of row a whenever xa != z (the triples with
+    ay = z), and (iii) column ay is z outside the support of column a
+    whenever ay != z.  Given (i), each (x, a) with xa != z meets at most
+    rows[xa] of the y in row a's support with (xa)y != z, and reaches
+    that many iff (ii) holds for it; each (a, y) with ay != z meets at
+    most cols[ay] of the x in column a's support with x(ay) != z.  So (ii)
+    and (iii) hold iff the nonzero products over the triples of (i) count
+    the sum of rows[v], and of cols[v], over the entries v != z.  The
+    triples are built one group of entries (x, a) at a time, about
+    _BLOCK // 4 of them per group.
+    """
+    n = len(t)
+    flat = t.reshape(-1)
+    at = np.concatenate([np.flatnonzero(t[b] != z) + b.start * n for b in row_blocks(n, n)])
+    row, col = np.divmod(at, n)  # the entries != z in row-major order
+    val = flat[at].astype(np.intp)
+    first = np.cumsum(rows) - rows  # row a's entries start at first[a]
+    ends = np.cumsum(rows[col])  # the triples of the entries up to each one
+    nonzero, lo = 0, 0
+    while lo < len(at):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + (_BLOCK >> 2), side="right")))
+        k = rows[col[lo:hi]]  # entry (x, a) meets the k entries (a, y) of row a
+        ay = np.repeat(first[col[lo:hi]] - ends[lo:hi] + k + base, k)
+        ay += np.arange(len(ay))
+        left = flat.take(np.repeat(val[lo:hi] * n, k) + col[ay])  # (xa)y
+        if not np.array_equal(left, flat.take(np.repeat(row[lo:hi] * n, k) + val[ay])):  # x(ay)
+            return False
+        nonzero += np.count_nonzero(left != z)
+        lo = hi
+    counts = np.bincount(val, minlength=n)
+    return nonzero == counts @ rows == counts @ cols
 
 
-def _nonzero_counts(t: np.ndarray) -> tuple[int, np.ndarray]:
-    """z, the left fold of the idempotents (-1 if none), and each row's count of entries != z."""
+def _nonzero_counts(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """z, the left fold of the idempotents (-1 if none), and the entries != z per row and column."""
     n = len(t)
     z = _fold(t)
-    counts = np.empty(n, dtype=np.intp)
-    for rows in row_blocks(n, n):
-        counts[rows] = np.count_nonzero(t[rows] != z, axis=1)
-    return z, counts
+    rows, cols = np.empty(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    # uint16 sums: a row block has at most 256 rows, and an int32 table of 2^16 rows is 16 GiB
+    wide = np.uint16 if n < 1 << 16 else np.intp
+    for block in row_blocks(n, n):
+        support = (t[block] != z).view(np.uint8)
+        rows[block] = support.sum(axis=1, dtype=wide)
+        cols += support.sum(axis=0, dtype=np.uint16)
+    return z, rows, cols
 
 
 def ranked_generators(t: np.ndarray) -> Iterator[int]:
@@ -211,77 +258,6 @@ def ranked_generators(t: np.ndarray) -> Iterator[int]:
     domain, serves many words.
     """
     return _generators(t, np.argsort(-_nonzero_counts(t)[1], kind="stable"), words=True)
-
-
-def _block_tables(t: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(table, counts) of each orthogonal block of t with z adjoined, or of t whole.
-
-    z and the counts are those of _nonzero_counts.  Once z is absorbing,
-    join x, a and xa whenever xa != z.  A triple (x, a, y) that touches
-    two blocks is z on both sides: if x and a lie apart, xa = z, and a
-    nonzero x(ay) would join x to ay and so to a; the case of a and y is
-    the mirror image.  The products of a block's members lie in it or are
-    z, so t is associative iff each block with z adjoined is, relabelled
-    to its ascending members.  A row with n - 1 entries other than z
-    joins everything, and t is taken whole; so is a t whose z is not
-    absorbing, whose nonzero elements form one block, or that is small
-    enough for the direct comparison.
-    """
-    n = len(t)
-    z, counts = _nonzero_counts(t)
-    whole = (
-        n**3 <= _BLOCK
-        or counts.max() >= n - 1
-        or counts[z]  # z is not absorbing
-        or (t[:, z] != z).any()
-    )
-    if not whole:
-        root = _components(t, z)
-        root[z] = -1
-        order = np.argsort(root, kind="stable")[1:]  # nonzero elements by block, ascending within
-        cuts = np.flatnonzero(np.diff(root[order])) + 1
-        if cuts.size:
-            local = np.empty(n, dtype=np.int32)
-            for members in np.split(order, cuts):
-                idx = np.sort(np.append(members, z))
-                local[idx] = np.arange(len(idx), dtype=np.int32)
-                yield local[t[idx[:, None], idx]], counts[idx]
-            return
-    yield t, counts
-
-
-def _components(t: np.ndarray, z: int) -> np.ndarray:
-    """The least member of each element's block, x, a and xa joined whenever xa != z.
-
-    A union-find forest in one array with parent[x] <= x: each block of
-    rows hooks the larger root of every joined pair under the smaller
-    until the pairs agree, and pointer jumping keeps the forest flat.
-    """
-    n = len(t)
-    parent = np.arange(n)
-    for rows in row_blocks(n, 2 * n):
-        block = t[rows].ravel()
-        at = np.flatnonzero(block != z)
-        x, a = np.divmod(at, n)
-        x += rows.start
-        u, v = np.concatenate([x, x]), np.concatenate([a, block.take(at)])
-        while u.size:
-            _flatten(parent)
-            u, v = parent[u], parent[v]
-            apart = u != v
-            u, v = u[apart], v[apart]
-            np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-    return _flatten(parent)
-
-
-def _flatten(parent: np.ndarray) -> np.ndarray:
-    """parent with every entry replaced by its root, in place."""
-    while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            return parent
-        parent[:] = up
-
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
     """Raise for the first s without exactly one u with sus = s and usu = u."""

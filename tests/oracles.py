@@ -576,6 +576,29 @@ def fold_of_idempotents(rows):
     return z
 
 
+def support_conditions_by_definition(rows, z):
+    """The three conditions of the support verdict, one triple at a time.
+
+    (i) (xa)y = x(ay) whenever xa != z and ay != z; (ii) (xa)y = z
+    whenever xa != z and ay = z; (iii) x(ay) = z whenever xa = z and
+    ay != z.
+    """
+    n = len(rows)
+    holds = [True, True, True]
+    for x in range(n):
+        for a in range(n):
+            xa = rows[x][a]
+            for y in range(n):
+                ay = rows[a][y]
+                if xa != z and ay != z:
+                    holds[0] &= rows[xa][y] == rows[x][ay]
+                elif xa != z:
+                    holds[1] &= rows[xa][y] == z
+                elif ay != z:
+                    holds[2] &= rows[x][ay] == z
+    return tuple(holds)
+
+
 def top_down_order_by_definition(rows):
     """Indices by descending count of row entries other than that fold, ties by index."""
     z = fold_of_idempotents(rows)

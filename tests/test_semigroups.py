@@ -16,6 +16,7 @@ from ample import (
     pair_groupoid,
     parse_semigroup,
     point_basis_space,
+    singleton_semigroup,
     units_groupoid,
     validate_inverse_semigroup,
     write_semigroup,
@@ -31,6 +32,7 @@ from oracles import (
     basis_semilattice,
     associativity_witness_by_definition,
     closure_by_definition,
+    fold_of_idempotents,
     idempotents_of_table,
     generalized_inverses_by_definition,
     is_idempotent,
@@ -38,6 +40,7 @@ from oracles import (
     order_masks_by_definition,
     product_blocks_by_definition,
     product_of,
+    support_conditions_by_definition,
     top_down_order_by_definition,
     word_generators_by_definition,
 )
@@ -180,14 +183,27 @@ def drawn_generators(t):
     return witness, drawn
 
 
+def decided_on_the_support(rows):
+    """Whether a table above the direct comparison gets its verdict on its support.
+
+    So it does when z, the fold of the idempotents, is absorbing and the
+    counts r and c of entries other than z in each row and column have
+    sum of c[a] r[a] at most n^2.
+    """
+    n, z = len(rows), fold_of_idempotents(rows)
+    r = [sum(v != z for v in row) for row in rows]
+    c = [sum(row[a] != z for row in rows) for a in range(n)]
+    return z in absorbing_by_definition(rows) and sum(map(int.__mul__, c, r)) <= n * n
+
+
 def assert_top_down_generates(rows):
     """Check what the verdict draws; return the full top-down set, which generates rows.
 
-    A table with n^3 <= _BLOCK gets a direct verdict and draws no set; a
-    larger one draws the top-down set by left-bracketed words, all of it
-    when it is associative.  A failure then draws the two-sided ascending
-    set up to the witness's generator, since every table here fits one
-    row block.  On an associative table the set by words is the two-sided
+    A table with n^3 <= _BLOCK gets a direct verdict and draws no set, and
+    so does one decided on its support; any other draws the top-down set
+    by left-bracketed words, all of it when it is associative.  A failure
+    then draws the two-sided ascending set up to the witness's generator,
+    since every table here fits one row block.  On an associative table the set by words is the two-sided
     top-down set.
     """
     t = np.array(rows, dtype=np.int32)
@@ -202,7 +218,8 @@ def assert_top_down_generates(rows):
         assert closure_by_definition(rows, gens) == set(range(n))
     assert left_words_closure_by_definition(rows, by_words) == set(range(n))
     assert list(semigroups._generators(t, order, words=True)) == by_words
-    verdict = [] if n**3 <= semigroups._BLOCK else [("words", by_words)]
+    light = n**3 > semigroups._BLOCK and not decided_on_the_support(rows)
+    verdict = [("words", by_words)] if light else []
     if witness is None:
         assert drawn == verdict
         assert by_words == top_down
@@ -831,56 +848,71 @@ def squares(k):
     return rows
 
 
-def test_blocks_match_the_definition():
+def cyclic_blocks(*orders):
+    """0, then one cyclic group Z_k per order: products add within a group, every other is 0."""
+    first = np.cumsum((1,) + orders)
+    rows = [[0] * first[-1] for _ in range(first[-1])]
+    for k, start in zip(orders, first):
+        for i in range(k):
+            for j in range(k):
+                rows[start + i][start + j] = start + (i + j) % k
+    return rows
+
+
+def test_zero_sparse_tables_are_decided_on_their_support():
     rng = random.Random(43)
-    shapes = ((7, 1, 3, 1, 2), (1,) * 60, (4, 4, 4), (9,), (2, 6, 1))
-    tables = [brandt_blocks(*sizes) for sizes in shapes]
+    shapes = ((7, 1, 3, 1, 2), (1,) * 60, (4, 4, 4), (9,), (12,), (2, 6, 1))
+    G = units_groupoid(60)
+    units = abstract_table(bisection_semigroup(G, singleton_semigroup(G)), seed=3)[0].table
+    tables = [relabelled(brandt_blocks(*sizes), rng) for sizes in shapes]
+    tables += [relabelled(squares(30), rng), units.tolist()]
     assert assert_validation_agrees(squares(30)) == "element x1 has 0 generalized inverse(s): ()"
-    for rows in tables + [squares(30)]:
-        sizes = product_blocks_by_definition(rows, 0)
-        rows = relabelled(rows, rng)
-        z = absorbing_by_definition(rows)[0]
+    failing = 0
+    for rows in tables:
+        assert len(rows) ** 3 > semigroups._BLOCK and decided_on_the_support(rows)
         t = np.array(rows, dtype=np.int32)
-        assert semigroups._nonzero_counts(t)[0] == z
-        root = semigroups._components(t, z)
-        found = {}
-        for x in range(len(rows)):
-            if x != z:
-                found.setdefault(int(root[x]), []).append(x)
-        assert sorted(map(tuple, found.values())) == product_blocks_by_definition(rows, z)
-        assert len(found) == len(sizes)
-        assert associativity_witness(t) is None
+        assert drawn_generators(t) == (None, [])
+        assert associativity_witness_by_definition(rows) is None
+        z = absorbing_by_definition(rows)[0]
         for _ in range(5):
             bad = plant_in_a_block(rows, z, rng)
-            root = semigroups._components(np.array(bad, dtype=np.int32), z)
-            groups = {}
-            for x in range(len(bad)):
-                if x != z:
-                    groups.setdefault(int(root[x]), []).append(x)
-            assert sorted(map(tuple, groups.values())) == product_blocks_by_definition(bad, z)
-
-
-def test_each_block_draws_its_own_generators():
-    rng = random.Random(47)
-    rows = relabelled(brandt_blocks(7, 1, 3, 1, 2), rng)  # 65 elements: one block of 50 with zero
-    t = np.array(rows, dtype=np.int32)
-    witness, drawn = drawn_generators(t)
-    assert witness is None
-    assert [kind for kind, _ in drawn] == ["words"]
-    assert assert_validation_agrees(rows) is None
-    units = np.array(brandt_blocks(*(1,) * 60), dtype=np.int32)
-    assert drawn_generators(units) == (None, [])  # 60 blocks of one unit, each checked directly
-    rng = random.Random(71)
-    for sizes in ((9,), (12,), (7,), (7, 1)):
-        rows = relabelled(brandt_blocks(*sizes), rng)
-        z = absorbing_by_definition(rows)[0]
-        t = np.array(rows, dtype=np.int32)
-        root = semigroups._components(t, z)
-        assert len({int(root[x]) for x in range(len(rows)) if x != z}) == len(sizes)
-        if len(sizes) == 1:  # one block: the table is drawn from whole, once
+            t = np.array(bad, dtype=np.int32)
             witness, drawn = drawn_generators(t)
-            assert witness is None and [kind for kind, _ in drawn] == ["words"]
-            assert assert_validation_agrees(rows) is None
+            assert witness == associativity_witness_ascending(t)
+            assert (witness is None) == (associativity_witness_by_definition(bad) is None)
+            if decided_on_the_support(bad):
+                assert [kind for kind, _ in drawn] == ([] if witness is None else ["two-sided"])
+            failing += witness is not None
+    assert failing > 10
+
+
+def test_dense_blocks_are_decided_whole_by_light_s_test():
+    rows = relabelled(cyclic_blocks(20, 25), random.Random(47))  # 46 elements
+    assert not decided_on_the_support(rows)
+    witness, drawn = drawn_generators(np.array(rows, dtype=np.int32))
+    assert witness is None and [kind for kind, _ in drawn] == ["words"]
+    assert assert_validation_agrees(rows) is None
+
+
+def test_each_support_inclusion_rejects_on_its_own():
+    # x1 x1 = w1 in squares(30): w1 x2 := w3 puts a nonzero in row w1 outside row x1's
+    # support, (ii); x2 w1 := w3 one in column w1 outside column x1's support, (iii)
+    x2, w1, w3 = 2, 31, 33
+    for cell, conditions, witness in (
+        ((w1, x2), (True, False, True), (1, 1, 2)),
+        ((x2, w1), (True, True, False), (2, 1, 1)),
+    ):
+        rows = squares(30)
+        rows[cell[0]][cell[1]] = w3
+        assert decided_on_the_support(rows)
+        assert support_conditions_by_definition(rows, 0) == conditions
+        t = np.array(rows, dtype=np.int32)
+        found, drawn = drawn_generators(t)
+        assert [kind for kind, _ in drawn] == ["two-sided"]
+        assert found == witness == associativity_witness_ascending(t)
+        assert associativity_witness_by_definition(rows) == witness
+        x, a, y = (f"x{i}" for i in witness)
+        assert assert_validation_agrees(rows) == f"associativity fails at ({x}, {a}, {y})"
 
 
 def test_a_triple_planted_in_one_block_gets_the_ascending_witness():
@@ -911,7 +943,9 @@ def test_tables_without_an_absorbing_element_are_taken_whole():
             bad[0][rng.randrange(1, len(bad))] = rng.randrange(1, len(bad))  # 0 absorbs no longer
             t = np.array(bad, dtype=np.int32)
             assert not absorbing_by_definition(bad)
-            assert associativity_witness(t) == associativity_witness_ascending(t)
+            witness, drawn = drawn_generators(t)
+            assert drawn[0][0] == "words"
+            assert witness == associativity_witness_ascending(t)
             message = assert_validation_agrees(bad)
             kinds.add(message.split()[0])
     assert "associativity" in kinds
