@@ -186,7 +186,7 @@ def drawn_generators(t):
 def decided_on_the_support(rows):
     """Whether a table above the direct comparison gets its verdict on its support.
 
-    So it does when z, the fold of the idempotents, is absorbing and the
+    It does when z, the fold of the idempotents, is absorbing and the
     counts r and c of entries other than z in each row and column have
     sum of c[a] r[a] at most n^2.
     """
@@ -203,8 +203,8 @@ def assert_top_down_generates(rows):
     so does one decided on its support; any other draws the top-down set
     by left-bracketed words, all of it when it is associative.  A failure
     then draws the two-sided ascending set up to the witness's generator,
-    since every table here fits one row block.  On an associative table the set by words is the two-sided
-    top-down set.
+    since every table here fits one row block.  On an associative table
+    the set by words is the two-sided top-down set.
     """
     t = np.array(rows, dtype=np.int32)
     n = len(rows)
@@ -850,12 +850,14 @@ def squares(k):
 
 def cyclic_blocks(*orders):
     """0, then one cyclic group Z_k per order: products add within a group, every other is 0."""
-    first = np.cumsum((1,) + orders)
-    rows = [[0] * first[-1] for _ in range(first[-1])]
-    for k, start in zip(orders, first):
+    n = 1 + sum(orders)
+    rows = [[0] * n for _ in range(n)]
+    start = 1
+    for k in orders:
         for i in range(k):
             for j in range(k):
                 rows[start + i][start + j] = start + (i + j) % k
+        start += k
     return rows
 
 
@@ -874,6 +876,7 @@ def test_zero_sparse_tables_are_decided_on_their_support():
         assert drawn_generators(t) == (None, [])
         assert associativity_witness_by_definition(rows) is None
         z = absorbing_by_definition(rows)[0]
+        assert semigroups._nonzero_counts(t)[0] == z
         for _ in range(5):
             bad = plant_in_a_block(rows, z, rng)
             t = np.array(bad, dtype=np.int32)
