@@ -21,6 +21,8 @@ write of each output document, so their self time is taken out of
   is not counted);
 - ``stages``: self seconds per span, from ``tracing.self_times``;
 - ``counters``: the tracer's counts;
+- ``missing_parts``: the parts the checkout lacks, so a renamed part
+  shows instead of its span dropping out;
 - ``peak_rss_mb`` and the exit codes.
 
 Each rung has a time budget and a memory budget.  The child runs under
@@ -125,9 +127,12 @@ def child(root: Path, argvs: list[list[str]], memory_mb: int) -> dict:
     import tracing
     from ample import cli
 
+    missing = []
     for module, function, name in PARTS:
         if hasattr(sys.modules[f"ample.{module}"], function):
             tracing._spanned(module, function, name)
+        else:
+            missing.append(f"{module}.{function}")
     tracer = tracing.Tracer()
     tracer.install()
     codes, errors, seconds, over = [], [], 0.0, None
@@ -155,6 +160,7 @@ def child(root: Path, argvs: list[list[str]], memory_mb: int) -> dict:
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "stages": stages,
         "counters": dict(sorted(tracer.counts.items())),
+        "missing_parts": missing,
     }
 
 

@@ -65,18 +65,26 @@ Report = tuple[list[str], dict, bool, dict]
 STONE_CHUNK = 1 << 15
 
 
-def _collection(G, which: str):
-    if which == "singleton":
-        return singleton_semigroup(G)
-    return enumerate_bisections(G)
+def _text(args) -> str:
+    return Path(args.file).read_text(encoding="utf-8")
+
+
+def _semigroup(args):
+    return parse_semigroup(_text(args), adjoin_missing_zero=args.adjoin_zero)
+
+
+def _bisections(args):
+    """The bisection semigroup of ``--collection`` on the document, and its report line."""
+    G = parse_groupoid(_text(args))
+    masks = singleton_semigroup(G) if args.collection == "singleton" else enumerate_bisections(G)
+    return bisection_semigroup(G, masks), f"collection: {args.collection} ({len(masks)} elements)"
 
 
 def cmd_validate(args) -> Report:
-    text = Path(args.file).read_text(encoding="utf-8")
     if args.adjoin_zero:
-        kind, value = "semigroup", parse_semigroup(text, adjoin_missing_zero=True)
+        kind, value = "semigroup", _semigroup(args)
     else:
-        kind, value = parse_document(text)
+        kind, value = parse_document(_text(args))
     lines = [f"kind: {kind}"]
     if kind == "semigroup":
         lines += [
@@ -91,10 +99,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_spectrum(args) -> Report:
-    S = parse_semigroup(
-        Path(args.file).read_text(encoding="utf-8"),
-        adjoin_missing_zero=args.adjoin_zero,
-    )
+    S = _semigroup(args)
     E = idempotent_semilattice(S)
     spec = tight_spectrum(E)  # its points are certified to be the ultrafilters
 
@@ -123,7 +128,7 @@ def cmd_spectrum(args) -> Report:
 
 
 def cmd_ample(args) -> Report:
-    G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
+    G = parse_groupoid(_text(args))
     masks = enumerate_bisections(G)
     bs = bisection_semigroup(G, masks)
     idem = bs.semigroup.idempotents
@@ -144,10 +149,7 @@ def cmd_ample(args) -> Report:
 
 
 def cmd_reconstruct(args) -> Report:
-    T = parse_semigroup(
-        Path(args.file).read_text(encoding="utf-8"),
-        adjoin_missing_zero=args.adjoin_zero,
-    )
+    T = _semigroup(args)
     model = build_germ_model(T)
     H = model.groupoid
     doc = write_groupoid(H)
@@ -169,14 +171,10 @@ def cmd_reconstruct(args) -> Report:
 
 
 def cmd_check_iso(args) -> Report:
-    G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
-    masks = _collection(G, args.collection)
-    run = run_reconstruction(bisection_semigroup(G, masks), seed=args.seed)
+    bs, collection = _bisections(args)
+    run = run_reconstruction(bs, seed=args.seed)
     H = run.model.groupoid
-    lines = [
-        f"collection: {args.collection} ({len(masks)} elements)",
-        f"reconstructed: {len(H.arrows)} arrows, {len(H.units)} units",
-    ]
+    lines = [collection, f"reconstructed: {len(H.arrows)} arrows, {len(H.units)} units"]
     ok = True
     try:
         canonical_iso_of_run(run)
@@ -184,7 +182,7 @@ def cmd_check_iso(args) -> Report:
     except CheckFailed as exc:
         lines.append(f"canonical-iso: FAIL ({exc})")
         ok = False
-    found = brute_force_iso(H, G)
+    found = brute_force_iso(H, bs.groupoid)
     if found is None:
         lines.append("brute-force-iso: FAIL (no isomorphism found)")
         ok = False
@@ -195,16 +193,10 @@ def cmd_check_iso(args) -> Report:
 
 
 def cmd_rep_check(args) -> Report:
-    G = parse_groupoid(Path(args.file).read_text(encoding="utf-8"))
-    masks = _collection(G, args.collection)
-    bs = bisection_semigroup(G, masks)
-    pi = [rho(G, m) for m in bs.bits]
-    report = check_tight_representation(
-        pi, bs.semigroup, audit_covers=args.audit_covers
-    )
-    lines = [f"collection: {args.collection} ({len(masks)} elements)"]
-    lines += report.lines()
-    lines.append(f"status: {'pass' if report.passed else 'fail'}")
+    bs, collection = _bisections(args)
+    pi = [rho(bs.groupoid, m) for m in bs.bits]
+    report = check_tight_representation(pi, bs.semigroup, audit_covers=args.audit_covers)
+    lines = [collection, *report.lines(), f"status: {'pass' if report.passed else 'fail'}"]
     summary = {
         "collection": args.collection,
         "instances": report.instances_checked,
@@ -269,64 +261,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_summary(p):
-        p.add_argument("--summary", metavar="PATH", help="write a JSON digest here")
+    def command(name, func, help, file=True):
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse and validate a document")
-    p.add_argument("file")
-    p.add_argument(
+    command("validate", cmd_validate, "parse and validate a document").add_argument(
         "--adjoin-zero",
         action="store_true",
         help="treat the input as a semigroup and add an absorbing element if missing",
     )
-    add_summary(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("spectrum", help="filters, ultrafilters, tight points, D_e")
-    p.add_argument("file")
+    p = command("spectrum", cmd_spectrum, "filters, ultrafilters, tight points, D_e")
     p.add_argument("--adjoin-zero", action="store_true")
-    add_summary(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("ample", help="bisection semigroup and its abstract table")
-    p.add_argument("file")
+    p = command("ample", cmd_ample, "bisection semigroup and its abstract table")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write the abstract table here")
-    add_summary(p)
-    p.set_defaults(func=cmd_ample)
-
-    p = sub.add_parser("reconstruct", help="germ groupoid of a semigroup document")
-    p.add_argument("file")
+    p = command("reconstruct", cmd_reconstruct, "germ groupoid of a semigroup document")
     p.add_argument("--adjoin-zero", action="store_true")
     p.add_argument("-o", "--output", help="write the groupoid document here")
-    add_summary(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser(
-        "check-iso", help="reconstruct from a groupoid's own bisections and compare"
+    p = command(
+        "check-iso", cmd_check_iso, "reconstruct from a groupoid's own bisections and compare"
     )
-    p.add_argument("file")
     p.add_argument("--collection", choices=("singleton", "ample"), default="singleton")
     p.add_argument("--seed", type=int, default=0)
-    add_summary(p)
-    p.set_defaults(func=cmd_check_iso)
-
-    p = sub.add_parser("rep-check", help="tight-representation check for the indicator map")
-    p.add_argument("file")
+    p = command("rep-check", cmd_rep_check, "tight-representation check for the indicator map")
     p.add_argument("--collection", choices=("singleton", "ample"), default="singleton")
     p.add_argument("--audit-covers", action="store_true")
-    add_summary(p)
-    p.set_defaults(func=cmd_rep_check)
-
-    p = sub.add_parser("stone-check", help="point/spectrum correspondence sweep")
+    p = command("stone-check", cmd_stone_check, "point/spectrum correspondence sweep", file=False)
     p.add_argument("--max-points", type=int, default=4)
-    add_summary(p)
-    p.set_defaults(func=cmd_stone_check)
-
-    p = sub.add_parser("corpus", help="list or write the built-in instance family")
+    p = command("corpus", cmd_corpus, "list or write the built-in instance family", file=False)
     p.add_argument("--out-dir", metavar="DIR")
-    add_summary(p)
-    p.set_defaults(func=cmd_corpus)
+    # after each command's own options, as its help lists them
+    for p in sub.choices.values():
+        p.add_argument("--summary", metavar="PATH", help="write a JSON digest here")
 
     return parser
 

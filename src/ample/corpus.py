@@ -22,19 +22,14 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     sep = "_" if n > 10 else ""
     names = units + [f"a{i}{sep}{j}" for i, j in pairs]
-    idx = {(i, i): i for i in range(n)}
-    for k, (i, j) in enumerate(pairs):
-        idx[(i, j)] = n + k
-    all_pairs = sorted(idx, key=idx.get)
-    d = [idx[(i, i)] for (i, j) in all_pairs]
-    r = [idx[(j, j)] for (i, j) in all_pairs]
-    d_a, r_a = np.array([d, r], dtype=np.intp)
+    # arrow k runs from u{i} to u{j}, where (i, j) is the k-th of these ends
+    ends = [(i, i) for i in range(n)] + pairs
+    d, r = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     code = np.empty((n, n), dtype=np.int32)  # code[i, j]: the arrow u{i} -> u{j}
-    code[d_a, r_a] = range(len(names))
+    code[d, r] = range(len(names))
     # sigma.tau is the arrow d(tau) -> r(sigma) when d(sigma) = r(tau)
-    compose = np.where(d_a[:, None] == r_a, code[d_a, r_a[:, None]], -1)
-    inverse = [idx[(j, i)] for (i, j) in all_pairs]
-    return validate_groupoid(names, range(n), d, r, compose, inverse)
+    compose = np.where(d[:, None] == r, code[d, r[:, None]], -1)
+    return validate_groupoid(names, range(n), d, r, compose, code[r, d])
 
 
 def group_groupoid(k: int) -> FiniteGroupoid:
@@ -72,43 +67,20 @@ def group_bundle_z2() -> FiniteGroupoid:
 
 def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
     """Side-by-side union; arrow names get A./B. prefixes, units stay first."""
-    a_units = [a.arrows[u] for u in a.units]
-    b_units = [b.arrows[u] for u in b.units]
-    a_rest = [a.arrows[x] for x in range(len(a.arrows)) if not a.is_unit(x)]
-    b_rest = [b.arrows[x] for x in range(len(b.arrows)) if not b.is_unit(x)]
-    names = (
-        [f"A.{x}" for x in a_units]
-        + [f"B.{x}" for x in b_units]
-        + [f"A.{x}" for x in a_rest]
-        + [f"B.{x}" for x in b_rest]
-    )
+    parts = ((a, "A."), (b, "B."))
+    names = [p + part.arrows[u] for part, p in parts for u in part.units]
+    names += [p + x for part, p in parts for i, x in enumerate(part.arrows) if not part.is_unit(i)]
     index = {name: i for i, name in enumerate(names)}
-
-    def amap(x: int) -> int:
-        return index[f"A.{a.arrows[x]}"]
-
-    def bmap(x: int) -> int:
-        return index[f"B.{b.arrows[x]}"]
-
     n = len(names)
-    d = [0] * n
-    r = [0] * n
-    inverse = [0] * n
-    for x in range(len(a.arrows)):
-        d[amap(x)] = amap(a.d[x])
-        r[amap(x)] = amap(a.r[x])
-        inverse[amap(x)] = amap(a.inverse[x])
-    for x in range(len(b.arrows)):
-        d[bmap(x)] = bmap(b.d[x])
-        r[bmap(x)] = bmap(b.r[x])
-        inverse[bmap(x)] = bmap(b.inverse[x])
+    d, r, inverse = [0] * n, [0] * n, [0] * n
     compose = np.full((n, n), -1, dtype=np.int32)
-    for part, place in ((a, amap), (b, bmap)):
+    for part, p in parts:
         # the trailing -1 keeps the non-composable entries at -1
-        at = np.array([*map(place, range(len(part.arrows))), -1])
+        at = np.array([*(index[p + x] for x in part.arrows), -1])
+        for x, y in enumerate(at[:-1]):
+            d[y], r[y], inverse[y] = at[part.d[x]], at[part.r[x]], at[part.inverse[x]]
         compose[np.ix_(at[:-1], at[:-1])] = at[part.compose]
-    units = [amap(u) for u in a.units] + [bmap(u) for u in b.units]
-    return validate_groupoid(names, units, d, r, compose, inverse)
+    return validate_groupoid(names, range(len(a.units) + len(b.units)), d, r, compose, inverse)
 
 
 def corpus() -> dict[str, FiniteGroupoid]:

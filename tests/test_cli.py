@@ -324,6 +324,24 @@ def test_corpus_listing_and_files(capsys, tmp_path):
         assert path.read_text(encoding="utf-8") == write_groupoid(G)
 
 
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse 3.13 prints a repeated metavar once"
+)
+def test_help_text_is_the_pinned_text(capsys, monkeypatch):
+    # tests/data/usage.txt holds the parser's help and each command's, at 80
+    # columns, since argparse wraps to the terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = ["validate", "spectrum", "ample", "reconstruct", "check-iso", "rep-check",
+                "stone-check", "corpus"]
+    pages = []
+    for argv in ([], *([name] for name in commands)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        pages.append(f"$ ample {' '.join([*argv, '--help'])}\n{capsys.readouterr().out}")
+    assert "\n".join(pages) == (DATA / "usage.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["pair2+z2", "pair5"])
 def test_ample_output_file_is_the_stdout_document(capsys, tmp_path, name):
     # -o writes the table one row at a time; the bytes are the document that

@@ -77,6 +77,18 @@ def test_pair_groupoid_names_stay_distinct_past_ten_units():
     assert G.inverse[a1_11] == a11_1
 
 
+def test_corpus_constructors_keep_their_arrow_order():
+    # units first, then each part's other arrows, A before B
+    G = disjoint_union(pair_groupoid(2), group_groupoid(2))
+    assert G.arrows == ("A.u0", "A.u1", "B.e", "A.a01", "A.a10", "B.c1")
+    assert (G.units, G.d, G.r) == ((0, 1, 2), (0, 1, 2, 0, 1, 2), (0, 1, 2, 1, 0, 2))
+    assert G.inverse == (0, 1, 2, 4, 3, 5)
+    assert pair_groupoid(0).arrows == pair_groupoid(0).units == ()
+    assert pair_groupoid(0).d == pair_groupoid(0).r == pair_groupoid(0).inverse == ()
+    G = pair_groupoid(1)
+    assert (G.arrows, G.units, G.d, G.r, G.inverse) == (("u0",), (0,), (0,), (0,), (0,))
+
+
 def test_validate_units_only():
     G = units_groupoid(3)
     assert G.compose.shape == (3, 3)
@@ -752,6 +764,31 @@ def test_validate_groupoid_rejects_non_integer_indices():
         validate_groupoid(["u"], [0], [0], [0], [["0"]], [0])
     G = validate_groupoid(["u"], np.array([0]), [np.int64(0)], [0], [[0]], [0])
     assert G.units == (0,) and type(G.d[0]) is int
+
+
+def test_validate_groupoid_rejects_malformed_arrow_lists():
+    G = pair_groupoid(2)
+    names, units, d, r, compose, inverse = (
+        G.arrows, G.units, G.d, G.r, G.compose, G.inverse
+    )
+    cases = [
+        ((["u0", "u1", "a01", "u0"], units, d, r, inverse), "duplicate arrow names"),
+        ((names, units, d[:3], r, inverse), "d, r and inverse must cover every arrow"),
+        ((names, units, d, r + (0,), inverse), "d, r and inverse must cover every arrow"),
+        ((names, units, d, r, inverse[:3]), "d, r and inverse must cover every arrow"),
+        ((names, units, d, r, (0, 1, 3, 4)), "arrow index 4 out of range"),
+        ((names, (0, -1), d, r, inverse), "arrow index -1 out of range"),
+        ((names, (0, 1, 0), d, r, inverse), "duplicate units"),
+    ]
+    for (arrows, us, ds, rs, inv), message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_groupoid(arrows, us, ds, rs, compose, inv)
+    # u1 is no unit, so it is a source and range outside the units
+    with pytest.raises(ValidationError, match="^arrow u1 has non-unit source or range$"):
+        validate_groupoid(names, [0], d, r, compose, inverse)
+    # a's source u is a unit but its range is a itself
+    with pytest.raises(ValidationError, match="^arrow a has non-unit source or range$"):
+        validate_groupoid(["u", "a"], [0], [0, 0], [0, 1], compose_array(2, {(0, 0): 0}), [0, 1])
 
 
 def test_groupoid_equality_compares_the_composition():

@@ -503,6 +503,21 @@ def test_check_isomorphism_rejects_wrong_map():
         check_isomorphism(GroupoidIsomorphism(G, G, (-1, 1)))  # a unit, before its mask
 
 
+def test_check_isomorphism_names_the_first_broken_structure():
+    Z2, Z3, P2 = group_groupoid(2), group_groupoid(3), pair_groupoid(2)
+    # not onto: two arrows on one, or two arrows into three
+    for source, target, f, covered in ((Z2, Z2, (0, 0), 1), (Z2, Z3, (0, 1), 2)):
+        message = f"^map covers {covered} of {len(target.arrows)} target arrows$"
+        with pytest.raises(CheckFailed, match=message):
+            check_isomorphism(GroupoidIsomorphism(source, target, f))
+    # a bijection that sends the unit e to c1
+    with pytest.raises(CheckFailed, match="^units are not carried onto units$"):
+        check_isomorphism(GroupoidIsomorphism(Z2, Z2, (1, 0)))
+    # units fixed, a01 <-> a10: the source of a01 is u0, of its image u1
+    with pytest.raises(CheckFailed, match="^source/range not intertwined at a01$"):
+        check_isomorphism(GroupoidIsomorphism(P2, P2, (0, 1, 3, 2)))
+
+
 def relabeled(G, perm):
     """G with arrow a renamed to index perm[a]."""
     at = np.array([*perm, -1])
