@@ -101,8 +101,8 @@ def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
     # exits 2 once the count memoizes MAX_REP_STATES states, at about 1 GB resident
     out.append(("rep-check units7 ample",
                 [["rep-check", f"{w}/units7.gpd", "--collection", "ample"]], 300, 2048))
-    for g in ("pair16", "pair20"):
-        out.append((f"rep-check {g} singleton", [["rep-check", f"{w}/{g}.gpd"]], 60, 1024))
+    for g, seconds in (("pair16", 60), ("pair20", 60), ("units1100", 60), ("units2000", 180)):
+        out.append((f"rep-check {g} singleton", [["rep-check", f"{w}/{g}.gpd"]], seconds, 1024))
     out.append(("stone-check 4", [["stone-check", "--max-points", "4"]], 60, 1024))
     out.append(("stone-check 5", [["stone-check", "--max-points", "5"]], 180, 1024))
     return out

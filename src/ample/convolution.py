@@ -228,6 +228,27 @@ def _first_mismatch(count: int, width: int, differs) -> int | None:
     return None
 
 
+def _minimal_sum_is_unit(pm: _CoefficientMatrix, E: Semilattice, units: Sequence[int]) -> bool:
+    """Whether the pi(a) at the minimal nonzero idempotents a sum to the unit.
+
+    Scaled, the rows of the pi(a) must sum to scale times the indicator of
+    the units.  For multiplicative pi with pi(0) = 0 this is the tightness
+    verdict (see check_tight_representation).  The sum adds |Min| rows of
+    entries at most big and subtracts scale, so it stays int64 while
+    |Min| big + scale < 2^63, Python ints past it.
+    """
+    nonzero = E.nonzero_mask
+    minimal = [e for e, down in zip(E.carrier, E.down_masks) if (down & nonzero).bit_count() == 1]
+    support, weights = pm.at(np.array(minimal, dtype=np.intp))
+    big = int(abs(weights).max(initial=0))
+    if weights.dtype != object and len(minimal) * big + pm.scale >= 1 << 63:
+        weights = weights.astype(object)
+    whole = np.zeros(pm.rows.shape[1] + 1, dtype=weights.dtype)
+    np.add.at(whole, support.ravel(), weights.ravel())
+    whole[list(units)] -= pm.scale
+    return not np.count_nonzero(whole[:-1])
+
+
 def _atom_characters(pm: _CoefficientMatrix, E: Semilattice, units: Sequence[int]) -> list[int]:
     """Position masks of the atoms of the Boolean algebra the pi(e) generate.
 
@@ -502,7 +523,18 @@ def check_tight_representation(
     semigroups and combinatorial C*-algebras*, arXiv:math/0703182,
     sections 11-12; Donsig and Milan, *Joins and covers in inverse
     semigroups and tight C*-algebras*, Bull. Aust. Math. Soc. 2014), that
-    is, a point of ``tight_spectrum(E)``.
+    is, a point of ``tight_spectrum(E)``: up(a) for a minimal nonzero a.
+
+    For multiplicative pi with pi(0) = 0 that verdict is one identity: the
+    pi(a) at the minimal nonzero idempotents a sum to the unit
+    (_minimal_sum_is_unit).  Each pi(e) is the sum of the atoms below it,
+    and the atoms are linearly independent, so the sum is the unit iff
+    each atom lies under exactly one pi(a).  Each atom character is a
+    filter or zero, and holds at most one minimal a (ab = 0 for distinct
+    ones), so that says it is a filter holding a minimal a, which is
+    up(a).  Only a failing identity, a failed law or ``audit_covers``
+    refines the unit into atoms; atoms that reach the other verdict on a
+    multiplicative pi with pi(0) = 0 raise CheckFailed, a bug trap.
 
     The counters multiply over the orthogonal blocks of nonzero
     idempotents (_cover_sup_count; the README proves it).  Only a failing
@@ -567,9 +599,15 @@ def check_tight_representation(
             e, f = carrier[bad // m], carrier[bad % m]
             raise CheckFailed(f"pi({name[e]}) and pi({name[f]}) do not commute")
 
-    atom_masks = _atom_characters(pm, E, G.units)
-    points = tight_spectrum(E).point_index
-    tight = all(mask in points for mask in atom_masks)
+    lawful = mult_ok and zero_ok
+    tight = lawful and _minimal_sum_is_unit(pm, E, G.units)
+    if audit_covers or not tight:
+        atom_masks = _atom_characters(pm, E, G.units)
+        points = tight_spectrum(E).point_index
+        atoms_tight = all(mask in points for mask in atom_masks)
+        if lawful and atoms_tight != tight:
+            raise CheckFailed("the minimal idempotents and the atom characters disagree on tightness")
+        tight = atoms_tight
 
     isect = E.intersect_masks
     covers_of = minimal = cache(partial(_minimal_covers, isect))

@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, count
+from math import isqrt
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -186,9 +187,10 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     if n**3 <= _BLOCK:
         associative = np.array_equal(t[t], t[:, t])
     else:
-        z, rows, cols = _nonzero_counts(t)
+        # the support verdict pays off when the rows hold about sqrt(n) entries each
+        z, rows, cols, at = _nonzero_counts(t, keep=n * isqrt(n))
         if z >= 0 and not rows[z] and not cols[z] and cols @ rows <= n * n:
-            associative = _support_associative(t, z, rows, cols)
+            associative = _support_associative(t, z, rows, cols, at)
         else:
             order = np.argsort(-rows, kind="stable")
             associative = _light_witness(t, _generators(t, order, words=True)) is None
@@ -197,8 +199,13 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     return _light_witness(t, _generators(t, range(n)))
 
 
-def _support_associative(t: np.ndarray, z: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+def _support_associative(
+    t: np.ndarray, z: int, rows: np.ndarray, cols: np.ndarray, at: np.ndarray | None
+) -> bool:
     """Whether t is associative: z is absorbing, rows and cols count the entries != z.
+
+    ``at`` lists the flat positions of those entries in row-major order,
+    or is None when the table is to be scanned for them.
 
     A triple with xa = z = ay is z on both sides.  So t is associative iff
     (i) (xa)y = x(ay) whenever xa != z and ay != z, (ii) row xa is z
@@ -215,7 +222,8 @@ def _support_associative(t: np.ndarray, z: int, rows: np.ndarray, cols: np.ndarr
     """
     n = len(t)
     flat = t.reshape(-1)
-    at = np.concatenate([np.flatnonzero(t[b] != z) + b.start * n for b in row_blocks(n, n)])
+    if at is None:
+        at = np.concatenate([np.flatnonzero(t[b] != z) + b.start * n for b in row_blocks(n, n)])
     row, col = np.divmod(at, n)  # the entries != z in row-major order
     val = flat[at].astype(np.intp)
     first = np.cumsum(rows) - rows  # row a's entries start at first[a]
@@ -236,18 +244,34 @@ def _support_associative(t: np.ndarray, z: int, rows: np.ndarray, cols: np.ndarr
     return nonzero == counts @ rows == counts @ cols
 
 
-def _nonzero_counts(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """z, the left fold of the idempotents (-1 if none), and the entries != z per row and column."""
+def _nonzero_counts(
+    t: np.ndarray, keep: int = 0
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+    """z, the left fold of the idempotents (-1 if none), and the entries != z per row and column.
+
+    The fourth item lists the flat positions of those entries in row-major
+    order when there are at most ``keep`` of them, and is None otherwise:
+    a block's positions are listed only while the running count stays
+    within ``keep``, so a dense table pays for none of them.
+    """
     n = len(t)
     z = _fold(t)
     rows, cols = np.empty(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    at, kept = ([np.empty(0, dtype=np.intp)] if keep else None), 0
     # uint16 sums: a row block has at most 256 rows, and an int32 table of 2^16 rows is 16 GiB
     wide = np.uint16 if n < 1 << 16 else np.intp
     for block in row_blocks(n, n):
-        support = (t[block] != z).view(np.uint8)
-        rows[block] = support.sum(axis=1, dtype=wide)
-        cols += support.sum(axis=0, dtype=np.uint16)
-    return z, rows, cols
+        support = t[block] != z
+        ones = support.view(np.uint8)
+        rows[block] = ones.sum(axis=1, dtype=wide)
+        cols += ones.sum(axis=0, dtype=np.uint16)
+        if at is not None:
+            kept += int(rows[block].sum())
+            if kept > keep:
+                at = None
+            else:
+                at.append(np.flatnonzero(support) + block.start * n)
+    return z, rows, cols, None if at is None else np.concatenate(at)
 
 
 def ranked_generators(t: np.ndarray) -> Iterator[int]:

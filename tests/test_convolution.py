@@ -774,3 +774,129 @@ def test_pair_singleton_counts_have_a_closed_form(n):
     report = check_tight_representation([rho(G, m) for m in bs.bits], bs.semigroup)
     assert report.passed
     assert report.instances_checked == report.covers_checked == (n + 2) * 2**n
+
+
+# -- the minimal-idempotent identity against the atom characters ------------------
+
+
+IMAGE_KINDS = ("tight", "filter", "scrambled", "zero")
+
+
+def _character_images(S, rng, kind, units=3):
+    """Images of a semilattice in the algebra of units(units): u lies in pi(e) iff chi_u(e) = 1.
+
+    Each chi_u is up(a) at a random minimal nonzero a, which is tight.
+    Then one chi_u is changed by ``kind``: "filter" makes it up(p) at a
+    non-minimal p, or the zero character (multiplicative, not tight);
+    "scrambled" flips random non-minimal positions (the sum of the minimal
+    images stays as it was, and multiplicativity mostly breaks); "zero"
+    adds the zero, or makes it the full character (pi(0) != 0).
+    """
+    E = idempotent_semilattice(S)
+    nonzero = E.nonzero_mask
+    minimal = [p for p in iter_bits(nonzero) if E.down_masks[p] & nonzero == 1 << p]
+    others = [p for p in iter_bits(nonzero) if p not in minimal]
+    chars = [E.up_masks[rng.choice(minimal)] if minimal else 0 for _ in range(units)]
+    u = rng.randrange(units)
+    if kind == "filter":
+        chars[u] = E.up_masks[rng.choice(others)] if others and rng.random() < 0.7 else 0
+    elif kind == "scrambled":
+        chars[u] ^= mask_of(p for p in others if rng.random() < 0.5)
+    elif kind == "zero":
+        chars[u] = E.full_mask if rng.random() < 0.5 else chars[u] | 1 << E.zero_pos
+    G = units_groupoid(units)
+    pi = [AlgebraElement.zero(G)] * len(S)
+    for p, e in enumerate(E.carrier):
+        pi[e] = rho(G, mask_of(G.units[v] for v in range(units) if chars[v] >> p & 1))
+    return pi
+
+
+def _sum_is_unit(pi, S):
+    G = pi[S.zero].groupoid
+    pm = convolution._coefficient_matrix(pi, G)
+    return convolution._minimal_sum_is_unit(pm, idempotent_semilattice(S), G.units)
+
+
+def _atoms_say_tight(pi, S):
+    E, masks = _atoms(pi, S)
+    points = tight_spectrum(E).point_index
+    return all(mask in points for mask in masks)
+
+
+def _assert_minimal_sum_decides(pi, S, label):
+    """On lawful pi the identity agrees with the atoms; the report matches the scan.
+
+    Returns (lawful, tight).  The unit sum also gives every pi(x) as the
+    sum of the pi(a) at the minimal a <= x, the identity's per-x half.
+    """
+    mult_ok, _, zero_ok, _ = representation_laws_by_definition(pi, S)
+    lawful = mult_ok and zero_ok
+    if lawful:
+        tight = _sum_is_unit(pi, S)
+        assert tight == _atoms_say_tight(pi, S), label
+        E = idempotent_semilattice(S)
+        nonzero = E.nonzero_mask
+        for p, e in enumerate(E.carrier):
+            below = [
+                E.carrier[a] for a in iter_bits(E.down_masks[p] & nonzero)
+                if E.down_masks[a] & nonzero == 1 << a
+            ]
+            total = AlgebraElement.zero(pi[S.zero].groupoid)
+            for a in below:
+                total = add(total, pi[a])
+            assert not tight or total == pi[e], label
+    _assert_matches_oracle(pi, S, label)
+    report = check_tight_representation(pi, S)
+    audited = check_tight_representation(pi, S, audit_covers=True)
+    assert audited.passed == report.passed, label
+    return lawful, not report.tightness_witnesses
+
+
+def test_minimal_sum_decides_tightness_on_the_zoo():
+    rng = random.Random(36)
+    seen = set()
+    for S in (S for items in all_semilattices_upto(6).values() for S in items):
+        for kind in IMAGE_KINDS:
+            pi = _character_images(S, rng, kind)
+            _, tight = _assert_minimal_sum_decides(pi, S, (S.table.tolist(), kind))
+            mult_ok, _, zero_ok, _ = representation_laws_by_definition(pi, S)
+            seen.add((kind, mult_ok, zero_ok, tight))
+    assert {("tight", True, True, True), ("filter", True, True, False)} <= seen
+    assert ("scrambled", False, True, False) in seen and ("zero", True, False, False) in seen
+
+
+def test_minimal_sum_decides_tightness_on_algebra_images(corpus_runs):
+    # rho and rho on kept units over the corpus, rank-one projections of
+    # pair2's algebra such as (u0 + u1 + a01 + a10)/2, and conjugated unit sets
+    rng = random.Random(37)
+    cases = []
+    for r in corpus_runs:
+        G, bs = r.groupoid, r.bisection_semigroup
+        keep = mask_of(u for u in G.units if rng.random() < 0.5)
+        cases += [([rho(G, m & mask) for m in bs.bits], bs.semigroup, r.label) for mask in (-1, keep)]
+    cases += [(pi, S, "projection") for pi, S in _projections_of_units1()]
+    cases += [(*_conjugated_units(n), f"conjugated units{n}") for n in (2, 3)]
+    outcomes = set()
+    for pi, S, label in cases:
+        outcomes.add(_assert_minimal_sum_decides(pi, S, label))
+    assert {(True, True), (True, False), (False, False)} <= outcomes
+
+
+def test_a_wrong_identity_is_caught_by_the_atoms(monkeypatch):
+    # the atoms run on a failing identity and under --audit-covers, and a
+    # lawful pi on which they reach the other verdict raises
+    G = units_groupoid(3)
+    bs = _ample(G)
+    tight = [rho(G, m) for m in bs.bits]
+    loose = [rho(G, m & ~1) for m in bs.bits]
+    assert check_tight_representation(tight, bs.semigroup).passed
+    assert not check_tight_representation(loose, bs.semigroup).passed
+    for verdict, pi, audit in ((False, tight, False), (True, loose, True)):
+        monkeypatch.setattr(convolution, "_minimal_sum_is_unit", lambda *args, v=verdict: v)
+        with pytest.raises(CheckFailed, match="^the minimal idempotents and the atom characters"):
+            check_tight_representation(pi, bs.semigroup, audit_covers=audit)
+    # a passing identity skips the atoms and the spectrum
+    monkeypatch.setattr(convolution, "_minimal_sum_is_unit", lambda *args: True)
+    monkeypatch.setattr(convolution, "_atom_characters", None)
+    monkeypatch.setattr(convolution, "tight_spectrum", None)
+    assert check_tight_representation(tight, bs.semigroup).passed

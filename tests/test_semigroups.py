@@ -889,6 +889,20 @@ def test_zero_sparse_tables_are_decided_on_their_support():
     assert failing > 10
 
 
+def test_the_count_pass_keeps_the_support_while_it_is_small():
+    # units300's 301 x 301 table spans two row blocks and has 300 entries != z:
+    # the count pass lists them all while keep allows, and none past it
+    G = units_groupoid(300)
+    t = abstract_table(bisection_semigroup(G, singleton_semigroup(G)), seed=5)[0].table
+    assert len(list(semigroups.row_blocks(len(t), len(t)))) == 2
+    z, rows, cols, at = semigroups._nonzero_counts(t, keep=300)
+    assert np.array_equal(at, np.flatnonzero(t != z)) and at.dtype == np.intp
+    assert semigroups._nonzero_counts(t, keep=299)[3] is None
+    assert semigroups._nonzero_counts(t)[3] is None
+    assert semigroups._support_associative(t, z, rows, cols, at)
+    assert semigroups._support_associative(t, z, rows, cols, None)
+
+
 def test_dense_blocks_are_decided_whole_by_light_s_test():
     rows = relabelled(cyclic_blocks(20, 25), random.Random(47))  # 46 elements
     assert not decided_on_the_support(rows)
