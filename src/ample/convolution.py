@@ -231,11 +231,9 @@ def _first_mismatch(count: int, width: int, differs) -> int | None:
 def _minimal_sum_is_unit(pm: _CoefficientMatrix, E: Semilattice, units: Sequence[int]) -> bool:
     """Whether the pi(a) at the minimal nonzero idempotents a sum to the unit.
 
-    Scaled, the rows of the pi(a) must sum to scale times the indicator of
-    the units.  For multiplicative pi with pi(0) = 0 this is the tightness
-    verdict (see check_tight_representation).  The sum adds |Min| rows of
-    entries at most big and subtracts scale, so it stays int64 while
-    |Min| big + scale < 2^63, Python ints past it.
+    Scaled, their rows must sum to scale times the indicator of the units.
+    The sum adds |Min| rows of entries at most big and subtracts scale, so
+    it stays int64 while |Min| big + scale < 2^63, Python ints past it.
     """
     nonzero = E.nonzero_mask
     minimal = [e for e, down in zip(E.carrier, E.down_masks) if (down & nonzero).bit_count() == 1]
@@ -527,14 +525,10 @@ def check_tight_representation(
 
     For multiplicative pi with pi(0) = 0 that verdict is one identity: the
     pi(a) at the minimal nonzero idempotents a sum to the unit
-    (_minimal_sum_is_unit).  Each pi(e) is the sum of the atoms below it,
-    and the atoms are linearly independent, so the sum is the unit iff
-    each atom lies under exactly one pi(a).  Each atom character is a
-    filter or zero, and holds at most one minimal a (ab = 0 for distinct
-    ones), so that says it is a filter holding a minimal a, which is
-    up(a).  Only a failing identity, a failed law or ``audit_covers``
-    refines the unit into atoms; atoms that reach the other verdict on a
-    multiplicative pi with pi(0) = 0 raise CheckFailed, a bug trap.
+    (_minimal_sum_is_unit; the README proves it).  Only a failing
+    identity, a failed law or ``audit_covers`` refines the unit into
+    atoms; atoms that reach the other verdict on such a pi raise
+    CheckFailed, a bug trap.
 
     The counters multiply over the orthogonal blocks of nonzero
     idempotents (_cover_sup_count; the README proves it).  Only a failing

@@ -826,30 +826,26 @@ def _atoms_say_tight(pi, S):
 def _assert_minimal_sum_decides(pi, S, label):
     """On lawful pi the identity agrees with the atoms; the report matches the scan.
 
-    Returns (lawful, tight).  The unit sum also gives every pi(x) as the
-    sum of the pi(a) at the minimal a <= x, the identity's per-x half.
+    Returns (multiplicativity, zero, tight).  A unit sum also gives every
+    pi(x) as the sum of the pi(a) at the minimal a <= x.
     """
     mult_ok, _, zero_ok, _ = representation_laws_by_definition(pi, S)
-    lawful = mult_ok and zero_ok
-    if lawful:
+    if mult_ok and zero_ok:
         tight = _sum_is_unit(pi, S)
         assert tight == _atoms_say_tight(pi, S), label
         E = idempotent_semilattice(S)
         nonzero = E.nonzero_mask
+        minimal = mask_of(p for p in iter_bits(nonzero) if E.down_masks[p] & nonzero == 1 << p)
         for p, e in enumerate(E.carrier):
-            below = [
-                E.carrier[a] for a in iter_bits(E.down_masks[p] & nonzero)
-                if E.down_masks[a] & nonzero == 1 << a
-            ]
             total = AlgebraElement.zero(pi[S.zero].groupoid)
-            for a in below:
-                total = add(total, pi[a])
+            for a in iter_bits(E.down_masks[p] & minimal):
+                total = add(total, pi[E.carrier[a]])
             assert not tight or total == pi[e], label
     _assert_matches_oracle(pi, S, label)
     report = check_tight_representation(pi, S)
     audited = check_tight_representation(pi, S, audit_covers=True)
     assert audited.passed == report.passed, label
-    return lawful, not report.tightness_witnesses
+    return mult_ok, zero_ok, not report.tightness_witnesses
 
 
 def test_minimal_sum_decides_tightness_on_the_zoo():
@@ -858,9 +854,7 @@ def test_minimal_sum_decides_tightness_on_the_zoo():
     for S in (S for items in all_semilattices_upto(6).values() for S in items):
         for kind in IMAGE_KINDS:
             pi = _character_images(S, rng, kind)
-            _, tight = _assert_minimal_sum_decides(pi, S, (S.table.tolist(), kind))
-            mult_ok, _, zero_ok, _ = representation_laws_by_definition(pi, S)
-            seen.add((kind, mult_ok, zero_ok, tight))
+            seen.add((kind, *_assert_minimal_sum_decides(pi, S, (S.table.tolist(), kind))))
     assert {("tight", True, True, True), ("filter", True, True, False)} <= seen
     assert ("scrambled", False, True, False) in seen and ("zero", True, False, False) in seen
 
@@ -876,10 +870,8 @@ def test_minimal_sum_decides_tightness_on_algebra_images(corpus_runs):
         cases += [([rho(G, m & mask) for m in bs.bits], bs.semigroup, r.label) for mask in (-1, keep)]
     cases += [(pi, S, "projection") for pi, S in _projections_of_units1()]
     cases += [(*_conjugated_units(n), f"conjugated units{n}") for n in (2, 3)]
-    outcomes = set()
-    for pi, S, label in cases:
-        outcomes.add(_assert_minimal_sum_decides(pi, S, label))
-    assert {(True, True), (True, False), (False, False)} <= outcomes
+    outcomes = {_assert_minimal_sum_decides(pi, S, label) for pi, S, label in cases}
+    assert {(True, True, True), (True, True, False), (False, True, False)} <= outcomes
 
 
 def test_a_wrong_identity_is_caught_by_the_atoms(monkeypatch):
