@@ -11,11 +11,12 @@ or more ``ample`` command lines run in one fresh child process, so that
 the package from ``DIR/src`` (default: this checkout), installs
 ``benchmark/tracing.Tracer`` from ``DIR/benchmark`` around ``cli.main``,
 and adds spans for the parts of the table build (the digit-code index and
-the product codes), of table validation (associativity and its support
-verdict, inner inverses, the full inverse scan, the zero) and for the
-write of each output document, so their self time is taken out of
-``groupoids.bisection_semigroup_s``, ``semigroups.validate_s`` and
-``cli.self_s``.  It reports:
+the product codes), for the read of a table document's table section (by
+cells or in chunks), for the parts of table validation (associativity and
+its support verdict, inner inverses, the full inverse scan, the zero) and
+for the write of each output document, so their self time is taken out of
+``groupoids.bisection_semigroup_s``, ``formats.parse_s``,
+``semigroups.validate_s`` and ``cli.self_s``.  It reports:
 
 - ``seconds``: end-to-end, the sum of the ``cli.main`` calls (the import
   is not counted);
@@ -88,11 +89,12 @@ def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
                     seconds, memory))
         back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
         out.append((f"reconstruct {g}", back, seconds, memory))
-    for g in ("units10", "units11", "units12"):
-        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{o}/{g}.sgp"]], 60, 2048))
-        out.append((f"spectrum {g}", [["spectrum", f"{o}/{g}.sgp"]], 60, 2048))
+    # units13's table document is 403 MB
+    for g, memory in (("units10", 2048), ("units11", 2048), ("units12", 2048), ("units13", 3072)):
+        out.append((f"ample {g} -o", [["ample", f"{w}/{g}.gpd", "-o", f"{o}/{g}.sgp"]], 60, memory))
+        out.append((f"spectrum {g}", [["spectrum", f"{o}/{g}.sgp"]], 60, memory))
         back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
-        out.append((f"reconstruct {g}", back, 60, 2048))
+        out.append((f"reconstruct {g}", back, 60, memory))
     for g in ("units300", "units1100", "units2000", "units4000"):
         out.append((f"check-iso {g} singleton", [["check-iso", f"{w}/{g}.gpd"]], 120, 1024))
     for g in ("units5", "units6", "pair3+pair3"):
@@ -108,9 +110,10 @@ def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
     return out
 
 
-# Parts of the build, of validate_inverse_semigroup and of cli.main that get their own
-# span, where the checkout has them: (module, function, span name).
+# Parts of the build, of parse_semigroup, of validate_inverse_semigroup and of cli.main
+# that get their own span, where the checkout has them: (module, function, span name).
 PARTS = [
+    ("formats", "_table", "formats.parse.table_s"),
     ("groupoids", "_run_slots", "groupoids.build.index_s"),
     ("groupoids", "_product_codes", "groupoids.build.products_s"),
     *(("semigroups", part, f"semigroups.validate.{part.strip('_')}_s")
@@ -233,7 +236,7 @@ def write_inputs(root: Path, work: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         main(["corpus", "--out-dir", str(work / "corpus")])
     groupoids = {f"pair{n}": pair_groupoid(n) for n in (5, 6, 16, 20)}
-    sizes = (5, 6, 7, 10, 11, 12, 300, 1100, 2000, 4000)
+    sizes = (5, 6, 7, 10, 11, 12, 13, 300, 1100, 2000, 4000)
     groupoids |= {f"units{n}": units_groupoid(n) for n in sizes}
     groupoids["pair3+pair3"] = disjoint_union(pair_groupoid(3), pair_groupoid(3))
     for name, G in groupoids.items():

@@ -23,7 +23,13 @@ does no per-token work on identifier lists and never copies one whole.
 It keeps only an offset; line and column are counted from the text when
 an error is raised.  Structural tokens are read one at a time, each
 with the whitespace and comments in front of it, by one regex match.
-An identifier list (elements, table, units) is read as one run,
+A table of one name width and at least _SMALL entries is read by
+fixed-size cells (_cells) when its run has the layout semigroup_lines
+writes: a block of about _CHUNK characters of rows is checked by one
+translate and one comparison, and its keys are read through strided
+views, with no search for where names start.  Any other run, or one with
+an unknown entry, is read from its start as below.
+An identifier list (elements, table, units) is otherwise read as one run,
 in pieces cut from the text itself at whitespace about _CHUNK characters
 apart, up to the first '}'.  A piece is taken whole when it is ASCII and
 one bytes.translate finds nothing in it but identifier characters and
@@ -111,6 +117,11 @@ _RUN_RE = re.compile(r"[A-Za-z0-9_.+@ \t\r\n]*")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_.+@]+")
 _RUN_BYTES = bytes(c for c in range(128) if _RUN_RE.fullmatch(chr(c)))
+# A table run in cells: whitespace to the first newline, then a row's indent.
+_HEAD_RE = re.compile(r"[ \t\r]*\n([ \t]*)")
+# Each byte's class in a row of cells: 1 identifier, 0 whitespace, 2 any other.
+_CLASSES = bytes(1 if _IDENT_RE.fullmatch(chr(c)) else 0 if chr(c) in " \t\r\n" else 2
+                 for c in range(256))
 # An identifier list is read in pieces of about _CHUNK characters, which
 # bounds the temporaries; under _SMALL entries a dict costs less than
 # _NameIndex.
@@ -213,7 +224,9 @@ class _NameIndex:
     A key is ceil(w/8) words, w the longest name, zero past the name's end;
     identifier bytes are never 0, so equal keys are equal strings, and an
     entry longer than every name gets key word 0 = 0, which no name has.
-    Names hash into tables of at least 8n slots; those a table has no room
+    A one-word key hashes to the top bits of one multiply, into tables of
+    at least 32n slots; a longer key is folded word by word and mixed once
+    more, into tables of at least 8n slots.  The names a table has no room
     for go into one more table with the next multiplier.  A table only
     proposes a name, which an entry takes when every key word agrees, so no
     hash decides a lookup.  An empty slot proposes a sentinel key of 0xFF
@@ -230,7 +243,7 @@ class _NameIndex:
         sentinel = np.full((self.words, 1), np.iinfo(np.uint64).max, dtype=np.uint64)
         # word j of name i at [j, i]; the sentinel is name len(names)
         self.keys = np.hstack([self._keys(" ".join(names)), sentinel])
-        bits = (8 * len(names) - 1).bit_length()
+        bits = ((32 if self.words == 1 else 8) * len(names) - 1).bit_length()
         self.shift = np.uint64(64 - bits)
         self.tables = []
         left, mult = np.arange(len(names)), np.uint64(_MULT)
@@ -262,8 +275,9 @@ class _NameIndex:
         for word in keys[1:]:
             h ^= word
             h *= mult
-        h ^= h >> np.uint64(32)  # high bits mixed into low
-        h *= mult
+        if len(keys) > 1:  # high bits mixed into low
+            h ^= h >> np.uint64(32)
+            h *= mult
         h >>= self.shift
         return h.view(np.int64)
 
@@ -280,9 +294,13 @@ class _NameIndex:
         they do not fit."""
         keys = self._keys(chunk)
         count = keys.shape[1]
-        if count > len(out):
-            return count
-        found = out[:count]
+        if count <= len(out):
+            self.lookup(keys, out[:count])
+        return count
+
+    def lookup(self, keys: np.ndarray, found: np.ndarray) -> None:
+        """Write the index of the name of each key column to found, -1 for a
+        key that no name has."""
         (mult, table), *more = self.tables
         table.take(self._slots(keys, mult), out=found, mode="clip")
         todo = np.flatnonzero(self._differ(found, keys))
@@ -295,7 +313,6 @@ class _NameIndex:
             found[todo[hit]] = cand[hit]
             todo = todo[~hit]
         found[todo] = -1
-        return count
 
 
 def _names(sc: _Scanner, what: str) -> list[str]:
@@ -308,6 +325,82 @@ def _names(sc: _Scanner, what: str) -> list[str]:
             raise sc.error(f"duplicate {what} {name!r}", _nth_ident(pieces, k)[0])
         seen.add(name)
     return names
+
+
+def _cells(sc: _Scanner, index: _NameIndex, n: int, width: int) -> np.ndarray | None:
+    """'{' IDENT* '}' read by fixed-size cells into n*n indices, when the run
+    has the layout semigroup_lines writes and every entry is a name.
+
+    That layout is whitespace up to the first newline, then n rows of one
+    indent and n cells, each of width identifier bytes and one whitespace
+    byte, then '}' as the next token.  A block of rows is checked by one
+    translate to byte classes and one comparison, and its keys are read
+    through strided views.  For any other run it returns None and leaves
+    the scanner where it was.
+    """
+    text = sc.text
+    brace = _TOKEN_RE.match(text, sc.pos)
+    head = brace.lastgroup == "lbrace" and _HEAD_RE.match(text, brace.end())
+    if not head:
+        return None
+    indent, start = len(head[1]), head.start(1)
+    stride = indent + n * (width + 1)  # the bytes of one row
+    end = start + n * stride
+    if end > len(text) or (close := _TOKEN_RE.match(text, end)).lastgroup != "rbrace":
+        return None
+    rows = max(1, _CHUNK // stride)
+    pattern = (bytes(indent) + (b"\1" * width + b"\0") * n) * rows
+    keys = np.empty((index.words, rows * n), dtype=np.uint64)
+    table = np.empty(n * n, dtype=np.int32)
+    for lo in range(start, end, rows * stride):
+        piece = text[lo : min(lo + rows * stride, end)]
+        if not piece.isascii():
+            return None
+        block = piece.encode("ascii")
+        if not pattern.startswith(block.translate(_CLASSES)):
+            return None
+        block += bytes(8)  # the last cell's word
+        shape = (len(piece) // stride, n)
+        count, at = shape[0] * n, (lo - start) // stride * n
+        for j, mask in enumerate(index.masks[:, width]):
+            cells = np.ndarray(shape, dtype="<u8", buffer=block, offset=indent + 8 * j,
+                               strides=(stride, width + 1))
+            np.bitwise_and(cells, mask, out=keys[j, :count].reshape(shape))
+        index.lookup(keys[:, :count], table[at : at + count])
+    if table.min() < 0:
+        return None
+    sc.pos = close.end()
+    return table
+
+
+def _table(sc: _Scanner, names: list[str], seen: dict[str, int]) -> np.ndarray:
+    """'{' IDENT* '}' as the n*n indices of its entries in one int32 array,
+    which validation takes over without a copy."""
+    text, n = sc.text, len(names)
+    if n * n >= _SMALL:
+        index = _NameIndex(names)
+        width = len(names[0])
+        if all(len(name) == width for name in names):
+            table = _cells(sc, index, n, width)
+            if table is not None:
+                return table
+        find = index.find
+    else:
+        def find(chunk, out):
+            found = np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32)
+            out[: len(found)] = found[: len(out)]
+            return len(found)
+    # filled piece by piece; the text holds at most len(text)//2+1 entries
+    table = np.empty(min(n * n, len(text) // 2 + 1), dtype=np.int32)
+    count, at = 0, sc.pos
+    for _, piece in _run(sc):
+        count += find(piece, table[count:])
+    if count != n * n:
+        raise sc.error(f"table has {count} entries, expected {n * n}", sc.peek()[2])
+    if table.min() < 0:  # read the run again, up to the first unknown entry
+        offset, entry = _nth_ident(_run(_Scanner(text, at)), int(np.argmax(table < 0)))
+        raise sc.error(f"unknown element {entry!r} in table", offset)
+    return table
 
 
 def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInverseSemigroup:
@@ -329,25 +422,7 @@ def parse_semigroup(text: str, adjoin_missing_zero: bool = False) -> FiniteInver
 
     sc.expect_keyword("table")
     n = len(names)
-    if n * n >= _SMALL:
-        find = _NameIndex(names).find
-    else:
-        def find(chunk, out):
-            found = np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32)
-            out[: len(found)] = found[: len(out)]
-            return len(found)
-    # one int32 array, which validation takes over without a copy, filled
-    # piece by piece; the text holds at most len(text)//2+1 entries
-    table = np.empty(min(n * n, len(text) // 2 + 1), dtype=np.int32)
-    count, at = 0, sc.pos
-    for _, piece in _run(sc):
-        count += find(piece, table[count:])
-    if count != n * n:
-        raise sc.error(f"table has {count} entries, expected {n * n}", sc.peek()[2])
-    if table.min() < 0:  # read the run again, up to the first unknown entry
-        offset, entry = _nth_ident(_run(_Scanner(text, at)), int(np.argmax(table < 0)))
-        raise sc.error(f"unknown element {entry!r} in table", offset)
-    table = table.reshape(n, n)
+    table = _table(sc, names, seen).reshape(n, n)
 
     sc.expect("rbrace", "'}'")
     tail = sc.next()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -91,11 +92,38 @@ def test_unreadable_input_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "input.sgp"
     if kind == "directory":
         path.mkdir()
+        want = f"error: [Errno 21] Is a directory: {str(path)!r}\n"
     else:
         path.write_bytes(b"semigroup { elements { \xff } }\n")
-    code, _, err = run_cli(capsys, "validate", str(path))
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+        want = ("error: 'utf-8' codec can't decode byte 0xff in position 23: "
+                "invalid start byte\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", want)
+
+
+def test_a_utf8_comment_is_read_as_text(capsys, tmp_path):
+    path = tmp_path / "comment.sgp"
+    path.write_text("semigroup { # née \u2192\r\n elements { 0 e } zero 0 table { 0 0 0 e } }\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (0, "") and "elements: 2" in out.splitlines()
+
+
+@pytest.mark.parametrize("ends", ["\r\n", "\r", "mixed", "\n", "none"])
+def test_text_is_what_read_text_reads(tmp_path, ends):
+    from ample.cli import _text
+
+    lines = ["semigroup {", "  elements { 0 }", "  zero 0", "  table {", "    0", "  }", "}"]
+    if ends == "mixed":  # a lone '\r' before '\n' too, and '\r' at the very end
+        data = "\r\n".join(lines[:3]) + "\r\r\n" + "\n".join(lines[3:5]) + "\r" + "\n\r".join(lines[5:])
+        data += "\r"
+    else:
+        data = (ends if ends != "none" else " ").join(lines)
+    path = tmp_path / "doc.sgp"
+    path.write_bytes(data.encode("ascii"))
+    text = _text(argparse.Namespace(file=str(path)))
+    assert text == path.read_text(encoding="utf-8")
+    assert "\r" not in text
 
 
 def test_spectrum_chain(capsys):

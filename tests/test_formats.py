@@ -317,9 +317,9 @@ def random_name(rng, length):
 
 
 def stress_names(rng, width):
-    """Names of 1-width bytes; some agree on their first 8 or 16 bytes."""
+    """Names of 1-width bytes; some agree on their first width-1, 8 or 16 bytes."""
     names = {random_name(rng, rng.randint(1, width)) for _ in range(40)}
-    for stem in (random_name(rng, 8), random_name(rng, 16)[: width - 1]):
+    for stem in (random_name(rng, 8)[: width - 1], random_name(rng, 16)[: width - 1]):
         names |= {stem + random_name(rng, k)[: width - len(stem)] for k in range(1, 9)}
     names = sorted(names)
     rng.shuffle(names)
@@ -343,11 +343,14 @@ def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
     if one_slot:  # a zero multiplier hashes every name to slot 0
         monkeypatch.setattr(formats, "_MULT", 0)
     rng = random.Random(11)
-    for width in (8, 16, 24):
+    # one-word keys (widths 3, 5 and 8) take the single-multiply hash into
+    # 32n slots, longer ones the folded hash into 8n
+    for width in (3, 5, 8, 16, 24):
         names = stress_names(rng, width)
         seen = {name: i for i, name in enumerate(names)}
         index = formats._NameIndex(names)
-        assert index.words == width // 8
+        assert index.words == -(-width // 8)
+        assert len(index.tables[0][1]) >= (32 if width <= 8 else 8) * len(names)
         if one_slot:  # one name per table
             assert len(index.tables) == len(names)
         for _ in range(3):
@@ -474,6 +477,77 @@ def test_comments_are_blanked_inside_pieces_of_full_size(monkeypatch):
     assert pieces[0][0] == start + 2
     assert all(lo + len(piece) == after for (lo, piece), (after, _) in zip(pieces, pieces[1:]))
     assert len(pieces) <= len(run) // 256 + 1
+
+
+def cell_mutants(doc, rng):
+    """(edit, text, whether the cells read it) for a document laid out as
+    semigroup_lines writes it: the document itself, then one seeded edit of
+    each kind.  Only edits that keep every byte's class (identifier or
+    whitespace) leave it to the cells."""
+    lines = doc.split("\n")
+    names = lines[1].split()[2:-1]
+    width, rows = len(names[0]), range(4, len(lines) - 3)  # the table's lines
+
+    def at(i, lo, hi, new):
+        return "\n".join(lines[:i] + [lines[i][:lo] + new + lines[i][hi:]] + lines[i + 1 :])
+
+    def cell(i):
+        lo = 4 + rng.randrange(len(names)) * (width + 1)
+        return i, lo, lo + width
+
+    def space(i):  # a byte of the indent, or the one after a cell but the row's last
+        k = rng.choice([*range(4), *range(4 + width, len(lines[i]), width + 1)])
+        return i, k, k + 1
+
+    def edited(new, span):
+        return at(*span, new)
+
+    i = rng.choice(rows)
+    blanks = [m.start() for m in re.finditer(r"\s", doc[doc.index("table {") + 8 : -6])]
+    k = doc.index("table {") + 8 + rng.choice(blanks)
+    yield "pristine", doc, True
+    yield "tab for a space", edited("\t", space(i)), True
+    yield "whitespace swapped", doc[:k] + rng.choice(" \t\r\n") + doc[k + 1 :], True
+    row, lo, hi = cell(i)
+    j = lo + rng.randrange(width)
+    yield "unknown name", at(row, j, j + 1, "@"), False
+    yield "longer name", at(row, lo, hi, lines[row][lo:hi] + "0"), False
+    yield "shorter name", at(row, lo, hi, lines[row][lo : hi - 1]), False
+    yield "identifier byte for a space", edited(rng.choice("0x_"), space(i)), False
+    yield "CRLF rows", doc.replace("\n", "\r\n"), False
+    yield "extra cell", at(i, len(lines[i]), len(lines[i]), " " + rng.choice(names)), False
+    yield "missing row", "\n".join(lines[:i] + lines[i + 1 :]), False
+    yield "extra row", "\n".join(lines[:i] + [lines[i]] + lines[i:]), False
+    yield "comment", at(i, len(lines[i]), len(lines[i]), "  # row"), False
+    yield "non-ASCII byte", edited("\u00e9", space(i)), False
+    yield "other ASCII byte for a space", edited(rng.choice("=?\x0c"), space(i)), False
+    yield "form feed before the first newline", doc.replace("table {\n", "table {\x0c\n"), False
+    yield "no closing brace", "\n".join(lines[:-3] + [""]), False
+
+
+def test_cell_reader_agrees_with_token_scan_on_mutated_writer_layouts(monkeypatch):
+    cells, read = formats._cells, []
+
+    def spy(*args):
+        table = cells(*args)
+        read.append(table is not None)
+        return table
+
+    monkeypatch.setattr(formats, "_cells", spy)
+    units6 = ample_table_document(units_groupoid(6))
+    docs = [units6, ample_table_document(pair_groupoid(4)), renamed(units6, "_12.bytes")]
+    assert [len(doc.split()[4]) for doc in docs] == [3, 4, 12]  # one name width each
+    rng, kinds = random.Random(37), Counter()
+    for doc in docs:
+        for _ in range(2):
+            for edit, text, by_cells in cell_mutants(doc, rng):
+                read.clear()
+                got = outcome(parse_semigroup, text)
+                assert got == outcome(parse_semigroup_by_tokens, text), edit
+                assert read == [by_cells], edit
+                kinds[edit, got[0] if isinstance(got, tuple) else "ok"] += 1
+    read_whole = {"pristine", "tab for a space", "whitespace swapped", "CRLF rows", "comment"}
+    assert all((got == "ok") == (edit in read_whole) for edit, got in kinds), kinds
 
 
 def test_reading_a_table_makes_no_copy_of_the_document(monkeypatch):
