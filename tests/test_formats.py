@@ -499,28 +499,25 @@ def cell_mutants(doc, rng):
         k = rng.choice([*range(4), *range(4 + width, len(lines[i]), width + 1)])
         return i, k, k + 1
 
-    def edited(new, span):
-        return at(*span, new)
-
     i = rng.choice(rows)
     blanks = [m.start() for m in re.finditer(r"\s", doc[doc.index("table {") + 8 : -6])]
     k = doc.index("table {") + 8 + rng.choice(blanks)
     yield "pristine", doc, True
-    yield "tab for a space", edited("\t", space(i)), True
+    yield "tab for a space", at(*space(i), "\t"), True
     yield "whitespace swapped", doc[:k] + rng.choice(" \t\r\n") + doc[k + 1 :], True
     row, lo, hi = cell(i)
     j = lo + rng.randrange(width)
     yield "unknown name", at(row, j, j + 1, "@"), False
     yield "longer name", at(row, lo, hi, lines[row][lo:hi] + "0"), False
     yield "shorter name", at(row, lo, hi, lines[row][lo : hi - 1]), False
-    yield "identifier byte for a space", edited(rng.choice("0x_"), space(i)), False
+    yield "identifier byte for a space", at(*space(i), rng.choice("0x_")), False
     yield "CRLF rows", doc.replace("\n", "\r\n"), False
     yield "extra cell", at(i, len(lines[i]), len(lines[i]), " " + rng.choice(names)), False
     yield "missing row", "\n".join(lines[:i] + lines[i + 1 :]), False
     yield "extra row", "\n".join(lines[:i] + [lines[i]] + lines[i:]), False
     yield "comment", at(i, len(lines[i]), len(lines[i]), "  # row"), False
-    yield "non-ASCII byte", edited("\u00e9", space(i)), False
-    yield "other ASCII byte for a space", edited(rng.choice("=?\x0c"), space(i)), False
+    yield "non-ASCII byte", at(*space(i), "\u00e9"), False
+    yield "other ASCII byte for a space", at(*space(i), rng.choice("=?\x0c")), False
     yield "form feed before the first newline", doc.replace("table {\n", "table {\x0c\n"), False
     yield "no closing brace", "\n".join(lines[:-3] + [""]), False
 
