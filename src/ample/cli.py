@@ -66,15 +66,9 @@ STONE_CHUNK = 1 << 15
 
 
 def _text(args) -> str:
-    """The document as read_text reads it: an ASCII one is decoded from its
-    bytes, with its line ends made '\\n' as universal newlines make them."""
-    path = Path(args.file)
-    try:
-        text = path.read_bytes().decode("ascii")
-    except UnicodeDecodeError:
-        text = None  # read again once the handler has let go of the bytes
-    if text is None:  # read_text raises the same UnicodeDecodeError
-        return path.read_text(encoding="utf-8")
+    """The document as read_text reads it: decoded from its bytes in one
+    call, with its line ends made '\\n' as universal newlines make them."""
+    text = Path(args.file).read_bytes().decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

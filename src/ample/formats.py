@@ -367,8 +367,8 @@ def _cells(sc: _Scanner, index: _NameIndex, n: int, width: int) -> np.ndarray | 
                                strides=(stride, width + 1))
             np.bitwise_and(cells, mask, out=keys[j, :count].reshape(shape))
         index.lookup(keys[:, :count], table[at : at + count])
-    if table.min() < 0:
-        return None
+        if table[at : at + count].min() < 0:
+            return None
     sc.pos = close.end()
     return table
 

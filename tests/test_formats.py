@@ -566,6 +566,36 @@ def test_reading_a_table_makes_no_copy_of_the_document(monkeypatch):
     assert peak < len(text) // 2 + got["table"].nbytes, (peak, len(text))
 
 
+@pytest.mark.parametrize("edit, by_cells", [
+    ("pristine", True), ("two tabs for a space", False), ("CRLF rows", False)])
+def test_either_table_reader_makes_no_copy_of_the_document(monkeypatch, edit, by_cells):
+    # the writer's layout is read by cells, a block of rows at a time; any
+    # other is read piece by piece; neither holds a second copy of the run
+    text = ample_table_document(units_groupoid(10))
+    text = {"pristine": text, "two tabs for a space": text.replace(" ", "\t\t"),
+            "CRLF rows": text.replace("\n", "\r\n")}[edit]
+    cells, read, got = formats._cells, [], {}
+
+    def spy(*args):
+        table = cells(*args)
+        read.append(table is not None)
+        return table
+
+    monkeypatch.setattr(formats, "_cells", spy)
+    monkeypatch.setattr(formats, "validate_inverse_semigroup",
+                        lambda names, table: got.setdefault("table", table))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AttributeError):  # the stub returns the table, not a semigroup
+            parse_semigroup(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == [by_cells]
+    assert got["table"].shape == (1024, 1024)
+    assert peak < len(text) // 2 + got["table"].nbytes, (peak, len(text))
+
+
 def test_semigroup_lines_are_the_document_one_row_a_line():
     for name, G in corpus().items():
         T = ample_table(G)
