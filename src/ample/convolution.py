@@ -453,6 +453,14 @@ def _cover_sup_count(E: Semilattice, covers_of) -> tuple[int, int]:
     return (len(E) + 1) * antichains, covers
 
 
+def _instances_within_bound(instances: int) -> None:
+    """Raise BoundExceeded when the cover-sup listing is past MAX_REP_INSTANCES."""
+    if instances > MAX_REP_INSTANCES:
+        raise BoundExceeded(
+            f"the cover-sup enumeration has {instances} instances, past {MAX_REP_INSTANCES}"
+        )
+
+
 @dataclass
 class TightRepresentationReport:
     """Representation laws plus the cover-sup identity, with witnesses."""
@@ -548,6 +556,12 @@ def check_tight_representation(
     G = values[S.zero].groupoid
     if any(v.groupoid is not G for v in values):
         raise ValidationError("operands live over different groupoids")
+    E = idempotent_semilattice(S)
+    isect = E.intersect_masks
+    covers_of = minimal = cache(partial(_minimal_covers, isect))
+    instances, covers = _cover_sup_count(E, minimal)
+    if audit_covers:
+        _instances_within_bound(instances)
     pm, n, name = _coefficient_matrix(values, G), len(S), S.elements
 
     def product_differs(idx: np.ndarray) -> np.ndarray:
@@ -576,7 +590,6 @@ def check_tight_representation(
     if not zero_ok:
         witness = witness or "pi(0) != 0"
 
-    E = idempotent_semilattice(S)
     if not mult_ok:
         m, carrier = len(E), np.array(E.carrier, dtype=np.intp)
 
@@ -603,19 +616,13 @@ def check_tight_representation(
             raise CheckFailed("the minimal idempotents and the atom characters disagree on tightness")
         tight = atoms_tight
 
-    isect = E.intersect_masks
-    covers_of = minimal = cache(partial(_minimal_covers, isect))
     if audit_covers:
         audit = partial(_all_covers_upto, isect, max_size=AUDIT_COVER_SIZE)
         covers_of = cache(lambda fplus: tuple(sorted({*minimal(fplus), *audit(fplus)})))
 
-    instances, covers = _cover_sup_count(E, minimal)
     witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
     if audit_covers or not tight:
-        if instances > MAX_REP_INSTANCES:
-            raise BoundExceeded(
-                f"the cover-sup enumeration has {instances} instances, past {MAX_REP_INSTANCES}"
-            )
+        _instances_within_bound(instances)
 
         def names_of(mask: int) -> tuple[str, ...]:
             return tuple(name[E.carrier[p]] for p in iter_bits(mask))

@@ -215,10 +215,11 @@ def slice_product(G: FiniteGroupoid, s: int, t: int) -> int:
 def enumerate_bisections(G: FiniteGroupoid) -> tuple[int, ...]:
     """Every bisection, ascending.
 
-    Walks source fibers one at a time, picking at most one arrow per fiber
-    and pruning range collisions, so only injective prefixes are ever
-    visited.  The a-priori candidate count prod(|fiber|+1) is held to
-    MAX_BISECTION_CANDIDATES.
+    Extends the prefixes (mask, mask of ranges) one source fiber at a time,
+    each by no arrow or by one arrow whose range is free, so only
+    injective prefixes are ever made; each extends to a bisection, so no
+    layer outgrows the result.  The a-priori candidate count
+    prod(|fiber|+1) is held to MAX_BISECTION_CANDIDATES.
     """
     fibers = [G.d_fibers[u] for u in G.units]
     estimate = 1
@@ -228,20 +229,11 @@ def enumerate_bisections(G: FiniteGroupoid) -> tuple[int, ...]:
             raise BoundExceeded(
                 f"bisection enumeration would scan > {MAX_BISECTION_CANDIDATES} candidates"
             )
-    out: list[int] = []
-
-    def rec(i: int, mask: int, rmask: int) -> None:
-        if i == len(fibers):
-            out.append(mask)
-            return
-        rec(i + 1, mask, rmask)
-        for a in fibers[i]:
-            rb = 1 << G.r[a]
-            if not rmask & rb:
-                rec(i + 1, mask | 1 << a, rmask | rb)
-
-    rec(0, 0, 0)
-    return tuple(sorted(out))
+    prefixes = [(0, 0)]
+    for fiber in fibers:
+        picks = [(1 << a, 1 << G.r[a]) for a in fiber]
+        prefixes += [(m | a, rm | r) for m, rm in prefixes for a, r in picks if not rm & r]
+    return tuple(sorted(m for m, _ in prefixes))
 
 
 def singleton_semigroup(G: FiniteGroupoid) -> tuple[int, ...]:
@@ -259,6 +251,24 @@ def bisection_name(G: FiniteGroupoid, mask: int) -> str:
         parts.append(arrows[low.bit_length() - 1])
         mask ^= low
     return "+".join(parts)
+
+
+def _bisection_names(G: FiniteGroupoid, masks: Sequence[int]) -> list[str]:
+    """bisection_name of each mask, from the name of the mask without its lowest arrow.
+
+    Ascending masks find that name among the earlier ones when the family
+    holds it; one it lacks is named whole and kept.
+    """
+    arrows, known, names = G.arrows, {0: "0"}, []
+    for m in masks:
+        rest = m & (m - 1)
+        if rest not in known:
+            known[rest] = bisection_name(G, rest)
+        if m:
+            low = arrows[(m ^ rest).bit_length() - 1]
+            known[m] = f"{low}+{known[rest]}" if rest else low
+        names.append(known[m])
+    return names
 
 
 @dataclass(frozen=True)
@@ -371,7 +381,7 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     source_pos, range_pos = (
         np.array([*(unit_pos[u] for u in ends), units], dtype=np.int32) for ends in (G.d, G.r)
     )
-    names = tuple(bisection_name(G, m) for m in masks)  # made before the temporaries it outlives
+    names = tuple(_bisection_names(G, masks))  # made before the temporaries it outlives
     if len(set(names)) < n:  # an arrow name may contain '+' or be '0'
         first: dict[str, int] = {}
         for m, name in zip(masks, names):

@@ -104,8 +104,8 @@ def _square_table(table, n: int) -> np.ndarray:
         t = np.asarray(rows)  # entries past int64 give an object array, checked the same way
     if t.dtype.kind not in "iu":
         integers(t.ravel().tolist(), "table entry")
-    bad = np.flatnonzero((t < 0) | (t >= n))
-    if bad.size:
+    if t.size and not 0 <= t.min() <= t.max() < n:
+        bad = np.flatnonzero((t < 0) | (t >= n))
         raise ValueError(f"table entry {t.flat[bad[0]]} out of range")
     return t.astype(np.int32, copy=False)
 
@@ -121,9 +121,36 @@ def _generators(t: np.ndarray, order: Iterable[int], words: bool = False) -> Ite
     Only the table's own products are used, never associativity, so the
     set generates t even when t is not a semigroup; on a semigroup both
     closures are the generated subsemigroup and draw the same set.
+
+    A table that one row block holds (n^2 <= _BLOCK) grows its words by a
+    walk over Python lists, each drawn column t[:, g] kept as one, since
+    there a numpy call costs more than the products it takes; any other
+    closure grows by array rounds.
     """
-    member = np.zeros(len(t), dtype=bool)
-    gens, drawn = np.empty(len(t), dtype=np.intp), 0
+    n = len(t)
+    if words and n * n <= _BLOCK:
+        inside, found, cols = bytearray(n), [], []  # the words, as flags and as a list
+        for g in order:
+            if inside[g]:
+                continue
+            yield int(g)
+            col = t[:, g].tolist()
+            cols.append(col)
+            new = len(found)
+            for w in [g, *map(col.__getitem__, found)]:  # g and the words w g
+                if not inside[w]:
+                    inside[w] = 1
+                    found.append(w)
+            while new < len(found):  # each new word times every drawn generator
+                w, new = found[new], new + 1
+                for col in cols:
+                    v = col[w]
+                    if not inside[v]:
+                        inside[v] = 1
+                        found.append(v)
+        return
+    member = np.zeros(n, dtype=bool)
+    gens, drawn = np.empty(n, dtype=np.intp), 0
     for g in order:
         if member[g]:
             continue
@@ -148,18 +175,25 @@ def _light_witness(t: np.ndarray, gens: Iterable[int]) -> tuple[int, int, int] |
     """The first (x, a, y) with (xa)y != x(ay), over blocks of x, then a in gens.
 
     The first block draws gens one at a time, so a failure there stops
-    the draw at its generator; later blocks reuse what it drew.
+    the draw at its generator; later blocks reuse what it drew.  When one
+    block holds the table (n^2 <= _BLOCK), x(ay) is a row gather from the
+    transpose, transposed back, which is faster there than a column gather.
     """
-    drawn = []
-    for rows in row_blocks(len(t), len(t)):
+    n, drawn = len(t), []
+    tT = np.ascontiguousarray(t.T) if n * n <= _BLOCK else None  # one block holds t
+    for rows in row_blocks(n, n):
         block = t[rows]
         for a in drawn if rows.start else gens:
             if not rows.start:
                 drawn.append(a)
             # (xa)y against x(ay)
-            bad = np.take(t, block[:, a], axis=0) != np.take(block, t[a], axis=1)
+            if tT is None:
+                right = np.take(block, t[a], axis=1)
+            else:
+                right = np.take(tT, t[a], axis=0).T
+            bad = np.take(t, block[:, a], axis=0) != right
             if bad.any():
-                x, y = divmod(int(bad.argmax()), len(t))
+                x, y = divmod(int(bad.argmax()), n)
                 return (rows.start + x, a, y)
     return None
 
@@ -192,7 +226,7 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
         if z >= 0 and not rows[z] and not cols[z] and cols @ rows <= n * n:
             associative = _support_associative(t, z, rows, cols, at)
         else:
-            order = np.argsort(-rows, kind="stable")
+            order = np.argsort(-rows, kind="stable").tolist()
             associative = _light_witness(t, _generators(t, order, words=True)) is None
     if associative:
         return None
@@ -281,7 +315,7 @@ def ranked_generators(t: np.ndarray) -> Iterator[int]:
     an element with many nonzero products, such as one with a large
     domain, serves many words.
     """
-    return _generators(t, np.argsort(-_nonzero_counts(t)[1], kind="stable"), words=True)
+    return _generators(t, np.argsort(-_nonzero_counts(t)[1], kind="stable").tolist(), words=True)
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
     """Raise for the first s without exactly one u with sus = s and usu = u."""

@@ -515,6 +515,25 @@ def test_listing_violations_is_bounded(monkeypatch):
     assert check_tight_representation([rho(G, m) for m in bs.bits], bs.semigroup).passed
 
 
+def test_an_audit_past_its_bound_stops_before_the_laws(monkeypatch):
+    # the audit of units5 ample lists 250,140 instances
+    G = units_groupoid(5)
+    bs = _ample(G)
+    lawful = [rho(G, m) for m in bs.bits]
+    unlawful = [rho(G, 0) if s == bs.semigroup.index["u0"] else v for s, v in enumerate(lawful)]
+    calls = []
+    real = convolution._coefficient_matrix
+    monkeypatch.setattr(convolution, "_coefficient_matrix", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(convolution, "MAX_REP_INSTANCES", 250_139)
+    message = "the cover-sup enumeration has 250140 instances, past 250139"
+    for pi in (lawful, unlawful):
+        with pytest.raises(BoundExceeded, match=f"^{message}$"):
+            check_tight_representation(pi, bs.semigroup, audit_covers=True)
+    assert not calls
+    # without the audit a lawful pi lists nothing, so the bound does not apply
+    assert check_tight_representation(lawful, bs.semigroup).passed and calls
+
+
 def test_counting_states_is_bounded(monkeypatch):
     # the count memoizes 6 states on units2 ample, and guards passing verdicts too
     G = units_groupoid(2)

@@ -182,6 +182,31 @@ def test_enumerate_bisections_z2():
     assert list(got) == bisections_by_definition(G)
 
 
+def test_enumerate_bisections_matches_the_definition(corpus_groupoids):
+    groupoids = [
+        *corpus_groupoids.values(),
+        disjoint_union(pair_groupoid(3), group_groupoid(3)),
+        disjoint_union(pair_groupoid(2), pair_groupoid(3)),
+    ]
+    for G in groupoids:
+        assert list(enumerate_bisections(G)) == bisections_by_definition(G)
+
+
+def test_element_names_are_the_joined_arrow_names():
+    G = pair_groupoid(3)
+    full = enumerate_bisections(G)
+    rng = random.Random(37)
+    families = [full, singleton_semigroup(G)]
+    while len(families) < 6:  # product- and inverse-closed, not subset-closed
+        masks = closed_family(G, {0, *rng.sample(full, 3)})
+        if any(m & (m - 1) not in masks for m in masks):
+            families.append(masks)
+    for masks in families:
+        bs = bisection_semigroup(G, masks)
+        expected = ["+".join(G.arrows[a] for a in iter_bits(m)) or "0" for m in bs.bits]
+        assert list(bs.semigroup.elements) == expected
+
+
 def test_enumerate_bisections_bound(monkeypatch):
     G = pair_groupoid(4)  # four source fibers of four arrows: 5^4 = 625 candidates
     assert len(enumerate_bisections(G)) == 209
@@ -338,6 +363,17 @@ def test_masks_that_are_no_sets_of_arrows_are_value_errors():
         assert str(exc.value) == message
 
 
+def closed_family(G, masks):
+    """The masks closed under products and inverses, one pair at a time."""
+    masks = set(masks)
+    while True:
+        more = {slice_product(G, s, t) for s in masks for t in masks}
+        more |= {slice_inverse(G, s) for s in masks}
+        if more <= masks:
+            return masks
+        masks |= more
+
+
 def test_random_subfamilies_of_pair3_bisections():
     G = pair_groupoid(3)
     full = enumerate_bisections(G)
@@ -345,13 +381,8 @@ def test_random_subfamilies_of_pair3_bisections():
     closed = raised = 0
     for _ in range(60):
         masks = {0, *rng.sample(full, rng.randint(1, 8))}
-        if rng.random() < 0.5:  # close under products and inverses
-            while True:
-                more = {slice_product(G, s, t) for s in masks for t in masks}
-                more |= {slice_inverse(G, s) for s in masks}
-                if more <= masks:
-                    break
-                masks |= more
+        if rng.random() < 0.5:
+            masks = closed_family(G, masks)
         expected = first_gap_by_definition(G, masks)
         if expected is None:
             bs = bisection_semigroup(G, masks)

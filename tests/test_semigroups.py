@@ -11,7 +11,9 @@ from ample import (
     adjoin_zero,
     bisection_semigroup,
     build_germ_model,
+    disjoint_union,
     enumerate_bisections,
+    group_groupoid,
     idempotent_semilattice,
     pair_groupoid,
     parse_semigroup,
@@ -316,6 +318,56 @@ def test_a_failing_table_draws_the_ascending_set_up_to_its_witness(corpus_runs):
     assert saved > 0
 
 
+def ranked_order(t):
+    """The candidates of ranked_generators: descending count of row entries other than z."""
+    z = fold_of_idempotents(t.tolist())
+    return np.argsort(-(t != z).sum(axis=1), kind="stable").tolist()
+
+
+def test_the_words_draw_matches_the_definition_on_both_sides_of_one_block():
+    # pair2+pair3 and units8 ample fit one row block, which units8 fills: the list
+    # walk draws from them; the others take the array rounds
+    tables = []
+    for G, masks in (
+        (disjoint_union(pair_groupoid(2), pair_groupoid(3)), enumerate_bisections),
+        (units_groupoid(8), enumerate_bisections),
+        (units_groupoid(9), enumerate_bisections),
+        (units_groupoid(300), singleton_semigroup),
+    ):
+        tables.append(bisection_semigroup(G, masks(G)).semigroup.table)
+    G = pair_groupoid(5)
+    tables.append(abstract_table(bisection_semigroup(G, enumerate_bisections(G)), seed=2)[0].table)
+    assert [len(t) ** 2 <= semigroups._BLOCK for t in tables] == [True, True, False, False, False]
+    rng = random.Random(23)
+    for table in tables:
+        for rows in [table.tolist()] + [corrupt(table.tolist(), rng) for _ in range(2)]:
+            t = np.array(rows, dtype=np.int32)
+            order = ranked_order(t)
+            drawn = list(semigroups._generators(t, order, words=True))
+            assert drawn == word_generators_by_definition(rows, order)
+            assert drawn == list(semigroups.ranked_generators(t))
+
+
+def test_light_gives_the_ascending_witness_on_one_and_on_several_blocks():
+    # pair3+z3 and pair4 fit one row block (41 <= n <= 256), pair4+units1 does not
+    rng = random.Random(29)
+    failing = set()
+    for G in (
+        disjoint_union(pair_groupoid(3), group_groupoid(3)),
+        pair_groupoid(4),
+        disjoint_union(pair_groupoid(4), units_groupoid(1)),
+    ):
+        bs = bisection_semigroup(G, enumerate_bisections(G))
+        for rows in (bs.semigroup.table.tolist(), abstract_table(bs, seed=4)[0].table.tolist()):
+            for _ in range(6):
+                t = np.array(corrupt(rows, rng), dtype=np.int32)
+                witness, drawn = drawn_generators(t)
+                assert witness == associativity_witness_ascending(t)
+                if witness is not None:
+                    failing.add((len(t) ** 2 <= semigroups._BLOCK, drawn[0][0]))
+    assert failing == {(True, "words"), (False, "words")}
+
+
 def test_malformed_tables_name_the_first_bad_entry():
     with pytest.raises(ValueError, match="table must be 2x2"):
         validate_inverse_semigroup(["a", "b"], [[0, 1], [0]])
@@ -323,6 +375,13 @@ def test_malformed_tables_name_the_first_bad_entry():
         validate_inverse_semigroup(["a", "b"], [[0, 5], [-1, 0]])
     with pytest.raises(ValueError, match=f"table entry {2**70} out of range"):
         validate_inverse_semigroup(["a", "b"], [[0, 0], [2**70, -1]])
+    # the entries just past either end, as rows and as an int32 array
+    for rows, entry in (([[0, 1], [2, 0]], 2), ([[0, -1], [1, 0]], -1)):
+        for table in (rows, np.array(rows, dtype=np.int32)):
+            with pytest.raises(ValueError, match=f"^table entry {entry} out of range$"):
+                validate_inverse_semigroup(["a", "b"], table)
+            with pytest.raises(ValueError, match=f"^table entry {entry} out of range$"):
+                adjoin_zero(["a", "b"], table)
 
 
 def test_non_integer_tables_are_rejected_not_truncated():
