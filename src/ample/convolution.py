@@ -557,10 +557,11 @@ def check_tight_representation(
     if any(v.groupoid is not G for v in values):
         raise ValidationError("operands live over different groupoids")
     E = idempotent_semilattice(S)
-    isect = E.intersect_masks
-    covers_of = minimal = cache(partial(_minimal_covers, isect))
-    instances, covers = _cover_sup_count(E, minimal)
+    # E's masks, and the count that reads them, wait for the laws, unless an
+    # audit is to learn first that its listing is past the bound
+    minimal = cache(lambda fplus: _minimal_covers(E.intersect_masks, fplus))
     if audit_covers:
+        instances, covers = _cover_sup_count(E, minimal)
         _instances_within_bound(instances)
     pm, n, name = _coefficient_matrix(values, G), len(S), S.elements
 
@@ -616,9 +617,12 @@ def check_tight_representation(
             raise CheckFailed("the minimal idempotents and the atom characters disagree on tightness")
         tight = atoms_tight
 
+    covers_of = minimal
     if audit_covers:
-        audit = partial(_all_covers_upto, isect, max_size=AUDIT_COVER_SIZE)
+        audit = partial(_all_covers_upto, E.intersect_masks, max_size=AUDIT_COVER_SIZE)
         covers_of = cache(lambda fplus: tuple(sorted({*minimal(fplus), *audit(fplus)})))
+    else:
+        instances, covers = _cover_sup_count(E, minimal)
 
     witnesses: list[tuple[str | None, tuple[str, ...], tuple[str, ...]]] = []
     if audit_covers or not tight:
