@@ -38,11 +38,14 @@ so the parent and the change can share one file.
 ``--repeat N`` runs every rung N times (once by default), and ``--root``
 may name several checkouts (say the parent and the change), which then
 take turns on each rung, so that a drift of the machine falls on all of
-them alike.  A rung's record holds the median of ``seconds``,
-``peak_rss_mb`` and each stage over its runs, with ``seconds_range`` and
-``peak_rss_mb_range`` (least and greatest) and ``repeats``; a rung that
-did not pass every run keeps the record of its first failing run, with
-``failed_repeats`` and the figures of the runs that passed.  The inputs
+them alike.  With N > 1, a rung whose median is under SHORT_SECONDS for
+some root takes more turns until it has SHORT_RUNS runs, since a few
+runs of so short a rung span less than the machine's drift.  A rung's
+record holds the median of ``seconds``, ``peak_rss_mb`` and each stage
+over its runs, with ``seconds_range`` and ``peak_rss_mb_range`` (least
+and greatest) and ``repeats``; a rung that did not pass every run keeps
+the record of its first failing run, with ``failed_repeats`` and the
+figures of the runs that passed.  The inputs
 are written by the first root's package.  Each root writes the documents
 of its rungs into its own directory of ``--work`` (``root0``,
 ``root1``, ...), and its later rungs read them there, so no root
@@ -71,6 +74,8 @@ import numpy
 
 HERE = Path(__file__).resolve().parent.parent
 MB = 1 << 20
+# Under --repeat N > 1, a rung with a median under SHORT_SECONDS gets at least SHORT_RUNS runs.
+SHORT_SECONDS, SHORT_RUNS = 0.1, 5
 
 CORPUS = (
     "units1", "units2", "units3", "units4", "pair2", "pair3", "pair4", "z2", "z3", "z4",
@@ -95,6 +100,9 @@ def rungs(w: Path, o: Path) -> list[tuple[str, list[list[str]], int, int]]:
         out.append((f"spectrum {g}", [["spectrum", f"{o}/{g}.sgp"]], 60, memory))
         back = [["reconstruct", f"{o}/{g}.sgp", "-o", f"{o}/{g}.back.gpd"]]
         out.append((f"reconstruct {g}", back, 60, memory))
+    # units14's table document is 1.88 GB
+    out.append(("ample units14 -o", [["ample", f"{w}/units14.gpd", "-o", f"{o}/units14.sgp"]],
+                120, 3072))
     for g in ("units300", "units1100", "units2000", "units4000"):
         out.append((f"check-iso {g} singleton", [["check-iso", f"{w}/{g}.gpd"]], 120, 1024))
     for g in ("units5", "units6", "pair3+pair3"):
@@ -167,6 +175,12 @@ def child(root: Path, argvs: list[list[str]], memory_mb: int) -> dict:
     }
 
 
+def short(results: list[dict]) -> bool:
+    """Whether the runs that passed have a median under SHORT_SECONDS."""
+    done = [r["seconds"] for r in results if r["status"] == "ok"]
+    return bool(done) and statistics.median(done) < SHORT_SECONDS
+
+
 def run_rung(root: Path, argvs: list[list[str]], seconds: int, memory_mb: int) -> dict:
     """The child's record of one rung, or why there is none."""
     budget = {"seconds": seconds, "memory_mb": memory_mb}
@@ -236,7 +250,7 @@ def write_inputs(root: Path, work: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         main(["corpus", "--out-dir", str(work / "corpus")])
     groupoids = {f"pair{n}": pair_groupoid(n) for n in (5, 6, 16, 20)}
-    sizes = (5, 6, 7, 10, 11, 12, 13, 300, 1100, 2000, 4000)
+    sizes = (5, 6, 7, 10, 11, 12, 13, 14, 300, 1100, 2000, 4000)
     groupoids |= {f"units{n}": units_groupoid(n) for n in sizes}
     groupoids["pair3+pair3"] = disjoint_union(pair_groupoid(3), pair_groupoid(3))
     for name, G in groupoids.items():
@@ -293,10 +307,13 @@ def main() -> None:
         name = plans[0][0]
         if args.only and name not in args.only:
             continue
-        results = [[] for _ in roots]
-        for _ in range(args.repeat):
+        results, turns = [[] for _ in roots], 0
+        while turns < args.repeat or (
+            args.repeat > 1 and turns < SHORT_RUNS and any(map(short, results))
+        ):
             for root, (_, argvs, seconds, memory), mine in zip(roots, plans, results):
                 mine.append(run_rung(root, argvs, seconds, memory))
+            turns += 1
         for run, mine in zip(runs, results):
             result = run["rungs"][name] = combine(mine)
             if "seconds" in result:

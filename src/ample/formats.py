@@ -37,12 +37,13 @@ whitespace; otherwise _RUN_RE finds where it stops.  At a '#' the run
 goes on after the comment, which one piece holds whole, blanked to as
 many spaces (so offsets in a piece are text offsets, and a '}' or a
 non-ASCII character in a comment changes nothing); any other character
-ends the run.  Table entries go into one int32 array a piece at a time,
-looked up on the bytes by _NameIndex (no string per entry) or, in a
-small table, through a dict.  The first unknown entry is located by
-reading the run again, on the error path only.  The token after a run is
-read by the ordinary scanner, so a bad character there is reported where
-a token-at-a-time scan would meet it.
+ends the run.  Table entries go into one array of dtype
+np.min_scalar_type(n) a piece at a time, looked up on the bytes by
+_NameIndex (no string per entry) or, in a small table, through a dict;
+either gives n for an unknown entry, which is located by reading the run
+again, on the error path only.  The token after a run is read by the
+ordinary scanner, so a bad character there is reported where a
+token-at-a-time scan would meet it.
 
 A groupoid document is read a row at a time: each row of arrows,
 compose and inverse is one compiled match, which takes the gaps in front
@@ -229,8 +230,9 @@ class _NameIndex:
     more, into tables of at least 8n slots.  The names a table has no room
     for go into one more table with the next multiplier.  A table only
     proposes a name, which an entry takes when every key word agrees, so no
-    hash decides a lookup.  An empty slot proposes a sentinel key of 0xFF
-    bytes, which no identifier has.
+    hash decides a lookup.  An empty slot proposes name n, whose sentinel
+    key of 0xFF bytes no identifier has, and an entry that no name takes
+    gets n; the tables hold indices of dtype np.min_scalar_type(n).
     """
 
     def __init__(self, names: list[str]):
@@ -249,7 +251,7 @@ class _NameIndex:
         left, mult = np.arange(len(names)), np.uint64(_MULT)
         while left.size:  # each table places one name of every slot it is given
             slots = self._slots(self.keys[:, left], mult)
-            table = np.full(1 << bits, len(names), dtype=np.int32)
+            table = np.full(1 << bits, len(names), dtype=np.min_scalar_type(len(names)))
             table[slots] = left
             self.tables.append((mult, table))
             left = left[table[slots] != left]
@@ -289,7 +291,7 @@ class _NameIndex:
         return differ
 
     def find(self, chunk: str, out: np.ndarray) -> int:
-        """Write the indices of chunk's identifiers to out, in order, with -1
+        """Write the indices of chunk's identifiers to out, in order, with n
         for an unknown one; returns their count, and writes nothing when
         they do not fit."""
         keys = self._keys(chunk)
@@ -299,7 +301,7 @@ class _NameIndex:
         return count
 
     def lookup(self, keys: np.ndarray, found: np.ndarray) -> None:
-        """Write the index of the name of each key column to found, -1 for a
+        """Write the index of the name of each key column to found, n for a
         key that no name has."""
         (mult, table), *more = self.tables
         table.take(self._slots(keys, mult), out=found, mode="clip")
@@ -312,7 +314,7 @@ class _NameIndex:
             hit = ~self._differ(cand, asked)
             found[todo[hit]] = cand[hit]
             todo = todo[~hit]
-        found[todo] = -1
+        found[todo] = self.keys.shape[1] - 1  # the sentinel's index, n
 
 
 def _names(sc: _Scanner, what: str) -> list[str]:
@@ -351,7 +353,7 @@ def _cells(sc: _Scanner, index: _NameIndex, n: int, width: int) -> np.ndarray | 
     rows = max(1, _CHUNK // stride)
     pattern = (bytes(indent) + (b"\1" * width + b"\0") * n) * rows
     keys = np.empty((index.words, rows * n), dtype=np.uint64)
-    table = np.empty(n * n, dtype=np.int32)
+    table = np.empty(n * n, dtype=np.min_scalar_type(n))
     for lo in range(start, end, rows * stride):
         piece = text[lo : min(lo + rows * stride, end)]
         if not piece.isascii():
@@ -367,16 +369,16 @@ def _cells(sc: _Scanner, index: _NameIndex, n: int, width: int) -> np.ndarray | 
                                strides=(stride, width + 1))
             np.bitwise_and(cells, mask, out=keys[j, :count].reshape(shape))
         index.lookup(keys[:, :count], table[at : at + count])
-        if table[at : at + count].min() < 0:
+        if table[at : at + count].max() >= n:
             return None
     sc.pos = close.end()
     return table
 
 
 def _table(sc: _Scanner, names: list[str], seen: dict[str, int]) -> np.ndarray:
-    """'{' IDENT* '}' as the n*n indices of its entries in one int32 array,
-    which validation takes over without a copy."""
-    text, n = sc.text, len(names)
+    """'{' IDENT* '}' as the n*n indices of its entries in one array of dtype
+    np.min_scalar_type(n), which validation takes over without a copy."""
+    text, n, dtype = sc.text, len(names), np.min_scalar_type(len(names))
     if n * n >= _SMALL:
         index = _NameIndex(names)
         width = len(names[0])
@@ -387,18 +389,18 @@ def _table(sc: _Scanner, names: list[str], seen: dict[str, int]) -> np.ndarray:
         find = index.find
     else:
         def find(chunk, out):
-            found = np.fromiter(map(seen.get, chunk.split(), repeat(-1)), np.int32)
+            found = np.fromiter(map(seen.get, chunk.split(), repeat(n)), dtype)
             out[: len(found)] = found[: len(out)]
             return len(found)
     # filled piece by piece; the text holds at most len(text)//2+1 entries
-    table = np.empty(min(n * n, len(text) // 2 + 1), dtype=np.int32)
+    table = np.empty(min(n * n, len(text) // 2 + 1), dtype=dtype)
     count, at = 0, sc.pos
     for _, piece in _run(sc):
         count += find(piece, table[count:])
     if count != n * n:
         raise sc.error(f"table has {count} entries, expected {n * n}", sc.peek()[2])
-    if table.min() < 0:  # read the run again, up to the first unknown entry
-        offset, entry = _nth_ident(_run(_Scanner(text, at)), int(np.argmax(table < 0)))
+    if table.max() >= n:  # read the run again, up to the first unknown entry
+        offset, entry = _nth_ident(_run(_Scanner(text, at)), int(np.argmax(table >= n)))
         raise sc.error(f"unknown element {entry!r} in table", offset)
     return table
 

@@ -293,8 +293,10 @@ class _SectionIndex:
     previous run's rank followed by its digits: rank * span + the sum of
     each digit times its place value in the run.  A dense slot array sends
     a code to its rank among the members' codes, or to a dead rank; the last
-    run's slots send it to the member itself, or to -1.  Iterating builds
-    each run's slots from the last, so one run's slots are alive at a time.
+    run's slots send it to the member itself, or to n, the member count.
+    Ranks and slots are of the table's dtype, np.min_scalar_type(n).
+    Iterating builds each run's slots from the last, so one run's slots are
+    alive at a time.
     """
 
     def __init__(self, digits: np.ndarray, radix: list[int]) -> None:
@@ -303,30 +305,32 @@ class _SectionIndex:
 
     def __iter__(self) -> Iterator[tuple[range, np.ndarray, int, np.ndarray]]:
         """Each run's units, the place value of a digit at each, its span and its slots."""
-        radix = self.radix
-        rank, live, lo = np.zeros(self.digits.shape[1], dtype=np.int32), 1, 0
+        radix, n = self.radix, self.digits.shape[1]
+        dtype = np.min_scalar_type(n)
+        rank, live, lo = np.zeros(n, dtype=dtype), 1, 0
         while lo < len(radix):
             hi, span = lo + 1, radix[lo]
             while hi < len(radix) and (live + 1) * span * radix[hi] <= 1 << 16:
                 span, hi = span * radix[hi], hi + 1
             place = np.cumprod([1, *radix[hi - 1 : lo : -1]])[::-1]
-            code = rank * span + place @ self.digits[lo:hi]
-            slots = _run_slots(code, (live + 1) * span)
+            code = rank * np.intp(span) + place @ self.digits[lo:hi]
+            slots = _run_slots(code, (live + 1) * span, dtype)
             rank, run, lo = slots[code], range(lo, hi), hi
             live = int(rank.max()) + 1  # the members' ranks are 0, ..., live - 1
             if lo == len(radix):
-                element = np.full(live + 1, -1, dtype=np.int32)
-                element[rank] = np.arange(len(rank), dtype=np.int32)
+                element = np.full(live + 1, n, dtype=dtype)
+                element[rank] = np.arange(n)
                 slots = element[slots]
             self.runs.append((run, len(slots)))
             yield run, place, span, slots
 
 
-def _run_slots(code: np.ndarray, size: int) -> np.ndarray:
+def _run_slots(code: np.ndarray, size: int, dtype: np.dtype) -> np.ndarray:
     """For each code below size, its rank among those in ``code``, or their count if absent."""
     seen = np.zeros(size, dtype=bool)
     seen[code] = True
-    return np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(np.count_nonzero(seen)))
+    rank = np.cumsum(seen, dtype=dtype) - 1  # wraps before the first code, where it is not read
+    return np.where(seen, rank, dtype.type(np.count_nonzero(seen)))
 
 
 def _product_codes(
@@ -420,18 +424,18 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
     # each product's and inverse's rank over the runs so far, its element after
     # the last; with no units there is no run, and the one member, the empty
     # bisection, is element 0
-    table, star = np.zeros((n, n), dtype=np.int32), np.zeros(n, dtype=np.int32)
+    table, star = (np.zeros(shape, dtype=np.min_scalar_type(n)) for shape in ((n, n), n))
     for run, place, span, slots in _SectionIndex(digits, [len(f) + 1 for f in fibers]):
         b = by_source[fiber_end[run.start] : fiber_end[run.stop]]
         left = digit_of[compose[padded[range_pos[b]], b[:, None]]]
         left *= place[source_pos[b] - run.start, None]
         onehot = digits[source_pos[b]] == digit_of[b, None]
         _product_codes(table, left.astype(np.float64), onehot.astype(np.float64), span, slots)
-        star = slots.take(star * span + place @ inverse[run.start : run.stop])
+        star = slots.take(star * np.intp(span) + place @ inverse[run.start : run.stop])
 
-    if table.min() < 0:
-        s = int(np.argmax(table.min(axis=1) < 0))
-        t = int(np.argmax(table[s] < 0))
+    if table.max() >= n:  # n marks a product that is not a member
+        s = int(np.argmax(table.max(axis=1) >= n))
+        t = int(np.argmax(table[s] >= n))
         products = compose[padded[right, s], sections]  # products[k, t]: (s.t)(unit k), or -1
         ranges = np.sort(range_pos[products], axis=0)
         if ((ranges[1:] == ranges[:-1]) & (ranges[1:] < units)).any():
@@ -440,8 +444,8 @@ def bisection_semigroup(G: FiniteGroupoid, collection: Iterable[int]) -> Bisecti
         raise ValidationError(
             f"collection not closed at product {lhs} * {rhs}", witness=(lhs, rhs)
         )
-    if star.min() < 0:
-        message = f"inverse of {names[int(np.argmax(star < 0))]} missing"
+    if star.max() >= n:
+        message = f"inverse of {names[int(np.argmax(star >= n))]} missing"
         raise ValidationError(message, witness=(message, None))
     sg = validate_inverse_semigroup(names, table, star)
     # masks ascend, so the empty bisection is element 0
@@ -477,7 +481,7 @@ def abstract_table(
     order = list(range(n))  # order[new] = old
     random.Random(seed).shuffle(order)
     old = np.array(order, dtype=np.intp)
-    new_of_old = np.empty(n, dtype=np.int32)
+    new_of_old = np.empty(n, dtype=S.table.dtype)
     new_of_old[old] = np.arange(n)
     width = len(str(n - 1))
     names = tuple(f"x{str(i).zfill(width)}" for i in range(n))

@@ -2,8 +2,11 @@
 
 Element names are opaque strings mapped to dense indices at validation
 time; everything downstream computes on indices.  The table is one
-read-only (n, n) int32 array from parsing to output, so a product is one
-array lookup and a row, column or sub-table is one gather.  The
+read-only (n, n) array of dtype np.min_scalar_type(n) from parsing to
+output: uint8 up to 255 elements and uint16 up to 65,535, so every index
+and the sentinel n fit.  A product is one array lookup and a row, column
+or sub-table is one gather; arithmetic that mixes entries with a Python
+int goes through an intp operand, since a narrow array would wrap.  The
 involution is always derived from the defining identities or verified
 against them, never taken on trust from the input.
 """
@@ -88,7 +91,7 @@ def integers(values: Iterable, what: str) -> tuple[int, ...]:
 
 
 def _square_table(table, n: int) -> np.ndarray:
-    """The table as an n x n int32 array; an int32 array is returned as is.
+    """The table as an n x n array of dtype np.min_scalar_type(n), returned as is when it has it.
 
     A wrong shape, or an entry that is not an integer in range(n), is a
     ValueError; the message names the first bad entry in row-major order.
@@ -107,7 +110,7 @@ def _square_table(table, n: int) -> np.ndarray:
     if t.size and not 0 <= t.min() <= t.max() < n:
         bad = np.flatnonzero((t < 0) | (t >= n))
         raise ValueError(f"table entry {t.flat[bad[0]]} out of range")
-    return t.astype(np.int32, copy=False)
+    return t.astype(np.min_scalar_type(n), copy=False)
 
 
 def _generators(t: np.ndarray, order: Iterable[int], words: bool = False) -> Iterator[int]:
@@ -226,8 +229,7 @@ def associativity_witness(t: np.ndarray) -> tuple[int, int, int] | None:
         if z >= 0 and not rows[z] and not cols[z] and cols @ rows <= n * n:
             associative = _support_associative(t, z, rows, cols, at)
         else:
-            order = np.argsort(-rows, kind="stable").tolist()
-            associative = _light_witness(t, _generators(t, order, words=True)) is None
+            associative = _light_witness(t, _generators(t, _ranked(t, rows), words=True)) is None
     if associative:
         return None
     return _light_witness(t, _generators(t, range(n)))
@@ -292,7 +294,7 @@ def _nonzero_counts(
     z = _fold(t)
     rows, cols = np.empty(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     at, kept = ([np.empty(0, dtype=np.intp)] if keep else None), 0
-    # uint16 sums: a row block has at most 256 rows, and an int32 table of 2^16 rows is 16 GiB
+    # uint16 sums: a row block has at most 256 rows, and a table of 2^16 rows is 16 GiB
     wide = np.uint16 if n < 1 << 16 else np.intp
     for block in row_blocks(n, n):
         support = t[block] != z
@@ -308,14 +310,23 @@ def _nonzero_counts(
     return z, rows, cols, None if at is None else np.concatenate(at)
 
 
+def _ranked(t: np.ndarray, rows: np.ndarray) -> list[int]:
+    """Indices by descending rows, ties going to non-idempotents first, then by index.
+
+    An idempotent among its equals, such as the identity, multiplies
+    the words so far into nothing new.
+    """
+    return np.lexsort((t.diagonal() == np.arange(len(t)), -rows)).tolist()
+
+
 def ranked_generators(t: np.ndarray) -> Iterator[int]:
-    """_generators by words, candidates by descending count of row entries other than z.
+    """_generators by words, candidates by _ranked of their count of row entries other than z.
 
     z is the left fold of the idempotents, the zero of a validated table:
     an element with many nonzero products, such as one with a large
     domain, serves many words.
     """
-    return _generators(t, np.argsort(-_nonzero_counts(t)[1], kind="stable").tolist(), words=True)
+    return _generators(t, _ranked(t, _nonzero_counts(t)[1]), words=True)
 
 def _unique_inverses(t: np.ndarray, names: tuple[str, ...]) -> NoReturn:
     """Raise for the first s without exactly one u with sus = s and usu = u."""
@@ -438,10 +449,10 @@ def validate_inverse_semigroup(
     Malformed shapes (non-square table, out-of-range entries, duplicate
     names, a candidate that is not n element indices) raise ValueError
     because they are caller errors, not algebra.
-    Every check is an array test on the table as one int32 array, and
-    that array is the returned table, made read-only.  An int32 array
-    argument is taken over without a copy, so a caller that still writes
-    to its table passes a copy.
+    Every check is an array test on the table as one array of dtype
+    np.min_scalar_type(n), and that array is the returned table, made
+    read-only.  An array argument of that dtype is taken over without a
+    copy, so a caller that still writes to its table passes a copy.
     """
     names = tuple(str(x) for x in elements)
     n = len(names)
@@ -483,7 +494,8 @@ def adjoin_zero(
     """Add a fresh absorbing element unless the table already has one.
 
     Returns the (possibly unchanged) element list and the table as an
-    int32 array; a malformed table is a ValueError, as in validation.
+    array of dtype np.min_scalar_type of its size; a malformed table is a
+    ValueError, as in validation.
     """
     names = tuple(str(x) for x in elements)
     t = _square_table(table, len(names))
@@ -493,7 +505,7 @@ def adjoin_zero(
     # the first free name of 0, zero, _0, __0, ___0, ...
     candidates = chain(("0", "zero"), ("_" * k + "0" for k in count(1)))
     fresh = next(c for c in candidates if c not in names)
-    out = np.full((n + 1, n + 1), n, dtype=np.int32)
+    out = np.full((n + 1, n + 1), n, dtype=np.min_scalar_type(n + 1))
     out[:n, :n] = t
     return names + (fresh,), out
 

@@ -356,12 +356,14 @@ def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
         for _ in range(3):
             entries = near_misses(rng, names)
             chunk = "".join(e + rng.choice((" ", "\t", "\r\n", "\n   ")) for e in entries)
-            out = np.full(len(entries) + 1, -2, dtype=np.int32)
+            # the table's dtype; an unknown entry reads n, and n + 1 is never written
+            n = len(names)
+            out = np.full(len(entries) + 1, n + 1, dtype=np.min_scalar_type(n))
             assert index.find(chunk, out) == len(entries)
-            assert out.tolist() == [seen.get(e, -1) for e in entries] + [-2]
+            assert out.tolist() == [seen.get(e, n) for e in entries] + [n + 1]
             # entries that do not fit are counted, and nothing is written
             assert index.find(chunk, out[2:]) == len(entries)
-            assert out.tolist() == [seen.get(e, -1) for e in entries] + [-2]
+            assert out.tolist() == [seen.get(e, n) for e in entries] + [n + 1]
 
 
 # separators between table entries: tabs, CRLF, and comments (one non-ASCII)

@@ -4,7 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ample import idempotent_semilattice
+from ample import (
+    bisection_semigroup,
+    enumerate_bisections,
+    idempotent_semilattice,
+    pair_groupoid,
+    units_groupoid,
+    validate_inverse_semigroup,
+)
+from ample.errors import ValidationError
 from ample.semigroups import associativity_witness
 from ample.bitsets import iter_bits
 from ample.spectrum import enumerate_filters
@@ -18,7 +26,17 @@ from oracles import (
     restricted_ideal,
 )
 from semilattice_zoo import all_semilattices_upto
-from test_semigroups import _restricted_ideal_mask, assert_top_down_generates
+from test_semigroups import (
+    _restricted_ideal_mask,
+    assert_top_down_generates,
+    assert_validation_agrees,
+    brandt_blocks,
+    chain_with_nilpotent,
+    cyclic_blocks,
+    left_zero_band_with_zero,
+    right_zero_band,
+    squares,
+)
 
 _ZOO = [S for items in all_semilattices_upto(5).values() for S in items]
 
@@ -93,3 +111,51 @@ def test_top_down_generators_generate_random_magmas(rows):
     witness = associativity_witness(t)
     assert witness == associativity_witness_ascending(t)
     assert (witness is None) == (associativity_witness_by_definition(rows) is None)
+
+
+# inverse semigroups of 16 to 65 elements, and tables that fail each check
+_TABLES = [
+    brandt_blocks(7, 1, 3, 1, 2),
+    squares(30),
+    cyclic_blocks(20, 25),
+    chain_with_nilpotent(20),
+    left_zero_band_with_zero(10),
+    right_zero_band(5),
+    *(bisection_semigroup(G, enumerate_bisections(G)).semigroup.table.tolist()
+      for G in (units_groupoid(4), pair_groupoid(3))),
+]
+
+
+@st.composite
+def relabelled_tables(draw):
+    """One of _TABLES under a permutation of its elements, one entry changed or not."""
+    rows = draw(st.sampled_from(_TABLES))
+    n = len(rows)
+    new = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[new[x]][new[y]] = new[rows[x][y]]
+    if draw(st.booleans()):
+        cell = st.integers(0, n - 1)
+        out[draw(cell)][draw(cell)] = draw(cell)
+    return out
+
+
+def validation_outcome(table):
+    names = [f"x{i}" for i in range(len(table))]
+    try:
+        S = validate_inverse_semigroup(names, table)
+    except ValidationError as exc:
+        return ("error", str(exc), exc.witness)
+    return ("ok", S.table.dtype, S.table.tolist(), S.zero, S.star, S.idempotents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(magmas(), relabelled_tables()))
+def test_a_table_validates_as_its_narrow_cast(rows):
+    wide = np.array(rows, dtype=np.int64)
+    narrow = wide.astype(np.min_scalar_type(len(rows)))
+    got = validation_outcome(wide)
+    assert got == validation_outcome(narrow)
+    assert (got[0] == "error") == (assert_validation_agrees(rows) is not None)
