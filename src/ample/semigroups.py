@@ -313,8 +313,8 @@ def _nonzero_counts(
 def _ranked(t: np.ndarray, rows: np.ndarray) -> list[int]:
     """Indices by descending rows, ties going to non-idempotents first, then by index.
 
-    An idempotent among its equals, such as the identity, multiplies
-    the words so far into nothing new.
+    Among elements of one count the identity, an idempotent, adds no
+    word (w 1 = w), where a non-idempotent may.
     """
     return np.lexsort((t.diagonal() == np.arange(len(t)), -rows)).tolist()
 

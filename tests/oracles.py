@@ -603,7 +603,9 @@ def top_down_order_by_definition(rows):
     """Indices by descending count of row entries other than that fold, ties going to
     non-idempotents first, then by index."""
     z = fold_of_idempotents(rows)
-    return sorted(range(len(rows)), key=lambda g: (-sum(v != z for v in rows[g]), rows[g][g] == g, g))
+    return sorted(
+        range(len(rows)), key=lambda g: (-sum(v != z for v in rows[g]), rows[g][g] == g, g)
+    )
 
 
 def product_blocks_by_definition(rows, z):

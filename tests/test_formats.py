@@ -347,7 +347,7 @@ def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
     # 32n slots, longer ones the folded hash into 8n
     for width in (3, 5, 8, 16, 24):
         names = stress_names(rng, width)
-        seen = {name: i for i, name in enumerate(names)}
+        n, seen = len(names), {name: i for i, name in enumerate(names)}
         index = formats._NameIndex(names)
         assert index.words == -(-width // 8)
         assert len(index.tables[0][1]) >= (32 if width <= 8 else 8) * len(names)
@@ -357,7 +357,6 @@ def test_name_index_agrees_with_dict_lookup(monkeypatch, one_slot):
             entries = near_misses(rng, names)
             chunk = "".join(e + rng.choice((" ", "\t", "\r\n", "\n   ")) for e in entries)
             # the table's dtype; an unknown entry reads n, and n + 1 is never written
-            n = len(names)
             out = np.full(len(entries) + 1, n + 1, dtype=np.min_scalar_type(n))
             assert index.find(chunk, out) == len(entries)
             assert out.tolist() == [seen.get(e, n) for e in entries] + [n + 1]
