@@ -14,8 +14,9 @@ written as it comes, so a large table is never held whole; either kind
 goes to a sibling ``.part`` file that replaces the target only once it
 is whole.  A document bound for stdout is the last report line instead,
 without its final newline.  Commands print and write nothing themselves;
-:func:`main` alone writes the documents, prints the lines, writes the
-summary and picks the exit code.
+:func:`main` alone writes the documents, then the summary, then the
+report in one write, and picks the exit code; so an output that cannot
+be written leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import cache
 from itertools import islice
 from pathlib import Path
 
-from .bitsets import iter_bits
 from .convolution import check_tight_representation, rho
 from .corpus import corpus as corpus_family
 from .errors import AmpleError, CheckFailed
@@ -105,11 +105,12 @@ def cmd_spectrum(args) -> Report:
     S = _semigroup(args)
     E = idempotent_semilattice(S)
     spec = tight_spectrum(E)  # its points are certified to be the ultrafilters
-
-    def support(bits):
-        members = [S.elements[E.carrier[p]] for p in range(len(E)) if bits >> p & 1]
-        return "{" + ",".join(members) + "}"
-
+    names = [S.elements[e] for e in E.carrier]
+    q = [f"q{i}" for i in range(len(spec.points))]
+    members = [[] for _ in spec.points]
+    for name, alive in zip(names, spec.points_at):
+        for i in alive:
+            members[i].append(name)
     lines = [
         f"elements: {len(S)}",
         f"idempotents: {len(E)}",
@@ -117,11 +118,11 @@ def cmd_spectrum(args) -> Report:
         f"ultrafilters: {len(spec.points)}",
         f"tight-points: {len(spec.points)}",
     ]
-    for i, bits in enumerate(spec.points):
-        lines.append(f"point q{i} = {support(bits)}")
-    for e in E.carrier:
-        ds = ",".join(f"q{i}" for i in iter_bits(spec.basic_sets[e]))
-        lines.append(f"D[{S.elements[e]}] = {{{ds}}}")
+    lines += [f"point {qi} = {{{','.join(m)}}}" for qi, m in zip(q, members)]
+    lines += [
+        f"D[{name}] = {{{','.join([q[i] for i in alive])}}}"
+        for name, alive in zip(names, spec.points_at)
+    ]
     summary = {
         "filters": len(spec.filters),
         "ultrafilters": len(spec.points),
@@ -333,13 +334,12 @@ def main(argv=None) -> int:
         lines, summary, ok, documents = args.func(args)
         for path, doc in documents.items():
             write_document(Path(path), doc)
-        for line in lines:
-            print(line)
         if args.summary:
             payload = {"command": args.command, **summary, "ok": ok}
             Path(args.summary).write_text(
                 json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
+        sys.stdout.write("\n".join(lines) + "\n")
         return 0 if ok else 1
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

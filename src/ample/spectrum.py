@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitsets import mask_of
+from .bitsets import iter_bits, mask_of
 from .errors import CheckFailed
 from .semigroups import Semilattice
 
@@ -72,6 +72,8 @@ class TightSpectrum:
     """The tight characters of a finite semilattice, canonically ordered.
 
     ``filters`` holds all filters of the semilattice, the points among them.
+    ``points_at`` walks each point's members once, and ``basic_sets`` and
+    the spectrum report's point lines and D_e table are all read off it.
     """
 
     semilattice: Semilattice
@@ -86,12 +88,18 @@ class TightSpectrum:
         return {bits: i for i, bits in enumerate(self.points)}
 
     @cached_property
+    def points_at(self) -> list[list[int]]:
+        """For every carrier position, the ascending indices of the points holding it."""
+        alive = [[] for _ in self.semilattice.carrier]
+        for i, bits in enumerate(self.points):
+            for p in iter_bits(bits):
+                alive[p].append(i)
+        return alive
+
+    @cached_property
     def basic_sets(self) -> dict[int, int]:
         """D_e for every ambient idempotent e: the mask of point indices alive at e."""
-        return {
-            e: mask_of(i for i, bits in enumerate(self.points) if bits >> p & 1)
-            for p, e in enumerate(self.semilattice.carrier)
-        }
+        return {e: mask_of(alive) for e, alive in zip(self.semilattice.carrier, self.points_at)}
 
 
 def tight_spectrum(E: Semilattice) -> TightSpectrum:

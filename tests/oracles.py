@@ -262,6 +262,40 @@ def ultrafilters_by_pairwise_scan(filters):
     return tuple(f for f in filters if not any(g != f and g & f == f for g in filters))
 
 
+def spectrum_report_by_definition(S):
+    """The ``spectrum`` report of S, every line read off its table.
+
+    The idempotents are the e with ee = e, ascending, and e <= f iff ef = e.
+    A filter of a finite semilattice is up(e) for its least member e, a
+    nonzero idempotent.  The points are up(a) for the atoms a (nothing
+    nonzero lies strictly below a), in ascending order of their masks over
+    the idempotents' positions; D[e] lists the points whose filter holds e.
+    """
+    t = S.table.tolist()
+    carrier = [e for e in range(len(t)) if t[e][e] == e]
+    nonzero = [e for e in carrier if e != S.zero]
+
+    def up(e):
+        return mask_of(p for p, f in enumerate(carrier) if t[e][f] == e)
+
+    atoms = [a for a in nonzero if not any(t[f][a] == f != a for f in nonzero)]
+    points = sorted(up(a) for a in atoms)
+    lines = [
+        f"elements: {len(t)}",
+        f"idempotents: {len(carrier)}",
+        f"filters: {len({up(e) for e in nonzero})}",
+        f"ultrafilters: {len(points)}",
+        f"tight-points: {len(points)}",
+    ]
+    for i, bits in enumerate(points):
+        members = [S.elements[f] for p, f in enumerate(carrier) if bits >> p & 1]
+        lines.append(f"point q{i} = {{{','.join(members)}}}")
+    for p, e in enumerate(carrier):
+        alive = [f"q{i}" for i, bits in enumerate(points) if bits >> p & 1]
+        lines.append(f"D[{S.elements[e]}] = {{{','.join(alive)}}}")
+    return lines
+
+
 def covers_upto_by_definition(isect, fplus, max_size):
     """Every Z inside F+ of at most max_size members meeting each member of F+."""
     members = list(iter_bits(fplus))

@@ -14,21 +14,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ample import (
+    abstract_table,
+    bisection_semigroup,
     corpus,
+    enumerate_bisections,
     idempotent_semilattice,
     pair_groupoid,
     parse_groupoid,
     parse_semigroup,
+    singleton_semigroup,
     stone_check,
     tight_spectrum,
+    units_groupoid,
     validate_inverse_semigroup,
     write_groupoid,
+    write_semigroup,
 )
 from ample import convolution, groupoids, reconstruction
+from ample.bitsets import iter_bits
 from ample.cli import build_parser, main
 from ample.errors import BoundExceeded, CheckFailed, ParseError, ValidationError
 from ample.semigroups import _BLOCK
 
+from oracles import spectrum_report_by_definition
+from semilattice_zoo import all_semilattices_upto
 from test_formats import mutate
 
 DATA = Path(__file__).parent / "data"
@@ -134,6 +143,35 @@ def test_spectrum_chain(capsys):
     assert "tight-points: 1" in out
     assert "point q0 = {e,f}" in out
     assert "D[0] = {}" in out
+
+
+def test_the_spectrum_report_is_the_one_by_definition(capsys, tmp_path):
+    # every zoo semilattice, chain.sgp with and without --adjoin-zero, and two built tables
+    built = [
+        abstract_table(bisection_semigroup(G, family(G)))[0]
+        for G, family in [(units_groupoid(5), enumerate_bisections), (pair_groupoid(4), singleton_semigroup)]
+    ]
+    zoo = [S for items in all_semilattices_upto(6).values() for S in items]
+    cases = []
+    for k, S in enumerate(zoo + built):
+        path = tmp_path / f"{k}.sgp"
+        path.write_text(write_semigroup(S), encoding="utf-8")
+        cases.append(([str(path)], S))
+    chain = (DATA / "chain.sgp").read_text(encoding="utf-8")
+    for adjoin in (False, True):
+        argv = [str(DATA / "chain.sgp")] + ["--adjoin-zero"] * adjoin
+        cases.append((argv, parse_semigroup(chain, adjoin_missing_zero=adjoin)))
+    for argv, S in cases:
+        want = spectrum_report_by_definition(S)
+        assert run_cli(capsys, "spectrum", *argv) == (0, "\n".join(want) + "\n", "")
+        E = idempotent_semilattice(S)
+        spec = tight_spectrum(E)
+        names = [S.elements[e] for e in E.carrier]
+        from_masks = [f"D[{n}] = {{{','.join(f'q{i}' for i in iter_bits(spec.basic_sets[e]))}}}"
+                      for n, e in zip(names, E.carrier)]
+        from_lists = [f"D[{n}] = {{{','.join(f'q{i}' for i in alive)}}}"
+                      for n, alive in zip(names, spec.points_at)]
+        assert from_masks == from_lists == want[len(want) - len(E):]
 
 
 def test_ample_reconstruct_check_iso_pipeline(capsys, tmp_path):
@@ -649,15 +687,21 @@ def test_every_command_reports_through_the_driver(
     assert not summary.exists()
 
 
-@pytest.mark.parametrize("command, source", [("ample", PAIR2), ("reconstruct", CHAIN)])
+@pytest.mark.parametrize(
+    "command, source", [("ample", PAIR2), ("reconstruct", CHAIN), ("spectrum", CHAIN)]
+)
 def test_an_unwritable_output_prints_no_report(capsys, tmp_path, command, source):
-    # the document is written before any report line is printed
+    # the document, then the summary, is written before the report is printed
     summary = tmp_path / "s.json"
     target = tmp_path / "no-such-dir" / "out.txt"
-    argv = [command, source, "-o", str(target), "--summary", str(summary)]
-    code, out, err = run_cli(capsys, *argv)
+    if command != "spectrum":
+        argv = [command, source, "-o", str(target), "--summary", str(summary)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert not summary.exists() and not target.parent.exists()
+    code, out, err = run_cli(capsys, command, source, "--summary", str(target))
     assert (code, out) == (2, "") and err.startswith("error: ")
-    assert not summary.exists() and not target.parent.exists()
+    assert not target.parent.exists()
 
 
 def _with_src_path():
