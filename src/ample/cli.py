@@ -339,7 +339,9 @@ def main(argv=None) -> int:
             Path(args.summary).write_text(
                 json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
-        sys.stdout.write("\n".join(lines) + "\n")
+        report = "\n".join([*lines, ""])
+        del lines  # so a document bound for stdout is not held twice while it is written
+        sys.stdout.write(report)
         return 0 if ok else 1
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
